@@ -57,19 +57,10 @@ def _search_time(
 ) -> float:
     space = generate_space(chain, gpu, deep_only=deep_only, optimize_schedules=optimize)
     sim = GPUSimulator(gpu, seed=seed)
-    schedules: dict[tuple, object] = {}
 
-    def sched(c):
-        if c.key not in schedules:
-            schedules[c.key] = space.schedule_for(c, optimize=optimize)
-        return schedules[c.key]
-
-    if model_kind == "mcfuser":
-        model = AnalyticalModel(gpu)
-        estimate = lambda c: model(sched(c))  # noqa: E731
-    elif model_kind == "chimera":
-        model = ChimeraModel(gpu)
-        estimate = lambda c: model(sched(c))  # noqa: E731
+    if model_kind in ("mcfuser", "chimera"):
+        model = AnalyticalModel(gpu) if model_kind == "mcfuser" else ChimeraModel(gpu)
+        estimate = lambda c: model.objective(space.price(c))  # noqa: E731
     else:  # random ranking
         rng = rng_for("ablation-random", chain.name, seed)
         noise = {c.key: float(rng.random()) for c in space.candidates}
@@ -77,7 +68,7 @@ def _search_time(
 
     def measure(c):
         try:
-            return sim.run(sched(c).kernel_launch(gpu))
+            return sim.run(space.schedule_for(c).kernel_launch(gpu))
         except SharedMemoryExceeded:
             return float("inf")
 

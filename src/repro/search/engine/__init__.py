@@ -4,8 +4,8 @@ and parallel measurement.
 Layout::
 
     pipeline.py   Rule 1-4 stages as a composable generator pipeline that
-                  yields (Candidate, Schedule) pairs — schedules built once
-                  and carried through to estimation/measurement — with the
+                  prices every candidate from per-expression schedule
+                  templates (no schedule built per candidate), with the
                   pruning funnel accumulated incrementally.
     loop.py       SearchLoop: the shared Algorithm-1 driver (measured
                   cache, failed blacklist, convergence, measurement
@@ -18,12 +18,7 @@ Layout::
 
 from repro.search.engine.evaluator import ParallelEvaluator, batch_makespan
 from repro.search.engine.loop import SearchLoop, SearchResult
-from repro.search.engine.pipeline import (
-    CandidatePair,
-    PruningFunnel,
-    candidate_pipeline,
-    stream_space,
-)
+from repro.search.engine.pipeline import PruningFunnel, stream_space
 from repro.search.engine.strategy import (
     STRATEGY_REGISTRY,
     EvolutionarySearch,
@@ -38,9 +33,7 @@ from repro.search.engine.strategy import (
 )
 
 __all__ = [
-    "CandidatePair",
     "PruningFunnel",
-    "candidate_pipeline",
     "stream_space",
     "SearchLoop",
     "SearchResult",

@@ -1,25 +1,26 @@
 """Streaming search-space generation: the Rule 1-4 stages as a generator
-pipeline (§III).
+pipeline (§III), priced without building a schedule per candidate.
 
-The eager ``generate_space`` of early revisions enumerated every candidate,
-built a throwaway :class:`~repro.tiling.schedule.Schedule` per candidate for
-validation, discarded it, and let the tuner rebuild the same schedules again
-during estimation and measurement. This module replaces that with a
-composable generator pipeline::
+::
 
     expression_stage   Rule 1 dedup + Rule 2 class filter  -> TilingExpr
-    tile_stage         Rule 3 tile grid per expression     -> (expr, tiles)
-    schedule_stage     build_schedule ONCE per candidate   -> CandidatePair
-    validate_stage     semantics + candidate-level Rule 2  -> CandidatePair
-    rule4_stage        shared-memory estimate filter       -> CandidatePair
+    price_stage        Rule 3 tile grid per expression,    -> (Candidate,
+                       priced from schedule templates:         PerfEstimate)
+                       validity, candidate-level Rule 2,
+                       Rule 4 and the eq. 2-5 estimate
 
-Each stage yields :class:`CandidatePair` objects — the candidate together
-with its already-built schedule — so downstream consumers (the search
-strategies, the analytical model, the measurement executor) never build a
-schedule twice. The Fig. 7 pruning funnel is accumulated *incrementally* in
-a :class:`PruningFunnel` as pairs flow through; a fully drained pipeline
-yields exactly the counts the old eager implementation produced.
+Everything the search needs before measuring depends only on the tiling
+expression and on which per-block loops have extent 1 (see
+:class:`~repro.tiling.schedule.ScheduleTemplate`). :func:`price_grid`
+therefore builds one real schedule per distinct extent-1 set of an
+expression, records it as a template, and evaluates the template over the
+whole Rule-3 grid with numpy. Schedules of individual candidates are built
+later, and only for candidates that are measured, verified, featurized or
+returned (:meth:`~repro.search.space.SearchSpace.schedule_for`).
 
+The Fig. 7 pruning funnel is accumulated *incrementally* in a
+:class:`PruningFunnel` as candidates flow; a fully drained pipeline yields
+the complete funnel.
 :func:`stream_space` assembles the stages and wraps them in a lazy
 :class:`~repro.search.space.SearchSpace` view.
 """
@@ -27,47 +28,41 @@ yields exactly the counts the old eager implementation produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
+from repro.search.perf_model import PerfEstimate, combine
 from repro.search.pruning import (
     PruningStats,
     expression_classes,
-    rule2_candidate_ok,
     rule2_class_survives,
     rule3_tile_options,
-    rule4_ok,
+    rule4_fits,
     unconstrained_tile_count,
 )
-from repro.tiling.enumeration import all_tilings
+from repro.tiling.enumeration import all_tilings, sub_tiling_expr
 from repro.tiling.expr import TilingExpr
-from repro.tiling.schedule import Schedule, build_schedule
+from repro.tiling.schedule import ScheduleTemplate, build_schedule
 from repro.utils import prod
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.search.space import Candidate, SearchSpace
+
 __all__ = [
-    "CandidatePair",
     "PruningFunnel",
+    "PricedGrid",
     "expression_stage",
-    "tile_stage",
-    "schedule_stage",
-    "validate_stage",
-    "rule4_stage",
+    "price_grid",
+    "price_stage",
     "candidate_pipeline",
     "stream_space",
 ]
 
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """One surviving search-space point and its (single) built schedule."""
-
-    candidate: "Candidate"
-    schedule: Schedule
-
-    def __iter__(self):  # allow ``for cand, sched in pipeline``
-        return iter((self.candidate, self.schedule))
+#: ``(rendered expression, extent-1 loops, optimize) -> template``.
+TemplateTable = dict[tuple[str, frozenset, bool], ScheduleTemplate]
 
 
 @dataclass
@@ -137,58 +132,113 @@ def expression_stage(
     yield from survivors.values()
 
 
-def tile_stage(
+@dataclass(frozen=True)
+class PricedGrid:
+    """Every tile point of one expression, priced from its templates.
+
+    ``tiles`` has one row per point (columns in ``chain.loop_names`` order,
+    rows in ``itertools.product`` order of the options); every other array
+    is aligned with its rows. Rejected points are priced too.
+    """
+
+    tiles: np.ndarray
+    valid: np.ndarray
+    rule2: np.ndarray
+    rule4: np.ndarray
+    price: PerfEstimate
+
+
+def price_grid(
     chain: ComputeChain,
+    gpu: GPUSpec,
+    expr: TilingExpr,
+    options: dict[str, list[int]],
+    templates: TemplateTable,
+    optimize: bool = True,
+) -> PricedGrid:
+    """Price the ``expr`` x ``options`` tile grid from schedule templates.
+
+    Points are grouped by their set of extent-1 per-block loops; each group
+    is evaluated from one template, built from a real schedule on first use
+    and kept in ``templates``.
+    """
+    loops = chain.loop_names
+    axes = np.meshgrid(*[np.asarray(options[l], dtype=np.int64) for l in loops], indexing="ij")
+    tiles = np.stack([axis.ravel() for axis in axes], axis=1)
+    sizes = np.array([chain.loops[l] for l in loops], dtype=np.int64)
+    extents = -(-sizes // tiles)
+    free = sub_tiling_expr(chain, expr).loops()
+    unit = extents[:, [loops.index(l) for l in free]] == 1
+    codes = unit @ (1 << np.arange(len(free), dtype=np.int64))
+    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+
+    n = len(tiles)
+    valid = np.zeros(n, dtype=bool)
+    rule2 = np.zeros(n, dtype=bool)
+    rule4 = np.zeros(n, dtype=bool)
+    t_mem, t_comp, alpha = np.zeros(n), np.zeros(n), np.zeros(n)
+    for g, rep in enumerate(first.tolist()):
+        rows = np.flatnonzero(group == g)
+        key = (expr.render(), frozenset(l for l, u in zip(free, unit[rep]) if u), optimize)
+        template = templates.get(key)
+        if template is None:
+            point = dict(zip(loops, tiles[rep].tolist()))
+            template = templates[key] = ScheduleTemplate.from_schedule(
+                build_schedule(chain, expr, point, optimize=optimize)
+            )
+        work = template.work(
+            {l: tiles[rows, j] for j, l in enumerate(loops)},
+            {l: extents[rows, j] for j, l in enumerate(loops)},
+        )
+        est = combine(work.read_bytes, work.write_bytes, work.flops, work.grid, gpu)
+        valid[rows] = template.valid
+        rule2[rows] = template.single_copy
+        rule4[rows] = rule4_fits(work.shm_estimate, gpu)
+        t_mem[rows], t_comp[rows], alpha[rows] = est.t_mem, est.t_comp, est.alpha
+    return PricedGrid(
+        tiles=tiles,
+        valid=valid,
+        rule2=rule2,
+        rule4=rule4,
+        price=PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha),
+    )
+
+
+def price_stage(
+    chain: ComputeChain,
+    gpu: GPUSpec,
     exprs: Iterator[TilingExpr],
     options: dict[str, list[int]],
-) -> Iterator[tuple[TilingExpr, dict[str, int]]]:
-    """Rule 3: cross each surviving expression with its pruned tile grid."""
-    loops = chain.loop_names
-    for expr in exprs:
-        for combo in product(*[options[l] for l in loops]):
-            yield expr, dict(zip(loops, combo))
-
-
-def schedule_stage(
-    chain: ComputeChain,
-    points: Iterator[tuple[TilingExpr, dict[str, int]]],
+    funnel: PruningFunnel,
+    templates: TemplateTable,
     optimize: bool = True,
-) -> Iterator[CandidatePair]:
-    """Expand each (expression, tiles) point into its schedule — built once,
-    carried with the candidate from here on."""
+) -> Iterator[tuple["Candidate", PerfEstimate]]:
+    """Rules 3-4 over each expression's priced grid.
+
+    Yields every surviving candidate with its estimate, counting points
+    that are valid and pass candidate-level Rule 2 into ``after_rule3`` and
+    Rule-4 survivors into ``after_rule4``, one candidate at a time.
+    """
     from repro.search.space import Candidate  # deferred: space imports us
 
-    for expr, tiles in points:
-        schedule = build_schedule(chain, expr, tiles, optimize=optimize)
-        yield CandidatePair(Candidate.make(expr, tiles), schedule)
-
-
-def validate_stage(
-    pairs: Iterator[CandidatePair],
-    funnel: PruningFunnel,
-) -> Iterator[CandidatePair]:
-    """Drop semantically invalid schedules and candidate-level Rule 2
-    violations; count survivors into ``after_rule3``."""
-    for pair in pairs:
-        if not pair.schedule.is_valid:
-            continue
-        if not rule2_candidate_ok(pair.schedule):
-            continue
-        funnel.after_rule3 += 1
-        yield pair
-
-
-def rule4_stage(
-    pairs: Iterator[CandidatePair],
-    gpu: GPUSpec,
-    funnel: PruningFunnel,
-) -> Iterator[CandidatePair]:
-    """Rule 4: shared-memory estimate filter; counts into ``after_rule4``."""
-    for pair in pairs:
-        if not rule4_ok(pair.schedule, gpu):
-            continue
-        funnel.after_rule4 += 1
-        yield pair
+    names = sorted(chain.loop_names)
+    columns = [chain.loop_names.index(l) for l in names]
+    for expr in exprs:
+        grid = price_grid(chain, gpu, expr, options, templates, optimize)
+        rule3 = grid.valid & grid.rule2
+        fits = grid.rule4.tolist()
+        rows = grid.tiles.tolist()
+        t_mem = grid.price.t_mem.tolist()
+        t_comp = grid.price.t_comp.tolist()
+        alpha = grid.price.alpha.tolist()
+        for i in np.flatnonzero(rule3).tolist():
+            funnel.after_rule3 += 1
+            if not fits[i]:
+                continue
+            funnel.after_rule4 += 1
+            row = rows[i]
+            cand = Candidate(expr=expr, tiles=tuple((l, row[j]) for l, j in zip(names, columns)))
+            yield cand, PerfEstimate(t_mem=t_mem[i], t_comp=t_comp[i], alpha=alpha[i])
 
 
 def candidate_pipeline(
@@ -196,15 +246,15 @@ def candidate_pipeline(
     gpu: GPUSpec,
     funnel: PruningFunnel,
     tile_options: dict[str, list[int]],
+    templates: TemplateTable,
     deep_only: bool = False,
     optimize_schedules: bool = True,
-) -> Iterator[CandidatePair]:
+) -> Iterator[tuple["Candidate", PerfEstimate]]:
     """The full composed pipeline; marks ``funnel.complete`` when drained."""
     exprs = expression_stage(chain, funnel, deep_only=deep_only)
-    points = tile_stage(chain, exprs, tile_options)
-    built = schedule_stage(chain, points, optimize=optimize_schedules)
-    survivors = rule4_stage(validate_stage(built, funnel), gpu, funnel)
-    yield from survivors
+    yield from price_stage(
+        chain, gpu, exprs, tile_options, funnel, templates, optimize=optimize_schedules
+    )
     funnel.complete = True
 
 
@@ -220,29 +270,31 @@ def stream_space(
 
     Nothing is enumerated until the space is iterated (or an accessor that
     needs the full set — ``candidates``, ``stats``, ``len`` — forces
-    materialization). Schedules built during validation are retained and
-    served by ``SearchSpace.schedule_for``, so estimation and measurement
-    never rebuild them.
+    materialization). The estimates priced on the way are kept in the
+    space's price table; schedules are built only on request.
     """
     from repro.search.space import SearchSpace  # deferred: space imports us
 
     funnel = PruningFunnel()
+    templates: TemplateTable = {}
     options = {loop: rule3_tile_options(size) for loop, size in chain.loops.items()}
-    pairs = candidate_pipeline(
+    priced = candidate_pipeline(
         chain,
         gpu,
         funnel,
         options,
+        templates,
         deep_only=deep_only,
         optimize_schedules=optimize_schedules,
     )
     return SearchSpace(
         chain=chain,
         gpu=gpu,
-        source=pairs,
+        source=priced,
         funnel=funnel,
         tile_options=options,
         deep_only=deep_only,
         optimized=optimize_schedules,
         max_candidates=max_candidates,
+        templates=templates,
     )

@@ -60,20 +60,23 @@ def mutate_candidate(
     the result inside the pruned space (retry a few times, else keep)."""
     from repro.search.space import Candidate
 
-    loops = list(space.chain.loop_names)
+    loops = space.chain.loop_names
     for _ in range(attempts):
         loop = loops[int(rng.integers(len(loops)))]
         options = space.tile_options[loop]
         if len(options) < 2:
             continue
-        tiles = cand.tile_dict
-        idx = options.index(tiles[loop]) if tiles[loop] in options else 0
-        step = int(rng.choice((-1, 1)))
+        # ``cand.tiles`` is sorted by loop name; swap one entry in place.
+        pos = sorted(loops).index(loop)
+        tile = cand.tiles[pos][1]
+        idx = options.index(tile) if tile in options else 0
+        # Same draw as ``rng.choice((-1, 1))``, at a fraction of its cost.
+        step = (-1, 1)[int(rng.integers(2))]
         new_idx = min(max(idx + step, 0), len(options) - 1)
         if new_idx == idx:
             continue
-        tiles[loop] = options[new_idx]
-        mutated = Candidate.make(cand.expr, tiles)
+        tiles = (*cand.tiles[:pos], (loop, options[new_idx]), *cand.tiles[pos + 1:])
+        mutated = Candidate(expr=cand.expr, tiles=tiles)
         if space.contains(mutated):
             return mutated
     return cand

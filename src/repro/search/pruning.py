@@ -44,6 +44,7 @@ __all__ = [
     "bucket_tile_options",
     "tile_legal_for_bucket",
     "unconstrained_tile_count",
+    "rule4_fits",
     "rule4_ok",
 ]
 
@@ -134,11 +135,7 @@ def rule2_class_survives(chain: ComputeChain, expr: TilingExpr) -> bool:
 
 def rule2_candidate_ok(schedule: Schedule) -> bool:
     """Candidate-level Rule 2: no tensor may need >1 live partial tile."""
-    return all(
-        schedule.live_copies(name) == 1
-        for name, ref in schedule.chain.tensors.items()
-        if ref.role != "input"
-    )
+    return schedule.single_live_copies()
 
 
 # -- Rule 3 ---------------------------------------------------------------------
@@ -221,6 +218,11 @@ def tile_legal_for_bucket(tile: int, ceiling: int) -> bool:
 # -- Rule 4 --------------------------------------------------------------------------
 
 
+def rule4_fits(shm_estimate, gpu: GPUSpec):
+    """Rule 4 on eq. (1) estimates (an int, or an array of them)."""
+    return shm_estimate <= RULE4_SLACK * gpu.shared_mem_per_block
+
+
 def rule4_ok(schedule: Schedule, gpu: GPUSpec) -> bool:
     """Rule 4: eq. (1) estimate must stay below ``1.2 x Shm_max``."""
-    return schedule.shm_estimate() <= RULE4_SLACK * gpu.shared_mem_per_block
+    return rule4_fits(schedule.shm_estimate(), gpu)

@@ -3,15 +3,17 @@
 ``generate_space`` remains the entry point, but it no longer eagerly
 enumerates anything: it wires up the Rule 1-4 generator pipeline
 (:mod:`repro.search.engine.pipeline`) and returns a :class:`SearchSpace`
-that materializes on demand. Consumers that stream (``iter_pairs``) touch
-each candidate exactly once; consumers that need the full set (tests, the
-experiment drivers, random sampling) force materialization through the
+that materializes on demand. Iterating the space touches each candidate
+exactly once; consumers that need the full set (tests, the experiment
+drivers, random sampling) force materialization through the
 ``candidates`` / ``stats`` / ``len`` accessors and get the same candidate
 order and pruning funnel the old eager implementation produced.
 
-Schedules are built **once**, inside the pipeline's validation stage, and
-retained: ``schedule_for`` serves them from the space's schedule table, so
-estimation and measurement never pay the old build-twice cost.
+Candidates are **priced, not built**: the pipeline evaluates the eq. 2-5
+estimate of every candidate from per-expression schedule templates, and
+``price`` serves it from the space's price table. ``schedule_for`` builds a
+:class:`~repro.tiling.schedule.Schedule` lazily, once per candidate, for
+the few candidates that are measured, verified, featurized or returned.
 """
 
 from __future__ import annotations
@@ -22,22 +24,31 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
+from repro.search.perf_model import PerfEstimate, estimate_time
 from repro.search.pruning import PruningStats
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import Schedule, build_schedule
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.search.engine.pipeline import CandidatePair, PruningFunnel
+    from repro.search.engine.pipeline import PruningFunnel, TemplateTable
 
 __all__ = ["Candidate", "SearchSpace", "generate_space"]
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the search space: an expression class + tile sizes."""
+    """One point of the search space: an expression class + tile sizes.
+
+    ``key`` — ``(rendered expression, tiles)`` — identifies the candidate
+    in every lookup table (prices, schedules, measurements).
+    """
 
     expr: TilingExpr
     tiles: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        # The search looks candidates up by key constantly; compute it once.
+        object.__setattr__(self, "key", (self.expr.render(), self.tiles))
 
     @staticmethod
     def make(expr: TilingExpr, tiles: dict[str, int]) -> "Candidate":
@@ -47,10 +58,6 @@ class Candidate:
     def tile_dict(self) -> dict[str, int]:
         return dict(self.tiles)
 
-    @property
-    def key(self) -> tuple:
-        return (self.expr.render(), self.tiles)
-
     def describe(self) -> str:
         tiles = ",".join(f"T{l}={t}" for l, t in self.tiles)
         return f"{self.expr.render()}[{tiles}]"
@@ -59,9 +66,9 @@ class Candidate:
 class SearchSpace:
     """Lazy, immutable view over the pruned candidate pipeline.
 
-    Iterating the space (or ``iter_pairs``) pulls candidates through the
-    pipeline incrementally; the ``candidates`` tuple, ``stats``, ``len``
-    and ``contains`` force full materialization. Once materialized the
+    Iterating the space pulls candidates through the pipeline
+    incrementally; the ``candidates`` tuple, ``stats``, ``len`` and
+    ``contains`` force full materialization. Once materialized the
     candidate set is frozen — there is no way to mutate it, so the key
     index (`functools.cached_property`) can never go stale.
 
@@ -73,25 +80,28 @@ class SearchSpace:
         self,
         chain: ComputeChain,
         gpu: GPUSpec,
-        source: "Iterator[CandidatePair]",
+        source: "Iterator[tuple[Candidate, PerfEstimate]]",
         funnel: "PruningFunnel",
         tile_options: dict[str, list[int]],
         deep_only: bool = False,
         optimized: bool = True,
         max_candidates: int | None = None,
+        templates: "TemplateTable | None" = None,
     ) -> None:
         self.chain = chain
         self.gpu = gpu
         self.tile_options = tile_options
         self.deep_only = deep_only
-        #: Whether the pipeline built schedules with the extent-1 DAG
-        #: optimization (``schedule_for`` serves cached schedules only for
-        #: the matching ``optimize`` flag).
+        #: Whether candidates are priced (and ``schedule_for`` memoizes
+        #: schedules) with the extent-1 DAG optimization.
         self.optimized = optimized
         self._source = source
         self._funnel = funnel
         self._max_candidates = max_candidates
+        self._templates: "TemplateTable" = {} if templates is None else templates
+        self._prices: dict[tuple, PerfEstimate] = {}
         self._schedules: dict[tuple, Schedule] = {}
+        self._lazy_builds = 0
         self._drained: list[Candidate] = []
         self._candidates: tuple[Candidate, ...] | None = None
 
@@ -134,42 +144,38 @@ class SearchSpace:
 
     # -- streaming -------------------------------------------------------------
 
-    def iter_pairs(self) -> "Iterator[tuple[Candidate, Schedule]]":
-        """Stream ``(candidate, schedule)`` pairs through the pipeline.
+    def _pull(self) -> bool:
+        """Drain one priced candidate from the pipeline; False when done."""
+        try:
+            cand, price = next(self._source)
+        except StopIteration:
+            self._candidates = tuple(self._drained)
+            return False
+        self._prices[cand.key] = price
+        self._drained.append(cand)
+        return True
 
-        Already-materialized candidates are replayed from the schedule
-        table; the remainder comes straight off the generator stages. With
-        ``max_candidates`` set the deterministic stride requires the total
-        count, so the space materializes first.
+    def __iter__(self) -> Iterator[Candidate]:
+        """Stream candidates through the pipeline.
+
+        Already-drained candidates are replayed first; the remainder comes
+        straight off the generator stages, so interleaved iterators and a
+        mid-stream ``materialize()`` all observe one consistent sequence.
+        With ``max_candidates`` set the deterministic stride requires the
+        total count, so the space materializes first.
         """
         if self._max_candidates is not None:
             self.materialize()
         if self._candidates is not None:
-            for cand in self._candidates:
-                yield cand, self.schedule_for(cand)
+            yield from self._candidates
             return
-        # Replay what earlier (possibly abandoned) iterations drained, then
-        # keep pulling from the shared source — interleaved iterators and a
-        # mid-stream materialize() all observe one consistent sequence.
         i = 0
         while True:
             while i < len(self._drained):
-                cand = self._drained[i]
+                yield self._drained[i]
                 i += 1
-                yield cand, self._schedules[cand.key]
-            if self._candidates is not None:
+            if self._candidates is not None or not self._pull():
                 return
-            try:
-                pair = next(self._source)
-            except StopIteration:
-                self._candidates = tuple(self._drained)
-                return
-            self._schedules[pair.candidate.key] = pair.schedule
-            self._drained.append(pair.candidate)
-
-    def __iter__(self) -> Iterator[Candidate]:
-        for cand, _ in self.iter_pairs():
-            yield cand
 
     # -- materialization -------------------------------------------------------
 
@@ -178,23 +184,17 @@ class SearchSpace:
 
         Applies the optional ``max_candidates`` cap (deterministically
         strided over the pruned set, as the eager implementation did);
-        schedules of dropped candidates are released.
+        prices of dropped candidates are released.
         """
-        if self._candidates is None:
-            for pair in self._source:
-                self._schedules[pair.candidate.key] = pair.schedule
-                self._drained.append(pair.candidate)
-            self._candidates = tuple(self._drained)
+        while self._candidates is None and self._pull():
+            pass
         if self._max_candidates is not None:
             cap = self._max_candidates
             self._max_candidates = None
             if len(self._candidates) > cap:
                 stride = len(self._candidates) / cap
                 kept = tuple(self._candidates[int(i * stride)] for i in range(cap))
-                keys = {c.key for c in kept}
-                self._schedules = {
-                    k: s for k, s in self._schedules.items() if k in keys
-                }
+                self._prices = {c.key: self._prices[c.key] for c in kept}
                 self._candidates = kept
         return self._candidates
 
@@ -219,19 +219,46 @@ class SearchSpace:
 
     # -- lookups ---------------------------------------------------------------
 
-    def schedule_for(self, cand: Candidate, optimize: bool = True) -> Schedule:
-        """The schedule of ``cand`` — served from the pipeline's one-time
-        construction when the ``optimize`` flag matches, rebuilt otherwise."""
-        if optimize == self.optimized:
-            cached = self._schedules.get(cand.key)
-            if cached is not None:
-                return cached
-            schedule = build_schedule(
-                self.chain, cand.expr, cand.tile_dict, optimize=optimize
-            )
-            self._schedules[cand.key] = schedule
-            return schedule
-        return build_schedule(self.chain, cand.expr, cand.tile_dict, optimize=optimize)
+    def price(self, cand: Candidate) -> PerfEstimate:
+        """The eq. 2-5 estimate of ``cand``, from the price table.
+
+        Candidates the pipeline did not price (a space built with
+        :meth:`from_candidates`) are priced by the reference oracle on first
+        use. Bit-identical to ``estimate_time(schedule_for(cand), gpu)``.
+        """
+        est = self._prices.get(cand.key)
+        if est is None:
+            est = self._prices[cand.key] = estimate_time(self.schedule_for(cand), self.gpu)
+        return est
+
+    def schedule_for(self, cand: Candidate, optimize: bool | None = None) -> Schedule:
+        """The schedule of ``cand``, built on first request and memoized.
+
+        ``optimize`` defaults to the space's own flag; only that variant is
+        memoized (the other flag always builds afresh).
+        """
+        if optimize is None:
+            optimize = self.optimized
+        if optimize != self.optimized:
+            self._lazy_builds += 1
+            return build_schedule(self.chain, cand.expr, cand.tile_dict, optimize=optimize)
+        schedule = self._schedules.get(cand.key)
+        if schedule is None:
+            self._lazy_builds += 1
+            schedule = build_schedule(self.chain, cand.expr, cand.tile_dict, optimize=optimize)
+            schedule = self._schedules.setdefault(cand.key, schedule)
+        return schedule
+
+    @property
+    def templates(self) -> int:
+        """Schedule templates priced so far (one schedule built for each)."""
+        return len(self._templates)
+
+    @property
+    def schedules_built(self) -> int:
+        """Every ``build_schedule`` call this space made: one per template
+        plus one per ``schedule_for`` construction."""
+        return len(self._templates) + self._lazy_builds
 
     def contains(self, cand: Candidate) -> bool:
         return cand.key in self._keys

@@ -1,10 +1,10 @@
 """MCFuserTuner: end-to-end tuning of one MBCI chain (§III + §IV).
 
-Pipeline: stream + prune the search space (schedules built once inside the
-pipeline), run a pluggable search strategy with the analytical model,
-measure the per-round top-n through the parallel evaluator, and return the
-best schedule with full accounting — simulated tuning seconds, pruning
-funnel, model-vs-measured pairs.
+Pipeline: stream + prune the search space (every candidate priced from
+per-expression schedule templates), run a pluggable search strategy with
+the analytical model, measure the per-round top-n through the parallel
+evaluator, and return the best schedule with full accounting — simulated
+tuning seconds, pruning funnel, model-vs-measured pairs.
 
 Two restricted variants implement baselines from the paper:
 
@@ -622,30 +622,31 @@ class MCFuserTuner:
         clock = TuningClock()
         with tracer.span("tune.space", clock=clock, chain=chain.name) as span:
             space = self.build_space(chain, clock)
-            span.set(candidates=len(space.candidates))
-        optimize = self.variant != "chimera"
+            span.set(
+                candidates=len(space.candidates),
+                templates=space.templates,
+                schedules_built=space.schedules_built,
+            )
         model = (
             ChimeraModel(self.gpu) if self.variant == "chimera" else AnalyticalModel(self.gpu)
         )
 
-        # Schedules were built once inside the streaming pipeline;
-        # space.schedule_for serves that construction for both the model
-        # and the measurement path.
+        # The model reads the space's price table (every candidate was
+        # priced from its schedule template); schedules are built lazily,
+        # only for candidates that are measured, featurized or returned.
         def estimate_fn(cand: Candidate) -> float:
             clock.charge("model_estimate")
-            return model(space.schedule_for(cand, optimize=optimize))
+            return model.objective(space.price(cand))
 
         def raw_measure(cand: Candidate) -> float:
-            return self.measure_schedule(space.schedule_for(cand, optimize=optimize))
+            return self.measure_schedule(space.schedule_for(cand))
 
         feature_fn = None
         if self.cost_model is not None:
             from repro.search.features import schedule_features
 
             def feature_fn(cand: Candidate) -> np.ndarray:
-                return schedule_features(
-                    space.schedule_for(cand, optimize=optimize), self.gpu
-                )
+                return schedule_features(space.schedule_for(cand), self.gpu)
 
         evaluator = ParallelEvaluator(
             raw_measure,
@@ -678,13 +679,14 @@ class MCFuserTuner:
                 converged=result.converged,
                 model_rounds=result.model_rounds,
                 best_time=result.best_time,
+                schedules_built=space.schedules_built,
             )
         return TuneReport(
             chain=chain,
             gpu=self.gpu,
             variant=self.variant,
             best_candidate=result.best,
-            best_schedule=space.schedule_for(result.best, optimize=optimize),
+            best_schedule=space.schedule_for(result.best),
             best_time=result.best_time,
             tuning_seconds=clock.seconds,
             pruning=space.stats,

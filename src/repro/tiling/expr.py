@@ -218,6 +218,11 @@ class TilingExpr:
 
     def render(self) -> str:
         """Textual form; multi-root forests render as ``(a,b)``."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # Rendered once: candidate keys and cache entries ask for it often.
         if not self.roots:
             return ""
         if len(self.roots) == 1:

@@ -19,12 +19,18 @@ schedule: statement trip counts, DRAM traffic, FLOPs, the shared-memory
 tile buffers (estimate vs measured), live-copy multiplicities (Rule 2), and
 semantic validity (a consumer must never observe a partially-reduced
 producer tile).
+
+A :class:`ScheduleTemplate` captures the tile-size-independent part of a
+schedule, so the search can price and prune many tile points of one
+expression without building a schedule for each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.memory import TileBuffer, estimate_shared_memory, measure_shared_memory
@@ -40,6 +46,9 @@ __all__ = [
     "Schedule",
     "build_schedule",
     "InvalidScheduleError",
+    "TemplateTerm",
+    "ScheduleWork",
+    "ScheduleTemplate",
 ]
 
 GRID = None  # sentinel home for statements at per-block (grid) scope
@@ -282,12 +291,18 @@ class Schedule:
         walk(self.root)
         return index
 
+    def trip_loops(self, stmt: Statement) -> tuple[str, ...]:
+        """The per-block loops a statement repeats over: its home and the
+        home's ancestors (empty for a statement at grid scope)."""
+        if stmt.home is None:
+            return ()
+        return (*self.residual.ancestors(stmt.home), stmt.home)
+
     def trip_count(self, stmt: Statement) -> int:
         """Executions of one statement across the whole kernel (grid incl.)."""
         trips = self.grid_size
-        if stmt.home is not None:
-            for loop in (*self.residual.ancestors(stmt.home), stmt.home):
-                trips *= self.extents[loop]
+        for loop in self.trip_loops(stmt):
+            trips *= self.extents[loop]
         return trips
 
     def tile_elements(self, dims: tuple[str, ...]) -> int:
@@ -318,6 +333,14 @@ class Schedule:
             if above & live_red:
                 copies *= self.extents[d]
         return copies
+
+    def single_live_copies(self) -> bool:
+        """Candidate-level Rule 2: every on-chip tensor needs one live tile."""
+        return all(
+            self.live_copies(name) == 1
+            for name, ref in self.chain.tensors.items()
+            if ref.role != "input"
+        )
 
     # -- semantic validity ---------------------------------------------------------
 
@@ -375,8 +398,9 @@ class Schedule:
 
     # -- work accounting -------------------------------------------------------------
 
-    def _store_copies_below(self, stmt: Statement) -> int:
-        """Tiles written per store execution (dims strictly inside its scope)."""
+    def store_dims(self, stmt: Statement) -> tuple[str, ...]:
+        """A store's tile loops nested strictly inside its home scope: it
+        writes one tile per combination of their extents."""
         present = set(self.residual.loops())
         if stmt.home is None:
             inside = present
@@ -384,9 +408,7 @@ class Schedule:
             inside = {
                 l for l in present if stmt.home in self.residual.ancestors(l)
             }
-        return int(
-            prod(self.extents[d] for d in stmt.related if d in inside) or 1
-        )
+        return tuple(d for d in stmt.related if d in inside)
 
     def statement_bytes(self, stmt: Statement) -> float:
         """Total DRAM bytes moved by one statement over the whole kernel."""
@@ -395,7 +417,7 @@ class Schedule:
         tile = self.tile_elements(stmt.related) * self.chain.dtype_bytes
         total = tile * self.trip_count(stmt)
         if stmt.kind == "store":
-            total *= self._store_copies_below(stmt)
+            total *= int(prod(self.extents[d] for d in self.store_dims(stmt)))
         return float(total)
 
     def statement_flops(self, stmt: Statement) -> float:
@@ -409,14 +431,30 @@ class Schedule:
             per_exec += 7.0 * self.tile_elements(first.dims)
         return per_exec * self.trip_count(stmt)
 
+    @staticmethod
+    def _in_order(terms) -> float:
+        # Plain left-to-right addition in statement order, which
+        # ScheduleTemplate.work reproduces; sum() compensates float rounding
+        # on Python >= 3.12.
+        total = 0
+        for term in terms:
+            total = total + term
+        return total
+
     def dram_read_bytes(self) -> float:
-        return sum(self.statement_bytes(s) for s in self.statements() if s.kind == "load")
+        return self._in_order(
+            self.statement_bytes(s) for s in self.statements() if s.kind == "load"
+        )
 
     def dram_write_bytes(self) -> float:
-        return sum(self.statement_bytes(s) for s in self.statements() if s.kind == "store")
+        return self._in_order(
+            self.statement_bytes(s) for s in self.statements() if s.kind == "store"
+        )
 
     def total_flops(self) -> float:
-        return sum(self.statement_flops(s) for s in self.statements() if s.kind == "compute")
+        return self._in_order(
+            self.statement_flops(s) for s in self.statements() if s.kind == "compute"
+        )
 
     # -- shared memory --------------------------------------------------------------------
 
@@ -597,3 +635,148 @@ def build_schedule(
         root=root,
         optimized=optimize,
     )
+
+
+# -- schedule templates ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TemplateTerm:
+    """One statement's share of a schedule's work, in loop names.
+
+    ``tile_dims`` size one tile (a compute's are its block's related
+    loops). ``trip_loops`` are the home and its ancestors: their extents,
+    times the grid, count executions. A store writes one tile per
+    combination of ``store_dims``. ``softmax_dims`` marks a compute with a
+    softmax pass over its first input's tile.
+    """
+
+    kind: str
+    tile_dims: tuple[str, ...]
+    trip_loops: tuple[str, ...]
+    store_dims: tuple[str, ...] = ()
+    softmax_dims: tuple[str, ...] | None = None
+
+
+@dataclass(frozen=True)
+class ScheduleWork:
+    """Work totals of a set of tile points (arrays aligned with the points)."""
+
+    read_bytes: np.ndarray
+    write_bytes: np.ndarray
+    flops: np.ndarray
+    grid: np.ndarray
+    shm_estimate: np.ndarray
+
+
+@dataclass(frozen=True)
+class ScheduleTemplate:
+    """Everything a :class:`Schedule` needs to be priced, minus tile sizes.
+
+    All schedules of one expression whose per-block loops (those of its
+    sub-tiling expression, left once the grid is bound) have the same
+    extent-1 set share one structure: dead-loop elimination, statement
+    homes and unfinished reductions depend on nothing else. They have the
+    same validity and Rule-2 outcome, and work totals that are products of
+    tile sizes and extents along the same statement list.
+    A template records that structure from one real schedule
+    (:meth:`from_schedule`), so :func:`build_schedule` stays its only
+    source, and :meth:`work` evaluates it for many tile points at once.
+    """
+
+    grid_loops: tuple[str, ...]
+    terms: tuple[TemplateTerm, ...]
+    #: Dims of each on-chip tile buffer of eq. (1).
+    buffers: tuple[tuple[str, ...], ...]
+    batch: int
+    dtype_bytes: int
+    valid: bool
+    single_copy: bool
+
+    @classmethod
+    def from_schedule(cls, schedule: Schedule) -> "ScheduleTemplate":
+        chain = schedule.chain
+        terms: list[TemplateTerm] = []
+        loaded: set[str] = set()
+        for stmt in schedule.statements():
+            trips = schedule.trip_loops(stmt)
+            if stmt.kind == "compute":
+                block = chain.block(stmt.block)
+                softmax = None
+                if block.softmax_over is not None:
+                    softmax = chain.tensors[block.inputs[0]].dims
+                terms.append(TemplateTerm("compute", block.related, trips, softmax_dims=softmax))
+            elif stmt.kind == "load":
+                loaded.add(stmt.tensor)
+                terms.append(TemplateTerm("load", stmt.related, trips))
+            else:
+                terms.append(
+                    TemplateTerm("store", stmt.related, trips, store_dims=schedule.store_dims(stmt))
+                )
+        on_chip = loaded | {n for n, ref in chain.tensors.items() if ref.role != "input"}
+        return cls(
+            grid_loops=tuple(loop for loop, _ in schedule.grid_dims[1:]),
+            terms=tuple(terms),
+            buffers=tuple(chain.tensors[name].dims for name in sorted(on_chip)),
+            batch=chain.batch,
+            dtype_bytes=chain.dtype_bytes,
+            valid=schedule.is_valid,
+            single_copy=schedule.single_live_copies(),
+        )
+
+    def work(
+        self, tiles: dict[str, np.ndarray], extents: dict[str, np.ndarray]
+    ) -> ScheduleWork:
+        """Work totals at every point of ``tiles`` (loop -> integer array).
+
+        Bit-identical to the :class:`Schedule` methods at each point: byte
+        and tile counts are exact integer products (int64, or Python ints
+        when a product could overflow), and the float totals add terms in
+        statement order, as the schedule's sums do.
+        """
+        n = len(next(iter(tiles.values())))
+        # Every term multiplies each loop's tile and extent at most once.
+        span = np.ones(n)
+        for loop, tile in tiles.items():
+            span *= tile * extents[loop]
+        bound = 9.0 * self.batch * self.dtype_bytes * float(span.max(initial=1.0))
+        dtype = np.int64 if bound < 2.0**62 else object
+        tiles = {loop: a.astype(dtype) for loop, a in tiles.items()}
+        extents = {loop: a.astype(dtype) for loop, a in extents.items()}
+
+        def product(factors, start):
+            for factor in factors:
+                start = start * factor
+            return start
+
+        one = np.ones(n, dtype=dtype)
+        grid = product((extents[l] for l in self.grid_loops), self.batch * one)
+        read = write = flops = np.zeros(n)
+        for term in self.terms:
+            trips = product((extents[l] for l in term.trip_loops), grid)
+            elements = product((tiles[d] for d in term.tile_dims), one)
+            if term.kind == "compute":
+                per_exec = 2.0 * elements
+                if term.softmax_dims is not None:
+                    per_exec = per_exec + 7.0 * product(
+                        (tiles[d] for d in term.softmax_dims), one
+                    )
+                flops = flops + per_exec * trips
+                continue
+            total = elements * self.dtype_bytes * trips
+            if term.kind == "load":
+                read = read + total.astype(np.float64)
+            else:
+                total = product((extents[d] for d in term.store_dims), total)
+                write = write + total.astype(np.float64)
+        shm = sum(
+            product((tiles[d] for d in dims), one) * self.dtype_bytes
+            for dims in self.buffers
+        )
+        return ScheduleWork(
+            read_bytes=read.astype(np.float64),
+            write_bytes=write.astype(np.float64),
+            flops=flops.astype(np.float64),
+            grid=grid,
+            shm_estimate=shm,
+        )

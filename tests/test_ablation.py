@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.experiments.ablation import ablate_chain
+from repro.experiments.ablation import _search_time, ablate_chain
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
+from repro.tiling.schedule import Schedule
 
 
 @pytest.fixture(scope="module")
@@ -25,3 +26,18 @@ class TestAblation:
 
     def test_top1_never_better_than_top8(self, row):
         assert row.top1 >= 0.99 * row.full
+
+
+def test_no_dag_opt_measures_unoptimized_schedules(monkeypatch):
+    """The '-DAG opt' column times the schedules its space ranks: built
+    without the extent-1 optimization."""
+    launched = []
+    real_launch = Schedule.kernel_launch
+
+    def spy(self, gpu, *args, **kwargs):
+        launched.append(self.optimized)
+        return real_launch(self, gpu, *args, **kwargs)
+
+    monkeypatch.setattr(Schedule, "kernel_launch", spy)
+    _search_time(gemm_chain(1, 256, 256, 64, 64, name="abl-dag"), A100, optimize=False)
+    assert launched and not any(launched)

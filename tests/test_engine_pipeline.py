@@ -1,7 +1,8 @@
-"""Engine streaming pipeline: laziness, incremental funnel, single-build."""
+"""Engine streaming pipeline: laziness, incremental funnel, lazy schedules."""
 
 import pytest
 
+from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.engine import pipeline as pipeline_mod
@@ -25,31 +26,36 @@ class TestStreaming:
 
     def test_partial_iteration_is_partial(self):
         space = generate_space(_chain("lazy2"), A100)
-        pairs = []
-        for pair in space.iter_pairs():
-            pairs.append(pair)
-            if len(pairs) == 5:
+        seen = []
+        for cand in space:
+            seen.append(cand)
+            if len(seen) == 5:
                 break
         assert not space.funnel.complete
         assert space.funnel.after_rule4 == 5
         # Abandoned iteration loses nothing: a fresh iterator replays the
         # same prefix in the same order.
         replay = []
-        for pair in space.iter_pairs():
-            replay.append(pair)
+        for cand in space:
+            replay.append(cand)
             if len(replay) == 5:
                 break
-        assert [c.key for c, _ in pairs] == [c.key for c, _ in replay]
+        assert [c.key for c in seen] == [c.key for c in replay]
 
     def test_pairs_carry_built_schedules(self):
+        # Candidates carry prices, not schedules: a schedule is built on the
+        # first request only, then memoized.
         space = generate_space(_chain("lazy3"), A100)
-        for cand, sched in space.iter_pairs():
-            assert space.schedule_for(cand) is sched
-            break
+        cand = next(iter(space))
+        before = space.schedules_built
+        sched = space.schedule_for(cand)
+        assert space.schedule_for(cand) is sched
+        assert space.schedules_built == before + 1
+        assert space.price(cand).total > 0
 
     def test_streamed_matches_eager_order(self):
         chain = _chain("lazy4")
-        streamed = [c.key for c, _ in generate_space(chain, A100).iter_pairs()]
+        streamed = [c.key for c in generate_space(chain, A100)]
         materialized = [c.key for c in generate_space(chain, A100).candidates]
         assert streamed == materialized
 
@@ -71,7 +77,7 @@ class TestStreaming:
 
     def test_max_candidates_materializes_and_caps(self):
         space = generate_space(_chain("lazy6"), A100, max_candidates=20)
-        assert len(list(space.iter_pairs())) == 20
+        assert len(list(space)) == 20
         assert len(space) == 20
 
 
@@ -100,9 +106,8 @@ class TestFrozenSpace:
 
 
 class TestSingleBuild:
-    """Regression for the historical build-twice waste: ``generate_space``
-    built one schedule per candidate for validation and threw it away, then
-    the tuner rebuilt every schedule it estimated or measured."""
+    """The search builds a schedule per template and per candidate it
+    measures, never per enumerated or estimated candidate."""
 
     @pytest.fixture
     def counters(self, monkeypatch):
@@ -123,23 +128,35 @@ class TestSingleBuild:
         monkeypatch.setattr(space_mod, "build_schedule", counting("space"))
         return counts
 
-    def test_schedules_built_once_per_candidate(self, counters):
+    def test_schedules_built_once_per_candidate(self, counters, monkeypatch):
+        spaces = []
+        real_build_space = MCFuserTuner.build_space
+
+        def build_space(self, chain, clock=None):
+            spaces.append(real_build_space(self, chain, clock))
+            return spaces[-1]
+
+        monkeypatch.setattr(MCFuserTuner, "build_space", build_space)
         chain = gemm_chain(1, 256, 256, 64, 64, name="onebuild")
-        report = MCFuserTuner(A100, seed=0).tune(chain)
-        enumerated = counters["pipeline"]
-        # Validation enumerates more points than survive Rule 4.
-        assert enumerated >= report.pruning.after_rule3
-        # The search (estimates + measurements + the final best schedule)
-        # rebuilt nothing: every schedule came from the pipeline's build.
-        assert counters["space"] == 0
-        assert report.search.num_estimates > 0
+        report = MCFuserTuner(A100, config=SessionConfig.make(seed=0)).tune(chain)
+        (space,) = spaces
+        # Pricing builds one schedule per template, far fewer than points.
+        assert counters["pipeline"] == space.templates
+        assert space.templates < report.pruning.after_rule3
+        # Beyond that: one build per distinct measured candidate (the
+        # returned best is one of them), none per estimate.
+        total = counters["pipeline"] + counters["space"]
+        assert total == space.schedules_built
+        assert total <= space.templates + len(report.search.measured) + 1
+        assert report.search.num_estimates > total
 
     def test_space_rebuilds_only_on_optimize_mismatch(self, counters):
         chain = gemm_chain(1, 256, 256, 64, 64, name="onebuild2")
         space = generate_space(chain, A100)
         cand = space.candidates[0]
         before = counters["space"]
-        space.schedule_for(cand, optimize=True)  # pipeline-built, cached
-        assert counters["space"] == before
-        space.schedule_for(cand, optimize=False)  # different flag: fresh build
+        assert space.schedule_for(cand).optimized  # the space's own flag: built
+        space.schedule_for(cand, optimize=True)  # memoized
         assert counters["space"] == before + 1
+        space.schedule_for(cand, optimize=False)  # different flag: fresh build
+        assert counters["space"] == before + 2

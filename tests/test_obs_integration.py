@@ -9,6 +9,7 @@ import pytest
 
 from repro.cache.cache import ScheduleCache
 from repro.codegen.interpreter import execute_schedule, explain_exec_backend
+from repro.config import SessionConfig
 from repro.obs import (
     enable_tracing,
     get_metrics,
@@ -60,6 +61,19 @@ class TestTracedTune:
             assert r.trace_id == tune.trace_id
         # the acceptance bar: direct children of the root account for >= 95%
         assert trace_coverage(tracer.recorder, root_name="tune") >= 0.95
+
+    def test_space_and_search_spans_count_schedule_builds(self, a100, small_gemm):
+        tracer = enable_tracing()
+        config = SessionConfig.make(seed=0, **QUICK)
+        report = MCFuserTuner(a100, config=config).tune(small_gemm)
+        spans = _spans_by_name(tracer)
+        [space], [search] = spans["tune.space"], spans["search"]
+        # Pricing builds one schedule per template; the search adds at most
+        # one per distinct measured candidate.
+        assert space.attrs["schedules_built"] == space.attrs["templates"] > 0
+        built = search.attrs["schedules_built"]
+        assert space.attrs["templates"] < built
+        assert built <= space.attrs["templates"] + len(report.search.measured) + 1
 
     def test_traced_tune_chrome_export_is_valid(self, a100, small_gemm, tmp_path):
         tracer = enable_tracing()

@@ -1,0 +1,148 @@
+"""Differential test: template pricing == building every schedule.
+
+The search prices candidates from per-expression schedule templates
+instead of building a :class:`~repro.tiling.schedule.Schedule` for each.
+For every enumerated Rule-3 point, rejected ones included, the priced
+validity, candidate-level Rule 2, Rule 4 and eq. 2-5 estimate must equal
+what the built schedule reports — exactly (``==``), not approximately,
+because ranking order and evolutionary fitness weights depend on the
+exact values.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dag_gen import pattern_graph, random_graph
+from repro.frontend.partition import partition_graph
+from repro.gpu.specs import A100, RTX3080
+from repro.ir.chain import ComputeChain, gemm_chain
+from repro.search.engine.pipeline import PruningFunnel, expression_stage, price_grid
+from repro.search.perf_model import (
+    AnalyticalModel,
+    ChimeraModel,
+    PerfEstimate,
+    estimate_time,
+)
+from repro.search.pruning import rule2_candidate_ok, rule3_tile_options, rule4_ok
+from repro.search.space import SearchSpace, generate_space
+from repro.tiling.schedule import build_schedule
+from repro.workloads import build_workload, workload_names
+
+
+def _options(chain: ComputeChain) -> dict[str, list[int]]:
+    return {loop: rule3_tile_options(size) for loop, size in chain.loops.items()}
+
+
+def assert_priced_like_built(
+    chain: ComputeChain,
+    gpu=A100,
+    optimize: bool = True,
+    deep_only: bool = False,
+    options: dict[str, list[int]] | None = None,
+    max_exprs: int | None = None,
+) -> int:
+    """Price every grid point of the pipeline expressions of ``chain`` (the
+    first ``max_exprs``, if given) and compare each against its built
+    schedule; returns the points checked."""
+    model = AnalyticalModel(gpu) if optimize else ChimeraModel(gpu)
+    options = options or _options(chain)
+    templates: dict = {}
+    checked = 0
+    exprs = expression_stage(chain, PruningFunnel(), deep_only=deep_only)
+    for expr in islice(exprs, max_exprs):
+        grid = price_grid(chain, gpu, expr, options, templates, optimize)
+        t_mem = grid.price.t_mem.tolist()
+        t_comp = grid.price.t_comp.tolist()
+        alpha = grid.price.alpha.tolist()
+        for i, row in enumerate(grid.tiles.tolist()):
+            tiles = dict(zip(chain.loop_names, row))
+            sched = build_schedule(chain, expr, tiles, optimize=optimize)
+            where = f"{chain.name} {sched.describe()} optimize={optimize}"
+            assert bool(grid.valid[i]) == sched.is_valid, where
+            assert bool(grid.rule2[i]) == rule2_candidate_ok(sched), where
+            assert bool(grid.rule4[i]) == rule4_ok(sched, gpu), where
+            est = estimate_time(sched, gpu)
+            priced = PerfEstimate(t_mem=t_mem[i], t_comp=t_comp[i], alpha=alpha[i])
+            assert priced == est, where
+            assert model.objective(priced) == model(sched), where
+            checked += 1
+    # A template is built per distinct extent-1 set, far fewer than points.
+    assert 0 < len(templates) <= checked
+    return checked
+
+
+@pytest.mark.parametrize("name", workload_names(level="chain"))
+def test_paper_chains(name):
+    assert assert_priced_like_built(build_workload(name)) > 0
+
+
+@pytest.mark.parametrize("name", ["G3", "S4"])
+def test_other_gpu(name):
+    """Rule 4 and eq. (5) read the GPU; the templates do not."""
+    assert assert_priced_like_built(build_workload(name), gpu=RTX3080) > 0
+
+
+@pytest.mark.parametrize("name", ["G1", "G7", "G12", "S1", "S5", "S9"])
+def test_chimera_variant(name):
+    """``optimize=False`` over Chimera's deep-only space, ranked by the
+    data-movement-only objective."""
+    chain = build_workload(name)
+    assert assert_priced_like_built(chain, optimize=False, deep_only=True) > 0
+
+
+def _zoo_chains() -> list[ComputeChain]:
+    chains = []
+    for name in workload_names(level="model"):
+        for sg in partition_graph(build_workload(name), A100).subgraphs:
+            chains.append(sg.chain)
+    return chains
+
+
+@pytest.mark.parametrize("chain", _zoo_chains(), ids=lambda c: c.name)
+def test_zoo_fusion_groups(chain):
+    assert assert_priced_like_built(chain) > 0
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    make=st.sampled_from([pattern_graph, random_graph]),
+    optimize=st.booleans(),
+)
+def test_random_dag_chains(seed, make, optimize):
+    graph = make(seed)
+    for sg in partition_graph(graph, A100).subgraphs:
+        # Five-loop chains have large grids; a few expressions per chain
+        # keep an example fast.
+        assert_priced_like_built(sg.chain, optimize=optimize, max_exprs=4)
+
+
+def test_huge_extents_stay_exact():
+    """Products past int64 switch to exact Python integers."""
+    chain = gemm_chain(4096, 1 << 16, 1 << 16, 1 << 16, 1 << 16, name="huge")
+    options = {loop: [16, 1 << 16] for loop in chain.loop_names}
+    assert assert_priced_like_built(chain, options=options) > 0
+
+
+def test_space_prices_match_built_schedules():
+    chain = build_workload("S3")
+    space = generate_space(chain, A100)
+    for cand in space.candidates[::5]:
+        assert space.price(cand) == estimate_time(space.schedule_for(cand), A100)
+    # A space that did not price its candidates prices them on request.
+    eager = SearchSpace.from_candidates(
+        chain, A100, space.candidates[:20], space.stats, space.tile_options
+    )
+    for cand in eager.candidates:
+        sched = build_schedule(chain, cand.expr, cand.tile_dict)
+        assert eager.price(cand) == estimate_time(sched, A100)
+    assert eager.schedules_built == len(eager.candidates)
