@@ -5,13 +5,13 @@ re-implements Chimera's search space (deep tilings / nested block
 execution orders only, no flat tilings, no extent-1 DAG optimization) and
 Chimera's objective (minimize data movement, ignoring compute redundancy
 and parallelism) inside MCFuser — §VI-A. We do exactly the same via
-``MCFuserTuner(variant="chimera")``.
+a tuner configured with ``SessionConfig.make(variant="chimera")``.
 """
 
 from __future__ import annotations
 
 from repro.baselines.base import Baseline, BaselineResult
-from repro.config import SessionConfig, search_overrides
+from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
 from repro.search.tuner import MCFuserTuner
@@ -24,10 +24,10 @@ class MCFuserChimeraBaseline(Baseline):
 
     name = "MCFuser-Chimera"
 
-    def __init__(self, **tuner_kwargs) -> None:
-        self.config = SessionConfig.make(
-            variant="chimera", **search_overrides(tuner_kwargs)
-        )
+    def __init__(self, config: SessionConfig | None = None) -> None:
+        # The baseline *is* its variant: whatever else ``config`` sets, the
+        # search runs as ``chimera``.
+        self.config = SessionConfig.make(config, variant="chimera")
 
     def run_chain(self, chain: ComputeChain, gpu: GPUSpec, seed: int = 0) -> BaselineResult:
         tuner = MCFuserTuner(gpu, config=self.config.evolve(seed=seed))

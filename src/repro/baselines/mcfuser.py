@@ -4,7 +4,7 @@ experiment drivers can treat all systems uniformly."""
 from __future__ import annotations
 
 from repro.baselines.base import Baseline, BaselineResult
-from repro.config import SessionConfig, search_overrides
+from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
 from repro.search.tuner import MCFuserTuner
@@ -17,10 +17,10 @@ class MCFuserBaseline(Baseline):
 
     name = "MCFuser"
 
-    def __init__(self, **tuner_kwargs) -> None:
-        self.config = SessionConfig.make(
-            variant="mcfuser", **search_overrides(tuner_kwargs)
-        )
+    def __init__(self, config: SessionConfig | None = None) -> None:
+        # The baseline *is* its variant: whatever else ``config`` sets, the
+        # search runs as ``mcfuser``.
+        self.config = SessionConfig.make(config, variant="mcfuser")
 
     def run_chain(self, chain: ComputeChain, gpu: GPUSpec, seed: int = 0) -> BaselineResult:
         tuner = MCFuserTuner(gpu, config=self.config.evolve(seed=seed))

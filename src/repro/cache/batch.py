@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.signature import workload_signature
-from repro.config import SessionConfig, build_legacy_config, search_overrides
+from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec, by_name
 from repro.search.tuner import MCFuserTuner, TuneReport
 
@@ -26,11 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.chain import ComputeChain
 
 __all__ = ["BatchResult", "BatchTuner"]
-
-#: Sentinel distinguishing "knob not passed" from any explicit value in the
-#: deprecated keyword shim.
-_UNSET: Any = object()
-
 
 @dataclass
 class BatchResult:
@@ -61,69 +56,34 @@ class BatchTuner:
     Args:
         gpu: Target hardware description, shared by the whole batch
             (``None`` resolves the spec named by ``config.gpu``).
-        variant: Deprecated — set ``config.search.variant``.
         cache: Optional schedule cache consulted (and filled) per unique
             signature. The cache is thread-safe; one instance may be shared
             with other tuners.
         max_workers: Thread-pool width for concurrent tuning. A batch-local
             resource knob, not a tuning knob: it never affects which
             schedule a signature gets, so it lives outside the config.
-        seed: Deprecated — set ``config.search.seed``.
-        strategy: Deprecated — set ``config.search.strategy``
-            (cache keys include it, so warmups stay strategy-faithful).
-        measure_workers: Deprecated — set ``config.search.workers`` (the
-            inner parallelism of each tuning run, orthogonal to
-            ``max_workers``).
-        config: A validated :class:`~repro.config.SessionConfig` — the
-            canonical way to configure the batch. Mutually exclusive with
-            the deprecated keywords.
-        **tuner_kwargs: Deprecated escape hatch; every key must name a
-            typed tuner knob (``population_size``, ``max_rounds``, ...) and
-            is routed into the config.
+        config: The :class:`~repro.config.SessionConfig` every unique
+            signature is tuned under (``None`` means ``SessionConfig()``).
+            Cache keys include its strategy, so warmups stay
+            strategy-faithful; ``search.workers`` is the inner measurement
+            parallelism of each tune, orthogonal to ``max_workers``.
     """
 
     def __init__(
         self,
         gpu: "GPUSpec | None" = None,
-        variant: str = _UNSET,
+        *,
         cache: "ScheduleCache | None" = None,
         max_workers: int = 4,
-        seed: int = _UNSET,
-        strategy: str = _UNSET,
-        measure_workers: int = _UNSET,
         config: "SessionConfig | None" = None,
-        **tuner_kwargs: object,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        legacy: dict[str, Any] = {
-            name: value
-            for name, value in (
-                ("variant", variant),
-                ("seed", seed),
-                ("strategy", strategy),
-                ("workers", measure_workers),
-            )
-            if value is not _UNSET
-        }
-        legacy.update(search_overrides(tuner_kwargs))
-        if config is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either config= or the deprecated keyword knobs, not "
-                    f"both (got {sorted(legacy)}); set the SessionConfig "
-                    "fields instead"
-                )
-        else:
-            config = build_legacy_config("BatchTuner", legacy)
+        config = config if config is not None else SessionConfig()
         self.config = config
         self.gpu = gpu if gpu is not None else by_name(config.gpu)
-        self.variant = config.search.variant
         self.cache = cache
         self.max_workers = max_workers
-        self.seed = config.search.seed
-        self.strategy = config.search.strategy
-        self.measure_workers = config.search.workers
 
     def _tune_one(self, chain: "ComputeChain") -> TuneReport:
         tuner = MCFuserTuner(self.gpu, cache=self.cache, config=self.config)

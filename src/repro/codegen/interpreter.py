@@ -18,7 +18,6 @@ expressions and tile sizes.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ __all__ = [
     "execute_schedule",
     "resolve_exec_backend",
     "explain_exec_backend",
+    "execute_resolved",
     "validate_exec_backend",
     "InterpreterError",
     "EXEC_BACKENDS",
@@ -49,19 +49,8 @@ EXEC_BACKENDS = ("auto", "compiled", "vectorized", "scalar")
 #: ``auto`` only routes to the compiled backend for schedules at or above
 #: this many total FLOPs: a gcc/clang invocation costs ~100ms, so tiny
 #: (test-sized) problems would pay more compiling than executing. Pinning
-#: ``backend="compiled"`` ignores the threshold; override it with
-#: ``$REPRO_COMPILED_MIN_FLOPS`` (0 makes ``auto`` always prefer compiled).
+#: ``backend="compiled"`` ignores the threshold.
 COMPILED_MIN_FLOPS = 3.2e7
-
-
-def _compiled_min_flops() -> float:
-    env = os.environ.get("REPRO_COMPILED_MIN_FLOPS")
-    if env is None:
-        return COMPILED_MIN_FLOPS
-    try:
-        return float(env)
-    except ValueError:
-        return COMPILED_MIN_FLOPS
 
 _NEG_INF = np.float32(-np.inf)
 
@@ -436,41 +425,62 @@ _LAST_RESOLVED = _LastResolved()
 def _execute(
     schedule: Schedule, inputs: dict[str, np.ndarray], backend: str
 ) -> dict[str, np.ndarray]:
-    validate_exec_backend(backend)
     _LAST_RESOLVED.value = None
-    if backend != "scalar":
-        from repro.codegen.program import try_lower
-        from repro.codegen.vectorized import execute_program
+    decision = explain_exec_backend(schedule, backend)
+    resolved = decision["resolved"]
+    if resolved is None:
+        _raise_unrunnable(schedule, decision)
+    if decision["fallbacks"]:
+        # One count per execution: the last step ``auto`` stepped down.
+        last = decision["fallbacks"][-1]
+        _record_fallback(last["from"], last["to"], last["reason"])
+    program = None
+    if resolved != "scalar":
+        from repro.codegen.program import lower_schedule
 
-        program = try_lower(schedule, backend)
-        if program is not None:
-            prefer_compiled = backend == "compiled"
-            if backend == "auto":
-                reason = _auto_compiled_reason(schedule)
-                if reason is None:
-                    prefer_compiled = True
-                else:
-                    _record_fallback("compiled", "vectorized", reason)
-            if prefer_compiled:
-                from repro.codegen.clang_runtime import execute_program_compiled
-                from repro.codegen.render_c import RenderError
+        program = lower_schedule(schedule)
+    return execute_resolved(schedule, program, resolved, backend, inputs)
 
-                try:
-                    _LAST_RESOLVED.value = "compiled"
-                    return execute_program_compiled(program, inputs)
-                except RenderError as exc:
-                    if backend == "compiled":
-                        raise
-                    # auto: graceful fallback to the vectorized executor.
-                    _record_fallback(
-                        "compiled", "vectorized", "render-error", detail=str(exc)
-                    )
-            _LAST_RESOLVED.value = "vectorized"
-            return execute_program(program, inputs)
-        if backend == "auto":
-            _record_fallback("vectorized", "scalar", "not-lowerable")
-    _LAST_RESOLVED.value = "scalar"
-    return _Executor(schedule, inputs).run()
+
+def execute_resolved(
+    schedule: Schedule,
+    program,
+    resolved: str,
+    requested: str,
+    inputs: dict[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Run an already-resolved backend on ``schedule``'s lowered ``program``.
+
+    The shared tail of :func:`execute_schedule` and
+    :meth:`~repro.codegen.runtime.OperatorModule.run` (which passes its
+    cached program and resolution). It owns the one runtime fallback the
+    static decision cannot foresee: a compiled kernel that fails to build
+    (:class:`~repro.codegen.render_c.RenderError`, including
+    :class:`~repro.codegen.clang_runtime.CompileError`) falls back to the
+    vectorized executor under ``requested="auto"`` — counted as
+    ``exec.fallback.compiled.render-error`` — and re-raises when the
+    caller pinned ``"compiled"``.
+    """
+    if resolved == "scalar":
+        _LAST_RESOLVED.value = "scalar"
+        return _Executor(schedule, inputs).run()
+    if resolved == "compiled":
+        from repro.codegen.clang_runtime import execute_program_compiled
+        from repro.codegen.render_c import RenderError
+
+        try:
+            _LAST_RESOLVED.value = "compiled"
+            return execute_program_compiled(program, inputs)
+        except RenderError as exc:
+            if requested == "compiled":
+                raise
+            _record_fallback(
+                "compiled", "vectorized", "render-error", detail=str(exc)
+            )
+    from repro.codegen.vectorized import execute_program
+
+    _LAST_RESOLVED.value = "vectorized"
+    return execute_program(program, inputs)
 
 
 def _record_fallback(frm: str, to: str, reason: str, detail: str = "") -> None:
@@ -498,79 +508,43 @@ def _record_fallback(frm: str, to: str, reason: str, detail: str = "") -> None:
         tracer.event("exec.fallback", **attrs)
 
 
-def _auto_compiled_reason(schedule: Schedule) -> str | None:
-    """Why ``auto`` skips the compiled backend for a lowerable schedule —
-    ``None`` when compiled is preferred, else the fallback reason token."""
+def _compiled_reason(schedule: Schedule, pinned: bool) -> str | None:
+    """Why the compiled backend cannot (or, under ``auto``, should not) run
+    a lowerable schedule — ``None`` when it runs, else the reason token.
+    A pinned ``"compiled"`` ignores the FLOPs amortization threshold; only
+    a missing toolchain or an unrenderable program actually stops it."""
     from repro.codegen.clang_runtime import compiler_available
     from repro.codegen.render_c import schedule_renderable
 
     if not compiler_available():
         return "no-compiler"
-    if schedule.total_flops() < _compiled_min_flops():
+    if not pinned and schedule.total_flops() < COMPILED_MIN_FLOPS:
         return "flops-threshold"
     if not schedule_renderable(schedule):
         return "not-renderable"
     return None
 
 
-def _auto_prefers_compiled(schedule: Schedule) -> bool:
-    """Whether ``auto`` routes a (lowerable) schedule to the compiled
-    backend: compiler present, workload big enough to amortize a compile,
-    and the program passes the render-time verifier."""
-    return _auto_compiled_reason(schedule) is None
+def explain_exec_backend(schedule: Schedule, backend: str = "auto") -> dict:
+    """The exec-backend decision for ``schedule``, with *why*.
 
-
-def resolve_exec_backend(schedule: Schedule, backend: str = "auto") -> str:
-    """The concrete backend :func:`execute_schedule` would run for ``schedule``.
-
+    This is the single home of the compiled → vectorized → scalar policy:
     ``"auto"`` resolves to ``"compiled"`` when the schedule lowers,
     renders, a C compiler is present and the workload clears
     :data:`COMPILED_MIN_FLOPS`; to ``"vectorized"`` when the schedule
-    merely lowers; and to ``"scalar"`` otherwise. Explicit choices resolve
-    to themselves, raising exactly what execution would
-    (:class:`~repro.codegen.program.LoweringError` for an unlowerable
-    schedule on ``"vectorized"``/``"compiled"``,
-    :class:`~repro.codegen.render_c.RenderError` /
-    :class:`~repro.codegen.clang_runtime.CompilerNotFoundError` for an
-    unrenderable program or missing toolchain on ``"compiled"``).
-    """
-    validate_exec_backend(backend)
-    if backend == "scalar":
-        return "scalar"
-    from repro.codegen.program import lower_schedule, schedule_lowerable
-
-    if schedule_lowerable(schedule):
-        if backend == "vectorized":
-            return "vectorized"
-        if backend == "compiled":
-            from repro.codegen.clang_runtime import require_compiler
-            from repro.codegen.render_c import render_program, schedule_renderable
-
-            require_compiler()
-            if not schedule_renderable(schedule):
-                render_program(lower_schedule(schedule))  # re-raise RenderError
-                raise AssertionError("renderable verdict disagreed with rendering")
-            return "compiled"
-        return "compiled" if _auto_prefers_compiled(schedule) else "vectorized"
-    if backend in ("vectorized", "compiled"):
-        lower_schedule(schedule)  # re-raise the descriptive LoweringError
-        raise AssertionError("lowerable verdict disagreed with lowering")
-    return "scalar"
-
-
-def explain_exec_backend(schedule: Schedule, backend: str = "auto") -> dict:
-    """Like :func:`resolve_exec_backend`, plus *why*: the fallback chain.
+    merely lowers; and to ``"scalar"`` otherwise. Pinned backends resolve
+    to themselves when they can run.
 
     Returns ``{"requested", "resolved", "fallbacks"}`` where ``fallbacks``
     is the ordered list of backends ``auto`` stepped past, each as
     ``{"from", "to", "reason"}`` with the same reason tokens the
     ``exec.fallback.*`` counters use (``no-compiler``,
-    ``flops-threshold``, ``not-renderable``, ``not-lowerable``). Unlike
-    :func:`resolve_exec_backend` this never raises for an explicitly
-    pinned backend that cannot run — the failure becomes the resolution's
-    ``reason`` with ``resolved`` set to ``None`` — so callers building
-    diagnostics (``compile_model`` detail, span attributes) can always get
-    an answer.
+    ``flops-threshold``, ``not-renderable``, ``not-lowerable``). It never
+    raises for an explicitly pinned backend that cannot run — the failure
+    becomes the resolution's ``reason`` with ``resolved`` set to ``None``
+    — so callers building diagnostics (``compile_model`` detail, span
+    attributes) can always get an answer; :func:`resolve_exec_backend`
+    turns that case into the real error.
     """
     validate_exec_backend(backend)
     out: dict = {"requested": backend, "resolved": None, "fallbacks": []}
@@ -594,17 +568,41 @@ def explain_exec_backend(schedule: Schedule, backend: str = "auto") -> dict:
     if backend == "vectorized":
         out["resolved"] = "vectorized"
         return out
-    reason = _auto_compiled_reason(schedule)
+    reason = _compiled_reason(schedule, pinned=backend == "compiled")
     if reason is None:
         out["resolved"] = "compiled"
     elif backend == "compiled":
-        # Pinned compiled ignores the FLOPs amortization threshold; only a
-        # missing toolchain or an unrenderable program actually stops it.
-        if reason == "flops-threshold":
-            out["resolved"] = "compiled"
-        else:
-            fall("compiled", "none", reason)
+        fall("compiled", "none", reason)
     else:
         fall("compiled", "vectorized", reason)
         out["resolved"] = "vectorized"
     return out
+
+
+def _raise_unrunnable(schedule: Schedule, decision: dict) -> None:
+    """Raise the real error behind a pinned backend that cannot run."""
+    from repro.codegen.clang_runtime import require_compiler
+    from repro.codegen.program import lower_schedule
+    from repro.codegen.render_c import render_program
+
+    program = lower_schedule(schedule)  # LoweringError
+    require_compiler()  # CompilerNotFoundError
+    render_program(program)  # RenderError
+    raise AssertionError(f"exec-backend decision disagreed with execution: {decision}")
+
+
+def resolve_exec_backend(schedule: Schedule, backend: str = "auto") -> str:
+    """The concrete backend :func:`execute_schedule` runs for ``schedule``.
+
+    The decision is :func:`explain_exec_backend`'s. A pinned backend that
+    cannot run raises exactly what execution would
+    (:class:`~repro.codegen.program.LoweringError` for an unlowerable
+    schedule on ``"vectorized"``/``"compiled"``,
+    :class:`~repro.codegen.render_c.RenderError` /
+    :class:`~repro.codegen.clang_runtime.CompilerNotFoundError` for an
+    unrenderable program or missing toolchain on ``"compiled"``).
+    """
+    decision = explain_exec_backend(schedule, backend)
+    if decision["resolved"] is None:
+        _raise_unrunnable(schedule, decision)
+    return decision["resolved"]

@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.cache.signature import schedule_signature
 from repro.cache.store import LRUCache
-from repro.codegen.interpreter import execute_schedule, validate_exec_backend
+from repro.codegen.interpreter import (
+    execute_resolved,
+    execute_schedule,
+    resolve_exec_backend,
+    validate_exec_backend,
+)
 from repro.codegen.program import TileProgram, try_lower
 from repro.codegen.ptx import emit_ptx, emit_ptx_from_program
 from repro.codegen.triton_ir import (
@@ -74,8 +79,6 @@ class OperatorModule:
         """The concrete executor ``run`` uses (``auto`` resolved)."""
         if self.program is None:
             return "scalar"
-        from repro.codegen.interpreter import resolve_exec_backend
-
         return resolve_exec_backend(self.schedule, self.exec_backend)
 
     @cached_property
@@ -97,34 +100,21 @@ class OperatorModule:
     def run(
         self, inputs: dict[str, np.ndarray], backend: str | None = None
     ) -> dict[str, np.ndarray]:
-        """Execute on concrete tensors (vectorized or scalar NumPy backend).
+        """Execute on concrete tensors under :attr:`resolved_exec_backend`.
 
-        Repeated runs reuse the module's cached lowered program instead of
-        re-lowering the schedule every call; an explicit ``backend``
-        override bypasses the cache.
+        Repeated runs reuse the module's cached lowered program and backend
+        resolution instead of re-deriving them every call; an explicit
+        ``backend`` override bypasses the cache.
         """
         if backend is not None and backend != self.exec_backend:
             return execute_schedule(self.schedule, inputs, backend=backend)
-        if self.program is not None:
-            from repro.codegen.vectorized import execute_program
-
-            if self.resolved_exec_backend == "compiled":
-                from repro.codegen.clang_runtime import execute_program_compiled
-                from repro.codegen.render_c import RenderError
-
-                try:
-                    return execute_program_compiled(self.program, inputs)
-                except RenderError as exc:
-                    if self.exec_backend == "compiled":
-                        raise
-                    # auto: graceful fallback to the vectorized executor.
-                    from repro.codegen.interpreter import _record_fallback
-
-                    _record_fallback(
-                        "compiled", "vectorized", "render-error", detail=str(exc)
-                    )
-            return execute_program(self.program, inputs)
-        return execute_schedule(self.schedule, inputs, backend="scalar")
+        return execute_resolved(
+            self.schedule,
+            self.program,
+            self.resolved_exec_backend,
+            self.exec_backend,
+            inputs,
+        )
 
     def time(self, simulator: GPUSimulator | None = None) -> float:
         """Simulated execution time in seconds."""

@@ -28,10 +28,12 @@ This module is the single source of truth for every tunable knob:
   :meth:`SessionConfig.content_hash` is a stable digest of the whole
   config for replica hand-off and snapshot naming.
 
-The legacy kwarg constructors (``MCFuserTuner(gpu, population_size=...)``
-etc.) still work for one release: they build a :class:`SessionConfig`
-internally via :meth:`SessionConfig.make` and emit a
-:class:`DeprecationWarning` naming the replacement field.
+Every entry point (``MCFuserTuner``, ``BatchTuner``, ``CompileService``,
+``compile_model``, the MCFuser baselines, the serve-load generator) takes
+its knobs as ``config=`` only; live resources (GPU spec, caches, cost
+model, telemetry) stay separate arguments. Build a config with
+:meth:`SessionConfig.make` from flat names, or derive one from an existing
+config with :meth:`SessionConfig.evolve`.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ __all__ = [
     "ObsConfig",
     "SessionConfig",
     "FLAT_FIELDS",
-    "TUNER_KNOBS",
-    "search_overrides",
-    "build_legacy_config",
     "apply_env",
     "env_var_for",
     "field_paths",
@@ -302,12 +301,11 @@ class SessionConfig:
 
     @classmethod
     def make(cls, base: "SessionConfig | None" = None, **flat: Any) -> "SessionConfig":
-        """Build a config from *flat* keyword names (the legacy kwarg set).
+        """Build a config from *flat* keyword names.
 
         ``SessionConfig.make(seed=3, exec_backend="compiled")`` routes each
-        flat name to its nested field via :data:`FLAT_FIELDS` — exactly the
-        names the deprecated keyword signatures accepted. Unknown names
-        raise a :class:`ValueError` naming the valid set.
+        flat name to its nested field via :data:`FLAT_FIELDS`. Unknown
+        names raise a :class:`ValueError` naming the valid set.
         """
         cfg = base if base is not None else cls()
         return cfg.evolve(**flat)
@@ -458,11 +456,11 @@ class SessionConfig:
         return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
 
 
-# -- flat-name routing (legacy kwargs, CLI flags, env vars) --------------------
+# -- flat-name routing (SessionConfig.make/evolve, CLI flags) -------------------
 
-#: ``flat name -> dotted config path``: the vocabulary the deprecated
-#: keyword signatures, :meth:`SessionConfig.make`, and the CLI flag table
-#: all share. ``workers`` keeps its historical tuner meaning (measurement
+#: ``flat name -> dotted config path``: the vocabulary
+#: :meth:`SessionConfig.make`/:meth:`SessionConfig.evolve` and the CLI flag
+#: table share. ``workers`` keeps its historical tuner meaning (measurement
 #: pool width); the service pool is ``serve_workers``.
 FLAT_FIELDS: dict[str, str] = {
     "gpu": "gpu",
@@ -487,83 +485,6 @@ FLAT_FIELDS: dict[str, str] = {
     "queue_limit": "serve.queue_limit",
     "trace": "obs.trace",
 }
-
-#: The flat names the old ``MCFuserTuner`` keyword signature (and the
-#: ``tuner_kwargs`` escape hatches) accepted — all typed config fields now.
-TUNER_KNOBS = (
-    "variant",
-    "strategy",
-    "population_size",
-    "top_n",
-    "epsilon",
-    "max_rounds",
-    "min_rounds",
-    "seed",
-    "workers",
-    "exec_backend",
-    "verify",
-    "measure_topk",
-    "dynamic",
-    "dynamic_loops",
-)
-
-
-def search_overrides(tuner_kwargs: Mapping[str, Any]) -> dict[str, Any]:
-    """Translate a legacy ``tuner_kwargs`` dict into flat config overrides.
-
-    Every key must be a known tuner knob; an unknown key raises a
-    :class:`ValueError` that names the typed replacement field — the
-    untyped escape hatch is gone.
-    """
-    overrides: dict[str, Any] = {}
-    for key, value in tuner_kwargs.items():
-        if key not in TUNER_KNOBS:
-            hint = FLAT_FIELDS.get(key)
-            if hint is not None:
-                raise ValueError(
-                    f"tuner_kwargs key {key!r} is not a tuner knob; set "
-                    f"SessionConfig field {hint!r} instead"
-                )
-            raise ValueError(
-                f"unknown tuner_kwargs key {key!r}; tuner_kwargs is replaced "
-                f"by typed SessionConfig fields — valid knobs: "
-                f"{', '.join(TUNER_KNOBS)}"
-            )
-        overrides[key] = value
-    return overrides
-
-
-def build_legacy_config(
-    entry_point: str,
-    legacy: Mapping[str, Any],
-    base: "SessionConfig | None" = None,
-) -> SessionConfig:
-    """Build a :class:`SessionConfig` from a deprecated keyword signature.
-
-    Shared by every shimmed entry point (``MCFuserTuner``, ``BatchTuner``,
-    ``CompileService``, ``compile_model``): the legacy flat kwargs are
-    routed through :data:`FLAT_FIELDS` into a validated config, and one
-    :class:`DeprecationWarning` is emitted naming the replacement fields.
-    An empty ``legacy`` dict builds the default (or ``base``) config
-    silently — omitting every knob was never deprecated.
-    """
-    config = SessionConfig.make(base, **legacy)
-    if legacy:
-        import warnings
-
-        replacements = ", ".join(
-            sorted(FLAT_FIELDS[k] for k in legacy if k in FLAT_FIELDS)
-        )
-        warnings.warn(
-            f"configuring {entry_point} through keyword arguments "
-            f"({', '.join(sorted(legacy))}) is deprecated and will be removed "
-            f"next release; pass config=SessionConfig.make(...) instead "
-            f"(fields: {replacements})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return config
-
 
 # -- environment overrides -----------------------------------------------------
 

@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from repro.cache.signature import bucket_dims, bucket_of
-from repro.config import SessionConfig, search_overrides
+from repro.config import SessionConfig
 from repro.experiments.common import ExperimentResult, print_header
 from repro.gpu.specs import A100, GPUSpec
 from repro.serving.service import CompileService, ServeResult
@@ -152,14 +152,10 @@ def run(
     workload_names: list[str] | None = None,
     signatures: int = 8,
     zipf_s: float = 1.1,
-    seed: int = 0,
-    service_workers: int = 4,
     gpu: GPUSpec = A100,
     cache=None,
-    tuner_kwargs: dict | None = None,
     telemetry: MetricsRegistry | None = None,
     quick: bool = False,
-    dynamic: str = "off",
     lengths: int = 0,
     verify_served: bool | None = None,
     config: SessionConfig | None = None,
@@ -173,30 +169,25 @@ def run(
             ``serve_mix(signatures)`` (ignored when ``lengths`` is set).
         signatures: Size of the default mix (distinct workload signatures).
         zipf_s: Zipf exponent of the request skew (larger = hotter head).
-        seed: Base RNG seed (client ``i`` derives its own stream).
-        service_workers: Tune worker-pool width of the service.
         gpu: Target GPU spec.
         cache: Optional :class:`~repro.serving.tiers.TieredCache` or
             :class:`~repro.cache.cache.ScheduleCache`; default memory-only.
-        tuner_kwargs: Tuner budget for cold tunes (quick mode defaults to
-            :data:`QUICK_TUNER_KWARGS`).
         telemetry: Registry to record into (created if omitted).
-        quick: CI smoke mode — fewer clients/requests, reduced tune budget.
-        dynamic: ``"off"`` or ``"buckets"`` — the service's dynamic-shape
-            mode. Bucketed runs serve ragged lengths from ceiling-tuned
-            schedules (source ``"bucket"``, warm) and report per-bucket
-            tune counts.
+        quick: CI smoke mode — fewer clients/requests, and (with no
+            ``config``) the reduced :data:`QUICK_TUNER_KWARGS` tune budget.
         lengths: Number of *distinct sequence lengths* to mix (ragged
             mode). Replaces the registry mix with :func:`ragged_chains`
             over :func:`ragged_lengths` — two model families per length.
         verify_served: Numerically verify every distinct served schedule
             at its exact request shape under the scalar interpreter after
             the run. Defaults to on for ragged (``lengths > 0``) runs.
-        config: A :class:`~repro.config.SessionConfig` for the service —
-            the canonical way to set the tune budget. Supersedes ``seed``,
-            ``service_workers``, ``tuner_kwargs`` and ``dynamic`` (those
-            remain for older callers and are folded into a config when
-            ``config`` is omitted).
+        config: The service's :class:`~repro.config.SessionConfig`;
+            defaults to ``SessionConfig.make(seed=0, serve_workers=4)``.
+            ``search.seed`` is the base RNG seed (client ``i`` derives its
+            own stream), ``serve.workers`` the tune worker-pool width, and
+            ``exec.dynamic="buckets"`` serves ragged lengths from
+            ceiling-tuned schedules (source ``"bucket"``, warm) and reports
+            per-bucket tune counts.
 
     Returns:
         An :class:`ExperimentResult` with one row per workload (per model
@@ -207,18 +198,11 @@ def run(
     if quick:
         clients = min(clients, 8)
         requests_per_client = min(requests_per_client, 4)
-        if tuner_kwargs is None and config is None:
-            tuner_kwargs = QUICK_TUNER_KWARGS
     if config is None:
-        config = SessionConfig.make(
-            seed=seed,
-            serve_workers=service_workers,
-            dynamic=dynamic,
-            **search_overrides(tuner_kwargs or {}),
-        )
-    else:
-        seed = config.search.seed
-        dynamic = config.exec.dynamic
+        budget = QUICK_TUNER_KWARGS if quick else {}
+        config = SessionConfig.make(seed=0, serve_workers=4, **budget)
+    seed = config.search.seed
+    dynamic = config.exec.dynamic
     if lengths:
         mix_lengths = ragged_lengths(lengths, seed)
         chains = ragged_chains(mix_lengths)

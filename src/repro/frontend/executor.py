@@ -28,7 +28,7 @@ from repro.baselines.library import (
     transpose_kernel,
 )
 from repro.codegen.runtime import GraphExecutorFactoryModule, OperatorModule, compile_schedule
-from repro.config import SessionConfig, build_legacy_config, search_overrides
+from repro.config import SessionConfig
 from repro.frontend.partition import Partition, partition_graph
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import GPUSimulator
@@ -164,43 +164,27 @@ def _distinct_tuning_tasks(nodes: list[GraphNode], graph: Graph) -> int:
     return len(tasks)
 
 
-#: Sentinel distinguishing "knob not passed" from any explicit value in the
-#: deprecated keyword shim.
-_UNSET = object()
-
-
 def compile_model(
     graph: Graph | str,
     gpu: "GPUSpec | None" = None,
     strategy: str = "mcfuser+relay",
-    seed: int = _UNSET,
-    tuner_kwargs: dict | None = None,
-    cache: "ScheduleCache | None" = None,
-    search_strategy: str = _UNSET,
-    search_workers: int = _UNSET,
-    service: "CompileService | None" = None,
-    exec_backend: str = _UNSET,
-    cost_model=None,
-    measure_topk: int = _UNSET,
-    dynamic: str = _UNSET,
-    dynamic_loops: "tuple[str, ...] | None" = None,
+    *,
     config: "SessionConfig | None" = None,
+    cache: "ScheduleCache | None" = None,
+    service: "CompileService | None" = None,
+    cost_model=None,
 ) -> E2EResult:
     """Compile (and price the tuning of) a whole model under a strategy.
 
     ``graph`` may be a :class:`Graph` or the name of a model-level workload
     from the registry (``"ffn-base"``, ``"gqa-32x8"``, ``"bert-small"``,
-    ...; see :mod:`repro.workloads.zoo`).
+    ...; see :mod:`repro.workloads.zoo`). ``gpu=None`` resolves the
+    registered spec named by ``config.gpu``.
 
-    ``config`` (a validated :class:`~repro.config.SessionConfig`) is the
-    canonical way to set every tuning/execution knob; the individual
-    keywords below (``seed``, ``search_strategy``, ``search_workers``,
-    ``exec_backend``, ``measure_topk``, ``dynamic``, ``dynamic_loops``,
-    and the ``tuner_kwargs`` escape hatch) are deprecated shims that build
-    a config internally — each key must name a typed config field, and an
-    unknown ``tuner_kwargs`` key raises a :class:`ValueError` naming the
-    replacement field. The compilation *strategy* argument is not a config
-    knob: it selects which compiler stack handles which part of the graph.
+    ``config`` (a validated :class:`~repro.config.SessionConfig`;
+    ``None`` means ``SessionConfig()``) sets every tuning/execution knob.
+    The compilation *strategy* argument is not a config knob: it selects
+    which compiler stack handles which part of the graph.
 
     ``cache`` (a :class:`~repro.cache.cache.ScheduleCache`) makes MBCI
     sub-graph tuning persistent: a model recompiled in a later process pays
@@ -223,21 +207,23 @@ def compile_model(
 
     ``service`` (a :class:`~repro.serving.service.CompileService`) routes
     MBCI sub-graph tuning through the compile service instead of a private
-    tuner: requests coalesce with other callers of the same service, hit
-    its tiered cache, and show up in its telemetry. The service owns the
-    cache in that mode (the ``cache`` argument is ignored) and must target
-    the same ``gpu``. ``detail["served"]`` histograms the per-sub-graph
-    outcome sources (``tuned``/``coalesced``/``hot``/...), and
+    tuner: every fusion group is submitted with ``config`` as its
+    per-request config, requests coalesce with other callers of the same
+    service, hit its tiered cache, and show up in its telemetry. The
+    service owns the cache and cost model in that mode (the ``cache`` and
+    ``cost_model`` arguments are ignored) and must target the same
+    ``gpu``. ``detail["served"]`` histograms the per-sub-graph outcome
+    sources (``tuned``/``coalesced``/``hot``/...), and
     ``detail["cache_hits"]`` counts sub-graph *requests* served from a
-    cache tier.
+    cache tier. To inherit the service's own knobs, pass
+    ``config=service.config`` (or an ``evolve`` of it).
 
     ``cost_model``/``config.search.measure_topk`` enable
     learned-cost-model-guided tuning of the MBCI sub-graphs (measure only
     the model's predicted top-k per search round; see
     :class:`~repro.search.cost_model.LearnedCostModel`). One model is
     shared across all of a model's sub-graphs, so learning compounds
-    shape-to-shape within the compile. Through a ``service`` the service's
-    own (shared) model is used and only ``measure_topk`` is forwarded.
+    shape-to-shape within the compile.
 
     ``config.exec.dynamic="buckets"`` makes MBCI sub-graph tuning
     shape-generic over power-of-two sequence-length buckets
@@ -260,31 +246,7 @@ def compile_model(
         graph = spec.build()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
-    legacy = {
-        name: value
-        for name, value in (
-            ("seed", seed),
-            ("strategy", search_strategy),
-            ("workers", search_workers),
-            ("exec_backend", exec_backend),
-            ("measure_topk", measure_topk),
-            ("dynamic", dynamic),
-            ("dynamic_loops", dynamic_loops),
-        )
-        if value is not _UNSET and value is not None
-    }
-    if tuner_kwargs:
-        legacy.update(search_overrides(tuner_kwargs))
-    explicit_config = config is not None
-    if explicit_config:
-        if legacy:
-            raise ValueError(
-                "pass either config= or the deprecated keyword knobs, not "
-                f"both (got {sorted(legacy)}); set the SessionConfig fields "
-                "instead"
-            )
-    else:
-        config = build_legacy_config("compile_model", legacy)
+    config = config if config is not None else SessionConfig()
     if gpu is None:
         gpu = by_name(config.gpu)
     from repro.obs import get_tracer
@@ -292,25 +254,15 @@ def compile_model(
     with get_tracer().span(
         "compile.model", model=graph.name, strategy=strategy
     ) as span:
-        # An explicit config= is forwarded to a service wholesale;
-        # deprecated kwargs forward only the caller-provided knobs, so the
-        # service's own defaults keep applying to the rest — exactly what
-        # the pre-config signature did.
         return _compile_model(
-            graph, gpu, strategy, cache, service, cost_model, config,
-            None if explicit_config else legacy, span,
+            graph, gpu, strategy, cache, service, cost_model, config, span
         )
 
 
-def _compile_model(
-    graph, gpu, strategy, cache, service, cost_model, config, request_knobs,
-    span,
-):
+def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, span):
     """The validated body of :func:`compile_model`, running inside its
     ``compile.model`` root span (``span`` — the no-op singleton when
-    tracing is disabled). ``request_knobs`` is the caller's deprecated
-    flat-kwarg dict (forwarded selectively to a service) or ``None`` when
-    an explicit ``config=`` was given (forwarded wholesale)."""
+    tracing is disabled)."""
     from repro.obs import get_tracer
 
     search = config.search
@@ -358,35 +310,9 @@ def _compile_model(
         rejections = partition.rejection_reasons()
         # Submit every group up front (identical shapes coalesce or hit the
         # service's tiered cache), then collect in partition order.
-        if request_knobs is None:
-            # explicit config=: the whole per-request config is forwarded.
-            tickets = [
-                service.submit(sg.chain, config=config)
-                for sg in partition.subgraphs
-            ]
-        else:
-            forward = {
-                name: value
-                for name, value in request_knobs.items()
-                if name not in (
-                    "strategy", "seed", "workers", "measure_topk",
-                    "exec_backend", "dynamic", "dynamic_loops",
-                )
-            }
-            tickets = [
-                service.submit(
-                    sg.chain,
-                    strategy=search.strategy,
-                    seed=seed,
-                    measure_workers=search.workers,
-                    tuner_kwargs=forward or None,
-                    # 0 defers to the service's own default guidance setting.
-                    measure_topk=(
-                        search.measure_topk if search.measure_topk > 0 else None
-                    ),
-                )
-                for sg in partition.subgraphs
-            ]
+        tickets = [
+            service.submit(sg.chain, config=config) for sg in partition.subgraphs
+        ]
         for sg, ticket in zip(partition.subgraphs, tickets):
             result = ticket.result()
             served[result.source] = served.get(result.source, 0) + 1

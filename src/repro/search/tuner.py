@@ -6,12 +6,11 @@ the analytical model, measure the per-round top-n through the parallel
 evaluator, and return the best schedule with full accounting — simulated
 tuning seconds, pruning funnel, model-vs-measured pairs.
 
-Two restricted variants implement baselines from the paper:
-
-* ``MCFuserTuner(variant="chimera")`` — the *MCFuser-Chimera* comparison
-  point (§VI-A): Chimera's search space (deep tilings only, no extent-1
-  DAG optimization) and Chimera's data-movement-only objective inside the
-  same framework.
+A restricted variant implements a baseline from the paper:
+``MCFuserTuner(gpu, config=SessionConfig.make(variant="chimera"))`` is the
+*MCFuser-Chimera* comparison point (§VI-A): Chimera's search space (deep
+tilings only, no extent-1 DAG optimization) and Chimera's
+data-movement-only objective inside the same framework.
 
 Search strategies come from the engine registry
 (:mod:`repro.search.engine.strategy`): ``evolutionary`` (Algorithm 1,
@@ -24,7 +23,7 @@ strategy is never served to another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,19 +33,14 @@ from repro.cache.signature import (
     variant_key,
 )
 from repro.codegen.interpreter import InterpreterError, resolve_exec_backend
-from repro.config import (
-    DYNAMIC_MODES,
-    VERIFY_MODES,
-    SessionConfig,
-    build_legacy_config,
-)
+from repro.config import DYNAMIC_MODES, VERIFY_MODES, SessionConfig
 from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec, by_name
 from repro.ir.chain import ComputeChain
 from repro.search.engine.evaluator import ParallelEvaluator
 from repro.search.engine.loop import SearchLoop, SearchResult
-from repro.search.engine.strategy import SearchStrategy, make_strategy
+from repro.search.engine.strategy import make_strategy
 from repro.search.perf_model import AnalyticalModel, ChimeraModel
 from repro.search.pruning import PruningStats
 from repro.search.space import Candidate, SearchSpace, generate_space
@@ -81,10 +75,6 @@ MEASURE_REPETITIONS = 100
 #: tests: long reduction chains accumulate more rounding).
 _VERIFY_RTOL = 1e-3
 _VERIFY_ATOL = 1e-4
-
-#: Sentinel distinguishing "knob not passed" from any explicit value in the
-#: deprecated keyword shims.
-_UNSET: Any = object()
 
 
 class VerificationError(RuntimeError):
@@ -227,121 +217,64 @@ def rebind_report(report: TuneReport, chain: ComputeChain) -> TuneReport:
 class MCFuserTuner:
     """Tunes :class:`ComputeChain` workloads for a simulated GPU.
 
+    Every tuning knob lives on ``config`` (a validated
+    :class:`~repro.config.SessionConfig`); the remaining arguments are live
+    resources that combine with it.
+
     Args:
-        gpu: Target hardware description.
-        variant: ``"mcfuser"`` (full system) or ``"chimera"`` (restricted
-            space + data-movement objective, the MCFuser-Chimera baseline).
-        population_size/top_n/epsilon/max_rounds: Algorithm-1 parameters
-            (paper uses ``n = 8``).
-        seed: Controls search randomness and simulator jitter.
+        gpu: Target hardware description; ``None`` resolves the registered
+            spec named by ``config.gpu``.
         cache: Optional :class:`~repro.cache.cache.ScheduleCache`. When set,
             :meth:`tune` looks the workload up *before* generating a search
             space (a hit skips enumeration, pruning, and search entirely)
             and stores the winning schedule afterwards. Entries are keyed
             by (workload, GPU, variant, strategy).
-        strategy: Registered search strategy name (``"evolutionary"``,
-            ``"random"``, ``"exhaustive"``, ``"annealing"``) or a
-            :class:`~repro.search.engine.strategy.SearchStrategy` instance.
-        workers: Measurement thread-pool width for the per-round top-n
-            batch. Results and accounting are deterministic for any width;
-            the simulated wall clock is billed as the batch makespan.
-        exec_backend: Numeric execution engine for every schedule this
-            tuner runs (verification, ``report.best_schedule`` execution):
-            ``"auto"`` (compiled when available and worthwhile, then
-            vectorized, then scalar), ``"compiled"``, ``"vectorized"``, or
-            ``"scalar"``.
-        verify: :data:`VERIFY_MODES` member. ``"best"`` executes the
-            winning schedule against ``chain.reference`` (raising
-            :class:`VerificationError` on mismatch); ``"all"`` executes
-            every hardware-measured candidate and blacklists numerically
-            wrong ones as launch failures. Verification runs host-side and
-            is not billed to the simulated tuning clock.
         cost_model: Optional :class:`~repro.search.cost_model.
             LearnedCostModel`. When attached, every finite measurement of
             every tune is logged into its dataset and the model refits
             per search round. Created automatically (memory-only) when
-            ``measure_topk > 0`` and none is given.
-        measure_topk: With a cost model, hardware-measure only the model's
-            predicted-best ``k`` candidates per round instead of the
-            analytic top-n (0 disables). Rounds where the model is still
-            unfitted fall back to measure-everything, which bootstraps the
-            model's dataset. Tuned entries are cached under a distinct
-            ``+topk{k}`` variant key.
-        dynamic: :data:`DYNAMIC_MODES` member. ``"buckets"`` makes
-            :meth:`tune` shape-generic over power-of-two sequence-length
-            buckets: lookups ladder exact signature → bucketed signature,
-            misses tune at the bucket *ceiling* (where Rule 3 admits only
-            divisor tiles, so every in-bucket length stays tile-legal) and
-            store under the bucketed key; the returned report is always
-            rebuilt — and, with verification on, numerically checked — at
-            the actual request shape.
-        dynamic_loops: Loop names treated as dynamic under bucketing
-            (default: the sequence-length dims ``("m", "n")``).
-        config: A validated :class:`~repro.config.SessionConfig` — the
-            canonical way to configure a tuner. Mutually exclusive with
-            the deprecated knob keywords above (``cache``, ``cost_model``,
-            and ``gpu`` are live resources, not knobs, and always
-            combine with ``config``). ``gpu=None`` resolves the registered
-            spec named by ``config.gpu``.
-    """
+            the config asks for guidance (``search.cost_model`` or
+            ``search.measure_topk > 0``) and none is given.
+        config: The tune's knobs; ``None`` means ``SessionConfig()``.
+            Among them:
 
-    #: Deprecated keyword knobs in declaration order (all now live on
-    #: :class:`~repro.config.SessionConfig`).
-    _LEGACY_KNOBS = (
-        "variant", "population_size", "top_n", "epsilon", "max_rounds",
-        "min_rounds", "seed", "strategy", "workers", "exec_backend",
-        "verify", "measure_topk", "dynamic", "dynamic_loops",
-    )
+            * ``search.variant`` — ``"mcfuser"`` (full system) or
+              ``"chimera"`` (restricted space + data-movement objective,
+              the MCFuser-Chimera baseline);
+            * ``search.strategy`` — a registered search strategy name
+              (``"evolutionary"``, ``"random"``, ``"exhaustive"``,
+              ``"annealing"``, or a :func:`~repro.search.engine.strategy.
+              register_strategy` registration);
+            * ``search.workers`` — measurement thread-pool width for the
+              per-round top-n batch (results are deterministic for any
+              width; the simulated clock bills the batch makespan);
+            * ``search.measure_topk`` — with a cost model, hardware-measure
+              only the model's predicted-best ``k`` candidates per round
+              (0 disables; guided tunes cache under ``+topk{k}``);
+            * ``exec.backend`` — the numeric execution engine for every
+              schedule this tuner runs;
+            * ``exec.verify`` — ``"best"`` executes the winning schedule
+              against ``chain.reference`` (raising
+              :class:`VerificationError` on mismatch); ``"all"`` executes
+              every measured candidate and blacklists numerically wrong
+              ones. Verification is not billed to the simulated clock;
+            * ``exec.dynamic``/``exec.dynamic_loops`` — ``"buckets"`` makes
+              :meth:`tune` shape-generic over power-of-two sequence-length
+              buckets: lookups ladder exact signature → bucketed signature,
+              misses tune at the bucket *ceiling* and store under the
+              bucketed key, and the returned report is always rebuilt (and
+              verified, when on) at the actual request shape.
+    """
 
     def __init__(
         self,
         gpu: "GPUSpec | None" = None,
-        variant: str = _UNSET,
-        population_size: int = _UNSET,
-        top_n: int = _UNSET,
-        epsilon: float = _UNSET,
-        max_rounds: int = _UNSET,
-        min_rounds: int = _UNSET,
-        seed: int = _UNSET,
+        *,
         cache: "ScheduleCache | None" = None,
-        strategy: "str | SearchStrategy" = _UNSET,
-        workers: int = _UNSET,
-        exec_backend: str = _UNSET,
-        verify: str = _UNSET,
         cost_model: "LearnedCostModel | None" = None,
-        measure_topk: int = _UNSET,
-        dynamic: str = _UNSET,
-        dynamic_loops: tuple[str, ...] = _UNSET,
         config: "SessionConfig | None" = None,
     ) -> None:
-        scope = locals()
-        legacy = {
-            name: scope[name] for name in self._LEGACY_KNOBS
-            if scope[name] is not _UNSET
-        }
-        strategy_obj: "SearchStrategy | None" = None
-        if "strategy" in legacy and not isinstance(legacy["strategy"], str):
-            # A live SearchStrategy instance: used directly; the config
-            # records its name only when it is a registered one (an
-            # unregistered ad-hoc instance cannot be validated by name).
-            from repro.search.engine.strategy import strategy_names
-
-            strategy_obj = make_strategy(legacy["strategy"])
-            if strategy_obj.name in strategy_names():
-                legacy["strategy"] = strategy_obj.name
-            else:
-                del legacy["strategy"]
-        if config is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either config= or the deprecated keyword knobs, not "
-                    f"both (got {sorted(legacy)}); set the SessionConfig "
-                    "fields instead"
-                )
-        else:
-            # Validation happens inside SessionConfig construction — the
-            # single home of every knob check.
-            config = build_legacy_config("MCFuserTuner", legacy)
+        config = config if config is not None else SessionConfig()
         search = config.search
         if cost_model is None and (search.measure_topk > 0 or search.cost_model):
             from repro.search.cost_model import LearnedCostModel
@@ -357,10 +290,7 @@ class MCFuserTuner:
         self.min_rounds = search.min_rounds
         self.seed = search.seed
         self.cache = cache
-        self.strategy = (
-            strategy_obj if strategy_obj is not None
-            else make_strategy(search.strategy)
-        )
+        self.strategy = make_strategy(search.strategy)
         self.workers = search.workers
         self.exec_backend = config.exec.backend
         self.verify = config.exec.verify

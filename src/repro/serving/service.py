@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.signature import bucket_dims, bucketed_signature
-from repro.config import SessionConfig, build_legacy_config, search_overrides
+from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec, by_name
 from repro.search.tuner import (
     MCFuserTuner,
@@ -84,10 +84,6 @@ LANES = ("interactive", "background")
 
 _LANE_PRIORITY = {"interactive": 0, "background": 1}
 _SENTINEL_PRIORITY = 9
-
-#: Sentinel distinguishing "knob not passed" from any explicit value in the
-#: deprecated keyword shim.
-_UNSET = object()
 
 
 class QueueFull(RuntimeError):
@@ -193,9 +189,9 @@ class _Job:
     """One in-flight tune: a signature plus every ticket waiting on it.
 
     ``config`` is the fully resolved, *serializable*
-    :class:`~repro.config.SessionConfig` the tune runs under (service
-    defaults + per-request overrides, with ``exec.dynamic`` forced to
-    ``"off"`` — the service layer owns bucketing). Because the whole job
+    :class:`~repro.config.SessionConfig` the tune runs under (the request's
+    config or the service's, with ``exec.dynamic`` forced to ``"off"`` —
+    the service layer owns bucketing). Because the whole job
     spec is one JSON-able object, a future multi-process serving tier can
     ship jobs to worker processes wholesale.
 
@@ -224,19 +220,7 @@ class CompileService:
         cache: A :class:`TieredCache`, a bare
             :class:`~repro.cache.cache.ScheduleCache` (wrapped in a tiered
             cache), or ``None`` for a fresh memory-only tiered cache.
-        workers: Deprecated — set ``config.serve.workers`` (tune
-            worker-thread count).
-        queue_limit: Deprecated — set ``config.serve.queue_limit``
-            (bounded tune-queue depth; submits beyond it load-shed, the
-            ticket failing with :class:`QueueFull`).
         telemetry: Metrics registry; one is created when omitted.
-        seed: Deprecated — set ``config.search.seed``.
-        exec_backend: Deprecated — set ``config.exec.backend`` (the
-            numeric execution backend threaded into every tuner this
-            service constructs and stamped on served reports).
-        tuner_kwargs: Deprecated escape hatch; every key must name a typed
-            tuner knob (``population_size``, ``max_rounds``, ``verify``,
-            ...) and is routed into the config.
         tune_fn: Override for the tune step itself (tests inject slow or
             instrumented tunes); receives the internal job and must return
             a :class:`TuneReport`. Defaults to a fresh ``MCFuserTuner``
@@ -247,68 +231,34 @@ class CompileService:
             across jobs and workers; the model is thread-safe). Created
             automatically when the config asks for cost-model guidance and
             none is given.
-        measure_topk: Deprecated — set ``config.search.measure_topk``
-            (measure only the model's predicted-best ``k`` per round;
-            0 = classic measure-the-top-n). Overridable per :meth:`submit`.
-            Guided tunes are cached under a distinct ``+topk{k}`` variant
-            key.
-        dynamic: Deprecated — set ``config.exec.dynamic``. ``"buckets"``
-            serves ragged sequence lengths shape-generically: the lookup
-            ladder becomes exact hit → bucket hit → miss, misses tune once
-            at the power-of-two bucket ceiling (concurrent in-bucket
-            requests of *different* lengths coalesce onto that one tune),
-            and every served report is rebuilt at the request's actual
-            shape. Bucket hits surface as source ``"bucket"`` and counter
-            ``serve.hits.bucket``.
-        dynamic_loops: Deprecated — set ``config.exec.dynamic_loops``.
-        config: A validated :class:`~repro.config.SessionConfig` — the
-            canonical way to configure the service. Mutually exclusive
-            with the deprecated keyword knobs (``cache``, ``telemetry``,
-            ``tune_fn``, ``cost_model``, and ``gpu`` are live resources,
-            not knobs, and always combine with ``config``).
+        config: The service's :class:`~repro.config.SessionConfig`
+            (``None`` means ``SessionConfig()``): the default per-request
+            tune config, plus ``serve.workers`` (tune worker-thread count)
+            and ``serve.queue_limit`` (bounded tune-queue depth; submits
+            beyond it load-shed, the ticket failing with
+            :class:`QueueFull`). ``exec.dynamic="buckets"`` serves ragged
+            sequence lengths shape-generically: the lookup ladder becomes
+            exact hit → bucket hit → miss, misses tune once at the
+            power-of-two bucket ceiling (concurrent in-bucket requests of
+            *different* lengths coalesce onto that one tune), and every
+            served report is rebuilt at the request's actual shape. Bucket
+            hits surface as source ``"bucket"`` and counter
+            ``serve.hits.bucket``. Guided tunes
+            (``search.measure_topk > 0``) cache under a distinct
+            ``+topk{k}`` variant key.
     """
 
     def __init__(
         self,
         gpu: "GPUSpec | None" = None,
         cache=None,
-        workers: int = _UNSET,
-        queue_limit: int = _UNSET,
+        *,
         telemetry: MetricsRegistry | None = None,
-        seed: int = _UNSET,
-        exec_backend: str = _UNSET,
-        tuner_kwargs: dict | None = None,
         tune_fn=None,
         cost_model: "LearnedCostModel | None" = None,
-        measure_topk: int = _UNSET,
-        dynamic: str = _UNSET,
-        dynamic_loops: tuple[str, ...] = _UNSET,
         config: "SessionConfig | None" = None,
     ) -> None:
-        legacy: dict = {
-            name: value
-            for name, value in (
-                ("serve_workers", workers),
-                ("queue_limit", queue_limit),
-                ("seed", seed),
-                ("exec_backend", exec_backend),
-                ("measure_topk", measure_topk),
-                ("dynamic", dynamic),
-                ("dynamic_loops", dynamic_loops),
-            )
-            if value is not _UNSET
-        }
-        if tuner_kwargs:
-            legacy.update(search_overrides(tuner_kwargs))
-        if config is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either config= or the deprecated keyword knobs, not "
-                    f"both (got {sorted(legacy)}); set the SessionConfig "
-                    "fields instead"
-                )
-        else:
-            config = build_legacy_config("CompileService", legacy)
+        config = config if config is not None else SessionConfig()
         self.config = config
         search = config.search
         self.dynamic = config.exec.dynamic
@@ -318,7 +268,6 @@ class CompileService:
 
             cost_model = LearnedCostModel(seed=search.seed)
         self.cost_model = cost_model
-        self.measure_topk = search.measure_topk
         self.gpu = gpu if gpu is not None else by_name(config.gpu)
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         if isinstance(cache, TieredCache):
@@ -327,7 +276,6 @@ class CompileService:
                 self.tiered.telemetry = self.telemetry
         else:  # a bare ScheduleCache or None
             self.tiered = TieredCache(cache, telemetry=self.telemetry)
-        self.seed = search.seed
         self.exec_backend = config.exec.backend
         self._tune_fn = tune_fn if tune_fn is not None else self._default_tune
         self.queue_limit = config.serve.queue_limit
@@ -388,12 +336,6 @@ class CompileService:
         self,
         workload,
         lane: str = "interactive",
-        variant: str | None = None,
-        strategy: str | None = None,
-        seed: int | None = None,
-        measure_workers: int | None = None,
-        tuner_kwargs: dict | None = None,
-        measure_topk: int | None = None,
         config: "SessionConfig | None" = None,
     ) -> ServeTicket:
         """Admit one chain request; returns immediately with a ticket.
@@ -405,14 +347,12 @@ class CompileService:
         work is queued. A full queue fails the ticket with
         :class:`QueueFull` (load shedding) rather than blocking.
 
-        Every knob defaults to ``None`` = "inherit the service config";
-        explicit per-request values override it for this request only
-        (e.g. guided ``measure_topk`` requests key — and therefore hit —
-        the cache separately from exhaustive ones). Alternatively
-        ``config`` supplies a complete per-request
-        :class:`~repro.config.SessionConfig` (mutually exclusive with the
-        individual knobs) — the form a multi-process front-end forwards
-        wholesale.
+        ``config`` is a complete per-request
+        :class:`~repro.config.SessionConfig` (``None`` = the service
+        config) — the form a multi-process front-end forwards wholesale.
+        Its variant key picks the cache key space, so e.g. guided
+        ``measure_topk`` requests hit the cache separately from exhaustive
+        ones.
 
         With ``dynamic="buckets"`` the lookup ladders exact signature →
         bucketed signature; a bucket hit rebuilds the ceiling-tuned
@@ -423,30 +363,10 @@ class CompileService:
         """
         if lane not in LANES:
             raise ValueError(f"unknown lane {lane!r}; pick from {LANES}")
-        # The per-job config: service defaults + per-request overrides
-        # (evolve skips None = inherit), or a caller-supplied complete
-        # config. The tune itself always runs dynamic="off" — the
-        # *service* owns bucketing (ceiling chain, bucketed signature,
-        # rebinding); the tuner must not re-bucket.
-        knobs = (variant, strategy, seed, measure_workers, measure_topk)
-        if config is not None:
-            if tuner_kwargs or any(v is not None for v in knobs):
-                raise ValueError(
-                    "pass either config= or the per-request knobs, not both"
-                )
-            job_config = config
-        else:
-            overrides = search_overrides(tuner_kwargs or {})
-            for name, value in (
-                ("variant", variant),
-                ("strategy", strategy),
-                ("seed", seed),
-                ("workers", measure_workers),
-                ("measure_topk", measure_topk),
-            ):
-                if value is not None:
-                    overrides[name] = value
-            job_config = self.config.evolve(**overrides)
+        # The tune itself always runs dynamic="off" — the *service* owns
+        # bucketing (ceiling chain, bucketed signature, rebinding); the
+        # tuner must not re-bucket.
+        job_config = config if config is not None else self.config
         if job_config.exec.dynamic != "off":
             job_config = job_config.evolve(dynamic="off")
         variant = job_config.search.variant
@@ -559,16 +479,21 @@ class CompileService:
             span.set(outcome="queued")
         return ticket
 
-    def compile(self, workload, timeout: float | None = None, **kwargs) -> ServeResult:
+    def compile(
+        self,
+        workload,
+        timeout: float | None = None,
+        lane: str = "interactive",
+        config: "SessionConfig | None" = None,
+    ) -> ServeResult:
         """Blocking convenience: :meth:`submit` + ``result()``."""
-        return self.submit(workload, **kwargs).result(timeout)
+        return self.submit(workload, lane=lane, config=config).result(timeout)
 
     def submit_model(
         self,
         model,
         lane: str = "interactive",
-        strategy: str | None = None,
-        tuner_kwargs: dict | None = None,
+        config: "SessionConfig | None" = None,
     ) -> ModelTicket:
         """Admit a whole model: partition, then submit every fusion group.
 
@@ -589,9 +514,7 @@ class CompileService:
             model = spec.build()
         partition = partition_graph(model, self.gpu)
         tickets = [
-            self.submit(
-                sg.chain, lane=lane, strategy=strategy, tuner_kwargs=tuner_kwargs
-            )
+            self.submit(sg.chain, lane=lane, config=config)
             for sg in partition.subgraphs
         ]
         return ModelTicket(partition=partition, tickets=tickets)
@@ -600,8 +523,7 @@ class CompileService:
         self,
         workloads: "Sequence[str | ComputeChain] | None" = None,
         lane: str = "background",
-        strategy: str | None = None,
-        tuner_kwargs: dict | None = None,
+        config: "SessionConfig | None" = None,
     ) -> list[ServeTicket]:
         """Warm the cache over the workload registry on the background lane.
 
@@ -618,16 +540,10 @@ class CompileService:
         for item in names:
             if isinstance(item, str) and get_workload(item).level == "model":
                 tickets.extend(
-                    self.submit_model(
-                        item, lane=lane, strategy=strategy, tuner_kwargs=tuner_kwargs
-                    ).tickets
+                    self.submit_model(item, lane=lane, config=config).tickets
                 )
             else:
-                tickets.append(
-                    self.submit(
-                        item, lane=lane, strategy=strategy, tuner_kwargs=tuner_kwargs
-                    )
-                )
+                tickets.append(self.submit(item, lane=lane, config=config))
         return tickets
 
     # -- the worker side -------------------------------------------------------
@@ -665,61 +581,82 @@ class CompileService:
             report = rebind_report(report, ticket.chain)
         return report
 
+    def _retire(self, job: _Job) -> list[ServeTicket]:
+        """Remove ``job`` from the in-flight table; snapshot its waiters.
+
+        Once the entry is gone no submit can attach to the job any more,
+        so the snapshot is final.
+        """
+        with self._lock:
+            self._inflight.pop(job.signature, None)
+            return list(job.tickets)
+
     def _run_job(self, job: _Job) -> None:
+        """Tune one job and resolve every ticket waiting on it.
+
+        The in-flight entry is retired exactly once, whether the tune
+        succeeds or not, and any exception — from the tune, the cache put,
+        telemetry, rebinding or the fan-out — fails every ticket that has
+        not resolved yet. Nothing escapes, so the worker thread survives
+        and no coalesced waiter is stranded.
+        """
         from repro.obs import get_tracer
 
-        # Worker threads have no ambient span stack; the explicit parent
-        # keeps the queued tune on the admitting request's trace.
-        with get_tracer().span(
-            "serve.tune",
-            parent=job.trace_parent,
-            signature=job.signature,
-            workload=job.chain.name,
-        ) as span:
-            try:
-                report = self._tune_fn(job)
-                self.tiered.put(job.chain, self.gpu, report, signature=job.signature)
-            except Exception as exc:  # noqa: BLE001 - a tune failure must fan out
-                self.telemetry.counter("serve.errors").inc()
-                span.set(outcome="error", error=f"{type(exc).__name__}: {exc}")
-                with self._lock:
-                    self._inflight.pop(job.signature, None)
-                    tickets = list(job.tickets)
-                for ticket in tickets:
-                    ticket._fail(exc)
-                return
-            # For cacheable results the hot tier holds the entry before the
-            # in-flight record is removed, so post-removal submits hit the
-            # cache — a signature is never tuned twice. A *non-cacheable*
-            # result (no finite measurement) stores nothing: its waiters are
-            # resolved below, and later requests re-tune, which is the only
-            # sane behavior for a result the cache cannot represent.
-            with self._lock:
-                self._inflight.pop(job.signature, None)
-                tickets = list(job.tickets)
-            self.telemetry.counter("serve.tunes").inc()
-            self.telemetry.histogram("serve.tune.simulated_seconds").observe(
-                report.tuning_seconds
-            )
-            self.telemetry.histogram("serve.tune.measurements").observe(
-                float(report.search.num_measurements)
-            )
-            accuracy = getattr(report.search, "ranking_accuracy", None)
-            if accuracy is not None and accuracy == accuracy:  # skip None and NaN
-                self.telemetry.histogram("serve.model.ranking_accuracy").observe(accuracy)
-            span.set(
-                outcome="tuned",
-                waiters=len(tickets),
-                best_time=report.best_time,
-                sim_tuning_seconds=report.tuning_seconds,
-            )
-            cold = self.telemetry.histogram("serve.latency.cold")
-            for i, ticket in enumerate(tickets):
-                ticket._resolve(
-                    self._report_for_ticket(job, report, ticket),
-                    "tuned" if i == 0 else "coalesced",
-                    cold,
+        tickets: list[ServeTicket] = []
+        try:
+            # Worker threads have no ambient span stack; the explicit parent
+            # keeps the queued tune on the admitting request's trace.
+            with get_tracer().span(
+                "serve.tune",
+                parent=job.trace_parent,
+                signature=job.signature,
+                workload=job.chain.name,
+            ) as span:
+                try:
+                    report = self._tune_fn(job)
+                    self.tiered.put(job.chain, self.gpu, report, signature=job.signature)
+                except Exception as exc:
+                    self.telemetry.counter("serve.errors").inc()
+                    span.set(outcome="error", error=f"{type(exc).__name__}: {exc}")
+                    raise
+                finally:
+                    # For cacheable results the hot tier holds the entry
+                    # before the in-flight record is removed, so
+                    # post-removal submits hit the cache — a signature is
+                    # never tuned twice. A *non-cacheable* result (no finite
+                    # measurement) stores nothing: its waiters are resolved
+                    # below, and later requests re-tune, which is the only
+                    # sane behavior for a result the cache cannot represent.
+                    tickets = self._retire(job)
+                self.telemetry.counter("serve.tunes").inc()
+                self.telemetry.histogram("serve.tune.simulated_seconds").observe(
+                    report.tuning_seconds
                 )
+                self.telemetry.histogram("serve.tune.measurements").observe(
+                    float(report.search.num_measurements)
+                )
+                accuracy = getattr(report.search, "ranking_accuracy", None)
+                if accuracy is not None and accuracy == accuracy:  # skip None and NaN
+                    self.telemetry.histogram("serve.model.ranking_accuracy").observe(
+                        accuracy
+                    )
+                span.set(
+                    outcome="tuned",
+                    waiters=len(tickets),
+                    best_time=report.best_time,
+                    sim_tuning_seconds=report.tuning_seconds,
+                )
+                cold = self.telemetry.histogram("serve.latency.cold")
+                for i, ticket in enumerate(tickets):
+                    ticket._resolve(
+                        self._report_for_ticket(job, report, ticket),
+                        "tuned" if i == 0 else "coalesced",
+                        cold,
+                    )
+        except Exception as exc:  # noqa: BLE001 - every waiter must resolve
+            for ticket in tickets:
+                if not ticket.done():
+                    ticket._fail(exc)
 
     # -- observability ---------------------------------------------------------
 

@@ -14,9 +14,10 @@ for, created lazily and shared across everything the session runs:
 
 So instead of hand-wiring five objects::
 
+    config = SessionConfig.make(seed=3, strategy="evolutionary")
     cache = ScheduleCache(default_cache_dir())
     model = LearnedCostModel.load(...) or LearnedCostModel(...)
-    tuner = MCFuserTuner(A100, cache=cache, cost_model=model, seed=3, ...)
+    tuner = MCFuserTuner(A100, cache=cache, cost_model=model, config=config)
     report = tuner.tune(chain)
 
 callers write::

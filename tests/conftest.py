@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import SessionConfig
 from repro.gpu import A100, GENERIC, RTX3080, GPUSimulator
 from repro.ir import attention_chain, gemm_chain
 from repro.search import MCFuserTuner
+
+#: The shared quick tuning budget (seed 0). Tests that need a different
+#: budget derive it with ``QUICK.evolve(...)``; import it with
+#: ``from conftest import QUICK``.
+QUICK = SessionConfig.make(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 
 
 @pytest.fixture(autouse=True)
@@ -68,4 +74,5 @@ def ragged_gemm():
 @pytest.fixture
 def quick_tuner(a100):
     """A tuner with a small budget for integration tests."""
-    return MCFuserTuner(a100, population_size=96, top_n=6, max_rounds=4, min_rounds=2, seed=0)
+    config = QUICK.evolve(population_size=96, top_n=6, max_rounds=4, min_rounds=2)
+    return MCFuserTuner(a100, config=config)

@@ -2,15 +2,14 @@
 
 import pytest
 
+from conftest import QUICK
 from repro.cache import BatchTuner, ScheduleCache
 from repro.gpu.specs import A100
 from repro.ir.chain import attention_chain, gemm_chain
 
-QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
-
 
 def batch_tuner(cache=None, max_workers=2):
-    return BatchTuner(A100, cache=cache, max_workers=max_workers, seed=0, **QUICK)
+    return BatchTuner(A100, cache=cache, max_workers=max_workers, config=QUICK)
 
 
 class TestDedup:
@@ -49,8 +48,8 @@ class TestConcurrency:
             gemm_chain(1, 96, 96, 32, 32, name="g2"),
             attention_chain(4, 128, 128, 32, 32, name="a1"),
         ]
-        serial = BatchTuner(A100, max_workers=1, seed=0, **QUICK).tune_all(chains)
-        threaded = BatchTuner(A100, max_workers=3, seed=0, **QUICK).tune_all(chains)
+        serial = BatchTuner(A100, max_workers=1, config=QUICK).tune_all(chains)
+        threaded = BatchTuner(A100, max_workers=3, config=QUICK).tune_all(chains)
         for s, t in zip(serial.reports, threaded.reports):
             assert s.best_candidate.key == t.best_candidate.key
             assert s.best_time == t.best_time

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import QUICK
 from repro.cache import ScheduleCache
 from repro.cli import main
 from repro.codegen.interpreter import execute_schedule
@@ -14,11 +15,9 @@ from repro.ir.graph import Graph
 from repro.ir.ops import BatchMatmul, Softmax
 from repro.search.tuner import MCFuserTuner
 
-QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
-
 
 def quick_tuner(cache=None, variant="mcfuser"):
-    return MCFuserTuner(A100, variant=variant, seed=0, cache=cache, **QUICK)
+    return MCFuserTuner(A100, cache=cache, config=QUICK.evolve(variant=variant))
 
 
 def make_chain():
@@ -140,8 +139,8 @@ class TestExecutorCache:
     def test_recompile_hits_cache(self, tmp_path):
         graph = _tiny_attention_graph()
         cache = ScheduleCache(tmp_path)
-        cold = compile_model(graph, A100, "mcfuser+relay", tuner_kwargs=QUICK, cache=cache)
-        warm = compile_model(graph, A100, "mcfuser+relay", tuner_kwargs=QUICK, cache=cache)
+        cold = compile_model(graph, A100, "mcfuser+relay", config=QUICK, cache=cache)
+        warm = compile_model(graph, A100, "mcfuser+relay", config=QUICK, cache=cache)
         assert cold.detail["cache_hits"] == 0
         assert warm.detail["cache_hits"] == warm.mbci_subgraphs == 1
         assert warm.tuning_seconds < cold.tuning_seconds
@@ -153,7 +152,7 @@ class TestExecutorCache:
         partition = partition_graph(graph, A100)
         cached, uncached = partition.cache_split(cache, A100)
         assert not cached and len(uncached) == 1
-        compile_model(graph, A100, "mcfuser+relay", tuner_kwargs=QUICK, cache=cache)
+        compile_model(graph, A100, "mcfuser+relay", config=QUICK, cache=cache)
         cached, uncached = partition.cache_split(cache, A100)
         assert len(cached) == 1 and not uncached
 

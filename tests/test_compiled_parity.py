@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import QUICK
 from dag_gen import pattern_graph
 from repro.codegen.clang_runtime import (
     CompileError,
@@ -24,6 +25,7 @@ from repro.codegen.clang_runtime import (
     compiler_available,
     execute_program_compiled,
 )
+from repro.codegen import interpreter
 from repro.codegen.interpreter import (
     COMPILED_MIN_FLOPS,
     EXEC_BACKENDS,
@@ -245,8 +247,9 @@ class TestBucketCeilingSchedules:
         from repro.search.tuner import MCFuserTuner
 
         tuner = MCFuserTuner(
-            A100, dynamic="buckets", cache=ScheduleCache(path=None),
-            population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0,
+            A100,
+            cache=ScheduleCache(path=None),
+            config=QUICK.evolve(dynamic="buckets"),
         )
         report = tuner.tune(gemm_chain(1, 101, 64, 32, 48, name="cp-ceil-tune"))
         schedule = report.best_schedule
@@ -465,7 +468,7 @@ class TestBackendSelection:
 
     @needs_cc
     def test_auto_prefers_compiled_above_threshold(self, monkeypatch, small_gemm):
-        monkeypatch.setenv("REPRO_COMPILED_MIN_FLOPS", "0")
+        monkeypatch.setattr(interpreter, "COMPILED_MIN_FLOPS", 0)
         schedule = self._small_schedule(small_gemm)
         assert resolve_exec_backend(schedule, "auto") == "compiled"
         inputs = small_gemm.random_inputs(0)
@@ -475,7 +478,7 @@ class TestBackendSelection:
 
     @needs_cc
     def test_auto_threshold_env_override_disables(self, monkeypatch, small_gemm):
-        monkeypatch.setenv("REPRO_COMPILED_MIN_FLOPS", "1e30")
+        monkeypatch.setattr(interpreter, "COMPILED_MIN_FLOPS", 1e30)
         schedule = self._small_schedule(small_gemm)
         assert resolve_exec_backend(schedule, "auto") == "vectorized"
 
@@ -491,7 +494,7 @@ class TestBackendSelection:
         with pytest.raises(CompilerNotFoundError):
             resolve_exec_backend(schedule, "compiled")
         assert resolve_exec_backend(schedule, "auto") == "vectorized"
-        monkeypatch.setenv("REPRO_COMPILED_MIN_FLOPS", "0")
+        monkeypatch.setattr(interpreter, "COMPILED_MIN_FLOPS", 0)
         inputs = small_gemm.random_inputs(0)
         out = execute_schedule(schedule, inputs)[small_gemm.output]
         scalar = execute_schedule(schedule, inputs, backend="scalar")[small_gemm.output]

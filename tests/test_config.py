@@ -1,5 +1,5 @@
 """Tests for the unified SessionConfig layer: validation, serialization
-round-trips, env overrides, flat-name routing, legacy-kwarg shims, and the
+round-trips, env overrides, flat-name routing, and the
 cache-key stability guarantee (config-derived variant keys must be
 bit-identical to the historical strings)."""
 
@@ -12,18 +12,15 @@ from hypothesis import strategies as st
 from repro.cache.signature import variant_key as legacy_variant_key
 from repro.config import (
     FLAT_FIELDS,
-    TUNER_KNOBS,
     CacheConfig,
     ExecConfig,
     SearchConfig,
     ServeConfig,
     SessionConfig,
     apply_env,
-    build_legacy_config,
     describe_fields,
     env_var_for,
     field_paths,
-    search_overrides,
 )
 from repro.search.engine.strategy import strategy_names
 
@@ -138,9 +135,6 @@ class TestFlatRouting:
         # Every leaf path has exactly one flat name and vice versa.
         assert sorted(FLAT_FIELDS.values()) == sorted(field_paths())
         assert len(set(FLAT_FIELDS.values())) == len(FLAT_FIELDS)
-
-    def test_tuner_knobs_are_flat_fields(self):
-        assert set(TUNER_KNOBS) <= set(FLAT_FIELDS)
 
     def test_describe_fields_covers_schema(self):
         rows = describe_fields()
@@ -350,43 +344,3 @@ class TestContentHash:
         base = SessionConfig()
         assert base.content_hash() != base.evolve(seed=1).content_hash()
         assert base.content_hash() != base.evolve(trace=True).content_hash()
-
-
-class TestLegacyShims:
-    def test_search_overrides_passes_knobs(self):
-        out = search_overrides({"seed": 3, "max_rounds": 2})
-        assert out == {"seed": 3, "max_rounds": 2}
-
-    def test_search_overrides_hints_typed_replacement(self):
-        # A flat config name that is not a tuner knob: the error names the
-        # typed field that replaced the untyped escape hatch.
-        with pytest.raises(ValueError, match="serve.workers"):
-            search_overrides({"serve_workers": 2})
-
-    def test_search_overrides_unknown_key_lists_knobs(self):
-        with pytest.raises(ValueError, match="valid knobs"):
-            search_overrides({"n_trials": 100})
-
-    def test_build_legacy_config_warns_once_naming_fields(self):
-        with pytest.warns(DeprecationWarning) as record:
-            cfg = build_legacy_config("MCFuserTuner", {"seed": 3, "top_n": 4})
-        assert len(record) == 1
-        message = str(record[0].message)
-        assert "search.seed" in message and "search.top_n" in message
-        assert "SessionConfig" in message
-        assert cfg.search.seed == 3 and cfg.search.top_n == 4
-
-    def test_build_legacy_config_empty_is_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = build_legacy_config("MCFuserTuner", {})
-        assert cfg == SessionConfig()
-
-    def test_build_legacy_config_respects_base(self):
-        base = SessionConfig.make(strategy="random")
-        with pytest.warns(DeprecationWarning):
-            cfg = build_legacy_config("BatchTuner", {"seed": 5}, base=base)
-        assert cfg.search.strategy == "random"
-        assert cfg.search.seed == 5

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import QUICK
 from repro.baselines.ansor import candidate_features
 from repro.cache import ScheduleCache
 from repro.cache.signature import variant_key
+from repro.config import SessionConfig
 from repro.search.cost_model import (
     LearnedCostModel,
     MeasurementDataset,
@@ -25,7 +27,7 @@ from repro.search.features import (
 )
 from repro.search.tuner import MCFuserTuner
 
-QUICK = dict(population_size=96, top_n=6, max_rounds=4, min_rounds=2, seed=0)
+BUDGET = QUICK.evolve(population_size=96, top_n=6, max_rounds=4, min_rounds=2)
 
 
 def _schedule(chain):
@@ -256,10 +258,10 @@ class TestTopkSearch:
     def test_fallback_with_empty_dataset_matches_classic(self, small_gemm, a100):
         """An unfitted (sample-starved) model must not change the search:
         same measurement count, same chosen schedule as no model at all."""
-        plain = MCFuserTuner(a100, **QUICK).tune(small_gemm)
+        plain = MCFuserTuner(a100, config=BUDGET).tune(small_gemm)
         model = LearnedCostModel(min_samples=10**9)  # can never fit
         guided = MCFuserTuner(
-            a100, cost_model=model, measure_topk=2, **QUICK
+            a100, cost_model=model, config=BUDGET.evolve(measure_topk=2)
         ).tune(small_gemm)
         assert guided.search.model_rounds == 0
         assert guided.search.num_measurements == plain.search.num_measurements
@@ -270,11 +272,11 @@ class TestTopkSearch:
 
     def test_topk_cuts_measurements_at_equal_quality(self, small_gemm, a100):
         model = LearnedCostModel(min_samples=8)
-        baseline = MCFuserTuner(a100, cost_model=model, **QUICK).tune(small_gemm)
+        baseline = MCFuserTuner(a100, cost_model=model, config=BUDGET).tune(small_gemm)
         model.fit(force=True)
         assert model.ready
         guided = MCFuserTuner(
-            a100, cost_model=model, measure_topk=1, **QUICK
+            a100, cost_model=model, config=BUDGET.evolve(measure_topk=1)
         ).tune(small_gemm)
         assert guided.search.model_rounds == guided.search.rounds > 0
         assert guided.search.num_measurements < baseline.search.num_measurements
@@ -287,7 +289,7 @@ class TestTopkSearch:
 
         path = tmp_path / "m.jsonl"
         boot = LearnedCostModel(dataset=MeasurementDataset(path), min_samples=8)
-        MCFuserTuner(a100, cost_model=boot, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, cost_model=boot, config=BUDGET).tune(small_gemm)
 
         def run(tag):
             # each run gets its own copy: the guided tune appends its new
@@ -299,7 +301,7 @@ class TestTopkSearch:
             )
             model.fit(force=True)
             return MCFuserTuner(
-                a100, cost_model=model, measure_topk=1, **QUICK
+                a100, cost_model=model, config=BUDGET.evolve(measure_topk=1)
             ).tune(small_gemm)
 
         r1, r2 = run("a"), run("b")
@@ -310,7 +312,7 @@ class TestTopkSearch:
 
     def test_observations_land_in_dataset(self, small_gemm, a100):
         model = LearnedCostModel()
-        report = MCFuserTuner(a100, cost_model=model, **QUICK).tune(small_gemm)
+        report = MCFuserTuner(a100, cost_model=model, config=BUDGET).tune(small_gemm)
         finite = sum(
             1 for t in report.search.measured.values() if np.isfinite(t)
         )
@@ -318,10 +320,10 @@ class TestTopkSearch:
 
     def test_negative_topk_rejected(self, a100):
         with pytest.raises(ValueError):
-            MCFuserTuner(a100, measure_topk=-1)
+            MCFuserTuner(a100, config=SessionConfig.make(measure_topk=-1))
 
     def test_auto_model_created_for_topk(self, a100):
-        tuner = MCFuserTuner(a100, measure_topk=2)
+        tuner = MCFuserTuner(a100, config=SessionConfig.make(measure_topk=2))
         assert tuner.cost_model is not None
         assert not tuner.cost_model.ready
 
@@ -339,23 +341,23 @@ class TestCacheKeyHygiene:
     ):
         cache = ScheduleCache(tmp_path / "cache")
         model = LearnedCostModel(min_samples=8)
-        MCFuserTuner(a100, cost_model=model, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, cost_model=model, config=BUDGET).tune(small_gemm)
         model.fit(force=True)
         first = MCFuserTuner(
-            a100, cache=cache, cost_model=model, measure_topk=1, **QUICK
+            a100, cache=cache, cost_model=model, config=BUDGET.evolve(measure_topk=1)
         ).tune(small_gemm)
         assert not first.cache_hit
 
         # same topk setting: hit (model not even needed to serve it)
         again = MCFuserTuner(
-            a100, cache=cache, measure_topk=1, **QUICK
+            a100, cache=cache, config=BUDGET.evolve(measure_topk=1)
         ).tune(small_gemm)
         assert again.cache_hit
         assert again.best_time == first.best_time
         assert again.measure_topk == 1
 
         # exhaustive tuner: distinct key space, must re-tune
-        exhaustive = MCFuserTuner(a100, cache=cache, **QUICK).tune(small_gemm)
+        exhaustive = MCFuserTuner(a100, cache=cache, config=BUDGET).tune(small_gemm)
         assert not exhaustive.cache_hit
         variants = {e.variant for e in cache.entries()}
         assert variants == {"mcfuser", "mcfuser+topk1"}
@@ -368,12 +370,8 @@ class TestServiceTelemetry:
         model = LearnedCostModel(min_samples=8)
         with CompileService(
             a100,
-            workers=1,
             cost_model=model,
-            measure_topk=1,
-            tuner_kwargs=dict(
-                population_size=96, top_n=6, max_rounds=4, min_rounds=2
-            ),
+            config=BUDGET.evolve(serve_workers=1, measure_topk=1),
         ) as svc:
             result = svc.compile(small_gemm)
             snapshot = svc.metrics()
@@ -388,15 +386,11 @@ class TestServiceTelemetry:
     def test_topk_and_exhaustive_requests_do_not_alias(self, small_gemm, a100):
         from repro.serving.service import CompileService
 
-        with CompileService(
-            a100,
-            workers=1,
-            tuner_kwargs=dict(
-                population_size=96, top_n=6, max_rounds=4, min_rounds=2
-            ),
-        ) as svc:
+        with CompileService(a100, config=BUDGET.evolve(serve_workers=1)) as svc:
             exhaustive = svc.compile(small_gemm)
-            guided = svc.compile(small_gemm, measure_topk=1)
+            guided = svc.compile(
+                small_gemm, config=svc.config.evolve(measure_topk=1)
+            )
             assert exhaustive.signature != guided.signature
             assert guided.source == "tuned"  # not served from the other key
             snapshot = svc.metrics()

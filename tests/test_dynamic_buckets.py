@@ -13,6 +13,7 @@ different in-bucket lengths.
 import numpy as np
 import pytest
 
+from conftest import QUICK
 from repro.cache import ScheduleCache
 from repro.cache.signature import (
     BUCKET_MIN,
@@ -22,12 +23,14 @@ from repro.cache.signature import (
     workload_signature,
 )
 from repro.codegen.interpreter import execute_schedule
+from repro.config import SessionConfig
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import attention_chain, gemm_chain
 from repro.search.tuner import MCFuserTuner, VerificationError, rebind_report
 from repro.serving import CompileService, MetricsRegistry, TieredCache
 
-QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
+#: A one-worker bucketing service on the quick budget.
+BUCKET_SERVICE = QUICK.evolve(serve_workers=1, dynamic="buckets")
 
 #: Request outcomes that terminate a ticket, bucket hits included.
 OUTCOMES = (
@@ -47,9 +50,9 @@ def ragged(m: int, name: str | None = None):
     return gemm_chain(1, m, 96, 32, 32, name=name or f"dyn-{m}")
 
 
-def quick_tuner(**kwargs) -> MCFuserTuner:
-    kwargs.setdefault("seed", 0)
-    return MCFuserTuner(A100, dynamic="buckets", **QUICK, **kwargs)
+def quick_tuner(cache=None, verify: str = "off") -> MCFuserTuner:
+    config = QUICK.evolve(dynamic="buckets", verify=verify)
+    return MCFuserTuner(A100, cache=cache, config=config)
 
 
 def outcome_sum(registry: MetricsRegistry) -> int:
@@ -175,7 +178,7 @@ class TestTunerLadder:
     def test_exact_hit_preferred_over_bucket(self):
         cache = ScheduleCache(path=None)
         tuner = quick_tuner(cache=cache)
-        plain = MCFuserTuner(A100, cache=cache, seed=0, **QUICK)
+        plain = MCFuserTuner(A100, cache=cache, config=QUICK)
         chain = ragged(300)
         plain.tune(chain)  # stores under the exact key
         report = tuner.tune(chain)
@@ -203,14 +206,14 @@ class TestTunerLadder:
 
     def test_dynamic_off_unchanged(self):
         cache = ScheduleCache(path=None)
-        tuner = MCFuserTuner(A100, cache=cache, seed=0, **QUICK)
+        tuner = MCFuserTuner(A100, cache=cache, config=QUICK)
         report = tuner.tune(ragged(300))
         assert report.dynamic == "off" and report.bucket == {}
         assert cache.lookup(bucketed_signature(ragged(300), A100))[0] is None
 
     def test_unknown_dynamic_mode_rejected(self):
         with pytest.raises(ValueError, match="dynamic"):
-            MCFuserTuner(A100, dynamic="padding")
+            MCFuserTuner(A100, config=SessionConfig.make(dynamic="padding"))
 
     def test_rebind_report_roundtrip(self):
         tuner = quick_tuner(cache=ScheduleCache(path=None))
@@ -257,10 +260,7 @@ class TestBucketHitVerification:
 class TestServiceBuckets:
     def test_bucket_hit_served_warm(self):
         registry = MetricsRegistry()
-        with CompileService(
-            A100, workers=1, dynamic="buckets", telemetry=registry,
-            tuner_kwargs=QUICK,
-        ) as svc:
+        with CompileService(A100, telemetry=registry, config=BUCKET_SERVICE) as svc:
             cold = svc.compile(ragged(300))
             warm = svc.compile(ragged(400))
         assert cold.source == "tuned"
@@ -276,11 +276,10 @@ class TestServiceBuckets:
         """Entries written under exact keys (e.g. by a pre-bucketing
         deployment sharing the cache) win the first ladder rung."""
         tiered = TieredCache()
-        with CompileService(A100, workers=1, tuner_kwargs=QUICK, cache=tiered) as off:
+        off_config = QUICK.evolve(serve_workers=1)
+        with CompileService(A100, cache=tiered, config=off_config) as off:
             off.compile(ragged(300))
-        with CompileService(
-            A100, workers=1, dynamic="buckets", tuner_kwargs=QUICK, cache=tiered
-        ) as svc:
+        with CompileService(A100, cache=tiered, config=BUCKET_SERVICE) as svc:
             again = svc.compile(ragged(300))
         assert again.source == "hot"
         assert not again.report.bucket_hit
@@ -289,9 +288,7 @@ class TestServiceBuckets:
         """Under pure bucketing all entries live under bucket keys, so
         even an exact-shape repeat is labelled a bucket hit (and is still
         hot-tier fast)."""
-        with CompileService(
-            A100, workers=1, dynamic="buckets", tuner_kwargs=QUICK
-        ) as svc:
+        with CompileService(A100, config=BUCKET_SERVICE) as svc:
             svc.compile(ragged(300))
             again = svc.compile(ragged(300))
         assert again.source == "bucket"
@@ -303,10 +300,7 @@ class TestServiceBuckets:
         shape and computes the right numbers."""
         lengths = (270, 300, 400, 511)
         registry = MetricsRegistry()
-        with CompileService(
-            A100, workers=1, dynamic="buckets", telemetry=registry,
-            tuner_kwargs=QUICK,
-        ) as svc:
+        with CompileService(A100, telemetry=registry, config=BUCKET_SERVICE) as svc:
             # submits are microseconds, the ceiling tune is seconds: all
             # four land while the first job is still in flight
             tickets = [svc.submit(ragged(m)) for m in lengths]
@@ -325,9 +319,7 @@ class TestServiceBuckets:
             np.testing.assert_allclose(out, ref, rtol=1e-3, atol=1e-4)
 
     def test_attention_chains_bucket_both_seq_dims(self):
-        with CompileService(
-            A100, workers=1, dynamic="buckets", tuner_kwargs=QUICK
-        ) as svc:
+        with CompileService(A100, config=BUCKET_SERVICE) as svc:
             cold = svc.compile(attention_chain(2, 100, 100, 32, 32, name="at-100"))
             warm = svc.compile(attention_chain(2, 90, 90, 32, 32, name="at-90"))
         assert cold.source == "tuned"
@@ -336,7 +328,7 @@ class TestServiceBuckets:
 
     def test_dynamic_mode_validated(self):
         with pytest.raises(ValueError, match="dynamic"):
-            CompileService(A100, dynamic="padding")
+            CompileService(A100, config=SessionConfig.make(dynamic="padding"))
 
 
 class TestCompileModelBuckets:
@@ -348,13 +340,12 @@ class TestCompileModelBuckets:
         from repro.frontend.models import ffn_block
 
         cache = ScheduleCache(path=None)
+        config = QUICK.evolve(dynamic="buckets")
         compile_model(
-            ffn_block(seq=100, hidden=64, inner=96), A100,
-            dynamic="buckets", cache=cache, tuner_kwargs=QUICK,
+            ffn_block(seq=100, hidden=64, inner=96), A100, config=config, cache=cache
         )
         rerun = compile_model(
-            ffn_block(seq=120, hidden=64, inner=96), A100,
-            dynamic="buckets", cache=cache, tuner_kwargs=QUICK,
+            ffn_block(seq=120, hidden=64, inner=96), A100, config=config, cache=cache
         )
         assert rerun.detail["served"].get("bucket", 0) >= 1
         # the recompiled module still computes the right numbers at seq=120
@@ -368,12 +359,17 @@ class TestCompileModelBuckets:
     def test_service_mode_mismatch_rejected(self):
         from repro.frontend.executor import compile_model
 
-        with CompileService(A100, workers=1, tuner_kwargs=QUICK) as svc:
+        with CompileService(A100, config=QUICK.evolve(serve_workers=1)) as svc:
             with pytest.raises(ValueError, match="dynamic"):
-                compile_model("ffn-narrow", A100, service=svc, dynamic="buckets")
+                compile_model(
+                    "ffn-narrow",
+                    A100,
+                    service=svc,
+                    config=svc.config.evolve(dynamic="buckets"),
+                )
 
     def test_unknown_dynamic_rejected(self):
         from repro.frontend.executor import compile_model
 
         with pytest.raises(ValueError, match="dynamic"):
-            compile_model("ffn-narrow", A100, dynamic="padded")
+            compile_model("ffn-narrow", A100, config=SessionConfig.make(dynamic="padded"))

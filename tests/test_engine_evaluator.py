@@ -242,11 +242,16 @@ class TestTunerIntegration:
     def test_workers_change_clock_not_result(self):
         from repro.gpu.specs import A100
         from repro.ir.chain import gemm_chain
+        from repro.config import SessionConfig
         from repro.search.tuner import MCFuserTuner
 
         chain = gemm_chain(1, 256, 256, 64, 64, name="eval-int")
-        serial = MCFuserTuner(A100, seed=0, workers=1).tune(chain)
-        parallel = MCFuserTuner(A100, seed=0, workers=4).tune(chain)
+        serial = MCFuserTuner(
+            A100, config=SessionConfig.make(seed=0, workers=1)
+        ).tune(chain)
+        parallel = MCFuserTuner(
+            A100, config=SessionConfig.make(seed=0, workers=4)
+        ).tune(chain)
         assert serial.best_candidate.key == parallel.best_candidate.key
         assert serial.best_time == parallel.best_time
         assert serial.search.num_measurements == parallel.search.num_measurements

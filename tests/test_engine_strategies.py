@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.ir.chain import attention_chain, gemm_chain
 from repro.search.engine import (
@@ -34,7 +35,7 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_strategy("quantum")
         with pytest.raises(ValueError):
-            MCFuserTuner(A100, strategy="quantum")
+            MCFuserTuner(A100, config=SessionConfig.make(strategy="quantum"))
 
     def test_register_requires_name(self):
         class Nameless(SearchStrategy):
@@ -70,7 +71,10 @@ class TestRegistry:
         try:
             register_strategy(FirstN)
             chain = gemm_chain(1, 256, 256, 64, 64, name="plug")
-            report = MCFuserTuner(A100, strategy="first-n-test", seed=0).tune(chain)
+            report = MCFuserTuner(
+                A100,
+                config=SessionConfig.make(strategy="first-n-test"),
+            ).tune(chain)
             assert report.strategy == "first-n-test"
             assert report.search.num_measurements == 16  # 2 rounds x top_n
         finally:
@@ -87,21 +91,25 @@ class TestStrategyParity:
             chain = gemm_chain(1, 256, 256, 64, 64, name="par-gemm")
         else:
             chain = attention_chain(8, 256, 256, 64, 64, name="par-attn")
-        baseline = MCFuserTuner(A100, seed=0).tune(chain)
+        baseline = MCFuserTuner(A100, config=SessionConfig()).tune(chain)
         return chain, baseline
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_within_5_percent_of_evolutionary(self, workload, strategy):
         chain, baseline = workload
-        report = MCFuserTuner(A100, seed=0, strategy=strategy).tune(chain)
+        report = MCFuserTuner(
+            A100,
+            config=SessionConfig.make(strategy=strategy),
+        ).tune(chain)
         assert report.best_time <= 1.05 * baseline.best_time
         assert report.strategy == strategy
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_deterministic_given_seed(self, workload, strategy):
         chain, _ = workload
-        a = MCFuserTuner(A100, seed=7, strategy=strategy).tune(chain)
-        b = MCFuserTuner(A100, seed=7, strategy=strategy).tune(chain)
+        config = SessionConfig.make(seed=7, strategy=strategy)
+        a = MCFuserTuner(A100, config=config).tune(chain)
+        b = MCFuserTuner(A100, config=config).tune(chain)
         assert a.best_candidate.key == b.best_candidate.key
         assert a.best_time == b.best_time
         assert a.tuning_seconds == b.tuning_seconds
@@ -111,8 +119,11 @@ class TestStrategyBehavior:
     def test_evolutionary_matches_legacy_tuner(self):
         """strategy="evolutionary" is behavior-identical to the default."""
         chain = gemm_chain(1, 256, 256, 64, 64, name="legacy-eq")
-        default = MCFuserTuner(A100, seed=2).tune(chain)
-        explicit = MCFuserTuner(A100, seed=2, strategy="evolutionary").tune(chain)
+        default = MCFuserTuner(A100, config=SessionConfig.make(seed=2)).tune(chain)
+        explicit = MCFuserTuner(
+            A100,
+            config=SessionConfig.make(seed=2, strategy="evolutionary"),
+        ).tune(chain)
         assert default.best_candidate.key == explicit.best_candidate.key
         assert default.best_time == explicit.best_time
         assert default.tuning_seconds == explicit.tuning_seconds
@@ -120,15 +131,21 @@ class TestStrategyBehavior:
 
     def test_exhaustive_measures_everything(self):
         chain = gemm_chain(1, 256, 256, 64, 64, name="exh")
-        report = MCFuserTuner(A100, seed=0, strategy="exhaustive").tune(chain)
+        report = MCFuserTuner(
+            A100,
+            config=SessionConfig.make(strategy="exhaustive"),
+        ).tune(chain)
         assert report.search.num_measurements == report.pruning.after_rule4
         # Exhaustive is the ground truth: nothing can beat it.
-        evo = MCFuserTuner(A100, seed=0).tune(chain)
+        evo = MCFuserTuner(A100, config=SessionConfig()).tune(chain)
         assert report.best_time <= evo.best_time
 
     def test_annealing_respects_convergence(self):
         chain = gemm_chain(1, 256, 256, 64, 64, name="ann")
-        report = MCFuserTuner(A100, seed=0, strategy="annealing").tune(chain)
+        report = MCFuserTuner(
+            A100,
+            config=SessionConfig.make(strategy="annealing"),
+        ).tune(chain)
         assert report.search.rounds <= 16
         assert report.search.num_measurements <= 8 * 16
 
@@ -207,13 +224,21 @@ class TestCacheStrategyFaithfulness:
 
         chain = gemm_chain(1, 256, 256, 64, 64, name="faith")
         cache = ScheduleCache(tmp_path)
-        rnd = MCFuserTuner(A100, seed=0, cache=cache, strategy="random").tune(chain)
+        rnd = MCFuserTuner(
+            A100,
+            cache=cache,
+            config=SessionConfig.make(strategy="random"),
+        ).tune(chain)
         assert not rnd.cache_hit
         # A different strategy must not be served the random entry...
-        evo = MCFuserTuner(A100, seed=0, cache=cache).tune(chain)
+        evo = MCFuserTuner(A100, cache=cache, config=SessionConfig()).tune(chain)
         assert not evo.cache_hit
         # ...but the same strategy is.
-        again = MCFuserTuner(A100, seed=0, cache=cache, strategy="random").tune(chain)
+        again = MCFuserTuner(
+            A100,
+            cache=cache,
+            config=SessionConfig.make(strategy="random"),
+        ).tune(chain)
         assert again.cache_hit
         assert again.best_time == rnd.best_time
         variants = {e.variant for e in cache.entries()}

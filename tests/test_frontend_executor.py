@@ -2,11 +2,12 @@
 
 import pytest
 
+from conftest import QUICK
 from repro.frontend.executor import STRATEGIES, compile_model
 from repro.frontend.models import bert_encoder
 from repro.gpu.specs import A100
 
-FAST_TUNER = dict(population_size=96, top_n=6, max_rounds=4, min_rounds=2)
+FAST_TUNER = QUICK.evolve(population_size=96, top_n=6, max_rounds=4, min_rounds=2)
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +18,7 @@ def graph():
 @pytest.fixture(scope="module")
 def results(graph):
     return {
-        s: compile_model(graph, A100, s, seed=0, tuner_kwargs=FAST_TUNER)
+        s: compile_model(graph, A100, s, config=FAST_TUNER)
         for s in STRATEGIES
     }
 
@@ -68,9 +69,9 @@ class TestHeadlineOrdering:
 
 class TestSubgraphCaching:
     def test_identical_layers_tuned_once(self, graph):
-        r = compile_model(graph, A100, "mcfuser+relay", seed=0, tuner_kwargs=FAST_TUNER)
+        r = compile_model(graph, A100, "mcfuser+relay", config=FAST_TUNER)
         # 4 identical attention layers: tuning cost ~ one MCFuser run, not four.
         single = compile_model(
-            bert_encoder("Bert-Small", 256), A100, "relay", seed=0
+            bert_encoder("Bert-Small", 256), A100, "relay"
         ).tuning_seconds
         assert r.tuning_seconds - single < 120

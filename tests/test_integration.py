@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import QUICK
 from repro import (
     A100,
     MCFuserTuner,
@@ -14,13 +15,13 @@ from repro.codegen.runtime import OperatorModule
 from repro.frontend.models import bert_encoder
 from repro.frontend.partition import partition_graph
 
+BUDGET = QUICK.evolve(population_size=96, top_n=6, max_rounds=3, min_rounds=2)
+
 
 class TestTuneCompileRun:
     def test_gemm_chain_pipeline(self):
         chain = gemm_chain(2, 128, 128, 64, 64, name="int-g")
-        report = MCFuserTuner(
-            A100, population_size=96, top_n=6, max_rounds=3, min_rounds=2, seed=0
-        ).tune(chain)
+        report = MCFuserTuner(A100, config=BUDGET).tune(chain)
         module = compile_schedule(report.best_schedule, A100)
         inputs = chain.random_inputs(0)
         out = module.run(inputs)["E"]
@@ -30,9 +31,7 @@ class TestTuneCompileRun:
 
     def test_attention_pipeline(self):
         chain = attention_chain(4, 128, 128, 32, 32, name="int-a")
-        report = MCFuserTuner(
-            A100, population_size=96, top_n=6, max_rounds=3, min_rounds=2, seed=0
-        ).tune(chain)
+        report = MCFuserTuner(A100, config=BUDGET).tune(chain)
         module = compile_schedule(report.best_schedule, A100)
         inputs = chain.random_inputs(0)
         out = module.run(inputs)["O"]
@@ -44,9 +43,7 @@ class TestTuneCompileRun:
         from repro.codegen import extract_tiling_expr, tir_from_schedule
 
         chain = gemm_chain(1, 128, 128, 64, 64, name="int-art")
-        report = MCFuserTuner(
-            A100, population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0
-        ).tune(chain)
+        report = MCFuserTuner(A100, config=QUICK).tune(chain)
         module = OperatorModule(schedule=report.best_schedule, gpu=A100)
         tir = tir_from_schedule(report.best_schedule)
         assert extract_tiling_expr(tir).render() == report.best_schedule.residual.render()
@@ -73,8 +70,6 @@ class TestFusedSubgraphMatchesGraphExecution:
         fused_ref = chain.reference(inputs)[chain.output]
         np.testing.assert_allclose(fused_ref, env[sg.output], rtol=1e-4, atol=1e-5)
 
-        report = MCFuserTuner(
-            A100, population_size=64, top_n=4, max_rounds=2, min_rounds=1, seed=0
-        ).tune(chain)
+        report = MCFuserTuner(A100, config=QUICK).tune(chain)
         fused_out = compile_schedule(report.best_schedule, A100).run(inputs)[chain.output]
         np.testing.assert_allclose(fused_out, env[sg.output], rtol=1e-3, atol=1e-5)

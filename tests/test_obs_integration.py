@@ -7,9 +7,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import QUICK
 from repro.cache.cache import ScheduleCache
+from repro.codegen import interpreter
 from repro.codegen.interpreter import execute_schedule, explain_exec_backend
-from repro.config import SessionConfig
+from repro.gpu.specs import A100
 from repro.obs import (
     enable_tracing,
     get_metrics,
@@ -23,7 +25,8 @@ from repro.search.tuner import MCFuserTuner
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import build_schedule
 
-QUICK = dict(population_size=64, top_n=4, max_rounds=3, min_rounds=2)
+#: at least two search rounds: the traced-tune assertions need rounds >= 2.
+TRACE_QUICK = QUICK.evolve(max_rounds=3, min_rounds=2)
 
 
 def _spans_by_name(tracer):
@@ -36,7 +39,7 @@ def _spans_by_name(tracer):
 class TestTracedTune:
     def test_span_taxonomy_nesting_and_coverage(self, a100, small_gemm):
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, config=TRACE_QUICK).tune(small_gemm)
         spans = _spans_by_name(tracer)
         for name in ("tune", "tune.space", "search", "search.round",
                      "measure.batch", "measure.candidate", "tune.finalize"):
@@ -64,8 +67,7 @@ class TestTracedTune:
 
     def test_space_and_search_spans_count_schedule_builds(self, a100, small_gemm):
         tracer = enable_tracing()
-        config = SessionConfig.make(seed=0, **QUICK)
-        report = MCFuserTuner(a100, config=config).tune(small_gemm)
+        report = MCFuserTuner(a100, config=TRACE_QUICK).tune(small_gemm)
         spans = _spans_by_name(tracer)
         [space], [search] = spans["tune.space"], spans["search"]
         # Pricing builds one schedule per template; the search adds at most
@@ -77,18 +79,19 @@ class TestTracedTune:
 
     def test_traced_tune_chrome_export_is_valid(self, a100, small_gemm, tmp_path):
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, workers=2, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, config=TRACE_QUICK.evolve(workers=2)).tune(small_gemm)
         path = save_chrome_trace(tracer.recorder, tmp_path / "tune.json")
         import json
 
-        doc = json.load(open(path, encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         validate_chrome_trace(doc)
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] != "M"}
         assert {"tune", "search.round", "measure.batch"} <= names
 
     def test_pool_measurement_spans_join_the_trace(self, a100, small_gemm):
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, workers=4, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, config=TRACE_QUICK.evolve(workers=4)).tune(small_gemm)
         spans = _spans_by_name(tracer)
         [tune] = spans["tune"]
         candidates = spans["measure.candidate"]
@@ -98,9 +101,9 @@ class TestTracedTune:
 
     def test_cache_hit_outcome(self, a100, small_gemm):
         cache = ScheduleCache(path=None)
-        MCFuserTuner(a100, seed=0, cache=cache, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, cache=cache, config=TRACE_QUICK).tune(small_gemm)
         tracer = enable_tracing()
-        MCFuserTuner(a100, seed=0, cache=cache, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, cache=cache, config=TRACE_QUICK).tune(small_gemm)
         spans = _spans_by_name(tracer)
         [tune] = spans["tune"]
         assert tune.attrs["outcome"] == "cache-hit"
@@ -109,7 +112,7 @@ class TestTracedTune:
 
     def test_untraced_tune_records_nothing(self, a100, small_gemm):
         assert not get_tracer().enabled
-        MCFuserTuner(a100, seed=0, **QUICK).tune(small_gemm)
+        MCFuserTuner(a100, config=TRACE_QUICK).tune(small_gemm)
         assert len(get_tracer().recorder) == 0
 
 
@@ -118,7 +121,7 @@ class TestTracedService:
         from repro.serving.service import CompileService
 
         tracer = enable_tracing()
-        with CompileService(a100, workers=1, tuner_kwargs=QUICK) as svc:
+        with CompileService(a100, config=TRACE_QUICK.evolve(serve_workers=1)) as svc:
             svc.compile(small_gemm)
             svc.compile(small_gemm)
         spans = _spans_by_name(tracer)
@@ -150,7 +153,9 @@ class TestTracedService:
             raise RuntimeError("tune exploded")
 
         tracer = enable_tracing()
-        with CompileService(a100, workers=1, tune_fn=slow_fail) as svc:
+        with CompileService(
+            a100, tune_fn=slow_fail, config=QUICK.evolve(serve_workers=1)
+        ) as svc:
             first = svc.submit(small_gemm)
             import time
 
@@ -200,7 +205,7 @@ class TestExecFallbacks:
         import repro.codegen.clang_runtime as clang_runtime
 
         monkeypatch.setattr(clang_runtime, "compiler_available", lambda: True)
-        monkeypatch.setenv("REPRO_COMPILED_MIN_FLOPS", "1e18")
+        monkeypatch.setattr(interpreter, "COMPILED_MIN_FLOPS", 1e18)
         schedule = self._schedule(small_gemm)
         execute_schedule(schedule, small_gemm.random_inputs(0), backend="auto")
         counters = get_metrics().snapshot()["counters"]
@@ -224,6 +229,60 @@ class TestExecFallbacks:
             small_gemm.reference(inputs)[small_gemm.output],
             rtol=1e-4, atol=1e-5,
         )
+        assert get_metrics().counter("exec.fallback").value == 0
+
+
+class TestExecDispatchParity:
+    """``execute_schedule`` and ``OperatorModule.run`` share one dispatcher,
+    so a compiled kernel that fails to build falls back (``auto``) or
+    raises (pinned ``compiled``) the same way on both paths."""
+
+    PATHS = ("execute_schedule", "OperatorModule.run")
+
+    @pytest.fixture
+    def failing_compile(self, monkeypatch):
+        import repro.codegen.clang_runtime as clang_runtime
+
+        def fail(program, inputs):
+            raise clang_runtime.CompileError("injected compile failure")
+
+        monkeypatch.setattr(clang_runtime, "compiler_available", lambda: True)
+        monkeypatch.setattr(clang_runtime, "execute_program_compiled", fail)
+        monkeypatch.setattr(interpreter, "COMPILED_MIN_FLOPS", 0)
+
+    def _run(self, path, schedule, backend, inputs):
+        from repro.codegen.runtime import OperatorModule
+
+        if path == "execute_schedule":
+            return execute_schedule(schedule, inputs, backend=backend)
+        module = OperatorModule(schedule, A100, exec_backend=backend)
+        return module.run(inputs)
+
+    def _schedule(self, chain):
+        return build_schedule(
+            chain, TilingExpr.parse("mhnk"), {"m": 32, "n": 16, "k": 16, "h": 16}
+        )
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_auto_falls_back_to_vectorized(self, path, failing_compile, small_gemm):
+        schedule = self._schedule(small_gemm)
+        inputs = small_gemm.random_inputs(0)
+        expected = execute_schedule(schedule, inputs, backend="vectorized")
+        out = self._run(path, schedule, "auto", inputs)
+        np.testing.assert_array_equal(
+            out[small_gemm.output], expected[small_gemm.output]
+        )
+        registry = get_metrics()
+        assert registry.counter("exec.fallback.compiled.render-error").value == 1
+        assert registry.counter("exec.fallback").value == 1
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_pinned_compiled_raises(self, path, failing_compile, small_gemm):
+        from repro.codegen.clang_runtime import CompileError
+
+        schedule = self._schedule(small_gemm)
+        with pytest.raises(CompileError, match="injected"):
+            self._run(path, schedule, "compiled", small_gemm.random_inputs(0))
         assert get_metrics().counter("exec.fallback").value == 0
 
 
@@ -251,7 +310,7 @@ class TestExplainExecBackend:
         import repro.codegen.clang_runtime as clang_runtime
 
         monkeypatch.setattr(clang_runtime, "compiler_available", lambda: True)
-        monkeypatch.setenv("REPRO_COMPILED_MIN_FLOPS", "1e18")
+        monkeypatch.setattr(interpreter, "COMPILED_MIN_FLOPS", 1e18)
         out = explain_exec_backend(self._schedule(small_gemm), "compiled")
         assert out["resolved"] == "compiled"
         assert out["fallbacks"] == []
@@ -282,8 +341,7 @@ class TestCompileModelDetail:
             128,
         )
         result = compile_model(
-            graph, a100, "mcfuser+relay", seed=0,
-            tuner_kwargs=QUICK,
+            graph, a100, "mcfuser+relay", config=TRACE_QUICK,
         )
         assert result.mbci_subgraphs > 0
         fallbacks = result.detail["fallbacks"]
@@ -304,7 +362,7 @@ class TestCompileModelDetail:
             BertConfig("Bert-Tiny", layers=1, hidden=256, heads=4, intermediate=512),
             128,
         )
-        compile_model(graph, a100, "mcfuser+relay", seed=0, tuner_kwargs=QUICK)
+        compile_model(graph, a100, "mcfuser+relay", config=TRACE_QUICK)
         spans = _spans_by_name(tracer)
         for name in ("compile.model", "partition", "tune", "execute.model",
                      "compile.schedule"):

@@ -19,9 +19,10 @@ class TestReadmeQuickstart:
         chain = repro.attention_chain(heads=4, m=128, n=128, k=32, h=32)
         assert chain.is_mbci(repro.A100)
 
-        tuner = repro.MCFuserTuner(
-            repro.A100, population_size=64, top_n=4, max_rounds=2, min_rounds=1
+        config = repro.SessionConfig.make(
+            population_size=64, top_n=4, max_rounds=2, min_rounds=1
         )
+        tuner = repro.MCFuserTuner(repro.A100, config=config)
         report = tuner.tune(chain)
         assert report.best_time > 0
         assert "T" in report.best_candidate.describe()

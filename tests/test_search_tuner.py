@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import QUICK
 from repro.codegen.interpreter import execute_schedule
+from repro.config import SessionConfig
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import attention_chain, gemm_chain
 from repro.search.tuner import MCFuserTuner
@@ -14,7 +16,7 @@ class TestTuneGemm:
     @pytest.fixture(scope="class")
     def report(self):
         chain = gemm_chain(1, 256, 256, 64, 64, name="tune-g")
-        return MCFuserTuner(A100, seed=0).tune(chain)
+        return MCFuserTuner(A100, config=SessionConfig()).tune(chain)
 
     def test_report_fields(self, report):
         assert report.best_time > 0
@@ -41,8 +43,8 @@ class TestTuneGemm:
 
     def test_deterministic(self):
         chain = gemm_chain(1, 256, 256, 64, 64, name="tune-det")
-        a = MCFuserTuner(A100, seed=1).tune(chain)
-        b = MCFuserTuner(A100, seed=1).tune(chain)
+        a = MCFuserTuner(A100, config=SessionConfig.make(seed=1)).tune(chain)
+        b = MCFuserTuner(A100, config=SessionConfig.make(seed=1)).tune(chain)
         assert a.best_candidate.key == b.best_candidate.key
         assert a.best_time == b.best_time
 
@@ -51,7 +53,7 @@ class TestTuneAttention:
     @pytest.fixture(scope="class")
     def report(self):
         chain = attention_chain(8, 256, 256, 64, 64, name="tune-a")
-        return MCFuserTuner(A100, seed=0).tune(chain)
+        return MCFuserTuner(A100, config=SessionConfig()).tune(chain)
 
     def test_attention_correct(self, report):
         chain = report.chain
@@ -66,10 +68,13 @@ class TestTuneAttention:
         assert report.pruning.classes_rule2 >= 2
 
 
+CHIMERA = SessionConfig.make(variant="chimera")
+
+
 class TestChimeraVariant:
     def test_restricted_space(self):
         chain = gemm_chain(1, 256, 256, 64, 64, name="tune-c")
-        report = MCFuserTuner(A100, variant="chimera", seed=0).tune(chain)
+        report = MCFuserTuner(A100, config=CHIMERA).tune(chain)
         assert report.variant == "chimera"
         assert report.best_candidate.expr.is_deep
         assert not report.best_schedule.optimized
@@ -79,20 +84,20 @@ class TestChimeraVariant:
         ratios = []
         for cfg in [(1, 512, 256, 64, 128), (1, 512, 512, 256, 256), (4, 512, 512, 64, 64)]:
             chain = gemm_chain(*cfg, name=f"cmp{cfg[1]}-{cfg[3]}-{cfg[4]}")
-            full = MCFuserTuner(A100, seed=0).tune(chain).best_time
-            restricted = MCFuserTuner(A100, variant="chimera", seed=0).tune(chain).best_time
+            full = MCFuserTuner(A100, config=SessionConfig()).tune(chain).best_time
+            restricted = MCFuserTuner(A100, config=CHIMERA).tune(chain).best_time
             ratios.append(restricted / full)
         assert np.prod(ratios) ** (1 / len(ratios)) >= 0.98
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            MCFuserTuner(A100, variant="magic")
+            MCFuserTuner(A100, config=SessionConfig.make(variant="magic"))
 
 
 class TestOtherGPU:
     def test_rtx3080_tunes(self):
         chain = gemm_chain(1, 256, 256, 64, 64, name="tune-3080")
-        report = MCFuserTuner(RTX3080, seed=0).tune(chain)
+        report = MCFuserTuner(RTX3080, config=SessionConfig()).tune(chain)
         assert report.best_time > 0
         assert report.gpu.name == "RTX3080"
 
@@ -120,18 +125,18 @@ class TestTuningClock:
 
 
 class TestExecBackendAndVerification:
-    CHAIN_KW = dict(population_size=96, top_n=6, max_rounds=3, min_rounds=2)
+    CHAIN_KW = QUICK.evolve(population_size=96, top_n=6, max_rounds=3, min_rounds=2)
 
     def _chain(self, name):
         return gemm_chain(1, 256, 256, 64, 64, name=name)
 
     def test_report_records_resolved_backend(self):
-        report = MCFuserTuner(A100, seed=0, **self.CHAIN_KW).tune(self._chain("eb-r"))
+        report = MCFuserTuner(A100, config=self.CHAIN_KW).tune(self._chain("eb-r"))
         assert report.exec_backend in ("vectorized", "scalar")
         assert not report.verified
 
     def test_verify_best_marks_report(self):
-        report = MCFuserTuner(A100, seed=0, verify="best", **self.CHAIN_KW).tune(
+        report = MCFuserTuner(A100, config=self.CHAIN_KW.evolve(verify="best")).tune(
             self._chain("eb-vb")
         )
         assert report.verified
@@ -140,8 +145,8 @@ class TestExecBackendAndVerification:
     def test_verify_all_matches_unverified_search(self):
         """Every candidate the simulator accepts is numerically correct on
         these chains, so verify='all' must not change the outcome."""
-        plain = MCFuserTuner(A100, seed=0, **self.CHAIN_KW).tune(self._chain("eb-p"))
-        checked = MCFuserTuner(A100, seed=0, verify="all", **self.CHAIN_KW).tune(
+        plain = MCFuserTuner(A100, config=self.CHAIN_KW).tune(self._chain("eb-p"))
+        checked = MCFuserTuner(A100, config=self.CHAIN_KW.evolve(verify="all")).tune(
             self._chain("eb-p")
         )
         assert checked.verified
@@ -149,11 +154,11 @@ class TestExecBackendAndVerification:
         assert checked.best_time == plain.best_time
 
     def test_backends_agree_on_results(self):
-        scalar = MCFuserTuner(A100, seed=0, exec_backend="scalar", **self.CHAIN_KW).tune(
-            self._chain("eb-s")
-        )
+        scalar = MCFuserTuner(
+            A100, config=self.CHAIN_KW.evolve(exec_backend="scalar")
+        ).tune(self._chain("eb-s"))
         vector = MCFuserTuner(
-            A100, seed=0, exec_backend="vectorized", **self.CHAIN_KW
+            A100, config=self.CHAIN_KW.evolve(exec_backend="vectorized")
         ).tune(self._chain("eb-s"))
         assert scalar.best_candidate.key == vector.best_candidate.key
         assert scalar.best_time == vector.best_time
@@ -165,24 +170,32 @@ class TestExecBackendAndVerification:
 
         cache = ScheduleCache(tmp_path / "c")
         chain = self._chain("eb-c")
-        cold = MCFuserTuner(A100, seed=0, cache=cache, verify="best", **self.CHAIN_KW).tune(chain)
-        warm = MCFuserTuner(A100, seed=0, cache=cache, verify="best", **self.CHAIN_KW).tune(chain)
+        cold = MCFuserTuner(
+            A100,
+            cache=cache,
+            config=self.CHAIN_KW.evolve(verify="best"),
+        ).tune(chain)
+        warm = MCFuserTuner(
+            A100,
+            cache=cache,
+            config=self.CHAIN_KW.evolve(verify="best"),
+        ).tune(chain)
         assert not cold.cache_hit and warm.cache_hit
         assert warm.verified
         assert warm.exec_backend == cold.exec_backend
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
-            MCFuserTuner(A100, exec_backend="cuda")
+            MCFuserTuner(A100, config=SessionConfig.make(exec_backend="cuda"))
         with pytest.raises(ValueError):
-            MCFuserTuner(A100, verify="sometimes")
+            MCFuserTuner(A100, config=SessionConfig.make(verify="sometimes"))
 
     def test_wrong_schedule_detected(self):
         """check_schedule flags a schedule built for different shapes."""
         from repro.tiling.expr import TilingExpr
         from repro.tiling.schedule import build_schedule
 
-        tuner = MCFuserTuner(A100, seed=0, verify="best", **self.CHAIN_KW)
+        tuner = MCFuserTuner(A100, config=self.CHAIN_KW.evolve(verify="best"))
         chain = self._chain("eb-w")
         good = build_schedule(
             chain, TilingExpr.parse("mhnk"), {"m": 32, "n": 32, "k": 16, "h": 16}
@@ -196,7 +209,7 @@ class TestExecBackendAndVerification:
 
     def test_verify_data_keyed_by_content_not_name(self):
         """Two chains sharing a name must not share verification data."""
-        tuner = MCFuserTuner(A100, seed=0, verify="best", **self.CHAIN_KW)
+        tuner = MCFuserTuner(A100, config=self.CHAIN_KW.evolve(verify="best"))
         a = tuner.tune(gemm_chain(1, 256, 256, 64, 64, name="same-name"))
         b = tuner.tune(gemm_chain(1, 128, 128, 32, 32, name="same-name"))
         assert a.verified and b.verified
@@ -208,7 +221,7 @@ class TestExecBackendAndVerification:
 
         cache = ScheduleCache(tmp_path / "c")
         chain = self._chain("eb-rb")
-        cold = MCFuserTuner(A100, seed=0, cache=cache, **self.CHAIN_KW).tune(chain)
+        cold = MCFuserTuner(A100, cache=cache, config=self.CHAIN_KW).tune(chain)
         entry = cache.get(chain, A100, "mcfuser")
         warm = report_from_entry(chain, A100, entry)
         assert warm.exec_backend in ("vectorized", "scalar")

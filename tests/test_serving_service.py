@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from conftest import QUICK
 from repro.cache import ScheduleCache
 from repro.cli import main
+from repro.config import SessionConfig
 from repro.frontend.executor import compile_model
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import gemm_chain
@@ -20,8 +22,6 @@ from repro.serving import (
     ServiceClosed,
     TieredCache,
 )
-
-QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 
 #: Request outcomes that terminate a ticket (for reconciliation sums).
 OUTCOMES = (
@@ -40,9 +40,12 @@ def chain_for(i: int):
     return gemm_chain(1, 96 + 16 * i, 96, 32, 32, name=f"svc-{i}")
 
 
-def quick_service(**kwargs) -> CompileService:
-    kwargs.setdefault("tuner_kwargs", QUICK)
-    return CompileService(A100, **kwargs)
+def quick_service(
+    workers: int = 4, queue_limit: int = 256, **resources
+) -> CompileService:
+    """A quick-budget service with ``workers`` tune threads."""
+    config = QUICK.evolve(serve_workers=workers, queue_limit=queue_limit)
+    return CompileService(A100, config=config, **resources)
 
 
 def outcome_sum(registry: MetricsRegistry) -> int:
@@ -208,6 +211,29 @@ class TestLanesAndShedding:
         assert counters["serve.errors"] == 1
         svc["svc"].close()
 
+    def test_fan_out_failure_fails_tickets_and_worker_survives(self, monkeypatch):
+        """An exception after the tune — here in rebinding a ticket's
+        report — fails the waiting ticket instead of killing the worker:
+        the next request still resolves and nothing stays in flight."""
+        original = CompileService._report_for_ticket
+        calls = []
+
+        def broken_rebind(self, job, report, ticket):
+            calls.append(ticket)
+            if len(calls) == 1:
+                raise RuntimeError("injected rebind failure")
+            return original(self, job, report, ticket)
+
+        monkeypatch.setattr(CompileService, "_report_for_ticket", broken_rebind)
+        registry = MetricsRegistry()
+        with quick_service(workers=1, telemetry=registry) as svc:
+            first = svc.submit(chain_for(70))
+            with pytest.raises(RuntimeError, match="injected rebind failure"):
+                first.result(timeout=5)
+            second = svc.submit(chain_for(71))
+            assert second.result(timeout=5).source == "tuned"
+        assert registry.snapshot()["gauges"]["serve.inflight"] == 0
+
 
 class TestStress:
     def test_threaded_stress_one_tune_per_signature(self):
@@ -311,10 +337,12 @@ class TestPrefetchAndModels:
     def test_compile_model_through_service(self):
         graph = _tiny_attention_graph()
         with quick_service(workers=2) as svc:
-            cold = compile_model(graph, A100, "mcfuser+relay", service=svc,
-                                 tuner_kwargs=QUICK)
-            warm = compile_model(graph, A100, "mcfuser+relay", service=svc,
-                                 tuner_kwargs=QUICK)
+            cold = compile_model(
+                graph, A100, "mcfuser+relay", service=svc, config=svc.config
+            )
+            warm = compile_model(
+                graph, A100, "mcfuser+relay", service=svc, config=svc.config
+            )
         assert cold.detail["served"] == {"tuned": 1}
         assert warm.detail["served"] == {"hot": 1}
         assert warm.detail["cache_hits"] == 1
@@ -374,7 +402,8 @@ class TestServeCLI:
 
 class TestExecBackend:
     def test_backend_threaded_into_reports(self):
-        with quick_service(exec_backend="vectorized") as svc:
+        config = QUICK.evolve(exec_backend="vectorized")
+        with CompileService(A100, config=config) as svc:
             cold = svc.compile(chain_for(60))
             warm = svc.compile(chain_for(60))
         assert cold.source == "tuned"
@@ -384,4 +413,4 @@ class TestExecBackend:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            CompileService(A100, exec_backend="cuda")
+            CompileService(A100, config=SessionConfig.make(exec_backend="cuda"))

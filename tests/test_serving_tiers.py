@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import QUICK
 from repro.cache import ScheduleCache
 from repro.cache.store import CacheEntry
 from repro.gpu.specs import A100
@@ -9,8 +10,6 @@ from repro.ir.chain import gemm_chain
 from repro.search.tuner import MCFuserTuner
 from repro.serving.telemetry import MetricsRegistry
 from repro.serving.tiers import HotTier, TieredCache
-
-QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 
 
 def make_entry(sig: str) -> CacheEntry:
@@ -92,7 +91,7 @@ class TestTieredCache:
         cache_dir = tmp_path_factory.mktemp("tiered")
         base = ScheduleCache(cache_dir)
         chain = gemm_chain(1, 128, 128, 64, 64, name="tiered-g")
-        MCFuserTuner(A100, seed=0, cache=base, **QUICK).tune(chain)
+        MCFuserTuner(A100, cache=base, config=QUICK).tune(chain)
         return cache_dir, chain
 
     def test_lookup_tier_progression(self, warmed):
@@ -146,7 +145,7 @@ class TestTieredCache:
         base = ScheduleCache(tmp_path)
         tiered = TieredCache(base)
         chain = gemm_chain(1, 96, 96, 32, 32, name="wt")
-        report = MCFuserTuner(A100, seed=0, **QUICK).tune(chain)
+        report = MCFuserTuner(A100, config=QUICK).tune(chain)
         entry = tiered.put(chain, A100, report)
         assert entry is not None
         assert tiered.lookup(entry.signature)[1] == "hot"
@@ -169,7 +168,7 @@ class TestTieredCache:
     def test_stats_and_clear(self, tmp_path):
         tiered = TieredCache(ScheduleCache(tmp_path))
         chain = gemm_chain(1, 96, 80, 32, 32, name="st")
-        report = MCFuserTuner(A100, seed=0, **QUICK).tune(chain)
+        report = MCFuserTuner(A100, config=QUICK).tune(chain)
         tiered.put(chain, A100, report)
         stats = tiered.stats()
         assert stats["hot_entries"] == 1 and stats["disk_entries"] == 1

@@ -1,11 +1,12 @@
 """Tests for the Session layer: lazy resource ownership, config plumbing,
-behavioral parity with hand-wired tuners, and the one-warning deprecation
-contract of every shimmed entry point."""
+behavioral parity with hand-wired tuners, and the config-only signatures
+of every entry point."""
 
 import warnings
 
 import pytest
 
+from conftest import QUICK
 from repro.cache.batch import BatchTuner
 from repro.cache.cache import ScheduleCache
 from repro.config import SessionConfig
@@ -17,11 +18,14 @@ from repro.search.tuner import MCFuserTuner
 from repro.serving.service import CompileService
 from repro.session import Session
 
-QUICK = dict(population_size=64, top_n=4, max_rounds=3, min_rounds=2, seed=0)
+SESSION_QUICK = QUICK.evolve(max_rounds=3, min_rounds=2)
 
 
 def quick_config(**extra):
-    return SessionConfig.make(cache_enabled=False, **QUICK, **extra)
+    return SESSION_QUICK.evolve(cache_enabled=False, **extra)
+
+
+BERT_SMALL = bert_encoder("Bert-Small", 128)
 
 
 @pytest.fixture
@@ -58,7 +62,7 @@ class TestResourceOwnership:
         assert Session(quick_config()).cache is None
 
     def test_cache_materialized_once(self, tmp_path):
-        session = Session(SessionConfig.make(cache_dir=str(tmp_path), **QUICK))
+        session = Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path)))
         cache = session.cache
         assert isinstance(cache, ScheduleCache)
         assert session.cache is cache  # owned singleton
@@ -68,7 +72,7 @@ class TestResourceOwnership:
 
     def test_cost_model_materialized_when_guided(self, tmp_path):
         session = Session(
-            SessionConfig.make(cache_dir=str(tmp_path), measure_topk=1, **QUICK)
+            SESSION_QUICK.evolve(cache_dir=str(tmp_path), measure_topk=1)
         )
         model = session.cost_model
         assert model is not None
@@ -79,14 +83,14 @@ class TestResourceOwnership:
         assert session.metrics is session.metrics
 
     def test_tuner_shares_session_resources(self, tmp_path):
-        session = Session(SessionConfig.make(cache_dir=str(tmp_path), **QUICK))
+        session = Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path)))
         tuner = session.tuner()
         assert tuner.cache is session.cache
         assert tuner.config == session.config
 
     def test_service_wired_to_session(self, tmp_path):
         session = Session(
-            SessionConfig.make(cache_dir=str(tmp_path), serve_workers=2, **QUICK)
+            SESSION_QUICK.evolve(cache_dir=str(tmp_path), serve_workers=2)
         )
         try:
             service = session.service
@@ -101,7 +105,7 @@ class TestResourceOwnership:
 
     def test_context_manager_closes(self, tmp_path, chain):
         with Session(
-            SessionConfig.make(cache_dir=str(tmp_path), serve_workers=2, **QUICK)
+            SESSION_QUICK.evolve(cache_dir=str(tmp_path), serve_workers=2)
         ) as session:
             assert session.service is not None
         # service shut down; a fresh access restarts it
@@ -123,13 +127,13 @@ class TestWork:
             gemm_chain(batch=1, m=128, n=64, k=32, h=32, name="Ga"),
             gemm_chain(batch=1, m=64, n=64, k=32, h=32, name="Gb"),
         ]
-        session = Session(SessionConfig.make(cache_dir=str(tmp_path), **QUICK))
+        session = Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path)))
         result = session.tune_all(chains, max_workers=2)
         assert len(result.reports) == len(chains)
         assert result.unique + result.duplicates == len(chains)
 
     def test_compile_model(self, tmp_path):
-        session = Session(SessionConfig.make(cache_dir=str(tmp_path), **QUICK))
+        session = Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path)))
         result = session.compile(bert_encoder("Bert-Small", 128), strategy="relay")
         assert result.time > 0
 
@@ -138,7 +142,7 @@ class TestWork:
 
         try:
             session = Session(
-                SessionConfig.make(cache_dir=str(tmp_path), trace=True, **QUICK)
+                SESSION_QUICK.evolve(cache_dir=str(tmp_path), trace=True)
             )
             assert session.tracer is get_tracer()
             assert session.tracer.enabled
@@ -147,41 +151,14 @@ class TestWork:
 
 
 class TestDeprecationShims:
-    """Every shimmed entry point warns exactly once, is behavior-identical,
-    and stays silent when no legacy knob is passed."""
-
-    def _warnings(self):
-        ctx = warnings.catch_warnings(record=True)
-        rec = ctx.__enter__()
-        warnings.simplefilter("always")
-        return ctx, rec
-
-    def test_tuner_warns_exactly_once(self, chain):
-        with pytest.warns(DeprecationWarning, match="search.seed") as record:
-            MCFuserTuner(A100, seed=3, max_rounds=2, min_rounds=1)
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
+    """The keyword shims are gone: every entry point takes its knobs from
+    ``config=`` only, rejects the old keywords, and the config path never
+    warns."""
 
     def test_tuner_config_path_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             MCFuserTuner(A100, config=quick_config())
-
-    def test_tuner_shim_behavior_identical(self, chain):
-        with pytest.warns(DeprecationWarning):
-            legacy = MCFuserTuner(A100, **QUICK).tune(chain)
-        modern = MCFuserTuner(A100, config=SessionConfig.make(**QUICK)).tune(chain)
-        assert legacy.best_time == modern.best_time
-
-    def test_batch_tuner_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            BatchTuner(A100, seed=3, cache=ScheduleCache(path=None))
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-
-    def test_service_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning, match="serve.workers") as record:
-            service = CompileService(A100, workers=2)
-        service.close()
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
 
     def test_service_config_path_is_silent(self):
         with warnings.catch_warnings():
@@ -189,14 +166,29 @@ class TestDeprecationShims:
             service = CompileService(A100, config=quick_config())
         service.close()
 
-    def test_compile_model_warns_exactly_once(self):
-        graph = bert_encoder("Bert-Small", 128)
-        with pytest.warns(DeprecationWarning, match="search.seed") as record:
-            compile_model(graph, A100, "relay", seed=0)
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-
     def test_compile_model_config_path_is_silent(self):
         graph = bert_encoder("Bert-Small", 128)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             compile_model(graph, A100, "relay", config=quick_config())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: MCFuserTuner(A100, seed=3),
+            lambda: MCFuserTuner(A100, population_size=64),
+            lambda: BatchTuner(A100, seed=3, cache=ScheduleCache(path=None)),
+            lambda: BatchTuner(A100, max_rounds=2),
+            lambda: CompileService(A100, workers=2),
+            lambda: CompileService(A100, seed=3),
+            lambda: compile_model(BERT_SMALL, A100, "relay", seed=0),
+            lambda: compile_model(BERT_SMALL, A100, "relay", search_strategy="random"),
+        ],
+        ids=[
+            "tuner-seed", "tuner-budget", "batch-seed", "batch-budget",
+            "service-workers", "service-seed", "compile-seed", "compile-strategy",
+        ],
+    )
+    def test_old_keywords_raise_type_error(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()

@@ -405,12 +405,13 @@ class TestZooBackendSelection:
 
     @pytest.mark.parametrize("model", ["ffn-base", "gqa-32x8"])
     def test_zoo_model_vectorized_and_parity(self, model):
+        from repro.config import SessionConfig
         from repro.frontend.executor import compile_model
 
         result = compile_model(
             model,
             A100,
-            tuner_kwargs={"population_size": 64, "max_rounds": 2, "min_rounds": 1},
+            config=SessionConfig.make(population_size=64, max_rounds=2, min_rounds=1),
         )
         backends = result.detail["exec_backend"]
         lowered = backends.get("vectorized", 0) + backends.get("compiled", 0)

@@ -9,6 +9,7 @@ unfused graph execution.
 import numpy as np
 import pytest
 
+from conftest import QUICK
 from repro.codegen.runtime import compile_schedule
 from repro.frontend.executor import compile_model
 from repro.frontend.partition import partition_graph
@@ -26,8 +27,6 @@ from repro.workloads import (
     workload_families,
     workload_names,
 )
-
-QUICK = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 
 
 class TestRegistry:
@@ -92,7 +91,7 @@ class TestZooFusesEndToEnd:
         assert sg.kind == expected_kind
 
         env = graph.execute(graph.random_feed(seed=0, scale=0.05))
-        report = MCFuserTuner(A100, seed=0, **QUICK).tune(sg.chain)
+        report = MCFuserTuner(A100, config=QUICK).tune(sg.chain)
         module = compile_schedule(report.best_schedule, A100)
         fused = module.run(sg.bind_inputs(env))[sg.chain.output]
         np.testing.assert_allclose(
@@ -137,7 +136,7 @@ class TestZooFusesEndToEnd:
         assert all(r.detail for r in partition.rejected)
 
     def test_compile_model_by_registry_name(self):
-        result = compile_model("lora-base", A100, "mcfuser+relay", tuner_kwargs=QUICK)
+        result = compile_model("lora-base", A100, "mcfuser+relay", config=QUICK)
         assert result.mbci_subgraphs == 1
         assert result.detail["rejections"] == {"unsupported-op": 1}
 
@@ -149,11 +148,11 @@ class TestZooFusesEndToEnd:
 class TestZooBeatsLibraryPath:
     # the FFN shapes need a few search rounds before the fused kernel wins,
     # so this test uses the zoo experiment driver's budget, not QUICK
-    TUNER = dict(population_size=96, top_n=6, max_rounds=3, min_rounds=2)
+    TUNER = QUICK.evolve(population_size=96, top_n=6, max_rounds=3, min_rounds=2)
 
     @pytest.mark.parametrize("name", ["ffn-base", "gqa-32x8", "xattn-enc-dec"])
     def test_fusion_speeds_up_model(self, name):
         relay = compile_model(name, A100, "relay")
-        fused = compile_model(name, A100, "mcfuser+relay", tuner_kwargs=self.TUNER)
+        fused = compile_model(name, A100, "mcfuser+relay", config=self.TUNER)
         assert fused.time < relay.time
         assert fused.kernel_count < relay.kernel_count
