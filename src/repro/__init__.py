@@ -20,7 +20,7 @@ Layers (see docs/architecture.md):
 * :mod:`repro.codegen`    — TIR / Triton-IR / PTX emission + interpreter
 * :mod:`repro.baselines`  — PyTorch, Relay, Ansor, BOLT, FlashAttention, Chimera
 * :mod:`repro.frontend`   — model builders, partitioner, end-to-end executor
-* :mod:`repro.serving`    — compile service: coalescing, tiered cache, telemetry
+* :mod:`repro.serving`    — compile service: coalescing, cache reads, telemetry
 * :mod:`repro.workloads`  — Tables II and III
 * :mod:`repro.experiments`— one driver per paper figure/table
 """

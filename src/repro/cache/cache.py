@@ -1,4 +1,4 @@
-"""ScheduleCache: the two-level (memory LRU + JSON disk) compilation cache.
+"""ScheduleCache: the signature-keyed (JSON on disk) compilation cache.
 
 This is the front door of the caching subsystem. The tuner asks the cache
 *before* generating a search space; on a hit the stored tiling decision is
@@ -8,15 +8,17 @@ rebuild that performs **zero** enumeration, pruning, or measurement. On a
 miss the tuner runs the normal enumerate → prune → search pipeline and
 stores the winner.
 
-Layering::
-
-    lookup(chain)  ->  LRU (in-process)  ->  JSON store (cross-process)  ->  miss
-
-Hits found only on disk are promoted into the LRU. All operations are
-thread-safe (``BatchTuner`` tunes concurrently against one cache).
+Each cache holds exactly one signature -> entry map, the
+:class:`~repro.cache.store.PersistentStore`: loaded from the JSON file
+when the cache opens, merged with other processes' writes on every flush.
+:meth:`ScheduleCache.lookup` records the hit or miss (persistently);
+:meth:`ScheduleCache.peek` reads the same map without recording anything —
+the serving layer's warm path. All operations are thread-safe
+(``BatchTuner`` tunes concurrently against one cache).
 
 The default persistent location is ``$REPRO_CACHE_DIR`` when set, else
-``~/.cache/mcfuser-repro``; pass ``path=None`` for a memory-only cache.
+``~/.cache/mcfuser-repro``; pass ``path=None`` for a memory-only cache
+(the same bounded map, never written to disk).
 
 Keys cover the *workload* — chain structure, shapes, dtype, GPU spec,
 tuner variant, and search strategy (non-default strategies get a
@@ -35,7 +37,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.cache.signature import DEFAULT_STRATEGY, variant_key, workload_signature
-from repro.cache.store import CacheEntry, LRUCache, PersistentStore
+from repro.cache.store import CacheEntry, PersistentStore
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import Schedule, build_schedule
 
@@ -64,12 +66,12 @@ class CacheStats:
     ``hits``/``misses``/``stores`` count operations performed through this
     :class:`ScheduleCache` instance; ``total_hits``/``total_misses`` include
     activity persisted by earlier processes sharing the same store.
+    ``disk_entries`` counts persisted entries (0 for a memory-only cache).
     """
 
     hits: int
     misses: int
     stores: int
-    memory_entries: int
     disk_entries: int
     total_hits: int
     total_misses: int
@@ -87,9 +89,8 @@ class ScheduleCache:
 
     Args:
         path: Directory for the JSON store, or ``None`` for memory-only.
-        memory_capacity: In-process LRU size (0 disables the layer).
-        max_entries: Disk-store eviction threshold (least recently used
-            entries are dropped first).
+        max_entries: Eviction threshold of the entry map (least recently
+            used entries are dropped first).
 
     Typical use::
 
@@ -102,17 +103,14 @@ class ScheduleCache:
     def __init__(
         self,
         path: str | os.PathLike | None = None,
-        memory_capacity: int = 128,
         max_entries: int = 512,
     ) -> None:
         self._lock = threading.RLock()
-        self._memory = LRUCache(memory_capacity)
-        self._store: PersistentStore | None = None
         self.path: str | None = None
         if path is not None:
             directory = os.path.expanduser(os.fspath(path))
             self.path = os.path.join(directory, STORE_FILENAME)
-            self._store = PersistentStore(self.path, max_entries=max_entries)
+        self._store = PersistentStore(self.path, max_entries=max_entries)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -128,61 +126,36 @@ class ScheduleCache:
     def get(self, chain, gpu, variant: str = "mcfuser") -> CacheEntry | None:
         """Look up a tuned schedule; records the hit/miss persistently.
 
-        Returns the :class:`CacheEntry` on a hit (memory first, then disk,
-        with disk hits promoted into the LRU), else ``None``.
+        Returns the :class:`CacheEntry` on a hit, else ``None``.
         """
-        return self.lookup(self.signature_for(chain, gpu, variant))[0]
+        return self.lookup(self.signature_for(chain, gpu, variant))
 
-    def lookup(self, signature: str) -> tuple[CacheEntry | None, str | None]:
-        """Recording lookup by precomputed signature: ``(entry, layer)``.
+    def lookup(self, signature: str) -> CacheEntry | None:
+        """Recording lookup by precomputed signature (see :meth:`get`).
 
-        ``layer`` names where the hit was found (``"memory"`` or
-        ``"disk"``; ``None`` on a miss) — the serving layer's tiered cache
-        computes signatures once up front and needs the layer label for its
-        per-tier hit counters. Accounting is identical to :meth:`get`.
+        A hit refreshes the entry's recency and, for a persistent cache,
+        flushes the store, so ``repro cache stats`` in another process
+        sees it.
         """
         with self._lock:
-            entry = self._memory.get(signature)
-            layer = "memory" if entry is not None else None
-            if entry is None and self._store is not None:
-                entry = self._store.get(signature)
-                if entry is not None:
-                    layer = "disk"
-                    self._memory.put(signature, entry)
+            entry = self._store.get(signature)
             if entry is None:
                 self.misses += 1
-                if self._store is not None:
-                    self._store.record_miss()
-                return None, None
+                self._store.record_miss()
+                return None
             self.hits += 1
-            if self._store is not None:
-                self._store.record_hit(entry)
-            else:
-                entry.hits += 1
-            return entry, layer
+            self._store.record_hit(entry)
+            return entry
 
     def peek(self, signature: str) -> CacheEntry | None:
         """Non-recording lookup by raw signature.
 
-        Unlike :meth:`get` this neither counts a hit/miss nor refreshes LRU
-        recency — it is a planning query (used by the partitioner and the
-        warmup command to see what work remains), not a tuning-path lookup.
+        Unlike :meth:`get` this neither counts a hit/miss, refreshes
+        recency, nor writes the store — it is the serving layer's warm read
+        and a planning query (used by the partitioner and the warmup
+        command to see what work remains).
         """
-        return self.peek_tiered(signature)[0]
-
-    def peek_tiered(self, signature: str) -> tuple[CacheEntry | None, str | None]:
-        """:meth:`peek`, plus which layer held the entry (``"memory"``/
-        ``"disk"``; ``None`` on a miss) — the serving layer's locked
-        re-check needs the label for its per-tier hit counters."""
-        with self._lock:
-            entry = self._memory.peek(signature)
-            if entry is not None:
-                return entry, "memory"
-            if self._store is not None:
-                entry = self._store.get(signature)
-                if entry is not None:
-                    return entry, "disk"
-            return None, None
+        return self._store.get(signature)
 
     def put(self, chain, gpu, report, signature: str | None = None) -> CacheEntry | None:
         """Store the result of one tuning run (a ``TuneReport``).
@@ -217,9 +190,7 @@ class ScheduleCache:
             tuning_seconds=report.tuning_seconds,
         )
         with self._lock:
-            self._memory.put(entry.signature, entry)
-            if self._store is not None:
-                self._store.put(entry)
+            self._store.put(entry)
             self.stores += 1
         return entry
 
@@ -245,24 +216,21 @@ class ScheduleCache:
                 hits=self.hits,
                 misses=self.misses,
                 stores=self.stores,
-                memory_entries=len(self._memory),
-                disk_entries=len(self._store) if self._store is not None else 0,
-                total_hits=self._store.hits if self._store is not None else self.hits,
-                total_misses=self._store.misses if self._store is not None else self.misses,
+                disk_entries=len(self._store) if self.path is not None else 0,
+                total_hits=self._store.hits,
+                total_misses=self._store.misses,
                 path=self.path,
             )
 
     def entries(self) -> list[CacheEntry]:
         """Persisted entries, most recently used first (empty if memory-only)."""
         with self._lock:
-            return self._store.entries() if self._store is not None else []
+            return self._store.entries() if self.path is not None else []
 
     def clear(self) -> None:
-        """Drop both layers and the on-disk file; counters reset to zero."""
+        """Drop every entry and the on-disk file; counters reset to zero."""
         with self._lock:
-            self._memory.clear()
-            if self._store is not None:
-                self._store.clear()
+            self._store.clear()
             self.hits = 0
             self.misses = 0
             self.stores = 0

@@ -1,16 +1,16 @@
-"""Storage layers of the schedule cache: entries, in-memory LRU, JSON disk.
-
-Three pieces, composed by :class:`~repro.cache.cache.ScheduleCache`:
+"""Storage pieces of the caching subsystem: entries, an LRU map, JSON disk.
 
 * :class:`CacheEntry` — one tuned result, reduced to what is needed to
   rebuild the schedule without re-running search: the tiling expression
   text, the tile sizes, the DAG-optimization flag, and accounting numbers.
-* :class:`LRUCache` — a bounded in-memory layer so hot workloads never
-  touch the filesystem.
-* :class:`PersistentStore` — a versioned JSON file with atomic writes,
-  least-recently-used eviction, and corrupted-file recovery (a damaged
-  store is moved aside to ``<path>.corrupt`` and an empty store started,
-  never an exception into the tuning path).
+* :class:`PersistentStore` — the one signature -> entry map behind a
+  :class:`~repro.cache.cache.ScheduleCache`: a versioned JSON file with
+  atomic writes, least-recently-used eviction, and corrupted-file recovery
+  (a damaged store is moved aside to ``<path>.corrupt`` and an empty store
+  started, never an exception into the tuning path). With ``path=None``
+  it is the same bounded map, kept in memory only.
+* :class:`LRUCache` — a bounded in-memory key -> value map, used by
+  codegen's compiled-kernel memo and :class:`~repro.codegen.clang_runtime.ClangRuntime`.
 
 The persistent store also keeps *cumulative* hit/miss counters in the file
 itself, so ``repro cache stats`` reports activity across processes, not
@@ -121,9 +121,7 @@ class LRUCache:
     """Bounded in-memory key -> value map with least-recently-used eviction.
 
     ``get`` refreshes recency; inserting beyond ``capacity`` evicts the
-    least recently used entry. Capacity 0 disables the layer entirely.
-    Used for both the schedule cache's memory layer (signature ->
-    :class:`CacheEntry`) and codegen's compiled-kernel memo.
+    least recently used entry. Capacity 0 disables the map entirely.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -175,7 +173,7 @@ class PersistentStore:
     other. An unreadable, unparsable, or wrong-schema file is renamed to
     ``<path>.corrupt`` and replaced by an empty store — the cache must
     degrade, never break tuning. If the directory is unwritable, the store
-    silently runs memory-only.
+    silently runs memory-only; ``path=None`` asks for that from the start.
 
     The store is also safe under concurrent *threads*: a re-entrant lock
     serializes get/put/flush, and each flush writes through a per-call
@@ -189,10 +187,10 @@ class PersistentStore:
     #: flushing "simultaneously" must never share a temp path).
     _flush_seq = itertools.count()
 
-    def __init__(self, path: str | os.PathLike, max_entries: int = 512) -> None:
+    def __init__(self, path: str | os.PathLike | None, max_entries: int = 512) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.path = os.fspath(path)
+        self.path = os.fspath(path) if path is not None else None
         self.max_entries = max_entries
         self._lock = threading.RLock()
         self.hits = 0
@@ -208,7 +206,7 @@ class PersistentStore:
 
     def _read_disk(self) -> tuple[dict[str, CacheEntry], int, int]:
         """Parse the store file; corruption quarantines it and reads empty."""
-        if not os.path.exists(self.path):
+        if self.path is None or not os.path.exists(self.path):
             return {}, 0, 0
         try:
             with open(self.path, encoding="utf-8") as fh:
@@ -243,8 +241,11 @@ class PersistentStore:
         """Merge with the on-disk state and write atomically.
 
         Unwritable targets degrade silently (the store keeps working in
-        memory; counters stay pending for a later successful flush).
+        memory; counters stay pending for a later successful flush). A
+        memory-only store has nothing to write.
         """
+        if self.path is None:
+            return
         with self._lock:
             disk_entries, disk_hits, disk_misses = self._read_disk()
             # Keep entries another process added since we loaded; ours win
@@ -329,6 +330,8 @@ class PersistentStore:
             self.misses = 0
             self._flushed_hits = 0
             self._flushed_misses = 0
+            if self.path is None:
+                return
             try:
                 os.unlink(self.path)
             except OSError:

@@ -350,27 +350,6 @@ def _metrics_path(cfg: SessionConfig) -> str:
     return os.path.join(cfg.cache.resolved_dir(), SNAPSHOT_FILENAME)
 
 
-def _open_cost_model(cfg: SessionConfig):
-    """Load (or initialize) the persistent cost model + dataset pair.
-
-    Lives in the cache dir even under ``--no-cache``, which disables only
-    the *schedule* cache.
-    """
-    from repro.search.cost_model import (
-        LearnedCostModel,
-        MeasurementDataset,
-        default_dataset_path,
-        default_model_path,
-    )
-
-    directory = cfg.cache.resolved_dir()
-    dataset = MeasurementDataset(default_dataset_path(directory))
-    model = LearnedCostModel.load(default_model_path(directory), dataset=dataset)
-    if model is None:
-        model = LearnedCostModel(dataset, seed=cfg.search.seed)
-    return model
-
-
 def workload_by_name(name: str) -> ComputeChain:
     """Resolve a chain-level workload name (``G*``, ``S*``) to its chain."""
     spec = get_workload(name)
@@ -665,7 +644,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
         counters = snapshot.get("counters", {})
         tiers = [
             [tier, counters.get(f"serve.hits.{tier}", 0)]
-            for tier in ("hot", "memory", "disk", "bucket")
+            for tier in ("hot", "bucket")
         ]
         served = sum(n for _, n in tiers)
         requests = counters.get("serve.requests", 0)
@@ -720,7 +699,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the compile service under the Zipf replay load generator."""
     from repro.experiments import serve_load
     from repro.serving.telemetry import MetricsRegistry, save_snapshot
-    from repro.serving.tiers import TieredCache
 
     cfg = config_from_args(args)
     budget_flags = (args.population, args.max_rounds, args.min_rounds)
@@ -740,7 +718,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             signatures=args.signatures,
             zipf_s=args.zipf,
             gpu=by_name(cfg.gpu),
-            cache=TieredCache(disk, telemetry=registry),
+            cache=disk,
             telemetry=registry,
             quick=args.quick,
             lengths=args.lengths,
@@ -806,11 +784,13 @@ def cmd_model_train(args: argparse.Namespace) -> int:
     model attached — so its (features, measured time) pairs grow the
     dataset before the fit.
     """
-    from repro.search.cost_model import default_model_path
+    from repro.search.cost_model import default_model_path, open_cost_model
 
     cfg = config_from_args(args)
     gpu = by_name(cfg.gpu)
-    model = _open_cost_model(cfg)
+    # The model lives in the cache dir even under ``--no-cache``, which
+    # disables only the *schedule* cache.
+    model = open_cost_model(cfg.cache.resolved_dir(), seed=cfg.search.seed)
     for name in args.workloads:
         chain = workload_by_name(name)
         report = MCFuserTuner(gpu, cost_model=model, config=cfg).tune(chain)

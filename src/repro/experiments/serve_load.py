@@ -5,7 +5,7 @@ from a start barrier and replay a Zipf-distributed request mix over M
 distinct zoo workload signatures against one
 :class:`~repro.serving.service.CompileService`. The skew mirrors fleet
 traffic — a few hot shapes dominate, a long tail trickles — which is
-exactly the regime request coalescing and the hot cache tier exist for.
+exactly the regime request coalescing and inline cache hits exist for.
 
 Each client's *first* request is assigned round-robin over the mix so
 every signature is exercised and the opening burst maximally overlaps;
@@ -15,7 +15,7 @@ it reports, and the benchmark/CI layer asserts:
 * **one tune per signature** — concurrent identical requests coalesce;
 * **coalesce rate** — ``coalesced / (coalesced + tunes)`` among requests
   that found no cache entry;
-* **warm-hit p50 latency** — the hot-tier fast path, in microseconds;
+* **warm-hit p50 latency** — the inline cache-hit path, in microseconds;
 * **reconciliation** — the telemetry counters sum exactly to the number
   of requests the generator issued (the service lost nothing).
 
@@ -51,10 +51,10 @@ __all__ = [
 #: Reduced Algorithm-1 budget for quick mode (CI smoke) runs.
 QUICK_TUNER_KWARGS = dict(population_size=64, top_n=4, max_rounds=2, min_rounds=1)
 
-#: Request sources that mean "served from a cache tier" (``"bucket"`` is a
-#: ceiling-tuned entry found under the bucketed signature — warm by
-#: definition: zero enumeration, zero measurements).
-_CACHE_SOURCES = ("hot", "memory", "disk", "bucket")
+#: Request sources that mean "served from the cache" (``"hot"`` is an exact
+#: hit, ``"bucket"`` a ceiling-tuned entry found under the bucketed
+#: signature — warm by definition: zero enumeration, zero measurements).
+_CACHE_SOURCES = ("hot", "bucket")
 
 #: Curated ragged sequence lengths: primes, non-powers-of-two, and
 #: just-below-bucket-ceiling values — the shapes that break exact-key
@@ -170,8 +170,8 @@ def run(
         signatures: Size of the default mix (distinct workload signatures).
         zipf_s: Zipf exponent of the request skew (larger = hotter head).
         gpu: Target GPU spec.
-        cache: Optional :class:`~repro.serving.tiers.TieredCache` or
-            :class:`~repro.cache.cache.ScheduleCache`; default memory-only.
+        cache: Optional :class:`~repro.cache.cache.ScheduleCache` the
+            service reads and stores through; default memory-only.
         telemetry: Registry to record into (created if omitted).
         quick: CI smoke mode — fewer clients/requests, and (with no
             ``config``) the reduced :data:`QUICK_TUNER_KWARGS` tune budget.

@@ -209,13 +209,13 @@ def compile_model(
     MBCI sub-graph tuning through the compile service instead of a private
     tuner: every fusion group is submitted with ``config`` as its
     per-request config, requests coalesce with other callers of the same
-    service, hit its tiered cache, and show up in its telemetry. The
+    service, hit its schedule cache, and show up in its telemetry. The
     service owns the cache and cost model in that mode (the ``cache`` and
     ``cost_model`` arguments are ignored) and must target the same
     ``gpu``. ``detail["served"]`` histograms the per-sub-graph outcome
     sources (``tuned``/``coalesced``/``hot``/...), and
     ``detail["cache_hits"]`` counts sub-graph *requests* served from a
-    cache tier. To inherit the service's own knobs, pass
+    cache. To inherit the service's own knobs, pass
     ``config=service.config`` (or an ``evolve`` of it).
 
     ``cost_model``/``config.search.measure_topk`` enable
@@ -309,7 +309,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
             psp.set(subgraphs=len(partition.subgraphs))
         rejections = partition.rejection_reasons()
         # Submit every group up front (identical shapes coalesce or hit the
-        # service's tiered cache), then collect in partition order.
+        # service's schedule cache), then collect in partition order.
         tickets = [
             service.submit(sg.chain, config=config) for sg in partition.subgraphs
         ]
@@ -319,7 +319,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
             if result.source == "tuned":
                 # coalesced riders share the tune; bill its cost once.
                 clock.seconds += result.report.tuning_seconds
-            cache_hits += result.source in ("hot", "memory", "disk", "bucket")
+            cache_hits += result.source in ("hot", "bucket")
             module.add_module(
                 compile_schedule(
                     result.report.best_schedule, gpu, exec_backend=exec_backend

@@ -5,9 +5,11 @@ through explicitly, but the codegen layer (``execute_schedule``,
 ``compile_schedule``, the clang runtime) is called from everywhere —
 tests, the CLI, pool threads, the tuner — with no registry in scope.
 This module gives those layers one process-global registry to count into
-(``exec.fallback.*``, compile cache tiers), plus helpers to install a
-different registry (e.g. the compile service's own, so ``repro serve``
-exports a single unified metric set).
+(the interpreter's ``exec.fallback.*`` counters), plus :func:`set_metrics`
+to install a different registry and :func:`reset_metrics` to drop it (the
+test suite resets it around every test). Nothing installs the compile
+service's registry here: ``repro serve`` snapshots the service's own
+registry, which does not include these counters.
 
 Imports are deliberately lazy: ``repro.obs`` must be importable from any
 codegen module without dragging in the serving package (which imports the

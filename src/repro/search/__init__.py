@@ -2,6 +2,7 @@
 strategies, parallel measurement), pruning rules, analytical performance
 model, tuner, and the simulated tuning clock."""
 
+from repro.config import VERIFY_MODES
 from repro.search.engine import (
     STRATEGY_REGISTRY,
     EvolutionarySearch,
@@ -43,7 +44,6 @@ from repro.search.pruning import (
 )
 from repro.search.space import Candidate, SearchSpace, generate_space
 from repro.search.tuner import (
-    VERIFY_MODES,
     MCFuserTuner,
     TuneReport,
     VerificationError,

@@ -60,6 +60,7 @@ __all__ = [
     "pairwise_ranking_accuracy",
     "default_dataset_path",
     "default_model_path",
+    "open_cost_model",
 ]
 
 #: File names inside the cache directory (next to ``schedule_cache.json``).
@@ -488,3 +489,18 @@ class LearnedCostModel:
         except (KeyError, TypeError, ValueError):
             return None
         return model
+
+
+def open_cost_model(directory: str, seed: int) -> LearnedCostModel:
+    """The persistent model + dataset pair stored in ``directory``.
+
+    Restores the model snapshot when a readable one exists (learning
+    accumulates across processes), else starts a fresh model seeded with
+    ``seed``; either way it is backed by the directory's measurement
+    dataset.
+    """
+    dataset = MeasurementDataset(default_dataset_path(directory))
+    model = LearnedCostModel.load(default_model_path(directory), dataset=dataset)
+    if model is None:
+        model = LearnedCostModel(dataset, seed=seed)
+    return model

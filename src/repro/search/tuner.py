@@ -33,7 +33,7 @@ from repro.cache.signature import (
     variant_key,
 )
 from repro.codegen.interpreter import InterpreterError, resolve_exec_backend
-from repro.config import DYNAMIC_MODES, VERIFY_MODES, SessionConfig
+from repro.config import SessionConfig
 from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec, by_name
@@ -57,8 +57,6 @@ __all__ = [
     "TuneReport",
     "MCFuserTuner",
     "MEASURE_REPETITIONS",
-    "VERIFY_MODES",
-    "DYNAMIC_MODES",
     "VerificationError",
     "report_from_entry",
     "rebind_report",
@@ -66,10 +64,6 @@ __all__ = [
 
 #: Kernel repetitions per hardware measurement (billed to the tuning clock).
 MEASURE_REPETITIONS = 100
-
-# VERIFY_MODES and DYNAMIC_MODES now live in :mod:`repro.config` (the
-# single home of knob validation) and are re-exported here for backward
-# compatibility.
 
 #: fp32 tolerance for measurement-time verification (looser than the unit
 #: tests: long reduction chains accumulate more rounding).
@@ -114,7 +108,7 @@ class TuneReport:
     #: model's predicted-best ``k`` candidates per round (0 = classic
     #: measure-the-top-n mode). Participates in the cache variant key.
     measure_topk: int = 0
-    #: Dynamic-shape mode the tune ran under (:data:`DYNAMIC_MODES`).
+    #: Dynamic-shape mode the tune ran under (:data:`~repro.config.DYNAMIC_MODES`).
     dynamic: str = "off"
     #: ``loop -> bucket ceiling`` for the request's dynamic loops (empty
     #: when ``dynamic == "off"`` or the chain has no dynamic loops).
@@ -520,7 +514,7 @@ class MCFuserTuner:
                 report.bucket = dyn
                 return report
             if dyn:
-                entry, _ = self.cache.lookup(self.bucket_signature(chain))
+                entry = self.cache.lookup(self.bucket_signature(chain))
                 if entry is not None:
                     report = self._report_from_cache(chain, entry)
                     report.dynamic = "buckets"

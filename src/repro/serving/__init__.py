@@ -1,8 +1,8 @@
 """Serving layer: the in-process fusion compile service.
 
-Composes the cache (PR 1) and the parallel search engine (PR 2) into a
-concurrent serving story: signature-first admission, request coalescing,
-a TTL/LRU hot cache tier, priority lanes with load shedding, and a
+Composes the schedule cache and the parallel search engine into a
+concurrent serving story: signature-first admission, non-recording cache
+reads, request coalescing, priority lanes with load shedding, and a
 telemetry registry. See :mod:`repro.serving.service` for the full design
 and ``docs/architecture.md`` ("Serving layer") for the diagram.
 """
@@ -25,18 +25,16 @@ from repro.serving.telemetry import (
     load_snapshot,
     save_snapshot,
 )
-from repro.serving.tiers import TIERS, HotTier, TieredCache
+from repro.serving.tiers import TieredCache
 
 __all__ = [
     "LANES",
-    "TIERS",
     "CompileService",
     "ModelTicket",
     "QueueFull",
     "ServeResult",
     "ServeTicket",
     "ServiceClosed",
-    "HotTier",
     "TieredCache",
     "Counter",
     "Gauge",

@@ -7,8 +7,9 @@ hit. The service composes the pieces the earlier layers provide:
 
 * **signature-first admission** — the workload signature is computed at
   submit time, before any queueing, so deduplication happens at the door;
-* **tiered cache** (:class:`~repro.serving.tiers.TieredCache`) — hot-tier
-  hits resolve inline on the caller's thread, never touching the queue;
+* **cache reads** (:class:`~repro.serving.tiers.TieredCache`) — hits in
+  the schedule cache's one entry map resolve inline on the caller's
+  thread, never touching the queue and never writing the store;
 * **request coalescing** — a submit whose signature is already being tuned
   attaches to the in-flight job and shares its result (futures fan-out);
 * **worker pool with lanes** — a bounded priority queue feeds N worker
@@ -20,12 +21,12 @@ hit. The service composes the pieces the earlier layers provide:
 
 Request accounting invariant (error-free runs)::
 
-    serve.requests == serve.hits.{hot,memory,disk,bucket} + serve.coalesced
+    serve.requests == serve.hits.{hot,bucket} + serve.coalesced
                       + serve.tunes + serve.shed
 
-(``serve.hits.bucket`` counts bucketed-signature hits under
-``dynamic="buckets"`` — a ceiling-tuned schedule rebuilt at the request
-shape.)
+(``serve.hits.hot`` counts exact-signature hits; ``serve.hits.bucket``
+counts bucketed-signature hits under ``dynamic="buckets"`` — a
+ceiling-tuned schedule rebuilt at the request shape.)
 
 (a failed tune moves its *creating* request from ``tunes`` to
 ``errors``; coalesced riders stay counted under ``coalesced``). The load
@@ -34,7 +35,7 @@ count against this identity.
 
 Typical use::
 
-    with CompileService(A100, cache=TieredCache(default_cache())) as svc:
+    with CompileService(A100, cache=default_cache()) as svc:
         svc.prefetch(["G1", "S2"])                  # background warmup lane
         result = svc.compile("G4")                  # interactive
         print(result.source, result.report.best_time)
@@ -101,8 +102,8 @@ class ServeResult:
     Attributes:
         signature: Workload signature the request resolved under.
         report: The tuned (or cache-restored) :class:`TuneReport`.
-        source: How the request was satisfied — ``"hot"``/``"memory"``/
-            ``"disk"`` (exact cache tier), ``"bucket"`` (ceiling-tuned
+        source: How the request was satisfied — ``"hot"`` (cache entry
+            under the exact signature), ``"bucket"`` (ceiling-tuned
             entry found under the bucketed signature, rebuilt at the
             request shape), ``"tuned"`` (this request triggered the tune),
             or ``"coalesced"`` (rode along on another request's in-flight
@@ -212,14 +213,14 @@ class _Job:
 
 
 class CompileService:
-    """In-process fusion compile service (coalescing + tiers + lanes).
+    """In-process fusion compile service (coalescing + cache reads + lanes).
 
     Args:
         gpu: Target hardware description shared by every request (``None``
             resolves the spec named by ``config.gpu``).
-        cache: A :class:`TieredCache`, a bare
-            :class:`~repro.cache.cache.ScheduleCache` (wrapped in a tiered
-            cache), or ``None`` for a fresh memory-only tiered cache.
+        cache: A :class:`~repro.cache.cache.ScheduleCache`, a
+            :class:`TieredCache` over one, or ``None`` for a fresh
+            memory-only cache.
         telemetry: Metrics registry; one is created when omitted.
         tune_fn: Override for the tune step itself (tests inject slow or
             instrumented tunes); receives the internal job and must return
@@ -270,12 +271,7 @@ class CompileService:
         self.cost_model = cost_model
         self.gpu = gpu if gpu is not None else by_name(config.gpu)
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
-        if isinstance(cache, TieredCache):
-            self.tiered = cache
-            if self.tiered.telemetry is None:
-                self.tiered.telemetry = self.telemetry
-        else:  # a bare ScheduleCache or None
-            self.tiered = TieredCache(cache, telemetry=self.telemetry)
+        self.tiered = cache if isinstance(cache, TieredCache) else TieredCache(cache)
         self.exec_backend = config.exec.backend
         self._tune_fn = tune_fn if tune_fn is not None else self._default_tune
         self.queue_limit = config.serve.queue_limit
@@ -341,8 +337,8 @@ class CompileService:
         """Admit one chain request; returns immediately with a ticket.
 
         ``workload`` is a :class:`ComputeChain` or a chain-level registry
-        name. The signature is computed up front; a hot/warm cache hit
-        resolves the ticket before this method returns, a signature already
+        name. The signature is computed up front; a cache hit resolves
+        the ticket before this method returns, a signature already
         in flight coalesces onto the running tune, and only genuinely new
         work is queued. A full queue fails the ticket with
         :class:`QueueFull` (load shedding) rather than blocking.
@@ -412,11 +408,11 @@ class CompileService:
 
             # Fast path: resolve cache hits inline, without ever queueing —
             # exact signature first, then (under bucketing) the bucketed one.
-            entry, tier = self.tiered.lookup(signature)
+            entry = self.tiered.lookup(signature)
             if entry is not None:
-                return _serve_entry(entry, tier, f"serve.hits.{tier}")
+                return _serve_entry(entry, "hot", "serve.hits.hot")
             if bucket_sig is not None:
-                entry, _ = self.tiered.lookup(bucket_sig)
+                entry = self.tiered.lookup(bucket_sig)
                 if entry is not None:
                     return _serve_entry(entry, "bucket", "serve.hits.bucket")
 
@@ -432,22 +428,17 @@ class CompileService:
                     return ticket
                 # A cacheable tune may have finished between the unlocked
                 # lookup and here; the cache is written before the in-flight
-                # entry is removed, so a locked re-check closes the race
-                # without a second recorded lookup. (Non-cacheable results —
-                # chains with no finite measurement — leave nothing behind by
-                # design: their waiters were all resolved by fan-out, and a
-                # later request legitimately re-tunes.) Under bucketing the
-                # racing tune was keyed by the bucketed signature.
-                entry = self.tiered.hot.get(job_sig)
-                recheck_tier = "hot"
-                if entry is None:
-                    entry, recheck_tier = self.tiered.cache.peek_tiered(job_sig)
-                    if entry is not None:
-                        self.tiered.hot.put(job_sig, entry)
+                # entry is removed, so a locked re-check closes the race.
+                # (Non-cacheable results — chains with no finite measurement
+                # — leave nothing behind by design: their waiters were all
+                # resolved by fan-out, and a later request legitimately
+                # re-tunes.) Under bucketing the racing tune was keyed by the
+                # bucketed signature.
+                entry = self.tiered.lookup(job_sig)
                 if entry is not None:
                     if bucket_sig is not None:
                         return _serve_entry(entry, "bucket", "serve.hits.bucket")
-                    return _serve_entry(entry, recheck_tier, f"serve.hits.{recheck_tier}")
+                    return _serve_entry(entry, "hot", "serve.hits.hot")
                 job = _Job(
                     signature=job_sig,
                     chain=chain.with_loops(bucket) if bucket else chain,
@@ -620,7 +611,7 @@ class CompileService:
                     span.set(outcome="error", error=f"{type(exc).__name__}: {exc}")
                     raise
                 finally:
-                    # For cacheable results the hot tier holds the entry
+                    # For cacheable results the cache holds the entry
                     # before the in-flight record is removed, so
                     # post-removal submits hit the cache — a signature is
                     # never tuned twice. A *non-cacheable* result (no finite
@@ -661,7 +652,7 @@ class CompileService:
     # -- observability ---------------------------------------------------------
 
     def metrics(self) -> dict:
-        """Telemetry snapshot plus cache-tier sizes (JSON-able)."""
+        """Telemetry snapshot plus the schedule cache's counters (JSON-able)."""
         snapshot = self.telemetry.snapshot()
-        snapshot["cache"] = self.tiered.stats()
+        snapshot["cache"] = dataclasses.asdict(self.tiered.cache.stats())
         return snapshot

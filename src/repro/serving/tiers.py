@@ -1,215 +1,48 @@
-"""Tiered schedule cache: a TTL/LRU hot tier over the persistent cache.
+"""TieredCache: the compile service's read view of a schedule cache.
 
-The serving layer answers most requests without touching the tuner, and at
-high request rates even the :class:`~repro.cache.cache.ScheduleCache` is
-too slow a front line — a disk-backed hit re-reads counters and flushes
-the store file. :class:`TieredCache` adds a *hot tier*: a small,
-thread-safe, in-memory map with both TTL expiry (entries go stale — a
-redeployed cache directory or a re-warmed store must win eventually) and
-LRU size eviction. Lookups resolve::
-
-    hot tier (TTL + LRU)  ->  ScheduleCache LRU  ->  JSON store  ->  miss
-
-and every resolution is labelled with the tier that served it
-(``"hot"`` / ``"memory"`` / ``"disk"`` / ``None``), which is what feeds
-the per-tier hit counters in the telemetry registry and the
-``repro cache stats`` tier breakdown.
+A :class:`~repro.cache.cache.ScheduleCache` holds exactly one
+signature -> entry map. The service reads that map on every request, so
+its reads must be cheap: :meth:`TieredCache.lookup` is a *non-recording*
+read (:meth:`~repro.cache.cache.ScheduleCache.peek`) — no hit counter, no
+recency refresh, no store flush. A hit is served as source ``"hot"`` (or
+``"bucket"`` when found under the bucketed signature); the per-request
+``serve.hits.*`` counters in the service's telemetry registry count them.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.cache.cache import ScheduleCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.store import CacheEntry
-    from repro.serving.telemetry import MetricsRegistry
 
-__all__ = ["HotTier", "TieredCache", "TIERS"]
-
-#: Tier labels, fastest first. ``None`` marks a miss.
-TIERS = ("hot", "memory", "disk")
-
-
-class HotTier:
-    """Thread-safe in-memory map with TTL expiry and LRU size eviction.
-
-    Args:
-        capacity: Maximum live entries (0 disables the tier).
-        ttl: Seconds an entry stays servable after insertion; ``None``
-            disables expiry. Expired entries are treated as misses and
-            dropped on contact (plus bulk-dropped by :meth:`purge`).
-        clock: Monotonic time source, injectable for the TTL tests.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        ttl: float | None = 300.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if capacity < 0:
-            raise ValueError(f"hot-tier capacity must be >= 0, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"hot-tier ttl must be > 0 or None, got {ttl}")
-        self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: signature -> (entry, inserted_at); order = LRU recency.
-        self._entries: "OrderedDict[str, tuple[CacheEntry, float]]" = OrderedDict()
-        self.evictions = 0
-        self.expirations = 0
-
-    def _expired(self, inserted_at: float) -> bool:
-        return self.ttl is not None and self._clock() - inserted_at > self.ttl
-
-    def get(self, signature: str) -> "CacheEntry | None":
-        with self._lock:
-            item = self._entries.get(signature)
-            if item is None:
-                return None
-            entry, inserted_at = item
-            if self._expired(inserted_at):
-                del self._entries[signature]
-                self.expirations += 1
-                return None
-            self._entries.move_to_end(signature)
-            return entry
-
-    def put(self, signature: str, entry: "CacheEntry") -> None:
-        if self.capacity == 0:
-            return
-        with self._lock:
-            self._entries[signature] = (entry, self._clock())
-            self._entries.move_to_end(signature)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def purge(self) -> int:
-        """Drop every expired entry; returns how many were dropped."""
-        with self._lock:
-            stale = [
-                sig
-                for sig, (_, inserted_at) in self._entries.items()
-                if self._expired(inserted_at)
-            ]
-            for sig in stale:
-                del self._entries[sig]
-            self.expirations += len(stale)
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, signature: str) -> bool:
-        # contact-free check (no recency refresh, but expiry still applies)
-        with self._lock:
-            item = self._entries.get(signature)
-            return item is not None and not self._expired(item[1])
+__all__ = ["TieredCache"]
 
 
 class TieredCache:
-    """Hot tier + :class:`ScheduleCache`, with per-tier telemetry.
+    """Non-recording reads and write-through stores over a ScheduleCache.
 
     Args:
-        cache: The persistent (or memory-only) schedule cache underneath;
-            ``None`` builds a memory-only one.
-        capacity/ttl/clock: Hot-tier knobs (see :class:`HotTier`).
-        telemetry: Optional :class:`~repro.serving.telemetry.MetricsRegistry`;
-            when present every lookup increments ``serve.cache.hits.<tier>``
-            or ``serve.cache.misses``.
+        cache: The persistent (or memory-only) schedule cache; ``None``
+            builds a memory-only one.
     """
 
-    def __init__(
-        self,
-        cache: ScheduleCache | None = None,
-        capacity: int = 256,
-        ttl: float | None = 300.0,
-        telemetry: "MetricsRegistry | None" = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, cache: ScheduleCache | None = None) -> None:
         self.cache = cache if cache is not None else ScheduleCache(path=None)
-        self.hot = HotTier(capacity=capacity, ttl=ttl, clock=clock)
-        self.telemetry = telemetry
-
-    def _count(self, tier: str | None) -> None:
-        if self.telemetry is None:
-            return
-        if tier is None:
-            self.telemetry.counter("serve.cache.misses").inc()
-        else:
-            self.telemetry.counter(f"serve.cache.hits.{tier}").inc()
-
-    # -- keys ----------------------------------------------------------------
 
     def signature_for(self, chain, gpu, variant: str = "mcfuser") -> str:
         return self.cache.signature_for(chain, gpu, variant)
 
-    # -- lookup / store ------------------------------------------------------
-
-    def lookup(self, signature: str) -> "tuple[CacheEntry | None, str | None]":
-        """Resolve a precomputed signature; returns ``(entry, tier)``.
-
-        A hot hit never touches the underlying cache (no disk flush, no
-        LRU churn); hits found below are promoted into the hot tier.
-        """
-        entry = self.hot.get(signature)
-        if entry is not None:
-            self._count("hot")
-            return entry, "hot"
-        entry, tier = self.cache.lookup(signature)
-        if entry is not None:
-            self.hot.put(signature, entry)
-        self._count(tier)
-        return entry, tier
-
-    def get(self, chain, gpu, variant: str = "mcfuser"):
-        """Chain-level lookup (see :meth:`lookup`); returns ``(entry, tier)``."""
-        return self.lookup(self.signature_for(chain, gpu, variant))
+    def lookup(self, signature: str) -> "CacheEntry | None":
+        """The entry stored under a precomputed signature, read without
+        recording anything (``None`` on a miss)."""
+        return self.cache.peek(signature)
 
     def put(self, chain, gpu, report, signature: str | None = None) -> "CacheEntry | None":
-        """Write-through store: persistent cache first, then the hot tier.
-
-        ``signature`` overrides the exact workload key (bucketed entries
-        are stored under their bucket-generic signature).
-        """
-        entry = self.cache.put(chain, gpu, report, signature=signature)
-        if entry is not None:
-            self.hot.put(entry.signature, entry)
-        return entry
-
-    def schedule_for(self, entry: "CacheEntry", chain):
-        return self.cache.schedule_for(entry, chain)
-
-    # -- maintenance ---------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Tier sizes + underlying cache counters (JSON-able)."""
-        base = self.cache.stats()
-        return {
-            "hot_entries": len(self.hot),
-            "hot_capacity": self.hot.capacity,
-            "hot_ttl": self.hot.ttl,
-            "hot_evictions": self.hot.evictions,
-            "hot_expirations": self.hot.expirations,
-            "memory_entries": base.memory_entries,
-            "disk_entries": base.disk_entries,
-            "hits": base.hits,
-            "misses": base.misses,
-            "path": base.path,
-        }
-
-    def clear(self) -> None:
-        self.hot.clear()
-        self.cache.clear()
+        """Store a tuned report in the underlying cache (see
+        :meth:`~repro.cache.cache.ScheduleCache.put`); ``signature``
+        overrides the exact workload key (bucketed entries are stored
+        under their bucket-generic signature)."""
+        return self.cache.put(chain, gpu, report, signature=signature)

@@ -16,7 +16,7 @@ So instead of hand-wiring five objects::
 
     config = SessionConfig.make(seed=3, strategy="evolutionary")
     cache = ScheduleCache(default_cache_dir())
-    model = LearnedCostModel.load(...) or LearnedCostModel(...)
+    model = open_cost_model(default_cache_dir(), seed=3)
     tuner = MCFuserTuner(A100, cache=cache, cost_model=model, config=config)
     report = tuner.tune(chain)
 
@@ -118,23 +118,11 @@ class Session:
         """
         if self._cost_model is _LAZY:
             if self.config.search.cost_model or self.config.search.measure_topk > 0:
-                from repro.search.cost_model import (
-                    LearnedCostModel,
-                    MeasurementDataset,
-                    default_dataset_path,
-                    default_model_path,
-                )
+                from repro.search.cost_model import open_cost_model
 
-                directory = self.config.cache.resolved_dir()
-                dataset = MeasurementDataset(default_dataset_path(directory))
-                model = LearnedCostModel.load(
-                    default_model_path(directory), dataset=dataset
+                self._cost_model = open_cost_model(
+                    self.config.cache.resolved_dir(), seed=self.config.search.seed
                 )
-                if model is None:
-                    model = LearnedCostModel(
-                        dataset, seed=self.config.search.seed
-                    )
-                self._cost_model = model
             else:
                 self._cost_model = None
         return self._cost_model
@@ -204,7 +192,7 @@ class Session:
         model-level workload name) end to end under the session config.
 
         ``use_service=True`` routes MBCI sub-graph tuning through the
-        session's :attr:`service` (coalescing + tiered cache + telemetry)
+        session's :attr:`service` (coalescing + schedule cache + telemetry)
         instead of a private per-call tuner.
         """
         from repro.frontend.executor import compile_model

@@ -35,8 +35,6 @@ BUCKET_SERVICE = QUICK.evolve(serve_workers=1, dynamic="buckets")
 #: Request outcomes that terminate a ticket, bucket hits included.
 OUTCOMES = (
     "serve.hits.hot",
-    "serve.hits.memory",
-    "serve.hits.disk",
     "serve.hits.bucket",
     "serve.coalesced",
     "serve.tunes",
@@ -153,7 +151,7 @@ class TestTunerLadder:
         # the report is rebound to the request shape...
         assert report.best_schedule.chain.loops["m"] == 300
         # ...but the stored entry is the ceiling decision under the bucket key
-        entry, _ = cache.lookup(tuner.bucket_signature(chain))
+        entry = cache.lookup(tuner.bucket_signature(chain))
         assert entry is not None
         assert dict(entry.tiles) == dict(report.best_schedule.tiles)
 
@@ -209,7 +207,7 @@ class TestTunerLadder:
         tuner = MCFuserTuner(A100, cache=cache, config=QUICK)
         report = tuner.tune(ragged(300))
         assert report.dynamic == "off" and report.bucket == {}
-        assert cache.lookup(bucketed_signature(ragged(300), A100))[0] is None
+        assert cache.lookup(bucketed_signature(ragged(300), A100)) is None
 
     def test_unknown_dynamic_mode_rejected(self):
         with pytest.raises(ValueError, match="dynamic"):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import QUICK
 from repro.cache import ScheduleCache
+from repro.cache.store import PersistentStore
 from repro.cli import main
 from repro.config import SessionConfig
 from repro.frontend.executor import compile_model
@@ -26,8 +27,6 @@ from repro.serving import (
 #: Request outcomes that terminate a ticket (for reconciliation sums).
 OUTCOMES = (
     "serve.hits.hot",
-    "serve.hits.memory",
-    "serve.hits.disk",
     "serve.coalesced",
     "serve.tunes",
     "serve.shed",
@@ -94,8 +93,34 @@ class TestBasics:
         # a second service over the same directory = a later process
         with quick_service(workers=1, cache=ScheduleCache(base_dir)) as svc2:
             result = svc2.compile(chain_for(0))
-        assert result.source == "disk"
+        assert result.source == "hot"
         assert result.report.cache_hit
+
+    def test_warm_hits_never_flush_the_store(self, tmp_path, monkeypatch):
+        """Warm reads do not record the hit, so they never rewrite the
+        store file — not even the first hit of a fresh process."""
+        base_dir = tmp_path / "store"
+        with quick_service(workers=1, cache=ScheduleCache(base_dir)) as svc:
+            svc.compile(chain_for(0))
+        flushes = []
+        real_flush = PersistentStore.flush
+
+        def spy(self):
+            flushes.append(self.path)
+            return real_flush(self)
+
+        with quick_service(workers=1, cache=ScheduleCache(base_dir)) as svc2:
+            monkeypatch.setattr(PersistentStore, "flush", spy)
+            sources = [svc2.submit(chain_for(0)).result(timeout=10).source for _ in range(20)]
+        assert flushes == []
+        assert sources == ["hot"] * 20
+
+    def test_cleared_entry_is_not_served(self, tmp_path):
+        cache = ScheduleCache(tmp_path / "store")
+        with quick_service(workers=1, cache=cache) as svc:
+            assert svc.compile(chain_for(0)).source == "tuned"
+            cache.clear()
+            assert svc.compile(chain_for(0)).source == "tuned"
 
 
 class TestCoalescing:
