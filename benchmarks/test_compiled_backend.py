@@ -16,6 +16,7 @@ Skips with an explicit marker when no C compiler is on PATH. Quick mode
 few seconds per workload.
 """
 
+import os
 import time
 
 import numpy as np
@@ -61,6 +62,13 @@ def _gemm3_case():
 
 
 CASES = {"attention": _attention_case, "gemm3": _gemm3_case}
+
+
+def _omp_threads() -> int:
+    """Threads the compiled kernels' OpenMP grid loop runs on:
+    ``OMP_NUM_THREADS`` when set, else the runtime default of one per CPU."""
+    env = os.environ.get("OMP_NUM_THREADS", "").split(",")[0].strip()
+    return int(env) if env.isdigit() else (os.cpu_count() or 1)
 
 
 def _time_backend(schedule, inputs, backend, repeats):
@@ -114,6 +122,7 @@ def test_compiled_speedup(case, run_once):
         compiled_seconds=t_c,
         speedup=speedup,
         min_speedup=MIN_SPEEDUP,
+        omp_num_threads=_omp_threads(),
         quick=QUICK,
     )
     print(f"\n{chain.name}: vectorized {t_vec * 1e3:.1f}ms  "

@@ -13,10 +13,16 @@ static inline float mcf_gelu(float x) {
 /* glibc ships vectorized expf in libmvec but only declares it simd
  * under fast-math, which would break the online-softmax -inf/isfinite
  * masking. Declaring it ourselves lets the probability loop call
- * _ZGV*_expf without fast-math; elsewhere expf stays scalar libm. */
+ * _ZGV*_expf without fast-math; elsewhere expf stays scalar libm.
+ * The same holds for tanhf in the GELU epilogue loop, whose libmvec
+ * variant first shipped in glibc 2.35. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(_OPENMP)
 #pragma omp declare simd notinbranch
 extern float expf(float);
+#if __GLIBC_PREREQ(2, 35)
+#pragma omp declare simd notinbranch
+extern float tanhf(float);
+#endif
 #endif
 
 int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const float* restrict g3, float* restrict g4) {
@@ -76,15 +82,35 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                 for (long c0 = 0; c0 < 32; c0++)
                     for (long c1 = 0; c1 < 32; c1++)
                         tr0_sm1[c1 * 32 + c0] = sm1[c0 * 32 + c1];
-                for (long t0 = 0; t0 < 32; t0++) {
+                for (long t0 = 0; t0 < 32; t0 += 4) {
                     for (long t1 = 0; t1 < 32; t1 += 4) {
-                        float h0_ = 0.17677669529663687f * sm0[t0 * 32 + t1];
-                        float h1_ = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 1)];
-                        float h2_ = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 2)];
-                        float h3_ = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 3)];
+                        float h00 = 0.17677669529663687f * sm0[t0 * 32 + t1];
+                        float h01 = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 1)];
+                        float h02 = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 2)];
+                        float h03 = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 3)];
+                        float h10 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + t1];
+                        float h11 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + (t1 + 1)];
+                        float h12 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + (t1 + 2)];
+                        float h13 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + (t1 + 3)];
+                        float h20 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + t1];
+                        float h21 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + (t1 + 1)];
+                        float h22 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + (t1 + 2)];
+                        float h23 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + (t1 + 3)];
+                        float h30 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + t1];
+                        float h31 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + (t1 + 1)];
+                        float h32 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + (t1 + 2)];
+                        float h33 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + (t1 + 3)];
                         #pragma omp simd
-                        for (long t2 = 0; t2 < 32; t2++)
-                            acc0[t0 * 32 + t2] += h0_ * tr0_sm1[t1 * 32 + t2] + h1_ * tr0_sm1[(t1 + 1) * 32 + t2] + h2_ * tr0_sm1[(t1 + 2) * 32 + t2] + h3_ * tr0_sm1[(t1 + 3) * 32 + t2];
+                        for (long t2 = 0; t2 < 32; t2++) {
+                            float b0 = tr0_sm1[t1 * 32 + t2];
+                            float b1 = tr0_sm1[(t1 + 1) * 32 + t2];
+                            float b2 = tr0_sm1[(t1 + 2) * 32 + t2];
+                            float b3 = tr0_sm1[(t1 + 3) * 32 + t2];
+                            acc0[t0 * 32 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
+                            acc0[(t0 + 1) * 32 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
+                            acc0[(t0 + 2) * 32 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
+                            acc0[(t0 + 3) * 32 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                        }
                     }
                 }
             }
@@ -136,15 +162,35 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                             acc1[o0 * 32 + o1] *= rcor1[o0];
                         }
                     }
-                    for (long t0 = 0; t0 < 32; t0++) {
+                    for (long t0 = 0; t0 < 32; t0 += 4) {
                         for (long t1 = 0; t1 < 32; t1 += 4) {
-                            float h0_ = prob1[t0 * 32 + t1];
-                            float h1_ = prob1[t0 * 32 + (t1 + 1)];
-                            float h2_ = prob1[t0 * 32 + (t1 + 2)];
-                            float h3_ = prob1[t0 * 32 + (t1 + 3)];
+                            float h00 = prob1[t0 * 32 + t1];
+                            float h01 = prob1[t0 * 32 + (t1 + 1)];
+                            float h02 = prob1[t0 * 32 + (t1 + 2)];
+                            float h03 = prob1[t0 * 32 + (t1 + 3)];
+                            float h10 = prob1[(t0 + 1) * 32 + t1];
+                            float h11 = prob1[(t0 + 1) * 32 + (t1 + 1)];
+                            float h12 = prob1[(t0 + 1) * 32 + (t1 + 2)];
+                            float h13 = prob1[(t0 + 1) * 32 + (t1 + 3)];
+                            float h20 = prob1[(t0 + 2) * 32 + t1];
+                            float h21 = prob1[(t0 + 2) * 32 + (t1 + 1)];
+                            float h22 = prob1[(t0 + 2) * 32 + (t1 + 2)];
+                            float h23 = prob1[(t0 + 2) * 32 + (t1 + 3)];
+                            float h30 = prob1[(t0 + 3) * 32 + t1];
+                            float h31 = prob1[(t0 + 3) * 32 + (t1 + 1)];
+                            float h32 = prob1[(t0 + 3) * 32 + (t1 + 2)];
+                            float h33 = prob1[(t0 + 3) * 32 + (t1 + 3)];
                             #pragma omp simd
-                            for (long t2 = 0; t2 < 32; t2++)
-                                acc1[t0 * 32 + t2] += h0_ * sm3[t1 * 32 + t2] + h1_ * sm3[(t1 + 1) * 32 + t2] + h2_ * sm3[(t1 + 2) * 32 + t2] + h3_ * sm3[(t1 + 3) * 32 + t2];
+                            for (long t2 = 0; t2 < 32; t2++) {
+                                float b0 = sm3[t1 * 32 + t2];
+                                float b1 = sm3[(t1 + 1) * 32 + t2];
+                                float b2 = sm3[(t1 + 2) * 32 + t2];
+                                float b3 = sm3[(t1 + 3) * 32 + t2];
+                                acc1[t0 * 32 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
+                                acc1[(t0 + 1) * 32 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
+                                acc1[(t0 + 2) * 32 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
+                                acc1[(t0 + 3) * 32 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                            }
                         }
                     }
                 }

@@ -13,10 +13,16 @@ static inline float mcf_gelu(float x) {
 /* glibc ships vectorized expf in libmvec but only declares it simd
  * under fast-math, which would break the online-softmax -inf/isfinite
  * masking. Declaring it ourselves lets the probability loop call
- * _ZGV*_expf without fast-math; elsewhere expf stays scalar libm. */
+ * _ZGV*_expf without fast-math; elsewhere expf stays scalar libm.
+ * The same holds for tanhf in the GELU epilogue loop, whose libmvec
+ * variant first shipped in glibc 2.35. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(_OPENMP)
 #pragma omp declare simd notinbranch
 extern float expf(float);
+#if __GLIBC_PREREQ(2, 35)
+#pragma omp declare simd notinbranch
+extern float tanhf(float);
+#endif
 #endif
 
 int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const float* restrict g3, const float* restrict g5, float* restrict g6) {
@@ -73,15 +79,35 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                         memset(acc0, 0, 256 * sizeof(float));
                         alive0 = 1;
                     }
-                    for (long t0 = 0; t0 < 8; t0++) {
+                    for (long t0 = 0; t0 < 8; t0 += 4) {
                         for (long t1 = 0; t1 < 8; t1 += 4) {
-                            float h0_ = sm0[t0 * 8 + t1];
-                            float h1_ = sm0[t0 * 8 + (t1 + 1)];
-                            float h2_ = sm0[t0 * 8 + (t1 + 2)];
-                            float h3_ = sm0[t0 * 8 + (t1 + 3)];
+                            float h00 = sm0[t0 * 8 + t1];
+                            float h01 = sm0[t0 * 8 + (t1 + 1)];
+                            float h02 = sm0[t0 * 8 + (t1 + 2)];
+                            float h03 = sm0[t0 * 8 + (t1 + 3)];
+                            float h10 = sm0[(t0 + 1) * 8 + t1];
+                            float h11 = sm0[(t0 + 1) * 8 + (t1 + 1)];
+                            float h12 = sm0[(t0 + 1) * 8 + (t1 + 2)];
+                            float h13 = sm0[(t0 + 1) * 8 + (t1 + 3)];
+                            float h20 = sm0[(t0 + 2) * 8 + t1];
+                            float h21 = sm0[(t0 + 2) * 8 + (t1 + 1)];
+                            float h22 = sm0[(t0 + 2) * 8 + (t1 + 2)];
+                            float h23 = sm0[(t0 + 2) * 8 + (t1 + 3)];
+                            float h30 = sm0[(t0 + 3) * 8 + t1];
+                            float h31 = sm0[(t0 + 3) * 8 + (t1 + 1)];
+                            float h32 = sm0[(t0 + 3) * 8 + (t1 + 2)];
+                            float h33 = sm0[(t0 + 3) * 8 + (t1 + 3)];
                             #pragma omp simd
-                            for (long t2 = 0; t2 < 32; t2++)
-                                acc0[t0 * 32 + t2] += h0_ * sm1[t1 * 32 + t2] + h1_ * sm1[(t1 + 1) * 32 + t2] + h2_ * sm1[(t1 + 2) * 32 + t2] + h3_ * sm1[(t1 + 3) * 32 + t2];
+                            for (long t2 = 0; t2 < 32; t2++) {
+                                float b0 = sm1[t1 * 32 + t2];
+                                float b1 = sm1[(t1 + 1) * 32 + t2];
+                                float b2 = sm1[(t1 + 2) * 32 + t2];
+                                float b3 = sm1[(t1 + 3) * 32 + t2];
+                                acc0[t0 * 32 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
+                                acc0[(t0 + 1) * 32 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
+                                acc0[(t0 + 2) * 32 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
+                                acc0[(t0 + 3) * 32 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                            }
                         }
                     }
                 }
@@ -103,15 +129,35 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                     alive1 = 1;
                     key1_0 = L0;
                 }
-                for (long t0 = 0; t0 < 8; t0++) {
+                for (long t0 = 0; t0 < 8; t0 += 4) {
                     for (long t1 = 0; t1 < 32; t1 += 4) {
-                        float h0_ = acc0[t0 * 32 + t1];
-                        float h1_ = acc0[t0 * 32 + (t1 + 1)];
-                        float h2_ = acc0[t0 * 32 + (t1 + 2)];
-                        float h3_ = acc0[t0 * 32 + (t1 + 3)];
+                        float h00 = acc0[t0 * 32 + t1];
+                        float h01 = acc0[t0 * 32 + (t1 + 1)];
+                        float h02 = acc0[t0 * 32 + (t1 + 2)];
+                        float h03 = acc0[t0 * 32 + (t1 + 3)];
+                        float h10 = acc0[(t0 + 1) * 32 + t1];
+                        float h11 = acc0[(t0 + 1) * 32 + (t1 + 1)];
+                        float h12 = acc0[(t0 + 1) * 32 + (t1 + 2)];
+                        float h13 = acc0[(t0 + 1) * 32 + (t1 + 3)];
+                        float h20 = acc0[(t0 + 2) * 32 + t1];
+                        float h21 = acc0[(t0 + 2) * 32 + (t1 + 1)];
+                        float h22 = acc0[(t0 + 2) * 32 + (t1 + 2)];
+                        float h23 = acc0[(t0 + 2) * 32 + (t1 + 3)];
+                        float h30 = acc0[(t0 + 3) * 32 + t1];
+                        float h31 = acc0[(t0 + 3) * 32 + (t1 + 1)];
+                        float h32 = acc0[(t0 + 3) * 32 + (t1 + 2)];
+                        float h33 = acc0[(t0 + 3) * 32 + (t1 + 3)];
                         #pragma omp simd
-                        for (long t2 = 0; t2 < 16; t2++)
-                            acc1[t0 * 16 + t2] += h0_ * sm3[t1 * 16 + t2] + h1_ * sm3[(t1 + 1) * 16 + t2] + h2_ * sm3[(t1 + 2) * 16 + t2] + h3_ * sm3[(t1 + 3) * 16 + t2];
+                        for (long t2 = 0; t2 < 16; t2++) {
+                            float b0 = sm3[t1 * 16 + t2];
+                            float b1 = sm3[(t1 + 1) * 16 + t2];
+                            float b2 = sm3[(t1 + 2) * 16 + t2];
+                            float b3 = sm3[(t1 + 3) * 16 + t2];
+                            acc1[t0 * 16 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
+                            acc1[(t0 + 1) * 16 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
+                            acc1[(t0 + 2) * 16 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
+                            acc1[(t0 + 3) * 16 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                        }
                     }
                 }
             }
@@ -131,15 +177,35 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                     memset(acc2, 0, 152 * sizeof(float));
                     alive2 = 1;
                 }
-                for (long t0 = 0; t0 < 8; t0++) {
+                for (long t0 = 0; t0 < 8; t0 += 4) {
                     for (long t1 = 0; t1 < 16; t1 += 4) {
-                        float h0_ = acc1[t0 * 16 + t1];
-                        float h1_ = acc1[t0 * 16 + (t1 + 1)];
-                        float h2_ = acc1[t0 * 16 + (t1 + 2)];
-                        float h3_ = acc1[t0 * 16 + (t1 + 3)];
+                        float h00 = acc1[t0 * 16 + t1];
+                        float h01 = acc1[t0 * 16 + (t1 + 1)];
+                        float h02 = acc1[t0 * 16 + (t1 + 2)];
+                        float h03 = acc1[t0 * 16 + (t1 + 3)];
+                        float h10 = acc1[(t0 + 1) * 16 + t1];
+                        float h11 = acc1[(t0 + 1) * 16 + (t1 + 1)];
+                        float h12 = acc1[(t0 + 1) * 16 + (t1 + 2)];
+                        float h13 = acc1[(t0 + 1) * 16 + (t1 + 3)];
+                        float h20 = acc1[(t0 + 2) * 16 + t1];
+                        float h21 = acc1[(t0 + 2) * 16 + (t1 + 1)];
+                        float h22 = acc1[(t0 + 2) * 16 + (t1 + 2)];
+                        float h23 = acc1[(t0 + 2) * 16 + (t1 + 3)];
+                        float h30 = acc1[(t0 + 3) * 16 + t1];
+                        float h31 = acc1[(t0 + 3) * 16 + (t1 + 1)];
+                        float h32 = acc1[(t0 + 3) * 16 + (t1 + 2)];
+                        float h33 = acc1[(t0 + 3) * 16 + (t1 + 3)];
                         #pragma omp simd
-                        for (long t2 = 0; t2 < 19; t2++)
-                            acc2[t0 * 19 + t2] += h0_ * sm5[t1 * 19 + t2] + h1_ * sm5[(t1 + 1) * 19 + t2] + h2_ * sm5[(t1 + 2) * 19 + t2] + h3_ * sm5[(t1 + 3) * 19 + t2];
+                        for (long t2 = 0; t2 < 19; t2++) {
+                            float b0 = sm5[t1 * 19 + t2];
+                            float b1 = sm5[(t1 + 1) * 19 + t2];
+                            float b2 = sm5[(t1 + 2) * 19 + t2];
+                            float b3 = sm5[(t1 + 3) * 19 + t2];
+                            acc2[t0 * 19 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
+                            acc2[(t0 + 1) * 19 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
+                            acc2[(t0 + 2) * 19 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
+                            acc2[(t0 + 3) * 19 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                        }
                     }
                 }
             }

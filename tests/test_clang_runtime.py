@@ -8,6 +8,11 @@ into a single compiler invocation, and an unwritable cache directory
 degrades to scratch-dir compilation instead of failing.
 """
 
+import dataclasses
+import os
+import platform
+import re
+import shutil
 import threading
 import time
 
@@ -130,6 +135,28 @@ class TestCacheTiers:
         assert render_program(program).source_hash == render_program(program).source_hash
 
 
+class TestRenderMemo:
+    def test_kernel_cached_on_program(self, monkeypatch):
+        """A second render of the same program object is served from the
+        object itself, without the content-keyed memo."""
+        import repro.codegen.render_c as render_c
+
+        _, program = _program(name="memo-object")
+        first = render_program(program)
+        monkeypatch.setattr(render_c, "_RENDER_MEMO", {})
+        assert render_program(program) is first
+
+    def test_tampered_copy_reaches_verifier(self):
+        """``dataclasses.replace`` yields a new object, so a copy that drops
+        the first Load is verified (and refused) instead of served."""
+        _, program = _program(name="memo-tamper")
+        render_program(program)
+        assert program.ops[0].kind == "load"
+        tampered = dataclasses.replace(program, ops=program.ops[1:])
+        with pytest.raises(RenderError, match="before Load"):
+            render_program(tampered)
+
+
 @needs_cc
 class TestCoalescing:
     N_THREADS = 6
@@ -218,3 +245,31 @@ class TestTypedFailures:
         _, program = _program(name="cache-arena")
         with pytest.raises(RenderError, match="arena"):
             render_program(program)
+
+
+def _glibc_at_least(major: int, minor: int) -> bool:
+    lib, version = platform.libc_ver()
+    parts = version.split(".")
+    if lib != "glibc" or len(parts) < 2:
+        return False
+    return (int(parts[0]), int(parts[1])) >= (major, minor)
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64")
+    or not _glibc_at_least(2, 35)
+    or shutil.which("gcc") is None,
+    reason="SIMD tanhf needs x86-64, glibc >= 2.35 (libmvec tanhf) and gcc",
+)
+def test_gelu_kernel_links_simd_tanhf(monkeypatch, tmp_path):
+    """Guard against a silent scalar fallback: a kernel with a materialized
+    gelu epilogue must call libmvec's vector ``tanhf`` (``_ZGV*_tanhf``)."""
+    monkeypatch.setenv("REPRO_CC", "gcc")
+    chain = gemm_chain(1, 64, 48, 32, 32, name="simd-gelu", epilogue="gelu")
+    schedule = build_schedule(
+        chain, TilingExpr.parse("mhnk"), {"m": 16, "n": 16, "k": 16, "h": 16}
+    )
+    meta = render_program(lower_schedule(schedule))
+    ClangRuntime(cache_dir=str(tmp_path)).compile(meta)
+    with open(os.path.join(tmp_path, f"{meta.source_hash}.so"), "rb") as fh:
+        assert re.search(rb"_ZGV\w*_tanhf", fh.read())

@@ -12,6 +12,7 @@ Regenerate after an intentional emitter change with::
 """
 
 import pathlib
+import re
 
 import pytest
 
@@ -33,8 +34,8 @@ def _attention_program():
     return lower_schedule(schedule)
 
 
-def _gemm3_program():
-    chain = gemm3_chain(2, 40, 25, 70, 66, 42, name="golden-3gemm")
+def _gemm3_program(epilogue=None):
+    chain = gemm3_chain(2, 40, 25, 70, 66, 42, name="golden-3gemm", epilogue=epilogue)
     schedule = build_schedule(
         chain,
         TilingExpr.parse("npmhk"),
@@ -85,18 +86,25 @@ def test_triton_source_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_structure(name):
     """Load-bearing structure of the canonical kernels, independent of the
-    exact golden text: entry point, softmax machinery, accumulator reset."""
+    exact golden text: entry point, softmax machinery, accumulator reset,
+    4-row register blocking, SIMD gelu epilogue."""
     program = CASES[name]()
     meta = render_program(program)
     assert meta.entry == "mcfuser_kernel"
     assert "#pragma omp parallel for" in meta.source
     assert "-ffast-math" not in meta.source
+    # each SIMD sweep updates 4 accumulator rows
+    assert re.search(r"acc\d+\[\(t0 \+ 3\) \* \d+ \+ t2\] \+=", meta.source)
     if name == "attention":
         assert "INFINITY" in meta.source  # row-max init for online softmax
         assert "expf" in meta.source
     if name == "gemm3":
         # the recomputed producer resets on every fresh reduction sweep
         assert meta.source.count("memset") >= 3
+        # the materialized gelu epilogue loop is a SIMD loop
+        lines = render_program(_gemm3_program(epilogue="gelu")).source.splitlines()
+        at = [i for i, line in enumerate(lines) if "epilogue(gelu)" in line]
+        assert at and all(lines[i - 1].strip() == "#pragma omp simd" for i in at)
 
 
 if __name__ == "__main__":

@@ -316,6 +316,49 @@ class TestSemanticEdgeCases:
         np.testing.assert_array_equal(a, b)
 
 
+# -- register blocking and the SIMD gelu epilogue --------------------------------
+
+
+@needs_cc
+class TestRegisterBlocking:
+    """The emitter blocks axpy contractions over 4 output rows, falling back
+    to 2 and then 1 row when the row tile does not divide, and vectorizes
+    the gelu epilogue through a SIMD ``tanhf``."""
+
+    @pytest.mark.parametrize("tm,step", [(6, "t0 += 2"), (7, None)])
+    @pytest.mark.parametrize("epilogue", [None, "relu"])
+    def test_row_tile_not_multiple_of_four(self, tm, step, epilogue):
+        chain = gemm_chain(1, 45, 40, 33, 36, name=f"cp-rows-{tm}-{epilogue}",
+                           epilogue=epilogue)
+        schedule = build_schedule(
+            chain, TilingExpr.parse("mhnk"), {"m": tm, "n": 16, "k": 16, "h": 16}
+        )
+        source = render_program(lower_schedule(schedule)).source
+        if step is None:
+            assert "t0 +=" not in source
+        else:
+            assert step in source and "t0 += 4" not in source
+        inputs = chain.random_inputs(2)
+        ref = chain.reference(inputs)[chain.output]
+        assert assert_three_way(chain, schedule, inputs, ref)
+
+    def test_gelu_saturates(self):
+        """Intermediates reaching |x| ~ 20 drive tanh into saturation,
+        where the SIMD ``tanhf`` must still agree with the scalar path."""
+        chain = gemm_chain(1, 64, 48, 64, 32, name="cp-gelu-sat", epilogue="gelu")
+        inputs = chain.random_inputs(4)
+        inputs["A"] = inputs["A"] * 4.0
+        assert np.abs(inputs["A"] @ inputs["B"]).max() >= 20.0
+        schedule = build_schedule(
+            chain, TilingExpr.parse("mhnk"), {"m": 16, "n": 16, "k": 16, "h": 16}
+        )
+        scalar = execute_schedule(schedule, inputs, backend="scalar")[chain.output]
+        compiled = execute_schedule(schedule, inputs, backend="compiled")[chain.output]
+        np.testing.assert_allclose(
+            compiled, scalar, rtol=BACKEND_RTOL, atol=BACKEND_ATOL
+        )
+
+
 # -- zoo chains ------------------------------------------------------------------
 
 
