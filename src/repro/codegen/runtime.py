@@ -9,6 +9,8 @@ modules plus library kernels into an executable whole-model artifact.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +40,7 @@ __all__ = [
     "OperatorModule",
     "GraphExecutorFactoryModule",
     "compile_schedule",
+    "defer_native_build",
     "KernelCacheStats",
     "kernel_cache_stats",
     "clear_kernel_cache",
@@ -104,8 +107,12 @@ class OperatorModule:
 
         Repeated runs reuse the module's cached lowered program and backend
         resolution instead of re-deriving them every call; an explicit
-        ``backend`` override bypasses the cache.
+        ``backend`` override bypasses the cache. The first run in the
+        process starts every deferred native build
+        (:func:`defer_native_build`), this module's first.
         """
+        if _DEFERRED:
+            _start_deferred_builds(self)
         if backend is not None and backend != self.exec_backend:
             return execute_schedule(self.schedule, inputs, backend=backend)
         return execute_resolved(
@@ -124,6 +131,51 @@ class OperatorModule:
     @property
     def name(self) -> str:
         return self.kernel.name
+
+
+#: Compiled-backend modules whose native build waits for the first run in
+#: the process: ``id(module) -> (weak ref, trace span that deferred it)``.
+#: An entry leaves when its module dies or the builds start.
+_DEFERRED: dict[int, tuple[weakref.ref, object]] = {}
+_DEFERRED_LOCK = threading.Lock()
+
+
+def defer_native_build(module: OperatorModule) -> None:
+    """Build ``module``'s native kernel once anything in this process runs.
+
+    A no-op unless the module resolves to the ``compiled`` backend. The
+    first :meth:`OperatorModule.run` in the process hands every deferred
+    kernel to :meth:`~repro.codegen.clang_runtime.ClangRuntime.prefetch`,
+    so the ``cc`` builds of all the kernels compiled so far run in
+    parallel instead of one per first run; a process that compiles but
+    never runs (an experiment that only reports simulated time) starts no
+    ``cc`` at all. Each build's trace span is parented to the span live
+    here, e.g. the ``compile.model`` that deferred it.
+    """
+    if module.resolved_exec_backend != "compiled":
+        return
+    from repro.obs import get_tracer
+
+    key = id(module)
+    # The callback takes no lock: GC may run it while the lock is held.
+    ref = weakref.ref(module, lambda _, key=key: _DEFERRED.pop(key, None))
+    with _DEFERRED_LOCK:
+        _DEFERRED.setdefault(key, (ref, get_tracer().current()))
+
+
+def _start_deferred_builds(first: OperatorModule) -> None:
+    from repro.codegen.clang_runtime import get_runtime
+    from repro.codegen.render_c import render_program
+
+    with _DEFERRED_LOCK:
+        entries = dict(_DEFERRED)
+        _DEFERRED.clear()
+    head = entries.pop(id(first), None)
+    runtime = get_runtime()
+    for ref, parent in ([head] if head else []) + list(entries.values()):
+        module = ref()
+        if module is not None:
+            runtime.prefetch(render_program(module.program), parent=parent)
 
 
 @dataclass
@@ -197,7 +249,10 @@ def kernel_cache_stats() -> KernelCacheStats:
 
 
 def clear_kernel_cache() -> None:
-    """Drop all memoized modules and reset the counters."""
+    """Drop all memoized modules and their deferred native builds, and
+    reset the counters."""
+    with _DEFERRED_LOCK:
+        _DEFERRED.clear()
     _KERNEL_MEMO.clear()
     _KERNEL_STATS.hits = 0
     _KERNEL_STATS.misses = 0

@@ -27,7 +27,12 @@ from repro.baselines.library import (
     softmax_kernel,
     transpose_kernel,
 )
-from repro.codegen.runtime import GraphExecutorFactoryModule, OperatorModule, compile_schedule
+from repro.codegen.runtime import (
+    GraphExecutorFactoryModule,
+    OperatorModule,
+    compile_schedule,
+    defer_native_build,
+)
 from repro.config import SessionConfig
 from repro.frontend.partition import Partition, partition_graph
 from repro.gpu.kernel import KernelLaunch
@@ -203,7 +208,11 @@ def compile_model(
     ``"scalar"``; see
     :func:`repro.codegen.interpreter.execute_schedule`);
     ``detail["exec_backend"]`` histograms the backend ``auto`` resolved for
-    each fused module (e.g. ``{"vectorized": 12}``).
+    each fused module (e.g. ``{"vectorized": 12}``). The native ``cc``
+    builds of modules that resolve to ``"compiled"`` are deferred
+    (:func:`~repro.codegen.runtime.defer_native_build`): compiling alone
+    runs no ``cc``, and the first module run in the process starts all of
+    them in parallel.
 
     ``service`` (a :class:`~repro.serving.service.CompileService`) routes
     MBCI sub-graph tuning through the compile service instead of a private
@@ -320,11 +329,11 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
                 # coalesced riders share the tune; bill its cost once.
                 clock.seconds += result.report.tuning_seconds
             cache_hits += result.source in ("hot", "bucket")
-            module.add_module(
-                compile_schedule(
-                    result.report.best_schedule, gpu, exec_backend=exec_backend
-                )
+            op_module = compile_schedule(
+                result.report.best_schedule, gpu, exec_backend=exec_backend
             )
+            defer_native_build(op_module)
+            module.add_module(op_module)
             mbci_nodes.update(sg.nodes)
             n_subgraphs += 1
         residual_nodes = [n for n in graph.nodes if n.output not in mbci_nodes]
@@ -365,6 +374,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
                 tuned[key] = compile_schedule(
                     report.best_schedule, gpu, exec_backend=exec_backend
                 )
+                defer_native_build(tuned[key])
             module.add_module(tuned[key])
             mbci_nodes.update(sg.nodes)
             n_subgraphs += 1

@@ -20,8 +20,10 @@ def _isolated_schedule_cache(tmp_path, monkeypatch):
     """Point the default schedule-cache directory at a per-test temp dir so
     tests (CLI tests in particular) never touch ~/.cache or each other, and
     reset the process-wide compiled-kernel memo, tracer, and obs metrics
-    registry between tests."""
-    from repro.codegen import clear_kernel_cache
+    registry between tests. Native kernel builds a test started in the
+    background (a first run prefetches every deferred build) finish before
+    the next test begins."""
+    from repro.codegen import clear_kernel_cache, get_runtime
     from repro.obs import disable_tracing, reset_metrics
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "schedule-cache"))
@@ -29,6 +31,7 @@ def _isolated_schedule_cache(tmp_path, monkeypatch):
     reset_metrics()
     disable_tracing()
     yield
+    get_runtime().drain()
     disable_tracing()
     reset_metrics()
 

@@ -273,3 +273,72 @@ def test_gelu_kernel_links_simd_tanhf(monkeypatch, tmp_path):
     ClangRuntime(cache_dir=str(tmp_path)).compile(meta)
     with open(os.path.join(tmp_path, f"{meta.source_hash}.so"), "rb") as fh:
         assert re.search(rb"_ZGV\w*_tanhf", fh.read())
+
+
+def _logging_cc(tmp_path, real_cc):
+    """A ``$REPRO_CC`` wrapper that logs every invocation and rejects
+    ``-march=native`` (or every flag set once ``reject-all`` exists)."""
+    log = tmp_path / "cc.log"
+    script = tmp_path / "logging-cc"
+    script.write_text(
+        "#!/bin/sh\n"
+        f'echo "$*" >> "{log}"\n'
+        f'[ -e "{tmp_path}/reject-openmp" ] && case " $* " in *" -fopenmp "*) exit 1;; esac\n'
+        'case " $* " in *" -march=native "*) exit 1;; esac\n'
+        f'exec "{real_cc}" "$@"\n'
+    )
+    script.chmod(0o755)
+    return script, log
+
+
+def _invocations(log) -> list[str]:
+    return log.read_text().splitlines() if log.exists() else []
+
+
+@needs_cc
+class TestFlagLadder:
+    def test_working_flag_set_remembered_per_compiler(self, monkeypatch, tmp_path):
+        from repro.codegen.clang_runtime import find_compiler
+
+        script, log = _logging_cc(tmp_path, find_compiler())
+        monkeypatch.setenv("REPRO_CC", str(script))
+        rt = ClangRuntime(cache_dir=str(tmp_path / "kernels"))
+        rt.compile(render_program(_program(name="ladder-a")[1]))
+        first = _invocations(log)
+        assert len(first) == 2  # -march=native rejected, then -fopenmp
+        assert "-march=native" in first[0] and "-march=native" not in first[1]
+        rt.compile(render_program(_program(m=80, name="ladder-b")[1]))
+        [second] = _invocations(log)[len(first):]
+        assert "-fopenmp" in second.split() and "-march=native" not in second
+
+    def test_failing_remembered_set_walks_the_ladder_again(self, monkeypatch, tmp_path):
+        from repro.codegen.clang_runtime import find_compiler
+
+        script, log = _logging_cc(tmp_path, find_compiler())
+        monkeypatch.setenv("REPRO_CC", str(script))
+        rt = ClangRuntime(cache_dir=str(tmp_path / "kernels"))
+        rt.compile(render_program(_program(name="ladder-c")[1]))
+        seen = len(_invocations(log))
+        (tmp_path / "reject-openmp").write_text("")
+        kernel = rt.compile(render_program(_program(m=80, name="ladder-d")[1]))
+        assert kernel.meta.entry
+        walk = [line.split() for line in _invocations(log)[seen:]]
+        # the remembered -fopenmp fails, then the ladder from the top
+        assert "-fopenmp" in walk[0] and "-march=native" not in walk[0]
+        assert len(walk) == 4
+        assert "-fopenmp-simd" in walk[-1] and "-march=native" not in walk[-1]
+        # ...and the set that worked this time is the one remembered
+        seen = len(_invocations(log))
+        rt.compile(render_program(_program(m=96, name="ladder-e")[1]))
+        [last] = _invocations(log)[seen:]
+        assert "-fopenmp-simd" in last.split()
+
+
+@needs_cc
+def test_build_leaves_no_temp_files(tmp_path):
+    rt = ClangRuntime(cache_dir=str(tmp_path))
+    meta = render_program(_program(name="cache-tmp")[1])
+    rt.compile(meta)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{meta.source_hash}.c", f"{meta.source_hash}.so"]
+    )
