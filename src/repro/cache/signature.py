@@ -17,13 +17,17 @@ signatures between releases — any such change must go through
 
 This module is dependency-free within the package (chains, schedules, and
 GPU specs are consumed duck-typed) so that any layer — frontend partitioner,
-codegen runtime, search tuner — can import it without cycles.
+codegen runtime, search tuner — can import it without cycles. The exact and
+bucketed digests are memoized per process on a chain's ``structure_key()``
+and the (hashable, frozen) GPU spec; the digests themselves do not depend
+on the memo.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 
 __all__ = [
     "SIGNATURE_VERSION",
@@ -134,10 +138,16 @@ def chain_fingerprint(chain) -> dict:
     and groups matching the paper's patterns keep hitting cache entries
     written by the chain-level G*/S* workloads.
     """
+    return _fingerprint(chain.structure_key())
+
+
+def _fingerprint(structure: tuple) -> dict:
+    """:func:`chain_fingerprint` of a chain's ``structure_key()``."""
+    loops, batch, dtype, blocks, tensors = structure
     return {
-        "loops": sorted(chain.loops.items()),
-        "batch": chain.batch,
-        "dtype": chain.dtype,
+        "loops": sorted(loops),
+        "batch": batch,
+        "dtype": dtype,
         "blocks": [
             {
                 "name": b.name,
@@ -149,10 +159,10 @@ def chain_fingerprint(chain) -> dict:
                 "epilogue": b.epilogue,
                 "scale": float(f"{b.scale:.12g}"),
             }
-            for b in chain.blocks
+            for b in blocks
         ],
         "tensors": sorted(
-            (ref.name, list(ref.dims), ref.role) for ref in chain.tensors.values()
+            (ref.name, list(ref.dims), ref.role) for _, ref in tensors
         ),
     }
 
@@ -179,6 +189,11 @@ def gpu_fingerprint(gpu) -> dict:
     }
 
 
+#: Entries of each signature memo. A key is a chain structure, a GPU spec
+#: and a variant; a serving process sees a few hundred distinct shapes.
+SIGNATURE_MEMO_SIZE = 4096
+
+
 def workload_signature(chain, gpu, variant: str = "mcfuser") -> str:
     """Stable cache key for tuning ``chain`` on ``gpu`` under ``variant``.
 
@@ -191,11 +206,18 @@ def workload_signature(chain, gpu, variant: str = "mcfuser") -> str:
 
     Returns:
         A 32-character hex digest, stable across processes and sessions.
+        The digest is memoized per process on ``chain.structure_key()``,
+        so a repeated shape costs a dict lookup, not a JSON render.
     """
+    return _workload_digest(chain.structure_key(), gpu, variant)
+
+
+@lru_cache(maxsize=SIGNATURE_MEMO_SIZE)
+def _workload_digest(structure: tuple, gpu, variant: str) -> str:
     return _digest(
         {
             "version": SIGNATURE_VERSION,
-            "chain": chain_fingerprint(chain),
+            "chain": _fingerprint(structure),
             "gpu": gpu_fingerprint(gpu),
             "variant": variant,
         }
@@ -216,11 +238,21 @@ def bucketed_signature(
     every length in the bucket (tail tiles are masked at execution time).
     The payload carries an explicit ``dynamic_dims`` marker, so a bucketed
     key can never alias an exact :func:`workload_signature` (not even for a
-    chain whose dynamic extents already sit at the ceiling).
+    chain whose dynamic extents already sit at the ceiling). Memoized like
+    :func:`workload_signature`.
     """
-    dyn = bucket_dims(chain, dynamic_loops)
-    fingerprint = chain_fingerprint(chain)
+    return _bucketed_digest(
+        chain.structure_key(), gpu, variant, tuple(dynamic_loops)
+    )
+
+
+@lru_cache(maxsize=SIGNATURE_MEMO_SIZE)
+def _bucketed_digest(structure: tuple, gpu, variant: str, dynamic_loops: tuple) -> str:
+    fingerprint = _fingerprint(structure)
     loops = dict(fingerprint["loops"])
+    dyn = {
+        loop: bucket_of(loops[loop]) for loop in dynamic_loops if loop in loops
+    }
     loops.update(dyn)
     fingerprint["loops"] = sorted(loops.items())
     return _digest(

@@ -41,12 +41,18 @@ outright cannot clean up: it can leave temp files, never a partial
 The compiler is discovered as ``$REPRO_CC`` → ``clang`` → ``cc`` →
 ``gcc``; a missing compiler raises :class:`CompilerNotFoundError`, which
 the ``auto`` backend treats as "fall back to the vectorized executor".
+Discovery is memoized per ``($REPRO_CC, $PATH)`` value pair, so warm
+requests do not rescan ``PATH`` while changing either variable still
+re-discovers. A discovered compiler that has since vanished fails its
+build with :class:`CompileError` (``auto`` falls back) and drops the
+memo, so the next request discovers again.
 """
 
 from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import os
 import shutil
 import signal
@@ -96,9 +102,15 @@ def find_compiler() -> str | None:
 
     ``$REPRO_CC`` wins when set (and must resolve — a broken override is a
     configuration error worth surfacing, not silently falling through);
-    otherwise the first of ``clang``, ``cc``, ``gcc`` on ``PATH``.
+    otherwise the first of ``clang``, ``cc``, ``gcc`` on ``PATH``. The
+    answer is memoized per ``($REPRO_CC, $PATH)``.
     """
-    override = os.environ.get("REPRO_CC")
+    return _discover(os.environ.get("REPRO_CC"), os.environ.get("PATH"))
+
+
+@functools.lru_cache(maxsize=16)
+def _discover(override: str | None, path: str | None) -> str | None:
+    # ``path`` is only the memo key: shutil.which reads os.environ itself.
     if override:
         return shutil.which(override)
     for name in ("clang", "cc", "gcc"):
@@ -267,13 +279,19 @@ class ClangRuntime:
         with self._procs_lock:
             if self._closed:
                 raise CompileError("the kernel runtime has shut down")
-            proc = subprocess.Popen(
-                cmd,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                text=True,
-                start_new_session=True,
-            )
+            try:
+                proc = subprocess.Popen(
+                    cmd,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    start_new_session=True,
+                )
+            except OSError as exc:
+                # The memoized compiler is gone (or no longer executable):
+                # fail this build like any other, and discover afresh.
+                _discover.cache_clear()
+                raise CompileError(f"cannot run compiler {cmd[0]!r}: {exc}") from exc
             self._procs.add(proc)
         try:
             _, stderr = proc.communicate(timeout=COMPILE_TIMEOUT_S)

@@ -508,19 +508,22 @@ def _record_fallback(frm: str, to: str, reason: str, detail: str = "") -> None:
         tracer.event("exec.fallback", **attrs)
 
 
-def _compiled_reason(schedule: Schedule, pinned: bool) -> str | None:
+def _compiled_reason(schedule: Schedule, facts, pinned: bool) -> str | None:
     """Why the compiled backend cannot (or, under ``auto``, should not) run
     a lowerable schedule — ``None`` when it runs, else the reason token.
     A pinned ``"compiled"`` ignores the FLOPs amortization threshold; only
-    a missing toolchain or an unrenderable program actually stops it."""
+    a missing toolchain or an unrenderable program actually stops it.
+    ``facts`` is the schedule's memoized
+    :class:`~repro.codegen.program.ScheduleFacts`; the threshold is read
+    on every call."""
     from repro.codegen.clang_runtime import compiler_available
     from repro.codegen.render_c import schedule_renderable
 
     if not compiler_available():
         return "no-compiler"
-    if not pinned and schedule.total_flops() < COMPILED_MIN_FLOPS:
+    if not pinned and facts.flops < COMPILED_MIN_FLOPS:
         return "flops-threshold"
-    if not schedule_renderable(schedule):
+    if not schedule_renderable(schedule, facts):
         return "not-renderable"
     return None
 
@@ -555,9 +558,10 @@ def explain_exec_backend(schedule: Schedule, backend: str = "auto") -> dict:
     if backend == "scalar":
         out["resolved"] = "scalar"
         return out
-    from repro.codegen.program import schedule_lowerable
+    from repro.codegen.program import schedule_facts
 
-    if not schedule_lowerable(schedule):
+    facts = schedule_facts(schedule)
+    if not facts.lowerable:
         if backend == "auto":
             fall("compiled", "vectorized", "not-lowerable")
             fall("vectorized", "scalar", "not-lowerable")
@@ -568,7 +572,7 @@ def explain_exec_backend(schedule: Schedule, backend: str = "auto") -> dict:
     if backend == "vectorized":
         out["resolved"] = "vectorized"
         return out
-    reason = _compiled_reason(schedule, pinned=backend == "compiled")
+    reason = _compiled_reason(schedule, facts, pinned=backend == "compiled")
     if reason is None:
         out["resolved"] = "compiled"
     elif backend == "compiled":

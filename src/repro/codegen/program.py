@@ -38,7 +38,7 @@ from repro.tiling.schedule import LoopScope, Schedule, Statement
 from repro.utils import prod
 
 __all__ = ["TileOp", "TileProgram", "LoweringError", "lower_schedule",
-           "try_lower", "schedule_lowerable",
+           "try_lower", "schedule_facts", "ScheduleFacts",
            "MAX_PROGRAM_OPS", "MAX_GATHER_BYTES"]
 
 #: Unrolled-program size cap. The flat program has one op per residual
@@ -237,44 +237,60 @@ def try_lower(schedule: Schedule, backend: str = "auto") -> TileProgram | None:
         return None
 
 
-#: schedule content key -> lowerability verdict. Warm cache hits rebuild
+@dataclass
+class ScheduleFacts:
+    """What the exec-backend decision knows about one schedule content.
+
+    ``renderable`` stays ``None`` until something asks (see
+    :func:`repro.codegen.render_c.schedule_renderable`).
+    """
+
+    lowerable: bool
+    flops: float
+    renderable: bool | None = None
+
+
+#: schedule content key -> :class:`ScheduleFacts`. Warm cache hits rebuild
 #: the same schedules over and over (one per served signature); memoizing
-#: the verdict keeps `resolve_exec_backend` off the unroll path there.
-_LOWERABLE_MEMO: dict[int, bool] = {}
-_LOWERABLE_MEMO_CAP = 4096
+#: the facts keeps `resolve_exec_backend` off the unroll, render and FLOPs
+#: walks there.
+_FACTS_MEMO: dict[tuple, ScheduleFacts] = {}
+_FACTS_MEMO_CAP = 4096
 
 #: schedule content key -> unrolled program (default caps only). The op
 #: list is pure in schedule content, so repeat executions of one schedule
 #: skip the residual-loop walk; hits re-bind the caller's schedule object.
-_LOWER_MEMO: dict[int, TileProgram] = {}
+_LOWER_MEMO: dict[tuple, TileProgram] = {}
 _LOWER_MEMO_CAP = 256
 
 
-def _content_key(schedule: Schedule) -> int:
-    from repro.cache.signature import chain_fingerprint
-    from repro.utils import stable_hash
-
-    return stable_hash(
-        repr(chain_fingerprint(schedule.chain)),
+def _content_key(schedule: Schedule) -> tuple:
+    """In-process identity of a schedule's content: chain structure (not
+    its name), expression (its cached canonical text), tiles and whether
+    the DAG optimization ran. A tuple compared by equality, so two
+    contents can never share a key."""
+    return (
+        schedule.chain.structure_key(),
         schedule.expr.render(),
         tuple(sorted(schedule.tiles.items())),
         schedule.optimized,
     )
 
 
-def schedule_lowerable(schedule: Schedule) -> bool:
-    """Whether ``schedule`` lowers to a flat batched program (memoized by
-    schedule content, so repeated queries for rebuilt-but-identical
-    schedules cost a hash instead of an unroll)."""
+def schedule_facts(schedule: Schedule) -> ScheduleFacts:
+    """The memoized :class:`ScheduleFacts` of ``schedule``'s content, so
+    repeated queries for rebuilt-but-identical schedules cost a key build
+    and a dict lookup instead of an unroll and a FLOPs walk."""
     key = _content_key(schedule)
-    verdict = _LOWERABLE_MEMO.get(key)
-    if verdict is None:
+    facts = _FACTS_MEMO.get(key)
+    if facts is None:
         try:
             lower_schedule(schedule)
-            verdict = True
+            lowerable = True
         except LoweringError:
-            verdict = False
-        if len(_LOWERABLE_MEMO) >= _LOWERABLE_MEMO_CAP:
-            _LOWERABLE_MEMO.clear()
-        _LOWERABLE_MEMO[key] = verdict
-    return verdict
+            lowerable = False
+        facts = ScheduleFacts(lowerable=lowerable, flops=schedule.total_flops())
+        if len(_FACTS_MEMO) >= _FACTS_MEMO_CAP:
+            _FACTS_MEMO.clear()
+        _FACTS_MEMO[key] = facts
+    return facts

@@ -40,7 +40,6 @@ __all__ = [
     "RenderError",
     "RenderedKernel",
     "render_program",
-    "program_renderable",
     "schedule_renderable",
     "MAX_ARENA_BYTES",
 ]
@@ -822,10 +821,11 @@ class _Emitter:
         )
 
 
-#: (schedule content key, ops, grid_loops) -> rendered kernel. Rendering
-#: is pure in the program content, so rebuilt-but-identical programs skip
-#: the ~1ms emit pass; a tampered program differs in its ops tuple, misses
-#: the memo, and still reaches ``_verify_program``.
+#: (chain name, schedule content key, ops, grid_loops) -> rendered kernel.
+#: Rendering is pure in the program content plus the chain name the source
+#: header carries, so rebuilt-but-identical programs skip the ~1ms emit
+#: pass; a tampered program differs in its ops tuple, misses the memo, and
+#: still reaches ``_verify_program``.
 _RENDER_MEMO: dict[tuple, "RenderedKernel"] = {}
 _RENDER_MEMO_CAP = 256
 
@@ -851,7 +851,8 @@ def render_program(program: TileProgram) -> RenderedKernel:
     rendered = getattr(program, _KERNEL_ATTR, None)
     if rendered is not None:
         return rendered
-    key = (_content_key(program.schedule), program.ops, program.grid_loops)
+    schedule = program.schedule
+    key = (schedule.chain.name, _content_key(schedule), program.ops, program.grid_loops)
     rendered = _RENDER_MEMO.get(key)
     if rendered is None:
         try:
@@ -868,43 +869,21 @@ def render_program(program: TileProgram) -> RenderedKernel:
     return rendered
 
 
-#: program content key -> renderability verdict, mirroring
-#: ``program._LOWERABLE_MEMO`` so `resolve_exec_backend` stays off the
-#: render path for rebuilt-but-identical schedules.
-_RENDERABLE_MEMO: dict[int, bool] = {}
-_RENDERABLE_MEMO_CAP = 4096
+def schedule_renderable(schedule, facts=None) -> bool:
+    """Whether ``schedule`` lowers *and* renders to C (memoized by schedule
+    content in its :class:`~repro.codegen.program.ScheduleFacts`; pass
+    ``facts`` when the caller already holds them)."""
+    from repro.codegen.program import schedule_facts, try_lower
 
-
-def program_renderable(program: TileProgram) -> bool:
-    """Whether ``program`` renders to C (memoized by schedule content)."""
-    from repro.codegen.program import _content_key
-
-    key = _content_key(program.schedule)
-    verdict = _RENDERABLE_MEMO.get(key)
-    if verdict is None:
-        try:
-            render_program(program)
-            verdict = True
-        except RenderError:
-            verdict = False
-        if len(_RENDERABLE_MEMO) >= _RENDERABLE_MEMO_CAP:
-            _RENDERABLE_MEMO.clear()
-        _RENDERABLE_MEMO[key] = verdict
-    return verdict
-
-
-def schedule_renderable(schedule) -> bool:
-    """Whether ``schedule`` lowers *and* renders to C (memoized)."""
-    from repro.codegen.program import _content_key, try_lower
-
-    key = _content_key(schedule)
-    verdict = _RENDERABLE_MEMO.get(key)
-    if verdict is not None:
-        return verdict
-    program = try_lower(schedule, "auto")
-    if program is None:
-        if len(_RENDERABLE_MEMO) >= _RENDERABLE_MEMO_CAP:
-            _RENDERABLE_MEMO.clear()
-        _RENDERABLE_MEMO[key] = False
-        return False
-    return program_renderable(program)
+    if facts is None:
+        facts = schedule_facts(schedule)
+    if facts.renderable is None:
+        renderable = False
+        if facts.lowerable:
+            try:
+                render_program(try_lower(schedule, "auto"))
+                renderable = True
+            except RenderError:
+                pass
+        facts.renderable = renderable
+    return facts.renderable

@@ -238,6 +238,22 @@ class ComputeChain:
     def input_names(self) -> tuple[str, ...]:
         return tuple(t for t, ref in self.tensors.items() if ref.role == "input")
 
+    def structure_key(self) -> tuple:
+        """Hashable structural identity: everything but ``name``.
+
+        Two chains with equal keys are interchangeable for tuning, lowering
+        and signatures, so in-process memos key on this tuple (equality,
+        not a digest, so keys cannot collide). Built per call because
+        ``loops`` and ``tensors`` are plain dicts.
+        """
+        return (
+            tuple(self.loops.items()),
+            self.batch,
+            self.dtype,
+            self.blocks,
+            tuple(self.tensors.items()),
+        )
+
     def with_loops(self, overrides: dict[str, int], name: str | None = None) -> "ComputeChain":
         """A structurally identical chain with some loop extents replaced.
 

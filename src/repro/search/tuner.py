@@ -298,7 +298,7 @@ class MCFuserTuner:
         #: chain content fingerprint -> (inputs, reference output); lazily
         #: built when a verification mode is active. Keyed by content, not
         #: name — two differently shaped chains may share a name.
-        self._verify_data: dict[str, tuple[dict, np.ndarray]] = {}
+        self._verify_data: dict[tuple, tuple[dict, np.ndarray]] = {}
 
     @property
     def cache_variant(self) -> str:
@@ -345,9 +345,7 @@ class MCFuserTuner:
     # -- numeric verification --------------------------------------------------
 
     def _reference_for(self, chain: ComputeChain) -> tuple[dict, np.ndarray]:
-        from repro.cache.signature import chain_fingerprint
-
-        key = repr(sorted(chain_fingerprint(chain).items()))
+        key = chain.structure_key()
         data = self._verify_data.get(key)
         if data is None:
             if len(self._verify_data) >= 64:  # long-lived tuners stay bounded

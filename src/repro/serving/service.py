@@ -261,6 +261,7 @@ class CompileService:
     ) -> None:
         config = config if config is not None else SessionConfig()
         self.config = config
+        self._job_config = self._unbucketed(config)
         search = config.search
         self.dynamic = config.exec.dynamic
         self.dynamic_loops = tuple(config.exec.dynamic_loops)
@@ -316,6 +317,15 @@ class CompileService:
 
     # -- admission -------------------------------------------------------------
 
+    @staticmethod
+    def _unbucketed(config: SessionConfig) -> SessionConfig:
+        """``config`` as a tune job runs it: always ``dynamic="off"``. The
+        *service* owns bucketing (ceiling chain, bucketed signature,
+        rebinding); the tuner must not re-bucket."""
+        if config.exec.dynamic != "off":
+            return config.evolve(dynamic="off")
+        return config
+
     def _resolve_chain(self, workload) -> "ComputeChain":
         if isinstance(workload, str):
             from repro.workloads.registry import get_workload
@@ -359,12 +369,9 @@ class CompileService:
         """
         if lane not in LANES:
             raise ValueError(f"unknown lane {lane!r}; pick from {LANES}")
-        # The tune itself always runs dynamic="off" — the *service* owns
-        # bucketing (ceiling chain, bucketed signature, rebinding); the
-        # tuner must not re-bucket.
-        job_config = config if config is not None else self.config
-        if job_config.exec.dynamic != "off":
-            job_config = job_config.evolve(dynamic="off")
+        job_config = (
+            self._unbucketed(config) if config is not None else self._job_config
+        )
         variant = job_config.search.variant
         strategy = job_config.search.strategy
         measure_topk = job_config.search.measure_topk

@@ -16,7 +16,7 @@ commas sequence. ``mn(k,h)`` parses to ``m -> n -> [k ; h]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 __all__ = ["TilingExpr", "LoopNest", "parse_expr"]
 
@@ -77,8 +77,12 @@ class TilingExpr:
         return TilingExpr(roots=node)
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def parse(text: str) -> "TilingExpr":
-        """Parse the paper's textual syntax (``"mhnk"``, ``"mn(k,h)"``)."""
+        """Parse the paper's textual syntax (``"mhnk"``, ``"mn(k,h)"``).
+
+        Memoized per text: expressions are frozen, and warm cache hits
+        re-parse the same stored strings on every request."""
         return parse_expr(text)
 
     # -- validation -----------------------------------------------------------

@@ -230,6 +230,46 @@ class TestTypedFailures:
         with pytest.raises(CompilerNotFoundError):
             rt.compile(render_program(program))
 
+    def test_vanished_compiler_falls_back_under_auto(self, monkeypatch, tmp_path):
+        """Discovery is memoized, so a compiler deleted after discovery is
+        still the one a build runs. Its ``OSError`` must surface as a
+        :class:`CompileError`: ``auto`` falls back to vectorized (counted
+        once as a render error), a pinned ``compiled`` raises."""
+        from repro.codegen import clang_runtime, interpreter
+        from repro.codegen.interpreter import execute_schedule
+        from repro.obs import get_metrics
+
+        wrapper = tmp_path / "vanishing-cc"
+        wrapper.write_text("#!/bin/sh\nexec cc \"$@\"\n")
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(wrapper))
+        assert clang_runtime.find_compiler() == str(wrapper)
+        wrapper.unlink()
+        assert clang_runtime.find_compiler() == str(wrapper)  # memoized
+
+        monkeypatch.setattr(interpreter, "COMPILED_MIN_FLOPS", 0)
+        monkeypatch.setattr(
+            clang_runtime, "_RUNTIME", ClangRuntime(cache_dir=str(tmp_path / "k"))
+        )
+        chain, program = _program(name="cache-vanished")
+        inputs = chain.random_inputs(0)
+        schedule = program.schedule
+        assert interpreter.resolve_exec_backend(schedule, "auto") == "compiled"
+        out = execute_schedule(schedule, inputs)[chain.output]
+        scalar = execute_schedule(schedule, inputs, backend="scalar")[chain.output]
+        np.testing.assert_allclose(out, scalar, rtol=1e-4, atol=1e-4)
+        counters = get_metrics().snapshot()["counters"]
+        assert counters["exec.fallback.compiled.render-error"] == 1
+        assert counters["exec.fallback"] == 1
+
+        # The failed run dropped the stale discovery; pin it again.
+        wrapper.write_text("#!/bin/sh\nexec cc \"$@\"\n")
+        wrapper.chmod(0o755)
+        assert clang_runtime.find_compiler() == str(wrapper)
+        wrapper.unlink()
+        with pytest.raises(CompileError, match="cannot run compiler"):
+            execute_schedule(schedule, inputs, backend="compiled")
+
     def test_oversized_arena_rejected_at_render(self, monkeypatch):
         """A program whose per-cell arena exceeds the cap must be refused
         with a typed error instead of emitting a kernel that mallocs

@@ -107,6 +107,31 @@ def test_golden_structure(name):
         assert at and all(lines[i - 1].strip() == "#pragma omp simd" for i in at)
 
 
+@pytest.mark.parametrize("first", ["golden-3gemm", "twin-3gemm"])
+def test_render_memo_keeps_each_chain_name(first, monkeypatch):
+    """Structurally identical chains share every memo but the rendered
+    source, whose header names the chain: whichever renders first, each
+    kernel must name its own chain (and so hash to its own ``.so``)."""
+    import repro.codegen.render_c as render_c
+
+    monkeypatch.setattr(render_c, "_RENDER_MEMO", {})
+    names = [first, "twin-3gemm" if first == "golden-3gemm" else "golden-3gemm"]
+    rendered = {}
+    for name in names:
+        chain = gemm3_chain(2, 40, 25, 70, 66, 42, name=name)
+        schedule = build_schedule(
+            chain,
+            TilingExpr.parse("npmhk"),
+            {"m": 8, "n": 32, "k": 8, "h": 16, "p": 19},
+        )
+        rendered[name] = render_program(lower_schedule(schedule))
+    for name, meta in rendered.items():
+        assert f" * chain: {name}" in meta.source
+    assert (
+        rendered["golden-3gemm"].source_hash != rendered["twin-3gemm"].source_hash
+    )
+
+
 if __name__ == "__main__":
     import sys
 
