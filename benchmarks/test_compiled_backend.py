@@ -38,10 +38,11 @@ pytestmark = pytest.mark.skipif(
 #: Acceptance floor: compiled must beat vectorized by at least this factor.
 MIN_SPEEDUP = 2.0
 
-#: fp32 agreement with the unfused reference. The compiled backend fuses
-#: multiplies into FMAs under -march=native and re-associates the jammed
-#: accumulator sums, so big-k contractions differ from numpy at ~1e-4 —
-#: the same order as vectorized-vs-scalar drift on these shapes.
+#: fp32 agreement with the unfused reference. The compiled backend
+#: accumulates each output element serially in contracted order, fusing
+#: multiplies into FMAs under -march=native, while numpy blocks its dot
+#: products; big-k contractions differ at ~1e-4 — the same order as
+#: vectorized-vs-scalar drift on these shapes.
 RTOL, ATOL = 1e-3, 1e-3
 
 

@@ -8,8 +8,9 @@ residual loop tree inside, per-cell shared-memory tiles and accumulators
 in a malloc'd arena. The emission replicates the scalar interpreter's
 semantics statement for statement:
 
-* ``load``    — zero the tile buffer, copy the valid (clamped) region of
-  the global tensor row by row;
+* ``load``    — copy the valid (clamped) region of the global tensor row
+  by row; only a partial tile (some valid extent short of the tile) is
+  zeroed first, since the copy overwrites every element of a full one;
 * ``compute`` — accumulator init-on-first-reduction-iteration (the
   ``fresh_sweep``/spatial-key logic of ``_ensure_acc``), producer
   epilogues applied at consumption, and the online-softmax recurrence
@@ -17,6 +18,16 @@ semantics statement for statement:
   masked, ``exp(-inf - -inf)`` corrections clamped to zero);
 * ``store``   — divide by the softmax denominator where present, apply
   the block epilogue, write the valid region only.
+
+Contractions whose output's last dim reads unit-stride run as a
+register-resident microkernel: blocks of up to 4 output rows x 64
+columns keep their accumulators in ``mcf_v`` vectors (a GCC/Clang vector
+extension type of 16 floats) through the whole contracted loop nest, and
+the ``inner % 16`` column tail runs the same nest on ``float``
+accumulators. An operand that strides the inner dim is first copied
+transposed, in 16x16 blocks when its tile allows. The block shapes depend
+on tile sizes only, so the rendered source, and its hash, are the same on
+every host.
 
 Rendering is *total* over verified programs: :func:`render_program` first
 re-runs the interpreter's state-machine checks statically over the flat
@@ -133,8 +144,16 @@ def _verify_program(program: TileProgram) -> None:
 # -- emission ------------------------------------------------------------------
 
 
+#: Floats per ``mcf_v`` microkernel vector (``vector_size(64)``). Fixed,
+#: not probed from the host, so rendered source is host-independent.
+_LANES = 16
+
+#: Edge of the square blocks a transposed operand copy is done in.
+_TR_BLOCK = 16
+
+
 def _block_factor(extent: int) -> int:
-    """The register-block width for a loop: 4, else 2, else 1 — the
+    """The register-block height for a loop: 4, else 2, else 1 — the
     widest that divides ``extent``, so no remainder loop is needed."""
     return next((f for f in (4, 2) if extent % f == 0), 1)
 
@@ -270,12 +289,15 @@ class _Emitter:
         elems = int(prod(self.tile_shape(dims)))
         self.emit(f"{{ /* Load tile {tensor} */")
         self.depth += 1
-        self.emit(f"memset({buf}, 0, {elems} * sizeof(float));")
         for j, d in enumerate(dims):
             size = self.chain.loops[d]
             tile = self.tiles[d]
             self.emit(f"long s{j} = (long)({self.idx_val(d)}) * {tile};")
             self.emit(f"long v{j} = {size} - s{j} < {tile} ? {size} - s{j} : {tile};")
+        # Only a partial tile needs its zero padding: the copy below
+        # overwrites every element of a full one.
+        partial = " || ".join(f"v{j} < {self.tiles[d]}" for j, d in enumerate(dims))
+        self.emit(f"if ({partial}) memset({buf}, 0, {elems} * sizeof(float));")
         guard = " && ".join(f"v{j} > 0" for j in range(len(dims))) or "1"
         self.emit(f"if ({guard}) {{")
         self.depth += 1
@@ -442,21 +464,20 @@ class _Emitter:
     ) -> None:
         """Emit the loop nest around ``acc += product`` in the form chosen
         by :meth:`contraction_form` (``reads`` is ``(buffer, dims)``
-        pairs). Factors invariant to the innermost dim are hoisted
-        between the loops, and the innermost loop carries ``#pragma omp
-        simd`` — without it the compiler's cost model refuses these
-        small tile loops as a "complicated access pattern".
+        pairs).
 
-        The ``axpy`` form is register-blocked 4x4 where the tiles allow
-        (2, then 1, when a tile extent does not divide): 4 iterations of
-        the innermost contracted loop are jammed into each update, and 4
-        output rows share each sweep's unit-stride operand loads::
-
-            float h00 = A[t0][t1], ..., h33 = A[t0 + 3][t1 + 3];
-            for t2:  b0 = B[t1][t2], ..., b3 = B[t1 + 3][t2]
-                     acc[t0 + r][t2] += hr0 * b0 + ... + hr3 * b3   (r = 0..3)
-
-        The ``dot`` and ``naive`` forms are emitted unblocked."""
+        The ``axpy`` form is a register-resident microkernel (see
+        :meth:`emit_microkernel`): blocks of R = 4, 2 or 1 output rows x
+        ``nv`` = 4, 2 or 1 vectors of 16 columns hold their accumulators
+        in ``mcf_v`` locals across the whole contracted loop nest, and
+        the ``inner % 16`` column tail runs that nest with ``float``
+        accumulators. Operands that stride the inner dim are first copied
+        transposed (:meth:`emit_transpose`: 16x16 blocks when both tile
+        extents are multiples of 16). The ``dot`` form hoists the factors
+        invariant to its reduced dim and reduces that dim in a
+        ``#pragma omp simd`` loop — without the pragma the compiler's cost
+        model refuses these small tile loops as a "complicated access
+        pattern". The ``naive`` form is the plain nest."""
         bid = self.block_id[block.name]
         out_dims = self.chain.tensors[block.output].dims
         target = f"acc{bid}[{self.tile_index(out_dims, ivars)}]"
@@ -471,116 +492,200 @@ class _Emitter:
             tr = f"tr{bid}_{base}"
             if base not in copied:
                 copied.add(base)
-                cvars = {d: f"c{j}" for j, d in enumerate(dims)}
                 self.emit(f"/* unit-stride copy of {base} for the {inner} loop */")
-                for j, d in enumerate(dims):
-                    self.emit(f"for (long c{j} = 0; c{j} < {self.tiles[d]}; c{j}++)")
-                    self.depth += 1
-                self.emit(
-                    f"{tr}[{self.tile_index(tdims, cvars)}] = "
-                    f"{base}[{self.tile_index(dims, cvars)}];"
-                )
-                self.depth -= len(dims)
+                self.emit_transpose(base, dims, tr, tdims)
             resolved.append((tr, tdims))
 
         def rd(base: str, dims: tuple[str, ...], iv: dict[str, str]) -> str:
             return f"{base}[{self.tile_index(dims, iv)}]"
 
-        factors = ([scale_expr] if scale_expr else []) + [
-            rd(b, d, ivars) for b, d in resolved
-        ]
-        if not order:
-            self.emit(f"{target} += {' * '.join(factors)};")
-            return
-        if form == "naive":  # strided every way: leave it to the compiler
+        scale = [scale_expr] if scale_expr else []
+        if not order or form == "naive":  # naive: leave it to the compiler
             for d in order:
                 v = ivars[d]
                 self.emit(f"for (long {v} = 0; {v} < {self.tiles[d]}; {v}++)")
                 self.depth += 1
+            factors = scale + [rd(b, d, ivars) for b, d in resolved]
             self.emit(f"{target} += {' * '.join(factors)};")
             self.depth -= len(order)
             return
-        outer = [d for d in order if d != inner]
         invariant = [(b, d) for b, d in resolved if inner not in d]
         variant = [(b, d) for b, d in resolved if inner in d]
-        # Register-block the axpy form over two loops. Jamming JAM
-        # iterations of the innermost contracted loop into one statement
-        # divides the accumulator row's load/store traffic by JAM (the
-        # per-statement regrouping of the sum is fp reassociation of the
-        # same order the backends already tolerate). Jamming ROWS
-        # iterations of the innermost output-row loop lets each SIMD sweep
-        # load the unit-stride operands once and apply them to ROWS
-        # accumulator rows; rows only block when no such operand depends on
-        # the row dim, and every output element keeps its exact sequence
-        # of operations, so row blocking changes no bit of the result.
-        jam_dim = outer[-1] if outer and outer[-1] not in out_dims else None
+        if form == "axpy":
+            self.emit_microkernel(
+                bid, out_dims, [d for d in order if d not in out_dims],
+                scale, invariant, variant, ivars,
+            )
+            return
+        outer = [d for d in order if d != inner]
+        for d in outer:
+            v = ivars[d]
+            self.emit(f"for (long {v} = 0; {v} < {self.tiles[d]}; {v}++) {{")
+            self.depth += 1
+        iv = ivars[inner]
+        hoist = scale + [rd(b, d, ivars) for b, d in invariant]
+        self.emit("float s_ = 0.0f;")
+        self.emit("#pragma omp simd reduction(+:s_)")
+        self.emit(f"for (long {iv} = 0; {iv} < {self.tiles[inner]}; {iv}++)")
+        self.depth += 1
+        self.emit(f"s_ += {' * '.join(rd(b, d, ivars) for b, d in variant)};")
+        self.depth -= 1
+        self.emit(f"{target} += {' * '.join([*hoist, 's_'])};")
+        for _ in outer:
+            self.depth -= 1
+            self.emit("}")
+
+    def emit_transpose(
+        self, base: str, dims: tuple[str, ...], tr: str, tdims: tuple[str, ...]
+    ) -> None:
+        """Copy tile ``base`` into ``tr`` laid out as ``tdims``. A 2-D tile
+        whose extents are multiples of 16 is copied in 16x16 blocks, so
+        each block's source rows and destination rows stay in cache; the
+        plain nest walks the whole destination column per source row."""
+        cvars = {d: f"c{j}" for j, d in enumerate(dims)}
+        assign = (
+            f"{tr}[{self.tile_index(tdims, cvars)}] = "
+            f"{base}[{self.tile_index(dims, cvars)}];"
+        )
+        if len(dims) == 2 and all(self.tiles[d] % _TR_BLOCK == 0 for d in dims):
+            for j, d in enumerate(dims):
+                self.emit(f"for (long k{j} = 0; k{j} < {self.tiles[d]}; k{j} += {_TR_BLOCK})")
+                self.depth += 1
+            self.emit(f"for (long c0 = k0; c0 < k0 + {_TR_BLOCK}; c0++) {{")
+            self.depth += 1
+            self.emit("#pragma omp simd")
+            self.emit(f"for (long c1 = k1; c1 < k1 + {_TR_BLOCK}; c1++)")
+            self.depth += 1
+            self.emit(assign)
+            self.depth -= 2
+            self.emit("}")
+            self.depth -= 2
+            return
+        for j, d in enumerate(dims):
+            self.emit(f"for (long c{j} = 0; c{j} < {self.tiles[d]}; c{j}++)")
+            self.depth += 1
+        self.emit(assign)
+        self.depth -= len(dims)
+
+    def emit_microkernel(
+        self,
+        bid: int,
+        out_dims: tuple[str, ...],
+        contracted: list[str],
+        scale: list[str],
+        invariant: list[tuple[str, tuple[str, ...]]],
+        variant: list[tuple[str, tuple[str, ...]]],
+        ivars: dict[str, str],
+    ) -> None:
+        """The ``axpy`` contraction as a register-resident microkernel.
+
+        The output tile is walked in blocks of R rows (``_block_factor``
+        of the innermost output-row dim, when no unit-stride operand
+        depends on it) x W inner columns. W is ``nv`` vectors of
+        :data:`_LANES` floats, ``nv`` in 4, 2, 1 — the widest that divides
+        the vector part of the inner tile — so a block holds at most 16
+        ``mcf_v`` accumulators. Each block loads its accumulators once,
+        runs the whole contracted loop nest on them, and stores them
+        once::
+
+            mcf_v c0_0 = acc[t0][t2 : t2+16], ..., c3_1 = acc[t0+3][t2+16 : t2+32]
+            for t1:  a_r = scale * A[t0 + r][t1]      (r = 0..3)
+                     p_j = B[t1][t2 + 16j : t2 + 16j + 16]   (j = 0..1)
+                     c_r_j += a_r * p_j
+            acc[t0 + r][t2 + 16j : ...] = c_r_j
+
+        The ``inner % 16`` tail columns run one at a time through the
+        same nest with ``float`` accumulators. ``scale`` and the
+        ``invariant`` operand tiles (those without the inner dim) form
+        ``a_r``; the ``variant`` tiles are read unit-stride as ``p_j``.
+        The block shape depends only on the tile sizes, never on the
+        host, so the source stays portable; every output element
+        accumulates in serial contracted order."""
+        acc = f"acc{bid}"
         row_dim = out_dims[-2] if len(out_dims) >= 2 else None
-        step: dict[str, int] = {}
-        if form == "axpy" and variant:
-            if jam_dim is not None:
-                step[jam_dim] = _block_factor(self.tiles[jam_dim])
-            if row_dim is not None and all(row_dim not in d for _, d in variant):
-                step[row_dim] = _block_factor(self.tiles[row_dim])
-        jam = step.get(jam_dim, 1)
-        rows = step.get(row_dim, 1)
+        rows = 1
+        if row_dim is not None and all(row_dim not in d for _, d in variant):
+            rows = _block_factor(self.tiles[row_dim])
+        inner = out_dims[-1]
+        tile = self.tiles[inner]
+        vec_end = tile - tile % _LANES
+        nv = next(f for f in (4, 2, 1) if (vec_end // _LANES) % f == 0)
         iv = ivars[inner]
 
-        def lane(r: int, j: int) -> dict[str, str]:
+        def at(r: int, col: int) -> dict[str, str]:
             shifted = dict(ivars)
             if r:
                 shifted[row_dim] = f"({ivars[row_dim]} + {r})"
-            if j:
-                shifted[jam_dim] = f"({ivars[jam_dim]} + {j})"
+            if col:
+                shifted[inner] = f"({iv} + {col})"
             return shifted
 
-        for d in outer:
+        def emit_block(vector: bool) -> None:
+            width, step = (nv, _LANES) if vector else (1, 1)
+            cs = [[f"c{r}_{j}" for j in range(width)] for r in range(rows)]
+            for r in range(rows):
+                for j in range(width):
+                    src = self.tile_index(out_dims, at(r, j * step))
+                    if vector:
+                        self.emit(f"mcf_v {cs[r][j]}; memcpy(&{cs[r][j]}, {acc} + ({src}), sizeof(mcf_v));")
+                    else:
+                        self.emit(f"float {cs[r][j]} = {acc}[{src}];")
+            for d in contracted:
+                v = ivars[d]
+                self.emit(f"for (long {v} = 0; {v} < {self.tiles[d]}; {v}++) {{")
+                self.depth += 1
+            a = []
+            if scale or invariant:
+                for r in range(rows):
+                    a.append(f"a{r}")
+                    factors = scale + [
+                        f"{b}[{self.tile_index(dims, at(r, 0))}]" for b, dims in invariant
+                    ]
+                    self.emit(f"float a{r} = {' * '.join(factors)};")
+            ps: list[list[str]] = []
+            for j in range(width):
+                names = []
+                for i, (b, dims) in enumerate(variant):
+                    name = f"p{j}" if i == 0 else f"p{j}_{i}"
+                    names.append(name)
+                    src = self.tile_index(dims, at(0, j * step))
+                    if vector:
+                        self.emit(f"mcf_v {name}; memcpy(&{name}, {b} + ({src}), sizeof(mcf_v));")
+                    else:
+                        self.emit(f"float {name} = {b}[{src}];")
+                ps.append(names)
+            for r in range(rows):
+                for j in range(width):
+                    terms = ([a[r]] if a else []) + ps[j]
+                    self.emit(f"{cs[r][j]} += {' * '.join(terms)};")
+            for _ in contracted:
+                self.depth -= 1
+                self.emit("}")
+            for r in range(rows):
+                for j in range(width):
+                    dst = self.tile_index(out_dims, at(r, j * step))
+                    if vector:
+                        self.emit(f"memcpy({acc} + ({dst}), &{cs[r][j]}, sizeof(mcf_v));")
+                    else:
+                        self.emit(f"{acc}[{dst}] = {cs[r][j]};")
+
+        for d in out_dims[:-1]:
             v = ivars[d]
-            inc = f"{v} += {step[d]}" if step.get(d, 1) > 1 else f"{v}++"
+            inc = f"{v} += {rows}" if d == row_dim and rows > 1 else f"{v}++"
             self.emit(f"for (long {v} = 0; {v} < {self.tiles[d]}; {inc}) {{")
             self.depth += 1
-        if form == "axpy":
-            scale = [scale_expr] if scale_expr else []
-            loads: list[str] = []
-            lane_loads: list[list[str]] = []  # per jam lane: its b-vars
-            for j in range(jam):
-                names = []
-                for b, d in variant:
-                    names.append(f"b{len(loads)}")
-                    loads.append(f"float {names[-1]} = {rd(b, d, lane(0, j))};")
-                lane_loads.append(names)
-            updates = []
-            for r in range(rows):
-                terms = []
-                for j in range(jam):
-                    hoist = scale + [rd(b, d, lane(r, j)) for b, d in invariant]
-                    if hoist:
-                        self.emit(f"float h{r}{j} = {' * '.join(hoist)};")
-                        terms.append(" * ".join([f"h{r}{j}", *lane_loads[j]]))
-                    else:
-                        terms.append(" * ".join(lane_loads[j]))
-                row = f"acc{bid}[{self.tile_index(out_dims, lane(r, 0))}]"
-                updates.append(f"{row} += {' + '.join(terms)};")
-            self.emit("#pragma omp simd")
-            self.emit(f"for (long {iv} = 0; {iv} < {self.tiles[inner]}; {iv}++) {{")
+        for start, end, inc, vector in (
+            (0, vec_end, f"{iv} += {nv * _LANES}", True),
+            (vec_end, tile, f"{iv}++", False),
+        ):
+            if start == end:
+                continue
+            self.emit(f"for (long {iv} = {start}; {iv} < {end}; {inc}) {{")
             self.depth += 1
-            for line in loads + updates:
-                self.emit(line)
+            emit_block(vector)
             self.depth -= 1
             self.emit("}")
-        else:  # dot
-            hoist = ([scale_expr] if scale_expr else []) + [
-                rd(b, d, ivars) for b, d in invariant
-            ]
-            var_exprs = [rd(b, d, ivars) for b, d in variant]
-            self.emit("float s_ = 0.0f;")
-            self.emit("#pragma omp simd reduction(+:s_)")
-            self.emit(f"for (long {iv} = 0; {iv} < {self.tiles[inner]}; {iv}++)")
-            self.depth += 1
-            self.emit(f"s_ += {' * '.join(var_exprs)};")
-            self.depth -= 1
-            update = " * ".join([*hoist, "s_"]) if hoist else "s_"
-            self.emit(f"{target} += {update};")
-        for _ in outer:
+        for _ in out_dims[:-1]:
             self.depth -= 1
             self.emit("}")
 
@@ -757,6 +862,10 @@ class _Emitter:
             "#include <math.h>",
             "#include <stdlib.h>",
             "#include <string.h>",
+            "",
+            "/* The contraction microkernel's accumulator vector (GCC/Clang vector",
+            " * extension), loaded and stored with memcpy: tiles need no alignment. */",
+            "typedef float mcf_v __attribute__((vector_size(64)));",
             "",
             "static inline float mcf_relu(float x) { return x > 0.0f ? x : 0.0f; }",
             "static inline float mcf_gelu(float x) {",

@@ -6,6 +6,10 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* The contraction microkernel's accumulator vector (GCC/Clang vector
+ * extension), loaded and stored with memcpy: tiles need no alignment. */
+typedef float mcf_v __attribute__((vector_size(64)));
+
 static inline float mcf_relu(float x) { return x > 0.0f ? x : 0.0f; }
 static inline float mcf_gelu(float x) {
     return 0.5f * x * (1.0f + tanhf(0.7978845608f * (x + 0.044715f * x * x * x)));
@@ -50,11 +54,11 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
         long key1_0 = -1; (void)key1_0;
         long key1_1 = -1; (void)key1_1;
         { /* Load tile Q */
-            memset(sm0, 0, 1024 * sizeof(float));
             long s0 = (long)(g_1) * 32;
             long v0 = 64 - s0 < 32 ? 64 - s0 : 32;
             long s1 = (long)(0) * 32;
             long v1 = 32 - s1 < 32 ? 32 - s1 : 32;
+            if (v0 < 32 || v1 < 32) memset(sm0, 0, 1024 * sizeof(float));
             if (v0 > 0 && v1 > 0) {
                 for (long i0 = 0; i0 < v0; i0++)
                     memcpy(sm0 + (i0 * 32 + 0), g0 + (b * 2048 + (s0 + i0) * 32 + s1), v1 * sizeof(float));
@@ -62,11 +66,11 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
         }
         for (long L0 = 0; L0 < 2; L0++) { /* n */
             { /* Load tile K */
-                memset(sm1, 0, 1024 * sizeof(float));
                 long s0 = (long)(L0) * 32;
                 long v0 = 64 - s0 < 32 ? 64 - s0 : 32;
                 long s1 = (long)(0) * 32;
                 long v1 = 32 - s1 < 32 ? 32 - s1 : 32;
+                if (v0 < 32 || v1 < 32) memset(sm1, 0, 1024 * sizeof(float));
                 if (v0 > 0 && v1 > 0) {
                     for (long i0 = 0; i0 < v0; i0++)
                         memcpy(sm1 + (i0 * 32 + 0), g1 + (b * 2048 + (s0 + i0) * 32 + s1), v1 * sizeof(float));
@@ -79,47 +83,56 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                     key0_0 = L0;
                 }
                 /* unit-stride copy of sm1 for the n loop */
-                for (long c0 = 0; c0 < 32; c0++)
-                    for (long c1 = 0; c1 < 32; c1++)
-                        tr0_sm1[c1 * 32 + c0] = sm1[c0 * 32 + c1];
-                for (long t0 = 0; t0 < 32; t0 += 4) {
-                    for (long t1 = 0; t1 < 32; t1 += 4) {
-                        float h00 = 0.17677669529663687f * sm0[t0 * 32 + t1];
-                        float h01 = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 1)];
-                        float h02 = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 2)];
-                        float h03 = 0.17677669529663687f * sm0[t0 * 32 + (t1 + 3)];
-                        float h10 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + t1];
-                        float h11 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + (t1 + 1)];
-                        float h12 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + (t1 + 2)];
-                        float h13 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + (t1 + 3)];
-                        float h20 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + t1];
-                        float h21 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + (t1 + 1)];
-                        float h22 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + (t1 + 2)];
-                        float h23 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + (t1 + 3)];
-                        float h30 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + t1];
-                        float h31 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + (t1 + 1)];
-                        float h32 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + (t1 + 2)];
-                        float h33 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + (t1 + 3)];
-                        #pragma omp simd
-                        for (long t2 = 0; t2 < 32; t2++) {
-                            float b0 = tr0_sm1[t1 * 32 + t2];
-                            float b1 = tr0_sm1[(t1 + 1) * 32 + t2];
-                            float b2 = tr0_sm1[(t1 + 2) * 32 + t2];
-                            float b3 = tr0_sm1[(t1 + 3) * 32 + t2];
-                            acc0[t0 * 32 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
-                            acc0[(t0 + 1) * 32 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
-                            acc0[(t0 + 2) * 32 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
-                            acc0[(t0 + 3) * 32 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                for (long k0 = 0; k0 < 32; k0 += 16)
+                    for (long k1 = 0; k1 < 32; k1 += 16)
+                        for (long c0 = k0; c0 < k0 + 16; c0++) {
+                            #pragma omp simd
+                            for (long c1 = k1; c1 < k1 + 16; c1++)
+                                tr0_sm1[c1 * 32 + c0] = sm1[c0 * 32 + c1];
                         }
+                for (long t0 = 0; t0 < 32; t0 += 4) {
+                    for (long t2 = 0; t2 < 32; t2 += 32) {
+                        mcf_v c0_0; memcpy(&c0_0, acc0 + (t0 * 32 + t2), sizeof(mcf_v));
+                        mcf_v c0_1; memcpy(&c0_1, acc0 + (t0 * 32 + (t2 + 16)), sizeof(mcf_v));
+                        mcf_v c1_0; memcpy(&c1_0, acc0 + ((t0 + 1) * 32 + t2), sizeof(mcf_v));
+                        mcf_v c1_1; memcpy(&c1_1, acc0 + ((t0 + 1) * 32 + (t2 + 16)), sizeof(mcf_v));
+                        mcf_v c2_0; memcpy(&c2_0, acc0 + ((t0 + 2) * 32 + t2), sizeof(mcf_v));
+                        mcf_v c2_1; memcpy(&c2_1, acc0 + ((t0 + 2) * 32 + (t2 + 16)), sizeof(mcf_v));
+                        mcf_v c3_0; memcpy(&c3_0, acc0 + ((t0 + 3) * 32 + t2), sizeof(mcf_v));
+                        mcf_v c3_1; memcpy(&c3_1, acc0 + ((t0 + 3) * 32 + (t2 + 16)), sizeof(mcf_v));
+                        for (long t1 = 0; t1 < 32; t1++) {
+                            float a0 = 0.17677669529663687f * sm0[t0 * 32 + t1];
+                            float a1 = 0.17677669529663687f * sm0[(t0 + 1) * 32 + t1];
+                            float a2 = 0.17677669529663687f * sm0[(t0 + 2) * 32 + t1];
+                            float a3 = 0.17677669529663687f * sm0[(t0 + 3) * 32 + t1];
+                            mcf_v p0; memcpy(&p0, tr0_sm1 + (t1 * 32 + t2), sizeof(mcf_v));
+                            mcf_v p1; memcpy(&p1, tr0_sm1 + (t1 * 32 + (t2 + 16)), sizeof(mcf_v));
+                            c0_0 += a0 * p0;
+                            c0_1 += a0 * p1;
+                            c1_0 += a1 * p0;
+                            c1_1 += a1 * p1;
+                            c2_0 += a2 * p0;
+                            c2_1 += a2 * p1;
+                            c3_0 += a3 * p0;
+                            c3_1 += a3 * p1;
+                        }
+                        memcpy(acc0 + (t0 * 32 + t2), &c0_0, sizeof(mcf_v));
+                        memcpy(acc0 + (t0 * 32 + (t2 + 16)), &c0_1, sizeof(mcf_v));
+                        memcpy(acc0 + ((t0 + 1) * 32 + t2), &c1_0, sizeof(mcf_v));
+                        memcpy(acc0 + ((t0 + 1) * 32 + (t2 + 16)), &c1_1, sizeof(mcf_v));
+                        memcpy(acc0 + ((t0 + 2) * 32 + t2), &c2_0, sizeof(mcf_v));
+                        memcpy(acc0 + ((t0 + 2) * 32 + (t2 + 16)), &c2_1, sizeof(mcf_v));
+                        memcpy(acc0 + ((t0 + 3) * 32 + t2), &c3_0, sizeof(mcf_v));
+                        memcpy(acc0 + ((t0 + 3) * 32 + (t2 + 16)), &c3_1, sizeof(mcf_v));
                     }
                 }
             }
             { /* Load tile V */
-                memset(sm3, 0, 1024 * sizeof(float));
                 long s0 = (long)(L0) * 32;
                 long v0 = 64 - s0 < 32 ? 64 - s0 : 32;
                 long s1 = (long)(0) * 32;
                 long v1 = 32 - s1 < 32 ? 32 - s1 : 32;
+                if (v0 < 32 || v1 < 32) memset(sm3, 0, 1024 * sizeof(float));
                 if (v0 > 0 && v1 > 0) {
                     for (long i0 = 0; i0 < v0; i0++)
                         memcpy(sm3 + (i0 * 32 + 0), g3 + (b * 2048 + (s0 + i0) * 32 + s1), v1 * sizeof(float));
@@ -163,34 +176,39 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                         }
                     }
                     for (long t0 = 0; t0 < 32; t0 += 4) {
-                        for (long t1 = 0; t1 < 32; t1 += 4) {
-                            float h00 = prob1[t0 * 32 + t1];
-                            float h01 = prob1[t0 * 32 + (t1 + 1)];
-                            float h02 = prob1[t0 * 32 + (t1 + 2)];
-                            float h03 = prob1[t0 * 32 + (t1 + 3)];
-                            float h10 = prob1[(t0 + 1) * 32 + t1];
-                            float h11 = prob1[(t0 + 1) * 32 + (t1 + 1)];
-                            float h12 = prob1[(t0 + 1) * 32 + (t1 + 2)];
-                            float h13 = prob1[(t0 + 1) * 32 + (t1 + 3)];
-                            float h20 = prob1[(t0 + 2) * 32 + t1];
-                            float h21 = prob1[(t0 + 2) * 32 + (t1 + 1)];
-                            float h22 = prob1[(t0 + 2) * 32 + (t1 + 2)];
-                            float h23 = prob1[(t0 + 2) * 32 + (t1 + 3)];
-                            float h30 = prob1[(t0 + 3) * 32 + t1];
-                            float h31 = prob1[(t0 + 3) * 32 + (t1 + 1)];
-                            float h32 = prob1[(t0 + 3) * 32 + (t1 + 2)];
-                            float h33 = prob1[(t0 + 3) * 32 + (t1 + 3)];
-                            #pragma omp simd
-                            for (long t2 = 0; t2 < 32; t2++) {
-                                float b0 = sm3[t1 * 32 + t2];
-                                float b1 = sm3[(t1 + 1) * 32 + t2];
-                                float b2 = sm3[(t1 + 2) * 32 + t2];
-                                float b3 = sm3[(t1 + 3) * 32 + t2];
-                                acc1[t0 * 32 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
-                                acc1[(t0 + 1) * 32 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
-                                acc1[(t0 + 2) * 32 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
-                                acc1[(t0 + 3) * 32 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                        for (long t2 = 0; t2 < 32; t2 += 32) {
+                            mcf_v c0_0; memcpy(&c0_0, acc1 + (t0 * 32 + t2), sizeof(mcf_v));
+                            mcf_v c0_1; memcpy(&c0_1, acc1 + (t0 * 32 + (t2 + 16)), sizeof(mcf_v));
+                            mcf_v c1_0; memcpy(&c1_0, acc1 + ((t0 + 1) * 32 + t2), sizeof(mcf_v));
+                            mcf_v c1_1; memcpy(&c1_1, acc1 + ((t0 + 1) * 32 + (t2 + 16)), sizeof(mcf_v));
+                            mcf_v c2_0; memcpy(&c2_0, acc1 + ((t0 + 2) * 32 + t2), sizeof(mcf_v));
+                            mcf_v c2_1; memcpy(&c2_1, acc1 + ((t0 + 2) * 32 + (t2 + 16)), sizeof(mcf_v));
+                            mcf_v c3_0; memcpy(&c3_0, acc1 + ((t0 + 3) * 32 + t2), sizeof(mcf_v));
+                            mcf_v c3_1; memcpy(&c3_1, acc1 + ((t0 + 3) * 32 + (t2 + 16)), sizeof(mcf_v));
+                            for (long t1 = 0; t1 < 32; t1++) {
+                                float a0 = prob1[t0 * 32 + t1];
+                                float a1 = prob1[(t0 + 1) * 32 + t1];
+                                float a2 = prob1[(t0 + 2) * 32 + t1];
+                                float a3 = prob1[(t0 + 3) * 32 + t1];
+                                mcf_v p0; memcpy(&p0, sm3 + (t1 * 32 + t2), sizeof(mcf_v));
+                                mcf_v p1; memcpy(&p1, sm3 + (t1 * 32 + (t2 + 16)), sizeof(mcf_v));
+                                c0_0 += a0 * p0;
+                                c0_1 += a0 * p1;
+                                c1_0 += a1 * p0;
+                                c1_1 += a1 * p1;
+                                c2_0 += a2 * p0;
+                                c2_1 += a2 * p1;
+                                c3_0 += a3 * p0;
+                                c3_1 += a3 * p1;
                             }
+                            memcpy(acc1 + (t0 * 32 + t2), &c0_0, sizeof(mcf_v));
+                            memcpy(acc1 + (t0 * 32 + (t2 + 16)), &c0_1, sizeof(mcf_v));
+                            memcpy(acc1 + ((t0 + 1) * 32 + t2), &c1_0, sizeof(mcf_v));
+                            memcpy(acc1 + ((t0 + 1) * 32 + (t2 + 16)), &c1_1, sizeof(mcf_v));
+                            memcpy(acc1 + ((t0 + 2) * 32 + t2), &c2_0, sizeof(mcf_v));
+                            memcpy(acc1 + ((t0 + 2) * 32 + (t2 + 16)), &c2_1, sizeof(mcf_v));
+                            memcpy(acc1 + ((t0 + 3) * 32 + t2), &c3_0, sizeof(mcf_v));
+                            memcpy(acc1 + ((t0 + 3) * 32 + (t2 + 16)), &c3_1, sizeof(mcf_v));
                         }
                     }
                 }

@@ -6,6 +6,10 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* The contraction microkernel's accumulator vector (GCC/Clang vector
+ * extension), loaded and stored with memcpy: tiles need no alignment. */
+typedef float mcf_v __attribute__((vector_size(64)));
+
 static inline float mcf_relu(float x) { return x > 0.0f ? x : 0.0f; }
 static inline float mcf_gelu(float x) {
     return 0.5f * x * (1.0f + tanhf(0.7978845608f * (x + 0.044715f * x * x * x)));
@@ -53,22 +57,22 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
         for (long L0 = 0; L0 < 5; L0++) { /* h */
             for (long L1 = 0; L1 < 9; L1++) { /* k */
                 { /* Load tile A */
-                    memset(sm0, 0, 64 * sizeof(float));
                     long s0 = (long)(g_1) * 8;
                     long v0 = 40 - s0 < 8 ? 40 - s0 : 8;
                     long s1 = (long)(L1) * 8;
                     long v1 = 70 - s1 < 8 ? 70 - s1 : 8;
+                    if (v0 < 8 || v1 < 8) memset(sm0, 0, 64 * sizeof(float));
                     if (v0 > 0 && v1 > 0) {
                         for (long i0 = 0; i0 < v0; i0++)
                             memcpy(sm0 + (i0 * 8 + 0), g0 + (b * 2800 + (s0 + i0) * 70 + s1), v1 * sizeof(float));
                     }
                 }
                 { /* Load tile B */
-                    memset(sm1, 0, 256 * sizeof(float));
                     long s0 = (long)(L1) * 8;
                     long v0 = 70 - s0 < 8 ? 70 - s0 : 8;
                     long s1 = (long)(0) * 32;
                     long v1 = 25 - s1 < 32 ? 25 - s1 : 32;
+                    if (v0 < 8 || v1 < 32) memset(sm1, 0, 256 * sizeof(float));
                     if (v0 > 0 && v1 > 0) {
                         for (long i0 = 0; i0 < v0; i0++)
                             memcpy(sm1 + (i0 * 32 + 0), g1 + (b * 1750 + (s0 + i0) * 25 + s1), v1 * sizeof(float));
@@ -80,44 +84,49 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                         alive0 = 1;
                     }
                     for (long t0 = 0; t0 < 8; t0 += 4) {
-                        for (long t1 = 0; t1 < 8; t1 += 4) {
-                            float h00 = sm0[t0 * 8 + t1];
-                            float h01 = sm0[t0 * 8 + (t1 + 1)];
-                            float h02 = sm0[t0 * 8 + (t1 + 2)];
-                            float h03 = sm0[t0 * 8 + (t1 + 3)];
-                            float h10 = sm0[(t0 + 1) * 8 + t1];
-                            float h11 = sm0[(t0 + 1) * 8 + (t1 + 1)];
-                            float h12 = sm0[(t0 + 1) * 8 + (t1 + 2)];
-                            float h13 = sm0[(t0 + 1) * 8 + (t1 + 3)];
-                            float h20 = sm0[(t0 + 2) * 8 + t1];
-                            float h21 = sm0[(t0 + 2) * 8 + (t1 + 1)];
-                            float h22 = sm0[(t0 + 2) * 8 + (t1 + 2)];
-                            float h23 = sm0[(t0 + 2) * 8 + (t1 + 3)];
-                            float h30 = sm0[(t0 + 3) * 8 + t1];
-                            float h31 = sm0[(t0 + 3) * 8 + (t1 + 1)];
-                            float h32 = sm0[(t0 + 3) * 8 + (t1 + 2)];
-                            float h33 = sm0[(t0 + 3) * 8 + (t1 + 3)];
-                            #pragma omp simd
-                            for (long t2 = 0; t2 < 32; t2++) {
-                                float b0 = sm1[t1 * 32 + t2];
-                                float b1 = sm1[(t1 + 1) * 32 + t2];
-                                float b2 = sm1[(t1 + 2) * 32 + t2];
-                                float b3 = sm1[(t1 + 3) * 32 + t2];
-                                acc0[t0 * 32 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
-                                acc0[(t0 + 1) * 32 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
-                                acc0[(t0 + 2) * 32 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
-                                acc0[(t0 + 3) * 32 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                        for (long t2 = 0; t2 < 32; t2 += 32) {
+                            mcf_v c0_0; memcpy(&c0_0, acc0 + (t0 * 32 + t2), sizeof(mcf_v));
+                            mcf_v c0_1; memcpy(&c0_1, acc0 + (t0 * 32 + (t2 + 16)), sizeof(mcf_v));
+                            mcf_v c1_0; memcpy(&c1_0, acc0 + ((t0 + 1) * 32 + t2), sizeof(mcf_v));
+                            mcf_v c1_1; memcpy(&c1_1, acc0 + ((t0 + 1) * 32 + (t2 + 16)), sizeof(mcf_v));
+                            mcf_v c2_0; memcpy(&c2_0, acc0 + ((t0 + 2) * 32 + t2), sizeof(mcf_v));
+                            mcf_v c2_1; memcpy(&c2_1, acc0 + ((t0 + 2) * 32 + (t2 + 16)), sizeof(mcf_v));
+                            mcf_v c3_0; memcpy(&c3_0, acc0 + ((t0 + 3) * 32 + t2), sizeof(mcf_v));
+                            mcf_v c3_1; memcpy(&c3_1, acc0 + ((t0 + 3) * 32 + (t2 + 16)), sizeof(mcf_v));
+                            for (long t1 = 0; t1 < 8; t1++) {
+                                float a0 = sm0[t0 * 8 + t1];
+                                float a1 = sm0[(t0 + 1) * 8 + t1];
+                                float a2 = sm0[(t0 + 2) * 8 + t1];
+                                float a3 = sm0[(t0 + 3) * 8 + t1];
+                                mcf_v p0; memcpy(&p0, sm1 + (t1 * 32 + t2), sizeof(mcf_v));
+                                mcf_v p1; memcpy(&p1, sm1 + (t1 * 32 + (t2 + 16)), sizeof(mcf_v));
+                                c0_0 += a0 * p0;
+                                c0_1 += a0 * p1;
+                                c1_0 += a1 * p0;
+                                c1_1 += a1 * p1;
+                                c2_0 += a2 * p0;
+                                c2_1 += a2 * p1;
+                                c3_0 += a3 * p0;
+                                c3_1 += a3 * p1;
                             }
+                            memcpy(acc0 + (t0 * 32 + t2), &c0_0, sizeof(mcf_v));
+                            memcpy(acc0 + (t0 * 32 + (t2 + 16)), &c0_1, sizeof(mcf_v));
+                            memcpy(acc0 + ((t0 + 1) * 32 + t2), &c1_0, sizeof(mcf_v));
+                            memcpy(acc0 + ((t0 + 1) * 32 + (t2 + 16)), &c1_1, sizeof(mcf_v));
+                            memcpy(acc0 + ((t0 + 2) * 32 + t2), &c2_0, sizeof(mcf_v));
+                            memcpy(acc0 + ((t0 + 2) * 32 + (t2 + 16)), &c2_1, sizeof(mcf_v));
+                            memcpy(acc0 + ((t0 + 3) * 32 + t2), &c3_0, sizeof(mcf_v));
+                            memcpy(acc0 + ((t0 + 3) * 32 + (t2 + 16)), &c3_1, sizeof(mcf_v));
                         }
                     }
                 }
             }
             { /* Load tile D */
-                memset(sm3, 0, 512 * sizeof(float));
                 long s0 = (long)(0) * 32;
                 long v0 = 25 - s0 < 32 ? 25 - s0 : 32;
                 long s1 = (long)(L0) * 16;
                 long v1 = 66 - s1 < 16 ? 66 - s1 : 16;
+                if (v0 < 32 || v1 < 16) memset(sm3, 0, 512 * sizeof(float));
                 if (v0 > 0 && v1 > 0) {
                     for (long i0 = 0; i0 < v0; i0++)
                         memcpy(sm3 + (i0 * 16 + 0), g3 + (b * 1650 + (s0 + i0) * 66 + s1), v1 * sizeof(float));
@@ -130,43 +139,35 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                     key1_0 = L0;
                 }
                 for (long t0 = 0; t0 < 8; t0 += 4) {
-                    for (long t1 = 0; t1 < 32; t1 += 4) {
-                        float h00 = acc0[t0 * 32 + t1];
-                        float h01 = acc0[t0 * 32 + (t1 + 1)];
-                        float h02 = acc0[t0 * 32 + (t1 + 2)];
-                        float h03 = acc0[t0 * 32 + (t1 + 3)];
-                        float h10 = acc0[(t0 + 1) * 32 + t1];
-                        float h11 = acc0[(t0 + 1) * 32 + (t1 + 1)];
-                        float h12 = acc0[(t0 + 1) * 32 + (t1 + 2)];
-                        float h13 = acc0[(t0 + 1) * 32 + (t1 + 3)];
-                        float h20 = acc0[(t0 + 2) * 32 + t1];
-                        float h21 = acc0[(t0 + 2) * 32 + (t1 + 1)];
-                        float h22 = acc0[(t0 + 2) * 32 + (t1 + 2)];
-                        float h23 = acc0[(t0 + 2) * 32 + (t1 + 3)];
-                        float h30 = acc0[(t0 + 3) * 32 + t1];
-                        float h31 = acc0[(t0 + 3) * 32 + (t1 + 1)];
-                        float h32 = acc0[(t0 + 3) * 32 + (t1 + 2)];
-                        float h33 = acc0[(t0 + 3) * 32 + (t1 + 3)];
-                        #pragma omp simd
-                        for (long t2 = 0; t2 < 16; t2++) {
-                            float b0 = sm3[t1 * 16 + t2];
-                            float b1 = sm3[(t1 + 1) * 16 + t2];
-                            float b2 = sm3[(t1 + 2) * 16 + t2];
-                            float b3 = sm3[(t1 + 3) * 16 + t2];
-                            acc1[t0 * 16 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
-                            acc1[(t0 + 1) * 16 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
-                            acc1[(t0 + 2) * 16 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
-                            acc1[(t0 + 3) * 16 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                    for (long t2 = 0; t2 < 16; t2 += 16) {
+                        mcf_v c0_0; memcpy(&c0_0, acc1 + (t0 * 16 + t2), sizeof(mcf_v));
+                        mcf_v c1_0; memcpy(&c1_0, acc1 + ((t0 + 1) * 16 + t2), sizeof(mcf_v));
+                        mcf_v c2_0; memcpy(&c2_0, acc1 + ((t0 + 2) * 16 + t2), sizeof(mcf_v));
+                        mcf_v c3_0; memcpy(&c3_0, acc1 + ((t0 + 3) * 16 + t2), sizeof(mcf_v));
+                        for (long t1 = 0; t1 < 32; t1++) {
+                            float a0 = acc0[t0 * 32 + t1];
+                            float a1 = acc0[(t0 + 1) * 32 + t1];
+                            float a2 = acc0[(t0 + 2) * 32 + t1];
+                            float a3 = acc0[(t0 + 3) * 32 + t1];
+                            mcf_v p0; memcpy(&p0, sm3 + (t1 * 16 + t2), sizeof(mcf_v));
+                            c0_0 += a0 * p0;
+                            c1_0 += a1 * p0;
+                            c2_0 += a2 * p0;
+                            c3_0 += a3 * p0;
                         }
+                        memcpy(acc1 + (t0 * 16 + t2), &c0_0, sizeof(mcf_v));
+                        memcpy(acc1 + ((t0 + 1) * 16 + t2), &c1_0, sizeof(mcf_v));
+                        memcpy(acc1 + ((t0 + 2) * 16 + t2), &c2_0, sizeof(mcf_v));
+                        memcpy(acc1 + ((t0 + 3) * 16 + t2), &c3_0, sizeof(mcf_v));
                     }
                 }
             }
             { /* Load tile G */
-                memset(sm5, 0, 304 * sizeof(float));
                 long s0 = (long)(L0) * 16;
                 long v0 = 66 - s0 < 16 ? 66 - s0 : 16;
                 long s1 = (long)(g_2) * 19;
                 long v1 = 42 - s1 < 19 ? 42 - s1 : 19;
+                if (v0 < 16 || v1 < 19) memset(sm5, 0, 304 * sizeof(float));
                 if (v0 > 0 && v1 > 0) {
                     for (long i0 = 0; i0 < v0; i0++)
                         memcpy(sm5 + (i0 * 19 + 0), g5 + (b * 2772 + (s0 + i0) * 42 + s1), v1 * sizeof(float));
@@ -178,34 +179,47 @@ int mcfuser_kernel(const float* restrict g0, const float* restrict g1, const flo
                     alive2 = 1;
                 }
                 for (long t0 = 0; t0 < 8; t0 += 4) {
-                    for (long t1 = 0; t1 < 16; t1 += 4) {
-                        float h00 = acc1[t0 * 16 + t1];
-                        float h01 = acc1[t0 * 16 + (t1 + 1)];
-                        float h02 = acc1[t0 * 16 + (t1 + 2)];
-                        float h03 = acc1[t0 * 16 + (t1 + 3)];
-                        float h10 = acc1[(t0 + 1) * 16 + t1];
-                        float h11 = acc1[(t0 + 1) * 16 + (t1 + 1)];
-                        float h12 = acc1[(t0 + 1) * 16 + (t1 + 2)];
-                        float h13 = acc1[(t0 + 1) * 16 + (t1 + 3)];
-                        float h20 = acc1[(t0 + 2) * 16 + t1];
-                        float h21 = acc1[(t0 + 2) * 16 + (t1 + 1)];
-                        float h22 = acc1[(t0 + 2) * 16 + (t1 + 2)];
-                        float h23 = acc1[(t0 + 2) * 16 + (t1 + 3)];
-                        float h30 = acc1[(t0 + 3) * 16 + t1];
-                        float h31 = acc1[(t0 + 3) * 16 + (t1 + 1)];
-                        float h32 = acc1[(t0 + 3) * 16 + (t1 + 2)];
-                        float h33 = acc1[(t0 + 3) * 16 + (t1 + 3)];
-                        #pragma omp simd
-                        for (long t2 = 0; t2 < 19; t2++) {
-                            float b0 = sm5[t1 * 19 + t2];
-                            float b1 = sm5[(t1 + 1) * 19 + t2];
-                            float b2 = sm5[(t1 + 2) * 19 + t2];
-                            float b3 = sm5[(t1 + 3) * 19 + t2];
-                            acc2[t0 * 19 + t2] += h00 * b0 + h01 * b1 + h02 * b2 + h03 * b3;
-                            acc2[(t0 + 1) * 19 + t2] += h10 * b0 + h11 * b1 + h12 * b2 + h13 * b3;
-                            acc2[(t0 + 2) * 19 + t2] += h20 * b0 + h21 * b1 + h22 * b2 + h23 * b3;
-                            acc2[(t0 + 3) * 19 + t2] += h30 * b0 + h31 * b1 + h32 * b2 + h33 * b3;
+                    for (long t2 = 0; t2 < 16; t2 += 16) {
+                        mcf_v c0_0; memcpy(&c0_0, acc2 + (t0 * 19 + t2), sizeof(mcf_v));
+                        mcf_v c1_0; memcpy(&c1_0, acc2 + ((t0 + 1) * 19 + t2), sizeof(mcf_v));
+                        mcf_v c2_0; memcpy(&c2_0, acc2 + ((t0 + 2) * 19 + t2), sizeof(mcf_v));
+                        mcf_v c3_0; memcpy(&c3_0, acc2 + ((t0 + 3) * 19 + t2), sizeof(mcf_v));
+                        for (long t1 = 0; t1 < 16; t1++) {
+                            float a0 = acc1[t0 * 16 + t1];
+                            float a1 = acc1[(t0 + 1) * 16 + t1];
+                            float a2 = acc1[(t0 + 2) * 16 + t1];
+                            float a3 = acc1[(t0 + 3) * 16 + t1];
+                            mcf_v p0; memcpy(&p0, sm5 + (t1 * 19 + t2), sizeof(mcf_v));
+                            c0_0 += a0 * p0;
+                            c1_0 += a1 * p0;
+                            c2_0 += a2 * p0;
+                            c3_0 += a3 * p0;
                         }
+                        memcpy(acc2 + (t0 * 19 + t2), &c0_0, sizeof(mcf_v));
+                        memcpy(acc2 + ((t0 + 1) * 19 + t2), &c1_0, sizeof(mcf_v));
+                        memcpy(acc2 + ((t0 + 2) * 19 + t2), &c2_0, sizeof(mcf_v));
+                        memcpy(acc2 + ((t0 + 3) * 19 + t2), &c3_0, sizeof(mcf_v));
+                    }
+                    for (long t2 = 16; t2 < 19; t2++) {
+                        float c0_0 = acc2[t0 * 19 + t2];
+                        float c1_0 = acc2[(t0 + 1) * 19 + t2];
+                        float c2_0 = acc2[(t0 + 2) * 19 + t2];
+                        float c3_0 = acc2[(t0 + 3) * 19 + t2];
+                        for (long t1 = 0; t1 < 16; t1++) {
+                            float a0 = acc1[t0 * 16 + t1];
+                            float a1 = acc1[(t0 + 1) * 16 + t1];
+                            float a2 = acc1[(t0 + 2) * 16 + t1];
+                            float a3 = acc1[(t0 + 3) * 16 + t1];
+                            float p0 = sm5[t1 * 19 + t2];
+                            c0_0 += a0 * p0;
+                            c1_0 += a1 * p0;
+                            c2_0 += a2 * p0;
+                            c3_0 += a3 * p0;
+                        }
+                        acc2[t0 * 19 + t2] = c0_0;
+                        acc2[(t0 + 1) * 19 + t2] = c1_0;
+                        acc2[(t0 + 2) * 19 + t2] = c2_0;
+                        acc2[(t0 + 3) * 19 + t2] = c3_0;
                     }
                 }
             }

@@ -83,18 +83,45 @@ def test_triton_source_matches_golden(name):
     )
 
 
+#: One register-resident microkernel block: 4-row blocks over ``t0``,
+#: vector chunks over ``t2``, the block's ``mcf_v`` accumulators loaded
+#: from one ``acc`` tile before the contracted ``t1`` loop and stored to
+#: it after the loop closes.
+MICROKERNEL = re.compile(
+    r"for \(long t0 = 0; t0 < \d+; t0 \+= 4\) \{\s*"
+    r"for \(long t2 = 0; t2 < \d+; t2 \+= \d+\) \{\s*"
+    r"(?P<loads>(?:mcf_v (c\d_\d); memcpy\(&\2, (?P<acc>acc\d+) \+ \([^;]*\), "
+    r"sizeof\(mcf_v\)\);\s*)+)"
+    r"for \(long t1 = 0; t1 < \d+; t1\+\+\) \{(?P<body>[^{}]*)\}\s*"
+    r"(?P<stores>(?:memcpy\((?P=acc) \+ \([^;]*\), &c\d_\d, sizeof\(mcf_v\)\);\s*)+)"
+)
+
+
+def microkernels(source: str) -> list[re.Match]:
+    return list(MICROKERNEL.finditer(source))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_structure(name):
     """Load-bearing structure of the canonical kernels, independent of the
     exact golden text: entry point, softmax machinery, accumulator reset,
-    4-row register blocking, SIMD gelu epilogue."""
+    register-resident 4-row microkernels, SIMD gelu epilogue."""
     program = CASES[name]()
     meta = render_program(program)
     assert meta.entry == "mcfuser_kernel"
     assert "#pragma omp parallel for" in meta.source
     assert "-ffast-math" not in meta.source
-    # each SIMD sweep updates 4 accumulator rows
-    assert re.search(r"acc\d+\[\(t0 \+ 3\) \* \d+ \+ t2\] \+=", meta.source)
+    # every contraction is a microkernel whose 4 accumulator rows live in
+    # registers across the whole contracted loop
+    blocks = microkernels(meta.source)
+    assert len(blocks) == (2 if name == "attention" else 3)
+    for block in blocks:
+        loaded = re.findall(r"mcf_v (c\d_\d);", block["loads"])
+        stored = re.findall(r"&(c\d_\d), sizeof", block["stores"])
+        assert "c3_0" in loaded and sorted(loaded) == sorted(stored)
+        assert "c3_0 += a3 * p0;" in block["body"]
+        # the accumulator tile itself is untouched inside the loop
+        assert not re.search(rf"\b{block['acc']}\b", block["body"])
     if name == "attention":
         assert "INFINITY" in meta.source  # row-max init for online softmax
         assert "expf" in meta.source

@@ -48,9 +48,11 @@ from test_vectorized_parity import _rank1_softmax_chain, _rank3_softmax_chain
 
 #: fp32 tolerances: backend-vs-backend differ only by contraction
 #: reassociation; either-vs-reference adds the fused-vs-unfused gap. The C
-#: kernel accumulates serially while NumPy blocks its dot products, so the
-#: gap is a shade wider than scalar-vs-vectorized (near-zero outputs of
-#: gelu-epilogue 3-GEMM chains show ~1e-5 absolute noise).
+#: kernel accumulates each output element serially in contracted order
+#: (as the scalar interpreter does, but with FMAs where the compiler
+#: contracts) while NumPy blocks its dot products, so the gap is a shade
+#: wider than scalar-vs-vectorized (near-zero outputs of gelu-epilogue
+#: 3-GEMM chains show ~1e-5 absolute noise).
 BACKEND_RTOL, BACKEND_ATOL = 2e-4, 5e-5
 REF_RTOL, REF_ATOL = 2e-4, 5e-5
 #: zoo chains contract over up to ~1k elements; the reassociation gap
@@ -302,6 +304,24 @@ class TestSemanticEdgeCases:
             {"m": 8, "n": 32, "k": 8, "h": 16, "p": 19},
         )
         out = execute_schedule(schedule, inputs, backend="compiled")[chain.output]
+        np.testing.assert_allclose(out, ref, rtol=REF_RTOL, atol=REF_ATOL)
+
+    def test_partial_tile_zero_fill_after_full_tile(self):
+        """Loads zero a tile only when it is partial. The last k tile here
+        holds 8 of 16 columns; the full tile before it leaves large values
+        in the same arena buffer, so a partial tile loaded without its
+        zero-fill would contract that stale data into C."""
+        chain = gemm_chain(2, 32, 32, 40, 32, name="c-zero-fill")
+        inputs = chain.random_inputs(0)
+        inputs["A"][:, :, 16:32] = 1e3
+        inputs["B"][:, 16:32, :] = 1e3
+        ref = chain.reference(inputs)[chain.output]
+        schedule = build_schedule(
+            chain, TilingExpr.parse("mn(k,h)"), {"m": 32, "n": 32, "k": 16, "h": 32}
+        )
+        out = execute_schedule(schedule, inputs, backend="compiled")[chain.output]
+        scalar = execute_schedule(schedule, inputs, backend="scalar")[chain.output]
+        np.testing.assert_allclose(out, scalar, rtol=BACKEND_RTOL, atol=BACKEND_ATOL)
         np.testing.assert_allclose(out, ref, rtol=REF_RTOL, atol=REF_ATOL)
 
     def test_repeated_compiled_runs_deterministic(self, small_attention):
