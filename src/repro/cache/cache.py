@@ -1,7 +1,8 @@
 """ScheduleCache: the signature-keyed (JSON on disk) compilation cache.
 
-This is the front door of the caching subsystem. The tuner asks the cache
-*before* generating a search space; on a hit the stored tiling decision is
+This is the front door of the caching subsystem. The tuner and the compile
+service ask :func:`resolve` *before* generating a search space; on a hit
+the stored tiling decision is
 re-expanded into a full :class:`~repro.tiling.schedule.Schedule` with
 :func:`~repro.tiling.schedule.build_schedule` — a cheap, deterministic
 rebuild that performs **zero** enumeration, pruning, or measurement. On a
@@ -35,13 +36,25 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.cache.signature import DEFAULT_STRATEGY, variant_key, workload_signature
+from repro.cache.signature import (
+    DEFAULT_STRATEGY,
+    bucket_dims,
+    bucketed_signature,
+    variant_key,
+    workload_signature,
+)
 from repro.cache.store import CacheEntry, PersistentStore
-from repro.tiling.expr import TilingExpr
-from repro.tiling.schedule import Schedule, build_schedule
 
-__all__ = ["CacheStats", "ScheduleCache", "default_cache_dir", "default_cache"]
+__all__ = [
+    "CacheStats",
+    "Resolution",
+    "ScheduleCache",
+    "default_cache_dir",
+    "default_cache",
+    "resolve",
+]
 
 #: File name of the persistent store inside the cache directory.
 STORE_FILENAME = "schedule_cache.json"
@@ -194,19 +207,6 @@ class ScheduleCache:
             self.stores += 1
         return entry
 
-    # -- materialization -----------------------------------------------------
-
-    def schedule_for(self, entry: CacheEntry, chain) -> Schedule:
-        """Re-expand a cached tiling decision into a full schedule.
-
-        This is a deterministic rebuild (parse the expression, re-place the
-        statements) — no enumeration and no search. ``chain`` must have the
-        structure the entry was created from; the caller guarantees that by
-        having matched the signature.
-        """
-        expr = TilingExpr.parse(entry.expr)
-        return build_schedule(chain, expr, dict(entry.tiles), optimize=entry.optimized)
-
     # -- maintenance ---------------------------------------------------------
 
     def stats(self) -> CacheStats:
@@ -234,6 +234,55 @@ class ScheduleCache:
             self.hits = 0
             self.misses = 0
             self.stores = 0
+
+
+class Resolution(NamedTuple):
+    """Where one request landed on the exact → bucket → miss ladder.
+
+    Attributes:
+        rung: ``"exact"`` (entry under the exact signature), ``"bucket"``
+            (ceiling-tuned entry under the bucketed signature) or
+            ``"miss"``.
+        signature: The request's exact workload signature (``None`` when
+            resolved without a cache).
+        key: Where a miss is stored and what an in-flight tune is keyed
+            on: the bucketed signature when ``bucket`` is non-empty, else
+            ``signature``.
+        bucket: ``loop -> bucket ceiling`` for the chain's dynamic loops;
+            empty when bucketing is off. A miss tunes at
+            ``chain.with_loops(bucket)``.
+        entry: The cache entry on a hit, ``None`` on a miss.
+    """
+
+    rung: str
+    signature: str | None
+    key: str | None
+    bucket: dict
+    entry: CacheEntry | None
+
+
+def resolve(reader, chain, gpu, variant: str, dynamic_loops=()) -> Resolution:
+    """Walk the exact → bucket → miss ladder for one request.
+
+    ``reader`` exposes ``signature_for`` and ``lookup``: a
+    :class:`ScheduleCache` (whose lookup records the hit or miss) or the
+    serving layer's non-recording view; ``None`` means no cache, so every
+    request is a miss. ``dynamic_loops`` is empty when bucketing is off,
+    which leaves only the exact rung.
+    """
+    bucket = bucket_dims(chain, dynamic_loops)
+    if reader is None:
+        return Resolution("miss", None, None, bucket, None)
+    signature = reader.signature_for(chain, gpu, variant)
+    key = bucketed_signature(chain, gpu, variant, dynamic_loops) if bucket else signature
+    entry = reader.lookup(signature)
+    if entry is not None:
+        return Resolution("exact", signature, key, bucket, entry)
+    if bucket:
+        entry = reader.lookup(key)
+        if entry is not None:
+            return Resolution("bucket", signature, key, bucket, entry)
+    return Resolution("miss", signature, key, bucket, None)
 
 
 def default_cache() -> ScheduleCache:

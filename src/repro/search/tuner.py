@@ -22,16 +22,14 @@ strategy is never served to another.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.cache.signature import (
-    bucket_dims,
-    bucketed_signature,
-    variant_key,
-)
+from repro.cache.cache import Resolution, resolve
+from repro.cache.signature import variant_key
 from repro.codegen.interpreter import InterpreterError, resolve_exec_backend
 from repro.config import SessionConfig
 from repro.gpu.occupancy import SharedMemoryExceeded
@@ -60,6 +58,7 @@ __all__ = [
     "VerificationError",
     "report_from_entry",
     "rebind_report",
+    "finish_report",
 ]
 
 #: Kernel repetitions per hardware measurement (billed to the tuning clock).
@@ -101,8 +100,9 @@ class TuneReport:
     #: Concrete execution backend `best_schedule` runs under (``auto``
     #: resolved to ``"compiled"``, ``"vectorized"`` or ``"scalar"``).
     exec_backend: str = "auto"
-    #: True when the best schedule was executed against the unfused
-    #: reference as part of this tune (``verify="best"`` or ``"all"``).
+    #: True when ``best_schedule`` was executed against the unfused
+    #: reference at this report's own shape (``verify="best"`` or
+    #: ``"all"``; see :func:`finish_report`).
     verified: bool = False
     #: Cost-model guidance the tune ran with: measure only the learned
     #: model's predicted-best ``k`` candidates per round (0 = classic
@@ -128,29 +128,24 @@ def report_from_entry(
     chain: ComputeChain,
     gpu: GPUSpec,
     entry: "CacheEntry",
-    variant: str = "mcfuser",
-    strategy: str = "evolutionary",
-    workers: int = 1,
-    exec_backend: str = "auto",
-    measure_topk: int = 0,
+    config: SessionConfig,
 ) -> TuneReport:
     """Materialize a :class:`TuneReport` from a cached tiling decision.
 
     The schedule is re-expanded deterministically from the stored
     (expression, tiles) pair — no enumeration, no model estimates, no
-    measurements; pruning and search accounting are all zeros. Shared by
-    :class:`MCFuserTuner` (warm ``tune()``) and the serving layer's
-    :class:`~repro.serving.service.CompileService`, which resolves cache
-    hits without constructing a tuner. ``chain`` must have the structure
-    the entry was created from; callers guarantee that by having matched
-    the workload signature. ``exec_backend`` is resolved to the concrete
-    engine the rebuilt schedule runs under (``"compiled"``/``"vectorized"``/
-    ``"scalar"``),
-    matching cold-path reports.
+    measurements; pruning and search accounting are all zeros. ``chain``
+    must have the structure the entry was created from; callers guarantee
+    that by having matched the workload signature. Variant, strategy,
+    workers and top-k come from ``config``, and ``config.exec.backend`` is
+    resolved to the concrete engine the rebuilt schedule runs under
+    (``"compiled"``/``"vectorized"``/``"scalar"``), matching cold-path
+    reports.
     """
+    search_config = config.search
     expr = TilingExpr.parse(entry.expr)
     schedule = build_schedule(chain, expr, dict(entry.tiles), optimize=entry.optimized)
-    exec_backend = resolve_exec_backend(schedule, exec_backend)
+    exec_backend = resolve_exec_backend(schedule, config.exec.backend)
     candidate = Candidate.make(expr, dict(entry.tiles))
     empty_funnel = PruningStats(
         expressions=0,
@@ -169,13 +164,13 @@ def report_from_entry(
         num_estimates=0,
         num_measurements=0,
         converged=True,
-        strategy=strategy,
-        measure_topk=measure_topk,
+        strategy=search_config.strategy,
+        measure_topk=search_config.measure_topk,
     )
     return TuneReport(
         chain=chain,
         gpu=gpu,
-        variant=variant,
+        variant=search_config.variant,
         best_candidate=candidate,
         best_schedule=schedule,
         best_time=entry.best_time,
@@ -183,10 +178,10 @@ def report_from_entry(
         pruning=empty_funnel,
         search=search,
         cache_hit=True,
-        strategy=strategy,
-        workers=workers,
+        strategy=search_config.strategy,
+        workers=search_config.workers,
         exec_backend=exec_backend,
-        measure_topk=measure_topk,
+        measure_topk=search_config.measure_topk,
     )
 
 
@@ -205,6 +200,47 @@ def rebind_report(report: TuneReport, chain: ComputeChain) -> TuneReport:
         chain, schedule.expr, dict(schedule.tiles), optimize=schedule.optimized
     )
     report.chain = chain
+    return report
+
+
+def finish_report(
+    chain: ComputeChain,
+    gpu: GPUSpec,
+    resolution: Resolution,
+    config: SessionConfig,
+    tuned: TuneReport | None = None,
+    check: "Callable[[Schedule], bool] | None" = None,
+) -> TuneReport:
+    """The step every request ends with, hit or miss: the report for ``chain``.
+
+    A hit (``tuned`` is ``None``) rebuilds ``resolution.entry`` on
+    ``chain``. A miss takes the search report ``tuned`` and rebinds a copy
+    to ``chain`` when it was tuned at another shape (the bucket ceiling,
+    or another coalesced request's length). The report is stamped with the
+    dynamic mode and rung, then the verification rule applies: with
+    ``config.exec.verify != "off"``, ``check``
+    (:meth:`MCFuserTuner.check_schedule`) runs the schedule at ``chain``'s
+    shape unless this very report was already checked there, a failure
+    raises :class:`VerificationError`, and only then is ``verified`` set.
+    """
+    if tuned is None:
+        report = report_from_entry(chain, gpu, resolution.entry, config)
+    else:
+        report = tuned
+        if tuned.chain.loops != chain.loops:
+            report = rebind_report(dataclasses.replace(tuned, verified=False), chain)
+        report.exec_backend = resolve_exec_backend(report.best_schedule, config.exec.backend)
+    report.dynamic = config.exec.dynamic
+    report.bucket = dict(resolution.bucket)
+    report.bucket_hit = resolution.rung == "bucket"
+    if config.exec.verify != "off" and not report.verified:
+        if not check(report.best_schedule):
+            raise VerificationError(
+                f"{'cached' if tuned is None else 'best'} schedule "
+                f"{report.best_schedule.describe()} of {chain.name!r} disagrees "
+                f"with the reference (backend {report.exec_backend})"
+            )
+        report.verified = True
     return report
 
 
@@ -254,10 +290,11 @@ class MCFuserTuner:
               ones. Verification is not billed to the simulated clock;
             * ``exec.dynamic``/``exec.dynamic_loops`` — ``"buckets"`` makes
               :meth:`tune` shape-generic over power-of-two sequence-length
-              buckets: lookups ladder exact signature → bucketed signature,
-              misses tune at the bucket *ceiling* and store under the
-              bucketed key, and the returned report is always rebuilt (and
-              verified, when on) at the actual request shape.
+              buckets. :func:`~repro.cache.cache.resolve` ladders exact
+              signature → bucketed signature, a miss tunes at the bucket
+              *ceiling* and is stored under the bucketed key, and
+              :func:`finish_report` rebuilds every returned report (and
+              verifies it, when on) at the actual request shape.
     """
 
     def __init__(
@@ -286,7 +323,6 @@ class MCFuserTuner:
         self.cache = cache
         self.strategy = make_strategy(search.strategy)
         self.workers = search.workers
-        self.exec_backend = config.exec.backend
         self.verify = config.exec.verify
         self.cost_model = cost_model
         self.measure_topk = search.measure_topk
@@ -330,7 +366,7 @@ class MCFuserTuner:
         """One hardware measurement; launch failures count as +inf.
 
         With ``verify="all"``, the measurement also executes the schedule
-        numerically (on :attr:`exec_backend`) and reports a numerically
+        numerically (on ``exec.backend``) and reports a numerically
         wrong program as a launch failure, so it can never win the search.
         """
         try:
@@ -365,54 +401,6 @@ class MCFuserTuner:
             return False
         return bool(np.allclose(out, ref, rtol=_VERIFY_RTOL, atol=_VERIFY_ATOL))
 
-    def _finalize_report(self, report: TuneReport) -> TuneReport:
-        """Resolve the exec-backend breadcrumb and run best-verification."""
-        from repro.obs import get_tracer
-
-        with get_tracer().span("tune.finalize", verify=self.verify) as span:
-            report.exec_backend = resolve_exec_backend(
-                report.best_schedule, self.exec_backend
-            )
-            span.set(exec_backend=report.exec_backend)
-            if self.verify != "off":
-                if self.verify == "best" and not self.check_schedule(
-                    report.best_schedule
-                ):
-                    raise VerificationError(
-                        f"best schedule {report.best_schedule.describe()} of "
-                        f"{report.chain.name!r} disagrees with the reference "
-                        f"(backend {report.exec_backend})"
-                    )
-                report.verified = True
-            return report
-
-    # -- cache integration ------------------------------------------------------
-
-    def _report_from_cache(self, chain: ComputeChain, entry: "CacheEntry") -> TuneReport:
-        """Materialize a TuneReport from a cache entry — no search, no space.
-
-        An active verification mode re-checks the restored schedule too:
-        a corrupted or stale cache entry surfaces as a
-        :class:`VerificationError` instead of silently serving wrong code.
-        """
-        report = report_from_entry(
-            chain,
-            self.gpu,
-            entry,
-            variant=self.variant,
-            strategy=self.strategy.name,
-            workers=self.workers,
-            exec_backend=self.exec_backend,
-            measure_topk=self.measure_topk,
-        )
-        if self.verify != "off" and not self.check_schedule(report.best_schedule):
-            raise VerificationError(
-                f"cached schedule {report.best_schedule.describe()} of "
-                f"{chain.name!r} disagrees with the reference"
-            )
-        report.verified = self.verify != "off"
-        return report
-
     # -- main entry -----------------------------------------------------------
 
     def tune(self, chain: ComputeChain) -> TuneReport:
@@ -422,7 +410,7 @@ class MCFuserTuner:
         shapes, dtype, GPU, variant, and strategy — the name is irrelevant)
         returns immediately with ``report.cache_hit`` set and zero tuning
         cost. Under ``dynamic="buckets"`` the lookup ladders exact → bucket
-        and a miss tunes at the bucket ceiling (see :meth:`_tune_bucketed`).
+        and a miss tunes at the bucket ceiling.
         """
         from repro.obs import get_tracer
 
@@ -453,87 +441,28 @@ class MCFuserTuner:
             return report
 
     def _tune(self, chain: ComputeChain) -> TuneReport:
-        if self.dynamic == "buckets":
-            return self._tune_bucketed(chain)
-        if self.cache is not None:
-            entry = self._cache_lookup(chain)
-            if entry is not None:
-                return self._report_from_cache(chain, entry)
-        report = self._finalize_report(self._tune_uncached(chain))
-        if self.cache is not None:
-            self._cache_put(chain, report)
-        return report
-
-    def _cache_lookup(self, chain: ComputeChain) -> "CacheEntry | None":
+        """Resolve; on a miss tune (at the bucket ceiling, under bucketing);
+        finish; store a miss only once its check passed."""
         from repro.obs import get_tracer
 
-        with get_tracer().span("tune.cache_lookup") as span:
-            entry = self.cache.get(chain, self.gpu, self.cache_variant)
-            span.set(outcome="hit" if entry is not None else "miss")
-            return entry
-
-    def _cache_put(self, chain: ComputeChain, report: TuneReport, signature=None):
-        from repro.obs import get_tracer
-
-        with get_tracer().span("tune.cache_put"):
-            if signature is None:
-                self.cache.put(chain, self.gpu, report)
-            else:
-                self.cache.put(chain, self.gpu, report, signature=signature)
-
-    def bucket_signature(self, chain: ComputeChain) -> str:
-        """The bucketed cache key :meth:`tune` uses for ``chain``."""
-        return bucketed_signature(
-            chain, self.gpu, self.cache_variant, self.dynamic_loops
-        )
-
-    def _tune_bucketed(self, chain: ComputeChain) -> TuneReport:
-        """Shape-generic tuning over power-of-two buckets.
-
-        Ladder: exact-signature hit (shape previously tuned as-is) →
-        bucketed-signature hit (ceiling-tuned schedule rebuilt — and with
-        ``verify != "off"`` numerically re-checked — at the *request*
-        shape) → miss: tune once at the bucket ceiling, store under the
-        bucketed key, return the report rebound to the request shape.
-
-        Legality for every in-bucket length comes from Rule 3 at the
-        ceiling: ceilings are powers of two, so only divisor tiles survive
-        (:func:`~repro.search.pruning.bucket_tile_options`), and for any
-        ``l <= ceiling`` the padded extent ``ceil(l/t)*t <= ceiling`` keeps
-        the ceiling-time Rule-4 shared-memory estimate conservative; the
-        execution backends mask tail tiles rather than padding results.
-        """
-        dyn = bucket_dims(chain, self.dynamic_loops)
-        if self.cache is not None:
-            entry = self._cache_lookup(chain)
-            if entry is not None:
-                report = self._report_from_cache(chain, entry)
-                report.dynamic = "buckets"
-                report.bucket = dyn
-                return report
-            if dyn:
-                entry = self.cache.lookup(self.bucket_signature(chain))
-                if entry is not None:
-                    report = self._report_from_cache(chain, entry)
-                    report.dynamic = "buckets"
-                    report.bucket = dyn
-                    report.bucket_hit = True
-                    return report
-        ceiling_chain = chain.with_loops(dyn) if dyn else chain
-        report = self._tune_uncached(ceiling_chain)
-        if self.cache is not None and dyn:
-            # Store the *ceiling* schedule under the bucketed key before
-            # rebinding, so every in-bucket length re-expands the exact
-            # tiling decision the search validated at the ceiling.
-            self._cache_put(
-                ceiling_chain, report, signature=self.bucket_signature(chain)
+        tracer = get_tracer()
+        loops = self.dynamic_loops if self.dynamic == "buckets" else ()
+        with tracer.span("tune.cache_lookup") as span:
+            res = resolve(self.cache, chain, self.gpu, self.cache_variant, loops)
+            span.set(outcome=res.rung)
+        if res.entry is not None:
+            return finish_report(chain, self.gpu, res, self.config, check=self.check_schedule)
+        tuned = self._tune_uncached(chain.with_loops(res.bucket) if res.bucket else chain)
+        with tracer.span("tune.finalize", verify=self.verify) as span:
+            report = finish_report(
+                chain, self.gpu, res, self.config, tuned=tuned, check=self.check_schedule
             )
-        report = self._finalize_report(rebind_report(report, chain))
-        report.dynamic = "buckets"
-        report.bucket = dyn
-        if self.cache is not None and not dyn:
-            # No dynamic loops: nothing to bucket, cache under the exact key.
-            self._cache_put(chain, report)
+            span.set(exec_backend=report.exec_backend)
+        if self.cache is not None:
+            # The entry is the tiling decision the search validated (at the
+            # ceiling, under bucketing); the rebound report carries it.
+            with tracer.span("tune.cache_put"):
+                self.cache.put(chain, self.gpu, report, signature=res.key)
         return report
 
     def _tune_uncached(self, chain: ComputeChain) -> TuneReport:
@@ -616,5 +545,7 @@ class MCFuserTuner:
             clock=clock,
             strategy=result.strategy,
             workers=self.workers,
+            # verify="all" checked every measured candidate at this shape.
+            verified=self.verify == "all",
             measure_topk=self.measure_topk,
         )

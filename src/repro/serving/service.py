@@ -5,11 +5,14 @@ callers at once, so the serving layer's job is to make sure *concurrent
 identical requests share one tuning run* and everything else is a cache
 hit. The service composes the pieces the earlier layers provide:
 
-* **signature-first admission** — the workload signature is computed at
-  submit time, before any queueing, so deduplication happens at the door;
-* **cache reads** (:class:`~repro.serving.tiers.TieredCache`) — hits in
-  the schedule cache's one entry map resolve inline on the caller's
-  thread, never touching the queue and never writing the store;
+* **signature-first admission** — :func:`~repro.cache.cache.resolve`,
+  the same exact → bucket → miss ladder the tuner walks, runs at submit
+  time, before any queueing, so deduplication happens at the door;
+* **cache reads** (:class:`~repro.serving.tiers.TieredCache`, a
+  non-recording view of the schedule cache) — hits resolve inline on the
+  caller's thread through the tuner's own finishing step
+  (:func:`~repro.search.tuner.finish_report`), never touching the queue
+  and never writing the store;
 * **request coalescing** — a submit whose signature is already being tuned
   attaches to the in-flight job and shares its result (futures fan-out);
 * **worker pool with lanes** — a bounded priority queue feeds N worker
@@ -29,7 +32,8 @@ counts bucketed-signature hits under ``dynamic="buckets"`` — a
 ceiling-tuned schedule rebuilt at the request shape.)
 
 (a failed tune moves its *creating* request from ``tunes`` to
-``errors``; coalesced riders stay counted under ``coalesced``). The load
+``errors``, and a hit that fails verification counts under ``errors``
+too; coalesced riders stay counted under ``coalesced``). The load
 generator (:mod:`repro.experiments.serve_load`) reconciles its own request
 count against this identity.
 
@@ -52,14 +56,14 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cache.signature import bucket_dims, bucketed_signature
+from repro.cache.cache import Resolution, resolve
 from repro.config import SessionConfig
 from repro.gpu.specs import GPUSpec, by_name
 from repro.search.tuner import (
     MCFuserTuner,
     TuneReport,
-    rebind_report,
-    report_from_entry,
+    VerificationError,
+    finish_report,
 )
 from repro.serving.telemetry import MetricsRegistry
 from repro.serving.tiers import TieredCache
@@ -126,7 +130,7 @@ class ServeTicket:
 
     ``chain`` is the *request* chain: under dynamic bucketing, coalesced
     tickets sharing one ceiling tune may each carry a different in-bucket
-    shape, and the worker rebinds the tuned schedule to each ticket's
+    shape, and the worker finishes the tuned report on each ticket's
     actual chain before resolving it.
     """
 
@@ -187,29 +191,31 @@ class ModelTicket:
 
 @dataclass
 class _Job:
-    """One in-flight tune: a signature plus every ticket waiting on it.
+    """One in-flight tune: a resolved miss plus every ticket waiting on it.
 
     ``config`` is the fully resolved, *serializable*
     :class:`~repro.config.SessionConfig` the tune runs under (the request's
-    config or the service's, with ``exec.dynamic`` forced to ``"off"`` —
-    the service layer owns bucketing). Because the whole job
-    spec is one JSON-able object, a future multi-process serving tier can
-    ship jobs to worker processes wholesale.
+    config or the service's, with the service's dynamic mode). Because the
+    whole job spec is one JSON-able object, a future multi-process serving
+    tier can ship jobs to worker processes wholesale.
 
-    Under dynamic bucketing ``signature`` is the *bucketed* key, ``chain``
-    is the bucket-ceiling chain the tune runs at, and ``bucket`` maps each
-    dynamic loop to its ceiling (empty for exact jobs).
+    ``chain`` is the creating request's chain and ``resolution`` its miss;
+    ``signature`` (the resolution's key) keys the in-flight table and the
+    stored entry.
     """
 
-    signature: str
+    resolution: Resolution
     chain: "ComputeChain"
     config: SessionConfig
-    bucket: dict = field(default_factory=dict)
     tickets: list[ServeTicket] = field(default_factory=list)
     #: The admitting request's tracer span: the worker's ``serve.tune``
     #: span names it as an explicit cross-thread parent, so a queued tune
     #: stays on the trace of the request that created it.
     trace_parent: object = None
+
+    @property
+    def signature(self) -> str:
+        return self.resolution.key
 
 
 class CompileService:
@@ -238,13 +244,14 @@ class CompileService:
             and ``serve.queue_limit`` (bounded tune-queue depth; submits
             beyond it load-shed, the ticket failing with
             :class:`QueueFull`). ``exec.dynamic="buckets"`` serves ragged
-            sequence lengths shape-generically: the lookup ladder becomes
-            exact hit → bucket hit → miss, misses tune once at the
-            power-of-two bucket ceiling (concurrent in-bucket requests of
-            *different* lengths coalesce onto that one tune), and every
-            served report is rebuilt at the request's actual shape. Bucket
-            hits surface as source ``"bucket"`` and counter
-            ``serve.hits.bucket``. Guided tunes
+            sequence lengths shape-generically: the
+            :func:`~repro.cache.cache.resolve` ladder becomes exact hit →
+            bucket hit → miss, misses tune once at the power-of-two bucket
+            ceiling (concurrent in-bucket requests of *different* lengths
+            coalesce onto that one tune), and every served report is
+            rebuilt — and, with ``exec.verify`` on, checked — at the
+            request's actual shape. Bucket hits surface as source
+            ``"bucket"`` and counter ``serve.hits.bucket``. Guided tunes
             (``search.measure_topk > 0``) cache under a distinct
             ``+topk{k}`` variant key.
     """
@@ -261,7 +268,6 @@ class CompileService:
     ) -> None:
         config = config if config is not None else SessionConfig()
         self.config = config
-        self._job_config = self._unbucketed(config)
         search = config.search
         self.dynamic = config.exec.dynamic
         self.dynamic_loops = tuple(config.exec.dynamic_loops)
@@ -273,7 +279,6 @@ class CompileService:
         self.gpu = gpu if gpu is not None else by_name(config.gpu)
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.tiered = cache if isinstance(cache, TieredCache) else TieredCache(cache)
-        self.exec_backend = config.exec.backend
         self._tune_fn = tune_fn if tune_fn is not None else self._default_tune
         self.queue_limit = config.serve.queue_limit
         # maxsize is queue_limit plus room for one shutdown sentinel per
@@ -317,14 +322,21 @@ class CompileService:
 
     # -- admission -------------------------------------------------------------
 
-    @staticmethod
-    def _unbucketed(config: SessionConfig) -> SessionConfig:
-        """``config`` as a tune job runs it: always ``dynamic="off"``. The
-        *service* owns bucketing (ceiling chain, bucketed signature,
-        rebinding); the tuner must not re-bucket."""
-        if config.exec.dynamic != "off":
-            return config.evolve(dynamic="off")
-        return config
+    def _request_config(self, config: "SessionConfig | None") -> SessionConfig:
+        """A request's config (``None`` = the service's) under the service's
+        dynamic mode, which decides the cache keys of every request."""
+        if config is None:
+            return self.config
+        if (config.exec.dynamic, config.exec.dynamic_loops) == (self.dynamic, self.dynamic_loops):
+            return config
+        return config.evolve(dynamic=self.dynamic, dynamic_loops=self.dynamic_loops)
+
+    def _checker(self, config: SessionConfig):
+        """``check_schedule`` under ``config``, or ``None`` with verify off
+        (the warm path then constructs no tuner)."""
+        if config.exec.verify == "off":
+            return None
+        return MCFuserTuner(self.gpu, cost_model=self.cost_model, config=config).check_schedule
 
     def _resolve_chain(self, workload) -> "ComputeChain":
         if isinstance(workload, str):
@@ -369,112 +381,74 @@ class CompileService:
         """
         if lane not in LANES:
             raise ValueError(f"unknown lane {lane!r}; pick from {LANES}")
-        job_config = (
-            self._unbucketed(config) if config is not None else self._job_config
-        )
-        variant = job_config.search.variant
-        strategy = job_config.search.strategy
-        measure_topk = job_config.search.measure_topk
+        config = self._request_config(config)
+        loops = self.dynamic_loops if self.dynamic == "buckets" else ()
         from repro.obs import get_tracer
 
-        # The admission span covers the submit call itself (signature,
-        # lookup ladder, queue/coalesce/shed decision); a queued tune
+        # The admission span covers the submit call itself (resolve,
+        # queue/coalesce/shed decision, a hit's rebuild); a queued tune
         # continues this trace on the worker thread via ``_Job.trace_parent``.
         with get_tracer().span("serve.request", lane=lane) as span:
             chain = self._resolve_chain(workload)
-            cache_variant = job_config.variant_key
-            signature = self.tiered.signature_for(chain, self.gpu, cache_variant)
-            bucket = (
-                bucket_dims(chain, self.dynamic_loops)
-                if self.dynamic == "buckets"
-                else {}
-            )
-            bucket_sig = (
-                bucketed_signature(chain, self.gpu, cache_variant, self.dynamic_loops)
-                if bucket
-                else None
-            )
-            span.set(workload=chain.name, signature=signature, bucketed=bool(bucket))
-            ticket = ServeTicket(signature, lane, chain.name, chain=chain)
             self.telemetry.counter("serve.requests").inc()
             self.telemetry.counter(f"serve.requests.{lane}").inc()
-
-            def _serve_entry(entry, source: str, counter: str) -> ServeTicket:
-                report = report_from_entry(
-                    chain, self.gpu, entry, variant=variant, strategy=strategy,
-                    exec_backend=self.exec_backend, measure_topk=measure_topk,
-                )
-                if bucket:
-                    report.dynamic = "buckets"
-                    report.bucket = dict(bucket)
-                    report.bucket_hit = source == "bucket"
-                self.telemetry.counter(counter).inc()
-                span.set(outcome=source)
-                ticket._resolve(report, source, self.telemetry.histogram("serve.latency.warm"))
-                return ticket
-
-            # Fast path: resolve cache hits inline, without ever queueing —
-            # exact signature first, then (under bucketing) the bucketed one.
-            entry = self.tiered.lookup(signature)
-            if entry is not None:
-                return _serve_entry(entry, "hot", "serve.hits.hot")
-            if bucket_sig is not None:
-                entry = self.tiered.lookup(bucket_sig)
-                if entry is not None:
-                    return _serve_entry(entry, "bucket", "serve.hits.bucket")
-
-            job_sig = bucket_sig if bucket_sig is not None else signature
+            # One resolve, under the lock: a worker stores a finished tune
+            # before it retires the in-flight record, so a miss seen here
+            # is either still in flight (coalesce) or new work (queue).
             with self._lock:
-                if self._closed:
-                    raise ServiceClosed("CompileService is closed")
-                job = self._inflight.get(job_sig)
-                if job is not None:
-                    job.tickets.append(ticket)
-                    self.telemetry.counter("serve.coalesced").inc()
-                    span.set(outcome="coalesced")
-                    return ticket
-                # A cacheable tune may have finished between the unlocked
-                # lookup and here; the cache is written before the in-flight
-                # entry is removed, so a locked re-check closes the race.
-                # (Non-cacheable results — chains with no finite measurement
-                # — leave nothing behind by design: their waiters were all
-                # resolved by fan-out, and a later request legitimately
-                # re-tunes.) Under bucketing the racing tune was keyed by the
-                # bucketed signature.
-                entry = self.tiered.lookup(job_sig)
-                if entry is not None:
-                    if bucket_sig is not None:
-                        return _serve_entry(entry, "bucket", "serve.hits.bucket")
-                    return _serve_entry(entry, "hot", "serve.hits.hot")
-                job = _Job(
-                    signature=job_sig,
-                    chain=chain.with_loops(bucket) if bucket else chain,
-                    config=job_config,
-                    bucket=dict(bucket),
-                    tickets=[ticket],
-                    trace_parent=span,
-                )
-                try:
-                    # Enforce the advertised bound ourselves: maxsize leaves
-                    # headroom for shutdown sentinels, which must never be shed.
-                    if self._queue.qsize() >= self.queue_limit:
-                        raise queue.Full
-                    self._queue.put_nowait((_LANE_PRIORITY[lane], next(self._seq), job))
-                except queue.Full:
-                    self.telemetry.counter("serve.shed").inc()
-                    self.telemetry.counter(f"serve.shed.{lane}").inc()
-                    span.set(outcome="shed")
-                    ticket._fail(
-                        QueueFull(
-                            f"tune queue full ({self.queue_limit} pending); "
-                            f"request for {chain.name!r} shed"
-                        )
+                res = resolve(self.tiered, chain, self.gpu, config.variant_key, loops)
+                span.set(workload=chain.name, signature=res.signature, bucketed=bool(res.bucket))
+                ticket = ServeTicket(res.signature, lane, chain.name, chain=chain)
+                if res.entry is None:
+                    if self._closed:
+                        raise ServiceClosed("CompileService is closed")
+                    job = self._inflight.get(res.key)
+                    if job is not None:
+                        job.tickets.append(ticket)
+                        self.telemetry.counter("serve.coalesced").inc()
+                        span.set(outcome="coalesced")
+                        return ticket
+                    job = _Job(
+                        resolution=res,
+                        chain=chain,
+                        config=config,
+                        tickets=[ticket],
+                        trace_parent=span,
                     )
+                    try:
+                        # Enforce the advertised bound ourselves: maxsize leaves
+                        # headroom for shutdown sentinels, which must never be shed.
+                        if self._queue.qsize() >= self.queue_limit:
+                            raise queue.Full
+                        self._queue.put_nowait((_LANE_PRIORITY[lane], next(self._seq), job))
+                    except queue.Full:
+                        self.telemetry.counter("serve.shed").inc()
+                        self.telemetry.counter(f"serve.shed.{lane}").inc()
+                        span.set(outcome="shed")
+                        ticket._fail(
+                            QueueFull(
+                                f"tune queue full ({self.queue_limit} pending); "
+                                f"request for {chain.name!r} shed"
+                            )
+                        )
+                        return ticket
+                    self._inflight[res.key] = job
+                    self.telemetry.gauge("serve.queue.depth").inc()
+                    self.telemetry.gauge("serve.inflight").inc()
+                    span.set(outcome="queued")
                     return ticket
-                self._inflight[job_sig] = job
-                self.telemetry.gauge("serve.queue.depth").inc()
-                self.telemetry.gauge("serve.inflight").inc()
-            span.set(outcome="queued")
+            # A hit resolves inline, without ever queueing.
+            source = "bucket" if res.rung == "bucket" else "hot"
+            try:
+                report = finish_report(chain, self.gpu, res, config, check=self._checker(config))
+            except VerificationError as exc:
+                self.telemetry.counter("serve.errors").inc()
+                span.set(outcome="error", error=str(exc))
+                ticket._fail(exc)
+                return ticket
+            self.telemetry.counter(f"serve.hits.{source}").inc()
+            span.set(outcome=source)
+            ticket._resolve(report, source, self.telemetry.histogram("serve.latency.warm"))
         return ticket
 
     def compile(
@@ -564,20 +538,21 @@ class CompileService:
                 self._queue.task_done()
 
     def _report_for_ticket(self, job: _Job, report: TuneReport, ticket: ServeTicket) -> TuneReport:
-        """The report a ticket resolves with: rebound to its request shape.
+        """The report a ticket resolves with: finished at its request shape.
 
-        Exact jobs (and tickets whose shape *is* the ceiling) share the
-        tuned report; under bucketing every other ticket gets a shallow
-        copy whose schedule is re-expanded on its own chain — coalesced
-        riders of one ceiling tune may each carry a different in-bucket
-        length.
+        Tickets of the tuned shape share the tuned report, which the tune
+        already checked there; a coalesced rider of another in-bucket
+        length gets a copy rebuilt — and, with verify on, checked — on its
+        own chain.
         """
-        if not job.bucket:
-            return report
-        report = dataclasses.replace(report, dynamic="buckets", bucket=dict(job.bucket))
-        if ticket.chain is not None and ticket.chain.loops != job.chain.loops:
-            report = rebind_report(report, ticket.chain)
-        return report
+        return finish_report(
+            ticket.chain,
+            self.gpu,
+            job.resolution,
+            job.config,
+            tuned=report,
+            check=self._checker(job.config),
+        )
 
     def _retire(self, job: _Job) -> list[ServeTicket]:
         """Remove ``job`` from the in-flight table; snapshot its waiters.

@@ -10,6 +10,8 @@ request shape, and the serving layer's bucket hits / coalescing across
 different in-bucket lengths.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ class TestTunerLadder:
         # the report is rebound to the request shape...
         assert report.best_schedule.chain.loops["m"] == 300
         # ...but the stored entry is the ceiling decision under the bucket key
-        entry = cache.lookup(tuner.bucket_signature(chain))
+        entry = cache.lookup(bucketed_signature(chain, A100, tuner.cache_variant))
         assert entry is not None
         assert dict(entry.tiles) == dict(report.best_schedule.tiles)
 
@@ -253,6 +255,91 @@ class TestBucketHitVerification:
         )
         with pytest.raises(VerificationError, match="disagrees"):
             tuner.tune(ragged(275))
+
+    def test_failed_bucketed_miss_is_not_stored(self, monkeypatch):
+        """A miss is stored only after its check passes: a bucketed tune
+        that fails verification leaves no entry a later hit could serve."""
+        cache = ScheduleCache(path=None)
+        tuner = quick_tuner(cache=cache, verify="best")
+        monkeypatch.setattr(
+            MCFuserTuner, "check_schedule", lambda self, schedule: False
+        )
+        with pytest.raises(VerificationError, match="disagrees"):
+            tuner.tune(ragged(300))
+        assert cache.peek(bucketed_signature(ragged(300), A100, tuner.cache_variant)) is None
+        assert cache.peek(workload_signature(ragged(300), A100, tuner.cache_variant)) is None
+
+
+class TestServiceVerification:
+    """The service applies the tuner's verification rule: every report a
+    ticket resolves with was checked at that ticket's own shape."""
+
+    def test_coalesced_riders_verified_at_their_own_shapes(self, monkeypatch):
+        seen = []
+        real_check = MCFuserTuner.check_schedule
+
+        def spy(self, schedule):
+            seen.append(schedule.chain.loops["m"])
+            return real_check(self, schedule)
+
+        monkeypatch.setattr(MCFuserTuner, "check_schedule", spy)
+        release = threading.Event()
+        holder = {}
+
+        def gated(job):
+            release.wait(10)
+            return holder["svc"]._default_tune(job)
+
+        lengths = (270, 300, 400)
+        registry = MetricsRegistry()
+        config = BUCKET_SERVICE.evolve(verify="best")
+        with CompileService(
+            A100, telemetry=registry, tune_fn=gated, config=config
+        ) as svc:
+            holder["svc"] = svc
+            tickets = [svc.submit(ragged(m)) for m in lengths]
+            release.set()
+            results = [t.result(timeout=120) for t in tickets]
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.tunes"] == 1
+        assert counters["serve.coalesced"] == len(lengths) - 1
+        # each request shape checked once; never the 512 ceiling alone
+        assert sorted(seen) == list(lengths)
+        for m, result in zip(lengths, results):
+            assert result.report.best_schedule.chain.loops["m"] == m
+            assert result.report.verified
+            assert result.report.bucket == {"m": 512, "n": 128}
+
+    def test_hits_honour_verify_and_workers(self):
+        config = BUCKET_SERVICE.evolve(verify="best", workers=4)
+        cache = ScheduleCache(path=None)
+        exact_tuner = MCFuserTuner(A100, cache=cache, config=config.evolve(dynamic="off"))
+        assert exact_tuner.tune(ragged(300)).workers == 4
+        MCFuserTuner(A100, cache=cache, config=config).tune(ragged(600))  # 1024 bucket
+        tuner_hit = exact_tuner.tune(ragged(300))
+        assert tuner_hit.cache_hit and tuner_hit.verified and tuner_hit.workers == 4
+        with CompileService(A100, cache=cache, config=config) as svc:
+            hot = svc.compile(ragged(300))
+            bucket = svc.compile(ragged(700))
+        assert (hot.source, bucket.source) == ("hot", "bucket")
+        for result in (hot, bucket):
+            assert result.report.verified
+            assert result.report.workers == 4
+
+    def test_failed_hit_verification_fails_the_ticket(self, monkeypatch):
+        registry = MetricsRegistry()
+        config = BUCKET_SERVICE.evolve(verify="best")
+        with CompileService(A100, telemetry=registry, config=config) as svc:
+            svc.compile(ragged(300))
+            monkeypatch.setattr(
+                MCFuserTuner, "check_schedule", lambda self, schedule: False
+            )
+            with pytest.raises(VerificationError, match="disagrees"):
+                svc.compile(ragged(400))
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.errors"] == 1
+        assert "serve.hits.bucket" not in counters
+        assert outcome_sum(registry) == counters["serve.requests"] == 2
 
 
 class TestServiceBuckets:

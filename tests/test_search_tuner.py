@@ -223,6 +223,6 @@ class TestExecBackendAndVerification:
         chain = self._chain("eb-rb")
         cold = MCFuserTuner(A100, cache=cache, config=self.CHAIN_KW).tune(chain)
         entry = cache.get(chain, A100, "mcfuser")
-        warm = report_from_entry(chain, A100, entry)
+        warm = report_from_entry(chain, A100, entry, self.CHAIN_KW)
         assert warm.exec_backend in ("vectorized", "scalar")
         assert warm.exec_backend == cold.exec_backend
