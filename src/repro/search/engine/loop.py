@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -78,8 +78,10 @@ class SearchLoop:
 
     Args:
         space: The (lazy) pruned search space.
-        estimate_fn: Analytical model (cheap, called on every ranked
-            candidate; each call is counted into ``num_estimates``).
+        estimate_fn: Analytical model over a batch: ``candidates ->
+            estimates`` aligned with the input (cheap, called on every
+            ranked population; each candidate counts into
+            ``num_estimates``).
         evaluator: Measurement executor for the per-round top-n batch.
         population_size/top_n/epsilon/max_rounds/min_rounds: Algorithm-1
             parameters, identical semantics to the paper's pseudo-code.
@@ -100,7 +102,7 @@ class SearchLoop:
     def __init__(
         self,
         space: "SearchSpace",
-        estimate_fn: Callable[["Candidate"], float],
+        estimate_fn: Callable[[Sequence["Candidate"]], Sequence[float]],
         evaluator: ParallelEvaluator,
         population_size: int = 512,
         top_n: int = 8,
@@ -147,10 +149,14 @@ class SearchLoop:
 
     # -- services strategies call back into -----------------------------------
 
+    def estimate_batch(self, cands: Sequence["Candidate"]) -> np.ndarray:
+        """Score ``cands`` with the analytical model in one call (counted)."""
+        self.num_estimates += len(cands)
+        return np.asarray(self._estimate_fn(cands), dtype=np.float64)
+
     def estimate(self, cand: "Candidate") -> float:
-        """Score one candidate with the analytical model (counted)."""
-        self.num_estimates += 1
-        return self._estimate_fn(cand)
+        """Score one candidate: a batch of one."""
+        return float(self.estimate_batch((cand,))[0])
 
     def pick_unmeasured(
         self, ranked: list[tuple["Candidate", float]]

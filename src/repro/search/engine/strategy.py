@@ -25,7 +25,7 @@ the experiments harness all resolve strategies through
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -45,55 +45,104 @@ __all__ = [
     "register_strategy",
     "make_strategy",
     "strategy_names",
+    "BulkIntegers",
     "mutate_candidate",
     "rank_by_estimate",
 ]
 
 
+class BulkIntegers:
+    """Serves ``rng.integers(n)`` draws from one block of raw uint32 draws.
+
+    Within the ``with`` block, :meth:`integers` returns exactly what the
+    same sequence of scalar ``rng.integers(n)`` calls would: numpy draws a
+    bounded integer below ``n <= 2**32`` with Lemire's rule on one uint32
+    per try, rejecting only when ``(x * n) mod 2**32 < (2**32 - n) % n``,
+    and consumes nothing for ``n == 1``. On exit the generator is rewound
+    and advanced by exactly the uint32 draws used, so the stream after the
+    batch is the scalar stream. Nothing else may draw from ``rng`` inside
+    the block.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int) -> None:
+        self._rng = rng
+        self._size = max(1, size)
+
+    def __enter__(self) -> "BulkIntegers":
+        self._state = self._rng.bit_generator.state
+        self._block: list[int] = []
+        self._used = 0
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._rng.bit_generator.state = self._state
+        if self._used:
+            self._rng.integers(0, 2**32, size=self._used, dtype=np.uint32)
+
+    def integers(self, n: int) -> int:
+        """The next ``rng.integers(n)`` value, as a Python int."""
+        if not 1 <= n <= 2**32:
+            raise ValueError(f"bound must be in [1, 2**32], got {n}")
+        if n == 1:
+            return 0
+        threshold = (2**32 - n) % n
+        block = self._block
+        while True:
+            if self._used == len(block):
+                block.extend(
+                    self._rng.integers(0, 2**32, size=self._size, dtype=np.uint32).tolist()
+                )
+            m = block[self._used] * n
+            self._used += 1
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32
+
+
 def mutate_candidate(
     space: "SearchSpace",
     cand: "Candidate",
-    rng: np.random.Generator,
+    rng: "np.random.Generator | BulkIntegers",
     attempts: int = 8,
 ) -> "Candidate":
     """Mutate one loop's tile size to a neighboring Rule-3 option, keeping
-    the result inside the pruned space (retry a few times, else keep)."""
-    from repro.search.space import Candidate
+    the result inside the pruned space (retry a few times, else keep).
 
-    loops = space.chain.loop_names
+    Returns the space's own candidate object (``cand`` itself when every
+    attempt fails). ``rng`` only needs ``integers(n)``.
+    """
+    table = space.mutation_table
+    expr_key, tiles = cand.key
     for _ in range(attempts):
-        loop = loops[int(rng.integers(len(loops)))]
-        options = space.tile_options[loop]
+        loop, pos, options, index = table[rng.integers(len(table))]
         if len(options) < 2:
             continue
-        # ``cand.tiles`` is sorted by loop name; swap one entry in place.
-        pos = sorted(loops).index(loop)
-        tile = cand.tiles[pos][1]
-        idx = options.index(tile) if tile in options else 0
+        # ``tiles`` is sorted by loop name; ``pos`` is this loop's entry.
+        idx = index.get(tiles[pos][1], 0)
         # Same draw as ``rng.choice((-1, 1))``, at a fraction of its cost.
-        step = (-1, 1)[int(rng.integers(2))]
-        new_idx = min(max(idx + step, 0), len(options) - 1)
-        if new_idx == idx:
+        new_idx = idx + (-1, 1)[rng.integers(2)]
+        # Clamping a step off either end gives back ``idx``: no move.
+        if not 0 <= new_idx < len(options):
             continue
-        tiles = (*cand.tiles[:pos], (loop, options[new_idx]), *cand.tiles[pos + 1:])
-        mutated = Candidate(expr=cand.expr, tiles=tiles)
-        if space.contains(mutated):
+        mutated = space.canonical(
+            (expr_key, (*tiles[:pos], (loop, options[new_idx]), *tiles[pos + 1:]))
+        )
+        if mutated is not None:
             return mutated
     return cand
 
 
 def rank_by_estimate(
-    loop: "SearchLoop", candidates: "list[Candidate]"
+    loop: "SearchLoop", candidates: "Sequence[Candidate]"
 ) -> tuple[list[tuple["Candidate", float]], np.ndarray]:
-    """Model-estimate ``candidates`` (in order) and rank them best-first.
+    """Model-estimate ``candidates`` (in one batch) and rank them best-first.
 
     Returns the ranked (candidate, estimate) list plus the raw estimate
     array aligned with ``candidates`` (evolution needs it for fitness
     weights).
     """
-    estimates = np.array([loop.estimate(c) for c in candidates])
-    order = np.argsort(estimates)
-    ranked = [(candidates[int(i)], float(estimates[int(i)])) for i in order]
+    estimates = loop.estimate_batch(candidates)
+    values = estimates.tolist()
+    ranked = [(candidates[i], values[i]) for i in np.argsort(estimates).tolist()]
     return ranked, estimates
 
 
@@ -123,8 +172,9 @@ class SearchStrategy:
     def propose(self, loop: "SearchLoop") -> list[tuple["Candidate", float]]:
         """Rank candidates for this round: (candidate, estimate), best first.
 
-        Estimates must be obtained through ``loop.estimate`` so model-call
-        accounting stays correct.
+        Estimates must be obtained through ``loop.estimate_batch`` (or
+        ``loop.estimate`` for one candidate) so model-call accounting
+        stays correct.
         """
         raise NotImplementedError
 
@@ -169,9 +219,13 @@ class EvolutionarySearch(SearchStrategy):
         chosen = rng.choice(
             len(self.population), size=loop.population_size - n_fresh, p=weights
         )
-        population = [
-            mutate_candidate(space, self.population[int(i)], rng) for i in chosen
-        ]
+        # The mutations are the only draws between the two choices, so they
+        # come from one bulk block (same values, same stream afterwards).
+        parents = self.population
+        with BulkIntegers(rng, 3 * len(chosen)) as draws:
+            population = [
+                mutate_candidate(space, parents[i], draws) for i in chosen.tolist()
+            ]
         fresh_ids = rng.choice(len(space.candidates), size=n_fresh, replace=True)
         population += [space.candidates[int(i)] for i in fresh_ids]
         # Known launch failures are replaced with fresh draws.

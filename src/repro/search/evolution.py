@@ -17,7 +17,7 @@ from typing import Callable
 
 from repro.search.engine.evaluator import ParallelEvaluator
 from repro.search.engine.loop import SearchLoop, SearchResult
-from repro.search.engine.strategy import EvolutionarySearch, mutate_candidate
+from repro.search.engine.strategy import EvolutionarySearch
 from repro.search.space import Candidate, SearchSpace
 
 __all__ = ["SearchResult", "heuristic_search"]
@@ -47,7 +47,7 @@ def heuristic_search(
     evaluator = ParallelEvaluator(measure_fn, workers=1, clock=None)
     loop = SearchLoop(
         space,
-        estimate_fn,
+        lambda cands: [estimate_fn(c) for c in cands],
         evaluator,
         population_size=population_size,
         top_n=top_n,
@@ -57,7 +57,3 @@ def heuristic_search(
         seed=seed,
     )
     return loop.run(EvolutionarySearch())
-
-
-# Historical alias: the mutation helper moved to the engine.
-_mutate = mutate_candidate

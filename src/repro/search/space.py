@@ -263,11 +263,31 @@ class SearchSpace:
     def contains(self, cand: Candidate) -> bool:
         return cand.key in self._keys
 
+    def canonical(self, key: tuple) -> Candidate | None:
+        """The space's own candidate with ``key``, or ``None`` if outside."""
+        return self._keys.get(key)
+
     @cached_property
-    def _keys(self) -> frozenset:
+    def _keys(self) -> dict[tuple, Candidate]:
         # Safe to cache permanently: materialize() freezes the candidate
         # tuple, and there is no mutation path afterwards.
-        return frozenset(c.key for c in self.materialize())
+        return {c.key: c for c in self.materialize()}
+
+    @cached_property
+    def mutation_table(self) -> tuple[tuple[str, int, tuple[int, ...], dict[int, int]], ...]:
+        """Per loop, in ``chain.loop_names`` order: ``(loop, position in the
+        name-sorted tiles, Rule-3 options, tile -> first option index)`` —
+        what one tile mutation looks up instead of recomputing."""
+        loops = self.chain.loop_names
+        ordered = sorted(loops)
+        table = []
+        for loop in loops:
+            options = tuple(self.tile_options[loop])
+            index: dict[int, int] = {}
+            for i, tile in enumerate(options):
+                index.setdefault(tile, i)
+            table.append((loop, ordered.index(loop), options, index))
+        return tuple(table)
 
 
 def generate_space(

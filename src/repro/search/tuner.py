@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -485,9 +485,19 @@ class MCFuserTuner:
         # The model reads the space's price table (every candidate was
         # priced from its schedule template); schedules are built lazily,
         # only for candidates that are measured, featurized or returned.
-        def estimate_fn(cand: Candidate) -> float:
-            clock.charge("model_estimate")
-            return model.objective(space.price(cand))
+        # Each candidate still bills one model estimate, however often the
+        # search re-ranks it; its objective is computed once per tune.
+        objectives: dict[tuple, float] = {}
+
+        def estimate_fn(cands: Sequence[Candidate]) -> list[float]:
+            clock.charge_each("model_estimate", len(cands))
+            out = []
+            for cand in cands:
+                value = objectives.get(cand.key)
+                if value is None:
+                    value = objectives[cand.key] = model.objective(space.price(cand))
+                out.append(value)
+            return out
 
         def raw_measure(cand: Candidate) -> float:
             return self.measure_schedule(space.schedule_for(cand))

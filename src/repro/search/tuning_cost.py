@@ -54,6 +54,24 @@ class TuningClock:
         self.seconds += amount
         self.breakdown[kind] = self.breakdown.get(kind, 0.0) + amount
 
+    def charge_each(self, kind: str, times: int) -> None:
+        """Exactly ``times`` sequential ``charge(kind)`` calls, in one call.
+
+        Each addition rounds on its own, as the sequential calls would, so
+        ``seconds`` and ``breakdown`` stay bit-identical to them (which
+        ``charge(kind, count=times)`` would not)."""
+        if kind not in COSTS:
+            raise KeyError(f"unknown tuning cost kind {kind!r}")
+        if times <= 0:
+            return
+        amount = COSTS[kind]
+        seconds, total = self.seconds, self.breakdown.get(kind, 0.0)
+        for _ in range(times):
+            seconds += amount
+            total += amount
+        self.seconds = seconds
+        self.breakdown[kind] = total
+
     def merge(self, other: "TuningClock") -> None:
         self.seconds += other.seconds
         for k, v in other.breakdown.items():

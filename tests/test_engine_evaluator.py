@@ -207,7 +207,7 @@ class TestLoopNonFiniteHandling:
         clock = TuningClock()
         loop = SearchLoop(
             space,
-            lambda c: 1e-6,
+            lambda cs: [1e-6] * len(cs),
             ParallelEvaluator(measure, clock=clock),
             max_rounds=4,
             min_rounds=1,
@@ -228,7 +228,7 @@ class TestLoopNonFiniteHandling:
 
         loop = SearchLoop(
             space,
-            lambda c: 1e-6,
+            lambda cs: [1e-6] * len(cs),
             ParallelEvaluator(lambda c: float("nan")),
             max_rounds=3,
             seed=0,

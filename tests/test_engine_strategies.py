@@ -174,7 +174,7 @@ class TestSearchLoopBookkeeping:
 
         loop = SearchLoop(
             space,
-            lambda c: 1e-6,
+            lambda cs: [1e-6] * len(cs),
             ParallelEvaluator(measure),
             max_rounds=6,
             min_rounds=6,
@@ -187,7 +187,7 @@ class TestSearchLoopBookkeeping:
     def test_failed_candidates_blacklisted(self, space):
         loop = SearchLoop(
             space,
-            lambda c: 1e-6,
+            lambda cs: [1e-6] * len(cs),
             ParallelEvaluator(lambda c: float("inf")),
             max_rounds=3,
             seed=0,
@@ -203,7 +203,7 @@ class TestSearchLoopBookkeeping:
             return float(1e-6 + 1e-7 * rng.random())
 
         loop = SearchLoop(
-            space, lambda c: 1e-6, ParallelEvaluator(measure), seed=0
+            space, lambda cs: [1e-6] * len(cs), ParallelEvaluator(measure), seed=0
         )
         result = loop.run(make_strategy("random"))
         assert len(result.pairs) == result.num_measurements
@@ -215,7 +215,7 @@ class TestSearchLoopBookkeeping:
             space.chain, space.gpu, [], space.stats, space.tile_options
         )
         with pytest.raises(ValueError):
-            SearchLoop(empty, lambda c: 1e-6, ParallelEvaluator(lambda c: 1e-6))
+            SearchLoop(empty, lambda cs: [1e-6] * len(cs), ParallelEvaluator(lambda c: 1e-6))
 
 
 class TestCacheStrategyFaithfulness:
