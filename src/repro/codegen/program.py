@@ -147,7 +147,7 @@ def lower_schedule(
     """
     memo_key = None
     if max_ops == MAX_PROGRAM_OPS and max_gather_bytes == MAX_GATHER_BYTES:
-        memo_key = _content_key(schedule)
+        memo_key = schedule.content_key
         hit = _LOWER_MEMO.get(memo_key)
         if hit is not None:
             # The unrolled ops depend only on schedule content; hand back
@@ -264,24 +264,11 @@ _LOWER_MEMO: dict[tuple, TileProgram] = {}
 _LOWER_MEMO_CAP = 256
 
 
-def _content_key(schedule: Schedule) -> tuple:
-    """In-process identity of a schedule's content: chain structure (not
-    its name), expression (its cached canonical text), tiles and whether
-    the DAG optimization ran. A tuple compared by equality, so two
-    contents can never share a key."""
-    return (
-        schedule.chain.structure_key(),
-        schedule.expr.render(),
-        tuple(sorted(schedule.tiles.items())),
-        schedule.optimized,
-    )
-
-
 def schedule_facts(schedule: Schedule) -> ScheduleFacts:
     """The memoized :class:`ScheduleFacts` of ``schedule``'s content, so
     repeated queries for rebuilt-but-identical schedules cost a key build
     and a dict lookup instead of an unroll and a FLOPs walk."""
-    key = _content_key(schedule)
+    key = schedule.content_key
     facts = _FACTS_MEMO.get(key)
     if facts is None:
         try:

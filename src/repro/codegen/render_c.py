@@ -955,13 +955,11 @@ def render_program(program: TileProgram) -> RenderedKernel:
     softmax row shape) is re-raised as a :class:`RenderError` so callers
     can catch one typed error.
     """
-    from repro.codegen.program import _content_key
-
     rendered = getattr(program, _KERNEL_ATTR, None)
     if rendered is not None:
         return rendered
     schedule = program.schedule
-    key = (schedule.chain.name, _content_key(schedule), program.ops, program.grid_loops)
+    key = (schedule.chain.name, schedule.content_key, program.ops, program.grid_loops)
     rendered = _RENDER_MEMO.get(key)
     if rendered is None:
         try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +72,36 @@ _VERIFY_ATOL = 1e-4
 
 class VerificationError(RuntimeError):
     """A tuned schedule disagreed numerically with the unfused reference."""
+
+
+#: (chain structure, chain name, expression text, sorted tiles, optimized)
+#: -> schedule. Every warm hit re-expands a stored decision at the request
+#: shape; schedules are immutable, so all reports of one decision on one
+#: chain share a single build. The name is part of the key because a
+#: schedule's kernel name and description carry it. Concurrent misses on
+#: one key may both build; either result is the same content.
+_REBUILD_MEMO: dict[tuple, Schedule] = {}
+_REBUILD_MEMO_CAP = 4096
+
+
+def _rebuilt_schedule(
+    chain: ComputeChain, expr: TilingExpr, tiles: Mapping[str, int], optimized: bool
+) -> Schedule:
+    """The memoized ``build_schedule(chain, expr, tiles, optimized)``."""
+    key = (
+        chain.structure_key(),
+        chain.name,
+        expr.render(),
+        tuple(sorted(tiles.items())),
+        optimized,
+    )
+    schedule = _REBUILD_MEMO.get(key)
+    if schedule is None:
+        schedule = build_schedule(chain, expr, dict(tiles), optimize=optimized)
+        if len(_REBUILD_MEMO) >= _REBUILD_MEMO_CAP:
+            _REBUILD_MEMO.clear()
+        _REBUILD_MEMO[key] = schedule
+    return schedule
 
 
 @dataclass
@@ -144,7 +174,7 @@ def report_from_entry(
     """
     search_config = config.search
     expr = TilingExpr.parse(entry.expr)
-    schedule = build_schedule(chain, expr, dict(entry.tiles), optimize=entry.optimized)
+    schedule = _rebuilt_schedule(chain, expr, entry.tiles, entry.optimized)
     exec_backend = resolve_exec_backend(schedule, config.exec.backend)
     candidate = Candidate.make(expr, dict(entry.tiles))
     empty_funnel = PruningStats(
@@ -196,8 +226,8 @@ def rebind_report(report: TuneReport, chain: ComputeChain) -> TuneReport:
     the caller will actually execute.
     """
     schedule = report.best_schedule
-    report.best_schedule = build_schedule(
-        chain, schedule.expr, dict(schedule.tiles), optimize=schedule.optimized
+    report.best_schedule = _rebuilt_schedule(
+        chain, schedule.expr, schedule.tiles, schedule.optimized
     )
     report.chain = chain
     return report

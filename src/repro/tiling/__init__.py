@@ -2,6 +2,7 @@
 
 from repro.tiling.dag import (
     MemoryOptReport,
+    ScheduleDAG,
     dag_summary,
     dead_loops,
     memory_opt_report,
@@ -39,6 +40,7 @@ __all__ = [
     "build_schedule",
     "InvalidScheduleError",
     "GRID",
+    "ScheduleDAG",
     "schedule_dag",
     "dead_loops",
     "dag_summary",

@@ -14,49 +14,108 @@ node is *dead*, removable along with its edges, which lets memory
 statements migrate to shallower scopes (Fig. 4(b) / Fig. 5(b)). The
 removal itself happens in :func:`repro.tiling.schedule.build_schedule`
 (``optimize=True``); this module exposes the graph for analysis,
-validation and reporting.
+validation and reporting as a small immutable :class:`ScheduleDAG`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Hashable, Iterator, Mapping
 
-import networkx as nx
+from repro.tiling.schedule import Schedule, Statement
 
-from repro.tiling.schedule import GRID, LoopScope, Schedule, Statement
+__all__ = [
+    "ScheduleDAG",
+    "schedule_dag",
+    "dead_loops",
+    "dag_summary",
+    "MemoryOptReport",
+    "memory_opt_report",
+]
 
-__all__ = ["schedule_dag", "dead_loops", "dag_summary", "MemoryOptReport", "memory_opt_report"]
+
+@dataclass(frozen=True)
+class ScheduleDAG:
+    """A directed graph of loop and statement nodes with kinded edges.
+
+    ``node_attrs`` maps each node to its read-only attributes; ``edge_deps``
+    maps each ``(source, target)`` pair to its dependence kind (``"scope"``
+    or ``"order"``). A pair appears at most once.
+    """
+
+    node_attrs: Mapping[Hashable, Mapping[str, object]]
+    edge_deps: Mapping[tuple[Hashable, Hashable], str]
+
+    def nodes(self, data: bool = False) -> Iterator:
+        """Nodes, or ``(node, attrs)`` pairs with ``data=True``."""
+        return iter(self.node_attrs.items() if data else self.node_attrs)
+
+    def edges(self, data: bool = False) -> Iterator:
+        """``(source, target)`` pairs, or ``(source, target, {"dep": kind})``
+        triples with ``data=True``."""
+        if not data:
+            return iter(self.edge_deps)
+        return ((u, v, {"dep": dep}) for (u, v), dep in self.edge_deps.items())
+
+    def has_edge(self, source: Hashable, target: Hashable) -> bool:
+        return (source, target) in self.edge_deps
+
+    def is_acyclic(self) -> bool:
+        """Kahn's algorithm: every node can be removed in topological order."""
+        indegree = dict.fromkeys(self.node_attrs, 0)
+        successors: dict[Hashable, list] = {node: [] for node in self.node_attrs}
+        for u, v in self.edge_deps:
+            successors[u].append(v)
+            indegree[v] += 1
+        ready = [node for node, degree in indegree.items() if degree == 0]
+        removed = 0
+        while ready:
+            node = ready.pop()
+            removed += 1
+            for v in successors[node]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+        return removed == len(indegree)
 
 
 def _stmt_node(stmt: Statement) -> tuple:
     return ("stmt", stmt.kind, stmt.tensor, stmt.block)
 
 
-def schedule_dag(schedule: Schedule) -> "nx.DiGraph":
+def schedule_dag(schedule: Schedule) -> ScheduleDAG:
     """Build the loop/statement DAG of a schedule.
 
     Node attributes: ``kind`` (``"loop"`` or ``"stmt"``), plus ``extent``
     for loops and ``label`` (``LA``, ``CC``, ``SE``, ...) for statements.
-    Edge attribute ``dep`` is ``"scope"`` or ``"order"``.
+    Edge kind ``dep`` is ``"scope"`` or ``"order"``.
     """
-    g = nx.DiGraph()
+    nodes: dict[Hashable, dict[str, object]] = {}
+    edges: dict[tuple[Hashable, Hashable], str] = {}
+
+    def add_edge(u: Hashable, v: Hashable, dep: str) -> None:
+        nodes.setdefault(u, {})
+        nodes.setdefault(v, {})
+        edges[(u, v)] = dep
+
     for loop, extent in schedule.grid_dims:
-        g.add_node(("loop", loop), kind="loop", extent=extent, grid=True)
+        nodes[("loop", loop)] = {"kind": "loop", "extent": extent, "grid": True}
     for loop in schedule.residual.loops():
-        g.add_node(("loop", loop), kind="loop", extent=schedule.extents[loop], grid=False)
+        nodes[("loop", loop)] = {"kind": "loop", "extent": schedule.extents[loop], "grid": False}
         parent = schedule.residual.parent(loop)
         if parent is not None:
-            g.add_edge(("loop", parent), ("loop", loop), dep="scope")
+            add_edge(("loop", parent), ("loop", loop), "scope")
 
     for stmt in schedule.statements():
         node = _stmt_node(stmt)
-        g.add_node(node, kind="stmt", label=stmt.label(), home=stmt.home)
+        nodes[node] = {"kind": "stmt", "label": stmt.label(), "home": stmt.home}
         if stmt.home is not None:
-            g.add_edge(("loop", stmt.home), node, dep="scope")
+            add_edge(("loop", stmt.home), node, "scope")
         else:
             for loop, _ in schedule.grid_dims:
                 if loop in stmt.related or loop == "b":
-                    g.add_edge(("loop", loop), node, dep="scope")
+                    add_edge(("loop", loop), node, "scope")
 
     # Order edges: load -> compute (same block), producer compute ->
     # consumer compute, compute -> store (same block).
@@ -65,21 +124,27 @@ def schedule_dag(schedule: Schedule) -> "nx.DiGraph":
     }
     for stmt in schedule.statements():
         if stmt.kind == "load" and stmt.block in computes:
-            g.add_edge(_stmt_node(stmt), _stmt_node(computes[stmt.block]), dep="order")
+            add_edge(_stmt_node(stmt), _stmt_node(computes[stmt.block]), "order")
         if stmt.kind == "store" and stmt.block in computes:
-            g.add_edge(_stmt_node(computes[stmt.block]), _stmt_node(stmt), dep="order")
+            add_edge(_stmt_node(computes[stmt.block]), _stmt_node(stmt), "order")
     for block in schedule.chain.blocks:
         for tensor in block.inputs:
             producer = schedule.chain.producer_of(tensor)
             if producer is not None and producer.name in computes and block.name in computes:
-                g.add_edge(
+                add_edge(
                     _stmt_node(computes[producer.name]),
                     _stmt_node(computes[block.name]),
-                    dep="order",
+                    "order",
                 )
-    if not nx.is_directed_acyclic_graph(g):  # pragma: no cover - defensive
+    dag = ScheduleDAG(
+        node_attrs=MappingProxyType(
+            {node: MappingProxyType(attrs) for node, attrs in nodes.items()}
+        ),
+        edge_deps=MappingProxyType(edges),
+    )
+    if not dag.is_acyclic():  # pragma: no cover - defensive
         raise AssertionError("schedule dependence graph has a cycle")
-    return g
+    return dag
 
 
 def dead_loops(schedule: Schedule) -> tuple[str, ...]:

@@ -27,8 +27,10 @@ expression without building a schedule for each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -78,14 +80,14 @@ class Statement:
         return f"{prefix}{self.tensor}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopScope:
     """A loop in the scheduled program; ``body`` interleaves statements and
     nested scopes in execution order. ``loop is None`` only at the root."""
 
     loop: str | None
     extent: int
-    body: list["LoopScope | Statement"] = field(default_factory=list)
+    body: tuple["LoopScope | Statement", ...] = ()
 
     def contains_compute(self, block: str) -> bool:
         for item in self.body:
@@ -138,16 +140,21 @@ def _build_tree(
     extents: dict[str, int],
     homes: dict[tuple[str, str, str], str | None],
 ) -> LoopScope:
-    """Build the scheduled loop tree with dependency-respecting ordering."""
+    """Build the scheduled loop tree with dependency-respecting ordering.
 
-    def make_scope(node: LoopNest) -> LoopScope:
-        scope = LoopScope(loop=node.loop, extent=extents[node.loop])
-        scope.body = [make_scope(child) for child in node.body]
-        _insert_statements(scope)
-        return scope
+    Each scope's body is assembled in a local list (children first, then
+    its statements inserted around them) and frozen into a
+    :class:`LoopScope` only when complete, so the tree is immutable from
+    the moment anything outside this function can see it.
+    """
 
-    def element_with_compute(scope: LoopScope, block: str) -> int | None:
-        for i, item in enumerate(scope.body):
+    def make_scope(loop: str | None, extent: int, children: tuple[LoopNest, ...]) -> LoopScope:
+        body = [make_scope(c.loop, extents[c.loop], c.body) for c in children]
+        _insert_statements(loop, body)
+        return LoopScope(loop=loop, extent=extent, body=tuple(body))
+
+    def element_with_compute(body: list, block: str) -> int | None:
+        for i, item in enumerate(body):
             if isinstance(item, Statement):
                 if item.kind == "compute" and item.block == block:
                     return i
@@ -155,7 +162,7 @@ def _build_tree(
                 return i
         return None
 
-    def consumer_limit(scope: LoopScope, block: str) -> int:
+    def consumer_limit(body: list, block: str) -> int:
         """First body element containing a compute that consumes ``block``'s
         output — statements of ``block`` must be inserted before it.
 
@@ -165,15 +172,14 @@ def _build_tree(
         run the producer after the consumer.
         """
         out = chain.block(block).output
-        limit = len(scope.body)
+        limit = len(body)
         for consumer in chain.consumers_of(out):
-            idx = element_with_compute(scope, consumer.name)
+            idx = element_with_compute(body, consumer.name)
             if idx is not None:
                 limit = min(limit, idx)
         return limit
 
-    def _insert_statements(scope: LoopScope) -> None:
-        here = scope.loop
+    def _insert_statements(here: str | None, body: list) -> None:
         for block in chain.blocks:
             stmts: list[Statement] = []
             for tensor in block.inputs:
@@ -200,66 +206,77 @@ def _build_tree(
                 )
             for stmt in stmts:
                 if stmt.kind == "load":
-                    anchor = element_with_compute(scope, stmt.block)
+                    anchor = element_with_compute(body, stmt.block)
                     if anchor is None:
-                        scope.body.insert(consumer_limit(scope, stmt.block), stmt)
+                        body.insert(consumer_limit(body, stmt.block), stmt)
                     else:
-                        scope.body.insert(anchor, stmt)
+                        body.insert(anchor, stmt)
                 elif stmt.kind == "compute":
                     pos = -1
                     consumer = chain.block(stmt.block)
                     for tensor in consumer.inputs:
                         producer = chain.producer_of(tensor)
                         if producer is not None:
-                            idx = element_with_compute(scope, producer.name)
+                            idx = element_with_compute(body, producer.name)
                             if idx is not None:
                                 pos = max(pos, idx)
-                    for i, item in enumerate(scope.body):
+                    for i, item in enumerate(body):
                         if isinstance(item, Statement) and item.kind == "load" and item.block == stmt.block:
                             pos = max(pos, i)
-                    scope.body.insert(min(pos + 1, consumer_limit(scope, stmt.block)), stmt)
+                    body.insert(min(pos + 1, consumer_limit(body, stmt.block)), stmt)
                 else:  # store: after the producing compute
-                    idx = element_with_compute(scope, stmt.block)
-                    scope.body.insert(len(scope.body) if idx is None else idx + 1, stmt)
+                    idx = element_with_compute(body, stmt.block)
+                    body.insert(len(body) if idx is None else idx + 1, stmt)
 
-    root = LoopScope(loop=GRID, extent=1)
-    root.body = [make_scope(node) for node in residual.roots]
-    _insert_statements(root)
-    return root
+    return make_scope(GRID, 1, residual.roots)
 
 
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """A fully placed tiled program for one (chain, expression, tiles) triple.
 
     Do not construct directly — use :func:`build_schedule`, which performs
     grid binding and (optionally) the DAG dead-loop optimization.
+
+    A built schedule is immutable: its fields are frozen, ``tiles`` is a
+    read-only view of a private copy, and the loop tree is made of frozen
+    scopes with tuple bodies. That is what lets derived data hang off it
+    as ``cached_property`` values and lets one schedule be shared by every
+    report that rebuilt the same decision (see
+    :mod:`repro.search.tuner`). Equality is identity.
     """
 
-    def __init__(
-        self,
-        chain: ComputeChain,
-        expr: TilingExpr,
-        tiles: dict[str, int],
-        residual: TilingExpr,
-        grid_dims: tuple[tuple[str, int], ...],
-        root: LoopScope,
-        optimized: bool,
-    ) -> None:
-        self.chain = chain
-        self.expr = expr
-        self.tiles = dict(tiles)
-        self.residual = residual
-        self.grid_dims = grid_dims
-        self.root = root
-        self.optimized = optimized
+    chain: ComputeChain
+    expr: TilingExpr
+    tiles: Mapping[str, int]
+    residual: TilingExpr
+    grid_dims: tuple[tuple[str, int], ...]
+    root: LoopScope
+    optimized: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tiles", MappingProxyType(dict(self.tiles)))
 
     # -- structure queries ---------------------------------------------------
 
     @cached_property
-    def extents(self) -> dict[str, int]:
-        return {
+    def extents(self) -> Mapping[str, int]:
+        return MappingProxyType({
             loop: ceil_div(size, self.tiles[loop]) for loop, size in self.chain.loops.items()
-        }
+        })
+
+    @cached_property
+    def content_key(self) -> tuple:
+        """In-process identity of this schedule's content: chain structure
+        (not its name), expression (its canonical text), tiles and whether
+        the DAG optimization ran. A tuple compared by equality, so two
+        contents can never share a key."""
+        return (
+            self.chain.structure_key(),
+            self.expr.render(),
+            tuple(sorted(self.tiles.items())),
+            self.optimized,
+        )
 
     @property
     def grid_size(self) -> int:
@@ -277,19 +294,6 @@ class Schedule:
 
         walk(self.root)
         return out
-
-    @cached_property
-    def _scope_index(self) -> dict[str | None, LoopScope]:
-        index: dict[str | None, LoopScope] = {GRID: self.root}
-
-        def walk(scope: LoopScope) -> None:
-            for item in scope.body:
-                if isinstance(item, LoopScope):
-                    index[item.loop] = item
-                    walk(item)
-
-        walk(self.root)
-        return index
 
     def trip_loops(self, stmt: Statement) -> tuple[str, ...]:
         """The per-block loops a statement repeats over: its home and the

@@ -1,5 +1,7 @@
 """Unit tests for the analytical performance model (eqs. 2-5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu.specs import A100
@@ -59,11 +61,11 @@ class TestDegenerateGrid:
     def test_zero_block_grid_clamped(self, schedule):
         """Regression: a degenerate schedule reporting a zero-block grid
         must not hand eq. (5) a ZeroDivisionError mid-search."""
-        schedule.grid_dims = ()  # prod(()) == 1, still fine
-        est = estimate_time(schedule, A100)
+        no_grid = dataclasses.replace(schedule, grid_dims=())  # prod(()) == 1, still fine
+        est = estimate_time(no_grid, A100)
         assert est.alpha == pytest.approx(1 + A100.num_sms)
-        schedule.grid_dims = (("m", 0),)  # the pathological handoff
-        est = estimate_time(schedule, A100)
+        zero_grid = dataclasses.replace(schedule, grid_dims=(("m", 0),))  # the pathological handoff
+        est = estimate_time(zero_grid, A100)
         assert est.alpha == pytest.approx(1 + A100.num_sms)
         assert est.total < float("inf")
 

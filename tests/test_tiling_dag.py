@@ -1,8 +1,6 @@
 """Unit tests for the schedule DAG view (Fig. 5)."""
 
-import networkx as nx
-
-from repro.tiling.dag import dag_summary, dead_loops, memory_opt_report, schedule_dag
+from repro.tiling.dag import ScheduleDAG, dag_summary, dead_loops, memory_opt_report, schedule_dag
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import build_schedule
 
@@ -16,7 +14,14 @@ def sched(chain, expr, tiles=None, optimize=False):
 class TestDagStructure:
     def test_acyclic(self, small_gemm):
         g = schedule_dag(sched(small_gemm, "mhnk"))
-        assert nx.is_directed_acyclic_graph(g)
+        assert g.is_acyclic()
+
+    def test_cycle_detected(self):
+        a, b, c = ("loop", "a"), ("loop", "b"), ("stmt", "c")
+        nodes = {a: {"kind": "loop"}, b: {"kind": "loop"}, c: {"kind": "stmt"}}
+        chain = {(a, b): "scope", (b, c): "scope"}
+        assert ScheduleDAG(nodes, chain).is_acyclic()
+        assert not ScheduleDAG(nodes, {**chain, (c, a): "order"}).is_acyclic()
 
     def test_fig5_nodes(self, small_gemm):
         g = schedule_dag(sched(small_gemm, "mhnk"))
