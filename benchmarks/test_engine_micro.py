@@ -1,14 +1,13 @@
-"""Microbenchmark — the search builds schedules only for what it measures.
+"""Microbenchmark — the search builds one schedule per template, plus the best.
 
 Not a paper figure: this measures the engine's pricing path. Candidates
-are priced from per-expression schedule templates, so the tuning path
-builds one schedule per template (a distinct extent-1 loop set of an
-expression) plus one per distinct candidate it measures.
+are priced and measured from per-expression schedule templates, so the
+tuning path builds one schedule per template (a distinct extent-1 loop set
+of an expression) plus the returned best.
 
 The benchmark counts *actual* ``build_schedule`` invocations during a full
-tune of the Fig. 7 GEMM chain and asserts the total stays within
-templates + distinct measured candidates + 1, and below the number of
-Rule-3 points.
+tune of the Fig. 7 GEMM chain and asserts exactly one lazy build (the
+best), with the total below the number of Rule-3 points.
 
 Run: pytest benchmarks/test_engine_micro.py --benchmark-only -q -rA
 """
@@ -65,9 +64,9 @@ def test_schedules_built_once(run_once, monkeypatch):
             headers=["where", "builds"],
             rows=[
                 ["templates (pricing)", counts["templates"]],
-                ["lazy schedules (measured / returned)", counts["lazy"]],
+                ["lazy schedules (returned best)", counts["lazy"]],
                 ["total (template pricing)", builds],
-                ["distinct measured candidates", measured],
+                ["distinct measured candidates (no build)", measured],
                 ["distinct schedules requested", len(touched)],
                 ["model estimates (no build)", report.search.num_estimates],
                 ["Rule-3 points (one build each if built eagerly)", per_point],
@@ -76,7 +75,9 @@ def test_schedules_built_once(run_once, monkeypatch):
     )
 
     assert report.best_time > 0
-    assert len(touched) > 0
-    # The acceptance bar: builds <= templates + distinct measured + 1.
-    assert builds <= counts["templates"] + measured + 1
+    assert measured > 0
+    # The acceptance bar: the returned best is the only schedule built
+    # outside pricing.
+    assert counts["lazy"] == 1
+    assert touched == {report.best_candidate.key}
     assert builds < per_point

@@ -68,7 +68,7 @@ def _search_time(
 
     def measure(c):
         try:
-            return sim.run(space.schedule_for(c).kernel_launch(gpu))
+            return sim.run(space.launch_for(c))
         except SharedMemoryExceeded:
             return float("inf")
 

@@ -42,10 +42,9 @@ def correlation_for(
     sim = GPUSimulator(gpu, seed=seed)
     pairs: list[tuple[float, float]] = []
     for cand in space.candidates:
-        sched = space.schedule_for(cand)
-        est = model(sched)
+        est = model.objective(space.price(cand))
         try:
-            meas = sim.run(sched.kernel_launch(gpu))
+            meas = sim.run(space.launch_for(cand))
         except SharedMemoryExceeded:
             continue  # these never reach measurement on hardware either
         pairs.append((est, meas))

@@ -5,8 +5,8 @@ pipeline (§III), priced without building a schedule per candidate.
 
     expression_stage   Rule 1 dedup + Rule 2 class filter  -> TilingExpr
     price_stage        Rule 3 tile grid per expression,    -> (Candidate,
-                       priced from schedule templates:         PerfEstimate)
-                       validity, candidate-level Rule 2,
+                       priced from schedule templates:         PerfEstimate,
+                       validity, candidate-level Rule 2,       template)
                        Rule 4 and the eq. 2-5 estimate
 
 Everything the search needs before measuring depends only on the tiling
@@ -14,9 +14,11 @@ expression and on which per-block loops have extent 1 (see
 :class:`~repro.tiling.schedule.ScheduleTemplate`). :func:`price_grid`
 therefore builds one real schedule per distinct extent-1 set of an
 expression, records it as a template, and evaluates the template over the
-whole Rule-3 grid with numpy. Schedules of individual candidates are built
-later, and only for candidates that are measured, verified, featurized or
-returned (:meth:`~repro.search.space.SearchSpace.schedule_for`).
+whole Rule-3 grid with numpy. The same template later summarizes a
+measured candidate as a kernel launch
+(:meth:`~repro.search.space.SearchSpace.launch_for`); schedules of
+individual candidates are built only for candidates that are verified,
+featurized or returned (:meth:`~repro.search.space.SearchSpace.schedule_for`).
 
 The Fig. 7 pruning funnel is accumulated *incrementally* in a
 :class:`PruningFunnel` as candidates flow; a fully drained pipeline yields
@@ -138,7 +140,8 @@ class PricedGrid:
 
     ``tiles`` has one row per point (columns in ``chain.loop_names`` order,
     rows in ``itertools.product`` order of the options); every other array
-    is aligned with its rows. Rejected points are priced too.
+    is aligned with its rows. Rejected points are priced too. Point ``i``
+    was priced from ``templates[group[i]]``.
     """
 
     tiles: np.ndarray
@@ -146,6 +149,8 @@ class PricedGrid:
     rule2: np.ndarray
     rule4: np.ndarray
     price: PerfEstimate
+    group: np.ndarray
+    templates: tuple[ScheduleTemplate, ...]
 
 
 def price_grid(
@@ -177,6 +182,7 @@ def price_grid(
     rule2 = np.zeros(n, dtype=bool)
     rule4 = np.zeros(n, dtype=bool)
     t_mem, t_comp, alpha = np.zeros(n), np.zeros(n), np.zeros(n)
+    used: list[ScheduleTemplate] = []
     for g, rep in enumerate(first.tolist()):
         rows = np.flatnonzero(group == g)
         key = (expr.render(), frozenset(l for l, u in zip(free, unit[rep]) if u), optimize)
@@ -186,6 +192,7 @@ def price_grid(
             template = templates[key] = ScheduleTemplate.from_schedule(
                 build_schedule(chain, expr, point, optimize=optimize)
             )
+        used.append(template)
         work = template.work(
             {l: tiles[rows, j] for j, l in enumerate(loops)},
             {l: extents[rows, j] for j, l in enumerate(loops)},
@@ -201,6 +208,8 @@ def price_grid(
         rule2=rule2,
         rule4=rule4,
         price=PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha),
+        group=group,
+        templates=tuple(used),
     )
 
 
@@ -212,10 +221,11 @@ def price_stage(
     funnel: PruningFunnel,
     templates: TemplateTable,
     optimize: bool = True,
-) -> Iterator[tuple["Candidate", PerfEstimate]]:
+) -> Iterator[tuple["Candidate", PerfEstimate, ScheduleTemplate]]:
     """Rules 3-4 over each expression's priced grid.
 
-    Yields every surviving candidate with its estimate, counting points
+    Yields every surviving candidate with its estimate and the template
+    that priced it (which also launches it), counting points
     that are valid and pass candidate-level Rule 2 into ``after_rule3`` and
     Rule-4 survivors into ``after_rule4``, one candidate at a time.
     """
@@ -231,6 +241,7 @@ def price_stage(
         t_mem = grid.price.t_mem.tolist()
         t_comp = grid.price.t_comp.tolist()
         alpha = grid.price.alpha.tolist()
+        group = grid.group.tolist()
         for i in np.flatnonzero(rule3).tolist():
             funnel.after_rule3 += 1
             if not fits[i]:
@@ -238,7 +249,8 @@ def price_stage(
             funnel.after_rule4 += 1
             row = rows[i]
             cand = Candidate(expr=expr, tiles=tuple((l, row[j]) for l, j in zip(names, columns)))
-            yield cand, PerfEstimate(t_mem=t_mem[i], t_comp=t_comp[i], alpha=alpha[i])
+            price = PerfEstimate(t_mem=t_mem[i], t_comp=t_comp[i], alpha=alpha[i])
+            yield cand, price, grid.templates[group[i]]
 
 
 def candidate_pipeline(
@@ -249,7 +261,7 @@ def candidate_pipeline(
     templates: TemplateTable,
     deep_only: bool = False,
     optimize_schedules: bool = True,
-) -> Iterator[tuple["Candidate", PerfEstimate]]:
+) -> Iterator[tuple["Candidate", PerfEstimate, ScheduleTemplate]]:
     """The full composed pipeline; marks ``funnel.complete`` when drained."""
     exprs = expression_stage(chain, funnel, deep_only=deep_only)
     yield from price_stage(

@@ -9,11 +9,13 @@ drivers, random sampling) force materialization through the
 ``candidates`` / ``stats`` / ``len`` accessors and get the same candidate
 order and pruning funnel the old eager implementation produced.
 
-Candidates are **priced, not built**: the pipeline evaluates the eq. 2-5
-estimate of every candidate from per-expression schedule templates, and
-``price`` serves it from the space's price table. ``schedule_for`` builds a
+Candidates are **priced and measured, not built**: the pipeline evaluates
+the eq. 2-5 estimate of every candidate from per-expression schedule
+templates, ``price`` serves it from the space's price table, and
+``launch_for`` summarizes a candidate as a kernel launch from the template
+that priced it. ``schedule_for`` builds a
 :class:`~repro.tiling.schedule.Schedule` lazily, once per candidate, for
-the few candidates that are measured, verified, featurized or returned.
+the few candidates that are verified, featurized or returned.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
+from repro.gpu.kernel import KernelLaunch
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
 from repro.search.perf_model import PerfEstimate, estimate_time
 from repro.search.pruning import PruningStats
 from repro.tiling.expr import TilingExpr
-from repro.tiling.schedule import Schedule, build_schedule
+from repro.tiling.schedule import Schedule, ScheduleTemplate, build_schedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.search.engine.pipeline import PruningFunnel, TemplateTable
@@ -80,7 +83,7 @@ class SearchSpace:
         self,
         chain: ComputeChain,
         gpu: GPUSpec,
-        source: "Iterator[tuple[Candidate, PerfEstimate]]",
+        source: "Iterator[tuple[Candidate, PerfEstimate, ScheduleTemplate]]",
         funnel: "PruningFunnel",
         tile_options: dict[str, list[int]],
         deep_only: bool = False,
@@ -100,6 +103,8 @@ class SearchSpace:
         self._max_candidates = max_candidates
         self._templates: "TemplateTable" = {} if templates is None else templates
         self._prices: dict[tuple, PerfEstimate] = {}
+        #: candidate key -> the template that priced it
+        self._launchers: dict[tuple, ScheduleTemplate] = {}
         self._schedules: dict[tuple, Schedule] = {}
         self._lazy_builds = 0
         self._drained: list[Candidate] = []
@@ -147,11 +152,12 @@ class SearchSpace:
     def _pull(self) -> bool:
         """Drain one priced candidate from the pipeline; False when done."""
         try:
-            cand, price = next(self._source)
+            cand, price, template = next(self._source)
         except StopIteration:
             self._candidates = tuple(self._drained)
             return False
         self._prices[cand.key] = price
+        self._launchers[cand.key] = template
         self._drained.append(cand)
         return True
 
@@ -195,6 +201,7 @@ class SearchSpace:
                 stride = len(self._candidates) / cap
                 kept = tuple(self._candidates[int(i * stride)] for i in range(cap))
                 self._prices = {c.key: self._prices[c.key] for c in kept}
+                self._launchers = {c.key: self._launchers[c.key] for c in kept}
                 self._candidates = kept
         return self._candidates
 
@@ -230,6 +237,18 @@ class SearchSpace:
         if est is None:
             est = self._prices[cand.key] = estimate_time(self.schedule_for(cand), self.gpu)
         return est
+
+    def launch_for(self, cand: Candidate) -> KernelLaunch:
+        """The simulator launch of ``cand``, from the template that priced it.
+
+        Builds nothing. Candidates the pipeline did not price (a space built
+        with :meth:`from_candidates`) fall back to the built schedule. Equal
+        to ``schedule_for(cand).kernel_launch(gpu)``.
+        """
+        template = self._launchers.get(cand.key)
+        if template is None:
+            return self.schedule_for(cand).kernel_launch(self.gpu)
+        return template.launch(cand.tile_dict, self.gpu)
 
     def schedule_for(self, cand: Candidate, optimize: bool | None = None) -> Schedule:
         """The schedule of ``cand``, built on first request and memoized.

@@ -392,19 +392,21 @@ class MCFuserTuner:
             clock.charge("space_generation")
         return space
 
-    def measure_schedule(self, schedule: Schedule) -> float:
-        """One hardware measurement; launch failures count as +inf.
+    def measure_schedule(self, space: SearchSpace, cand: Candidate) -> float:
+        """One hardware measurement of ``cand``'s schedule; launch failures
+        count as +inf.
 
-        With ``verify="all"``, the measurement also executes the schedule
-        numerically (on ``exec.backend``) and reports a numerically
-        wrong program as a launch failure, so it can never win the search.
+        The simulator times the candidate's template launch
+        (:meth:`SearchSpace.launch_for`), so nothing is built. With
+        ``verify="all"``, the measurement also builds the schedule, executes
+        it numerically (on ``exec.backend``) and reports a numerically wrong
+        program as a launch failure, so it can never win the search.
         """
         try:
-            kernel = schedule.kernel_launch(self.gpu)
-            t = self.simulator.run(kernel)
+            t = self.simulator.run(space.launch_for(cand))
         except SharedMemoryExceeded:
             return float("inf")
-        if self.verify == "all" and not self.check_schedule(schedule):
+        if self.verify == "all" and not self.check_schedule(space.schedule_for(cand)):
             return float("inf")
         return t
 
@@ -512,9 +514,10 @@ class MCFuserTuner:
             ChimeraModel(self.gpu) if self.variant == "chimera" else AnalyticalModel(self.gpu)
         )
 
-        # The model reads the space's price table (every candidate was
-        # priced from its schedule template); schedules are built lazily,
-        # only for candidates that are measured, featurized or returned.
+        # The model reads the space's price table and measurements read the
+        # space's template launches (every candidate was priced from its
+        # schedule template); schedules are built lazily, only for
+        # candidates that are verified, featurized or returned.
         # Each candidate still bills one model estimate, however often the
         # search re-ranks it; its objective is computed once per tune.
         objectives: dict[tuple, float] = {}
@@ -530,7 +533,7 @@ class MCFuserTuner:
             return out
 
         def raw_measure(cand: Candidate) -> float:
-            return self.measure_schedule(space.schedule_for(cand))
+            return self.measure_schedule(space, cand)
 
         feature_fn = None
         if self.cost_model is not None:

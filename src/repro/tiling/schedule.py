@@ -27,6 +27,7 @@ expression without building a schedule for each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -49,6 +50,7 @@ __all__ = [
     "build_schedule",
     "InvalidScheduleError",
     "TemplateTerm",
+    "TemplateBuffer",
     "ScheduleWork",
     "ScheduleTemplate",
 ]
@@ -322,21 +324,23 @@ class Schedule:
         reduction loop of the tensor's producer multiplies the live tiles
         (the paper's Fig. 6(b) situation, pruned by Rule 2).
         """
+        return int(prod(self.extents[d] for d in self.copy_loops(tensor)))
+
+    def copy_loops(self, tensor: str) -> tuple[str, ...]:
+        """The loops whose extents multiply ``tensor``'s live tiles: those
+        indexing it inside an unfinished reduction loop of its producer
+        (empty for an input)."""
         producer = self.chain.producer_of(tensor)
         if producer is None:
-            return 1
+            return ()
         present = set(self.residual.loops())
         live_red = {
             r for r in producer.reduction if r in present and self.extents[r] > 1
         }
-        copies = 1
-        for d in self.chain.tensors[tensor].dims:
-            if d not in present:
-                continue
-            above = set(self.residual.ancestors(d))
-            if above & live_red:
-                copies *= self.extents[d]
-        return copies
+        return tuple(
+            d for d in self.chain.tensors[tensor].dims
+            if d in present and set(self.residual.ancestors(d)) & live_red
+        )
 
     def single_live_copies(self) -> bool:
         """Candidate-level Rule 2: every on-chip tensor needs one live tile."""
@@ -520,43 +524,52 @@ class Schedule:
 
     # -- lowering to a kernel launch ------------------------------------------------------
 
-    def representative_tiles(self) -> tuple[int, int, int]:
-        """Flops-weighted dominant MMA tile shape (for the simulator)."""
+    def representative_loops(self) -> tuple[str, str, str]:
+        """The (m, n, k) loops of the flops-dominant block's MMA."""
         best = None
         best_flops = -1.0
         for block in self.chain.blocks:
             flops = self.chain.block_flops(block)
             if flops > best_flops:
                 best_flops = flops
-                tm = self.tiles[block.spatial[0]]
-                tn = self.tiles[block.spatial[-1]]
-                tk = self.tiles[block.reduction[0]]
-                best = (tm, tn, tk)
+                best = (block.spatial[0], block.spatial[-1], block.reduction[0])
         assert best is not None
         return best
 
+    def representative_tiles(self) -> tuple[int, int, int]:
+        """Flops-weighted dominant MMA tile shape (for the simulator)."""
+        return tuple(self.tiles[loop] for loop in self.representative_loops())
+
+    def contig_loops(self) -> tuple[str, ...]:
+        """The innermost loop of every loaded, then every stored, tile."""
+        stmts = self.statements()
+        return tuple(
+            s.related[-1] for kind in ("load", "store") for s in stmts if s.kind == kind
+        )
+
     def inner_contig_bytes(self) -> int:
         """Worst-case contiguous run among loaded tiles (coalescing input)."""
-        widths = []
-        for stmt in self.statements():
-            if stmt.kind != "load":
-                continue
-            widths.append(self.tiles[stmt.related[-1]] * self.chain.dtype_bytes)
-        for stmt in self.statements():
-            if stmt.kind == "store":
-                widths.append(self.tiles[stmt.related[-1]] * self.chain.dtype_bytes)
+        widths = [self.tiles[loop] * self.chain.dtype_bytes for loop in self.contig_loops()]
         return min(widths) if widths else 128
 
-    def kernel_launch(self, gpu: GPUSpec, codegen: str = "triton") -> KernelLaunch:
-        """Summarize this schedule as a simulator kernel launch."""
-        tm, tn, tk = self.representative_tiles()
-        compulsory = sum(
+    def compulsory_read_bytes(self) -> int:
+        """Every input byte read once."""
+        return sum(
             self.chain.batch
             * prod(self.chain.loops[d] for d in ref.dims)
             * self.chain.dtype_bytes
             for ref in self.chain.tensors.values()
             if ref.role == "input"
         )
+
+    def kernel_launch(self, gpu: GPUSpec, codegen: str = "triton") -> KernelLaunch:
+        """Summarize this schedule as a simulator kernel launch.
+
+        The reference for :meth:`ScheduleTemplate.launch`, which the search
+        measures candidates with instead.
+        """
+        tm, tn, tk = self.representative_tiles()
+        compulsory = self.compulsory_read_bytes()
         return KernelLaunch(
             name=f"{self.chain.name}:{self.describe()}",
             grid=self.grid_size,
@@ -663,6 +676,18 @@ class TemplateTerm:
 
 
 @dataclass(frozen=True)
+class TemplateBuffer:
+    """One on-chip tile buffer, in loop names: its tile spans ``dims``,
+    and the extents of ``copy_loops`` multiply its live copies (Rule 2)."""
+
+    tensor: str
+    dims: tuple[str, ...]
+    role: str
+    double_buffered: bool
+    copy_loops: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class ScheduleWork:
     """Work totals of a set of tile points (arrays aligned with the points)."""
 
@@ -675,23 +700,36 @@ class ScheduleWork:
 
 @dataclass(frozen=True)
 class ScheduleTemplate:
-    """Everything a :class:`Schedule` needs to be priced, minus tile sizes.
+    """Everything a :class:`Schedule` needs to be priced and launched,
+    minus tile sizes.
 
     All schedules of one expression whose per-block loops (those of its
     sub-tiling expression, left once the grid is bound) have the same
     extent-1 set share one structure: dead-loop elimination, statement
     homes and unfinished reductions depend on nothing else. They have the
-    same validity and Rule-2 outcome, and work totals that are products of
-    tile sizes and extents along the same statement list.
+    same validity and Rule-2 outcome, the same on-chip buffers with the same
+    double-buffer flags, and work totals that are products of tile sizes and
+    extents along the same statement list.
     A template records that structure from one real schedule
     (:meth:`from_schedule`), so :func:`build_schedule` stays its only
-    source, and :meth:`work` evaluates it for many tile points at once.
+    source. :meth:`work` evaluates it for many tile points at once, and
+    :meth:`launch` summarizes one tile point as a kernel launch.
     """
 
+    #: Chain name and expression text, which name the kernel.
+    chain_name: str
+    expr: str
+    #: ``(loop, size)`` in ``chain.loop_names`` order.
+    loops: tuple[tuple[str, int], ...]
     grid_loops: tuple[str, ...]
     terms: tuple[TemplateTerm, ...]
-    #: Dims of each on-chip tile buffer of eq. (1).
-    buffers: tuple[tuple[str, ...], ...]
+    #: The on-chip tile buffers, by tensor name (eq. (1) sums their tiles).
+    buffers: tuple[TemplateBuffer, ...]
+    #: The (m, n, k) loops of the flops-dominant MMA.
+    mma_loops: tuple[str, str, str]
+    #: The innermost loop of every loaded, then every stored, tile.
+    contig_loops: tuple[str, ...]
+    compulsory_bytes: int
     batch: int
     dtype_bytes: int
     valid: bool
@@ -701,7 +739,6 @@ class ScheduleTemplate:
     def from_schedule(cls, schedule: Schedule) -> "ScheduleTemplate":
         chain = schedule.chain
         terms: list[TemplateTerm] = []
-        loaded: set[str] = set()
         for stmt in schedule.statements():
             trips = schedule.trip_loops(stmt)
             if stmt.kind == "compute":
@@ -711,21 +748,96 @@ class ScheduleTemplate:
                     softmax = chain.tensors[block.inputs[0]].dims
                 terms.append(TemplateTerm("compute", block.related, trips, softmax_dims=softmax))
             elif stmt.kind == "load":
-                loaded.add(stmt.tensor)
                 terms.append(TemplateTerm("load", stmt.related, trips))
             else:
                 terms.append(
                     TemplateTerm("store", stmt.related, trips, store_dims=schedule.store_dims(stmt))
                 )
-        on_chip = loaded | {n for n, ref in chain.tensors.items() if ref.role != "input"}
+        buffers = tuple(
+            TemplateBuffer(
+                tensor=buf.tensor,
+                dims=chain.tensors[buf.tensor].dims,
+                role=buf.role,
+                double_buffered=buf.double_buffered,
+                copy_loops=schedule.copy_loops(buf.tensor),
+            )
+            for buf in schedule.tile_buffers()
+        )
         return cls(
+            chain_name=chain.name,
+            expr=schedule.expr.render(),
+            loops=tuple((loop, chain.loops[loop]) for loop in chain.loop_names),
             grid_loops=tuple(loop for loop, _ in schedule.grid_dims[1:]),
             terms=tuple(terms),
-            buffers=tuple(chain.tensors[name].dims for name in sorted(on_chip)),
+            buffers=buffers,
+            mma_loops=schedule.representative_loops(),
+            contig_loops=schedule.contig_loops(),
+            compulsory_bytes=schedule.compulsory_read_bytes(),
             batch=chain.batch,
             dtype_bytes=chain.dtype_bytes,
             valid=schedule.is_valid,
             single_copy=schedule.single_live_copies(),
+        )
+
+    def launch(
+        self, tiles: Mapping[str, int], gpu: GPUSpec, codegen: str = "triton"
+    ) -> KernelLaunch:
+        """The kernel launch of this template's schedule at ``tiles``.
+
+        Equal to ``build_schedule(...).kernel_launch(gpu, codegen)`` at any
+        tile point the template was keyed for, field for field and type for
+        type: counts are the same Python-int products, float totals add
+        terms in statement order, and shared memory goes through the same
+        backend (:func:`~repro.gpu.memory.measure_shared_memory`).
+        """
+        dtype_bytes = self.dtype_bytes
+        extents = {loop: ceil_div(size, tiles[loop]) for loop, size in self.loops}
+        tile, extent = tiles.__getitem__, extents.__getitem__
+        grid = self.batch * math.prod(map(extent, self.grid_loops))
+        read = write = flops = 0
+        for term in self.terms:
+            trips = grid * math.prod(map(extent, term.trip_loops))
+            elements = math.prod(map(tile, term.tile_dims))
+            if term.kind == "compute":
+                per_exec = 2.0 * elements
+                if term.softmax_dims is not None:
+                    per_exec += 7.0 * math.prod(map(tile, term.softmax_dims))
+                flops = flops + per_exec * trips
+            elif term.kind == "load":
+                read = read + float(elements * dtype_bytes * trips)
+            else:
+                stores = math.prod(map(extent, term.store_dims))
+                write = write + float(elements * dtype_bytes * trips * stores)
+        buffers = [
+            TileBuffer(
+                tensor=buf.tensor,
+                rows=math.prod(map(tile, buf.dims[:-1])),
+                cols=tile(buf.dims[-1]) if buf.dims else 1,
+                dtype_bytes=dtype_bytes,
+                role=buf.role,
+                double_buffered=buf.double_buffered,
+                copies=math.prod(map(extent, buf.copy_loops)),
+            )
+            for buf in self.buffers
+        ]
+        widths = [tiles[loop] * dtype_bytes for loop in self.contig_loops]
+        tm, tn, tk = (tiles[loop] for loop in self.mma_loops)
+        sizes = ",".join(f"T{loop}={tiles[loop]}" for loop, _ in self.loops)
+        described = f"{self.expr}[{sizes}]"
+        return KernelLaunch(
+            name=f"{self.chain_name}:{described}",
+            grid=grid,
+            flops=flops,
+            dram_read_bytes=read,
+            dram_write_bytes=write,
+            dram_compulsory_read_bytes=float(self.compulsory_bytes),
+            shared_mem_bytes=measure_shared_memory(buffers, gpu).total_bytes,
+            tile_m=tm,
+            tile_n=tn,
+            tile_k=tk,
+            inner_contig_bytes=min(widths) if widths else 128,
+            codegen=codegen,
+            extra={"schedule": described},
         )
 
     def work(
@@ -774,8 +886,8 @@ class ScheduleTemplate:
                 total = product((extents[d] for d in term.store_dims), total)
                 write = write + total.astype(np.float64)
         shm = sum(
-            product((tiles[d] for d in dims), one) * self.dtype_bytes
-            for dims in self.buffers
+            product((tiles[d] for d in buf.dims), one) * self.dtype_bytes
+            for buf in self.buffers
         )
         return ScheduleWork(
             read_bytes=read.astype(np.float64),

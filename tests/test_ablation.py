@@ -5,7 +5,8 @@ import pytest
 from repro.experiments.ablation import _search_time, ablate_chain
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
-from repro.tiling.schedule import Schedule
+from repro.search.space import SearchSpace
+from repro.tiling.schedule import build_schedule
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +30,26 @@ class TestAblation:
 
 
 def test_no_dag_opt_measures_unoptimized_schedules(monkeypatch):
-    """The '-DAG opt' column times the schedules its space ranks: built
-    without the extent-1 optimization."""
+    """The '-DAG opt' column times the schedules its space ranks: launched
+    as built without the extent-1 optimization."""
     launched = []
-    real_launch = Schedule.kernel_launch
+    real_launch_for = SearchSpace.launch_for
 
-    def spy(self, gpu, *args, **kwargs):
-        launched.append(self.optimized)
-        return real_launch(self, gpu, *args, **kwargs)
+    def spy(self, cand):
+        launch = real_launch_for(self, cand)
+        launched.append((self.chain, cand, launch))
+        return launch
 
-    monkeypatch.setattr(Schedule, "kernel_launch", spy)
+    monkeypatch.setattr(SearchSpace, "launch_for", spy)
     _search_time(gemm_chain(1, 256, 256, 64, 64, name="abl-dag"), A100, optimize=False)
-    assert launched and not any(launched)
+    assert launched
+    differs = False
+    for chain, cand, launch in launched:
+        def built(optimize):
+            schedule = build_schedule(chain, cand.expr, cand.tile_dict, optimize=optimize)
+            return schedule.kernel_launch(A100)
+
+        assert launch == built(False)
+        differs |= launch != built(True)
+    # The optimization changes some measured launch, so the check bites.
+    assert differs

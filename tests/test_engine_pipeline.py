@@ -1,11 +1,14 @@
 """Engine streaming pipeline: laziness, incremental funnel, lazy schedules."""
 
+import sys
+
 import pytest
 
 from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.engine import pipeline as pipeline_mod
+from repro.search.engine.loop import SearchLoop
 from repro.search.engine.pipeline import PruningFunnel, stream_space
 from repro.search.space import SearchSpace, generate_space
 from repro.search.tuner import MCFuserTuner
@@ -106,8 +109,9 @@ class TestFrozenSpace:
 
 
 class TestSingleBuild:
-    """The search builds a schedule per template and per candidate it
-    measures, never per enumerated or estimated candidate."""
+    """The search builds a schedule per template and for the returned best;
+    it measures candidates from template launches, and builds per measured
+    candidate only to verify it (``verify="all"``)."""
 
     @pytest.fixture
     def counters(self, monkeypatch):
@@ -128,7 +132,8 @@ class TestSingleBuild:
         monkeypatch.setattr(space_mod, "build_schedule", counting("space"))
         return counts
 
-    def test_schedules_built_once_per_candidate(self, counters, monkeypatch):
+    @staticmethod
+    def _tune(monkeypatch, name, **config):
         spaces = []
         real_build_space = MCFuserTuner.build_space
 
@@ -137,18 +142,61 @@ class TestSingleBuild:
             return spaces[-1]
 
         monkeypatch.setattr(MCFuserTuner, "build_space", build_space)
-        chain = gemm_chain(1, 256, 256, 64, 64, name="onebuild")
-        report = MCFuserTuner(A100, config=SessionConfig.make(seed=0)).tune(chain)
+        chain = gemm_chain(1, 256, 256, 64, 64, name=name)
+        report = MCFuserTuner(A100, config=SessionConfig.make(seed=0, **config)).tune(chain)
         (space,) = spaces
+        return report, space
+
+    def test_schedules_built_once_per_candidate(self, counters, monkeypatch):
+        report, space = self._tune(monkeypatch, "onebuild")
         # Pricing builds one schedule per template, far fewer than points.
         assert counters["pipeline"] == space.templates
         assert space.templates < report.pruning.after_rule3
-        # Beyond that: one build per distinct measured candidate (the
-        # returned best is one of them), none per estimate.
+        # Beyond that: one build, the returned best; none per measurement
+        # or estimate.
         total = counters["pipeline"] + counters["space"]
-        assert total == space.schedules_built
-        assert total <= space.templates + len(report.search.measured) + 1
+        assert total == space.schedules_built == space.templates + 1
+        assert report.search.num_measurements > 0
         assert report.search.num_estimates > total
+
+    def test_verify_all_builds_each_measured_candidate_once(self, counters, monkeypatch):
+        report, space = self._tune(monkeypatch, "onebuild-verify", verify="all")
+        measured = report.search.measured
+        # Every launch fit, so every measured candidate was built and
+        # checked once; the returned best is one of them.
+        assert all(t < float("inf") for t in measured.values())
+        assert report.best_candidate.key in measured
+        total = counters["pipeline"] + counters["space"]
+        assert total == space.schedules_built == space.templates + len(measured)
+
+    def test_default_cold_tune_builds_nothing_while_searching(self, monkeypatch):
+        state = {"searching": False, "builds": 0, "searched": 0}
+        real_build = schedule_mod.build_schedule
+
+        def build(*args, **kwargs):
+            state["builds"] += state["searching"]
+            return real_build(*args, **kwargs)
+
+        # Every repro module that imported build_schedule gets the counter.
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("repro") and getattr(mod, "build_schedule", None) is real_build:
+                monkeypatch.setattr(mod, "build_schedule", build)
+        real_run = SearchLoop.run
+
+        def run(self, strategy):
+            state["searching"] = True
+            try:
+                return real_run(self, strategy)
+            finally:
+                state["searching"] = False
+                state["searched"] += 1
+
+        monkeypatch.setattr(SearchLoop, "run", run)
+        chain = gemm_chain(1, 256, 256, 64, 64, name="nobuild-search")
+        report = MCFuserTuner(A100, config=SessionConfig.make(seed=0)).tune(chain)
+        assert state["searched"] == 1
+        assert report.search.num_measurements > 0
+        assert state["builds"] == 0
 
     def test_space_rebuilds_only_on_optimize_mismatch(self, counters):
         chain = gemm_chain(1, 256, 256, 64, 64, name="onebuild2")

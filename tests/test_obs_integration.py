@@ -70,12 +70,11 @@ class TestTracedTune:
         report = MCFuserTuner(a100, config=TRACE_QUICK).tune(small_gemm)
         spans = _spans_by_name(tracer)
         [space], [search] = spans["tune.space"], spans["search"]
-        # Pricing builds one schedule per template; the search adds at most
-        # one per distinct measured candidate.
+        # Pricing builds one schedule per template; the search measures
+        # every candidate from its template launch and builds none.
         assert space.attrs["schedules_built"] == space.attrs["templates"] > 0
-        built = search.attrs["schedules_built"]
-        assert space.attrs["templates"] < built
-        assert built <= space.attrs["templates"] + len(report.search.measured) + 1
+        assert search.attrs["schedules_built"] == space.attrs["templates"]
+        assert report.search.num_measurements > 0
 
     def test_traced_tune_chrome_export_is_valid(self, a100, small_gemm, tmp_path):
         tracer = enable_tracing()
