@@ -6,7 +6,8 @@ free. The pieces:
 * :mod:`repro.cache.signature` — content hashes over (op chain, shapes,
   dtype, GPU spec, variant); the cache key everything below shares.
 * :mod:`repro.cache.store`     — entry format, in-memory LRU, and the
-  versioned JSON-on-disk store with eviction and corruption recovery.
+  on-disk store (one versioned JSON file per entry) with eviction and
+  per-entry corruption recovery.
 * :mod:`repro.cache.cache`     — :class:`ScheduleCache`, the two-level
   front door the tuner consults before any enumeration.
 * :mod:`repro.cache.batch`     — :class:`BatchTuner`, signature-dedup +

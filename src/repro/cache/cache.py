@@ -1,4 +1,4 @@
-"""ScheduleCache: the signature-keyed (JSON on disk) compilation cache.
+"""ScheduleCache: the signature-keyed (JSON files on disk) compilation cache.
 
 This is the front door of the caching subsystem. The tuner and the compile
 service ask :func:`resolve` *before* generating a search space; on a hit
@@ -10,8 +10,8 @@ miss the tuner runs the normal enumerate → prune → search pipeline and
 stores the winner.
 
 Each cache holds exactly one signature -> entry map, the
-:class:`~repro.cache.store.PersistentStore`: loaded from the JSON file
-when the cache opens, merged with other processes' writes on every flush.
+:class:`~repro.cache.store.PersistentStore`: one JSON file per entry,
+read once when the cache opens; a put writes only its own entry file.
 :meth:`ScheduleCache.lookup` records the hit or miss (persistently);
 :meth:`ScheduleCache.peek` reads the same map without recording anything —
 the serving layer's warm path. All operations are thread-safe
@@ -32,6 +32,7 @@ how a later caller would have searched. Callers that need a fresh search
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -56,8 +57,11 @@ __all__ = [
     "resolve",
 ]
 
-#: File name of the persistent store inside the cache directory.
-STORE_FILENAME = "schedule_cache.json"
+#: Directory of the persistent store inside the cache directory.
+STORE_DIRNAME = "schedules"
+
+#: The schema-1 whole-store document: never read, removed by ``clear``.
+LEGACY_FILENAME = "schedule_cache.json"
 
 
 def default_cache_dir() -> str:
@@ -80,6 +84,7 @@ class CacheStats:
     :class:`ScheduleCache` instance; ``total_hits``/``total_misses`` include
     activity persisted by earlier processes sharing the same store.
     ``disk_entries`` counts persisted entries (0 for a memory-only cache).
+    ``path`` is the store directory (``None`` for a memory-only cache).
     """
 
     hits: int
@@ -101,7 +106,8 @@ class ScheduleCache:
     """Persistent, signature-keyed cache of tuned schedules.
 
     Args:
-        path: Directory for the JSON store, or ``None`` for memory-only.
+        path: Cache directory (entries live in its ``schedules/``
+            subdirectory), or ``None`` for memory-only.
         max_entries: Eviction threshold of the entry map (least recently
             used entries are dropped first).
 
@@ -122,7 +128,7 @@ class ScheduleCache:
         self.path: str | None = None
         if path is not None:
             directory = os.path.expanduser(os.fspath(path))
-            self.path = os.path.join(directory, STORE_FILENAME)
+            self.path = os.path.join(directory, STORE_DIRNAME)
         self._store = PersistentStore(self.path, max_entries=max_entries)
         self.hits = 0
         self.misses = 0
@@ -146,9 +152,9 @@ class ScheduleCache:
     def lookup(self, signature: str) -> CacheEntry | None:
         """Recording lookup by precomputed signature (see :meth:`get`).
 
-        A hit refreshes the entry's recency and, for a persistent cache,
-        flushes the store, so ``repro cache stats`` in another process
-        sees it.
+        A hit refreshes the entry's recency; for a persistent cache it
+        rewrites that entry's file and logs the hit, so ``repro cache
+        stats`` in another process sees it. A miss is one log line.
         """
         with self._lock:
             entry = self._store.get(signature)
@@ -212,13 +218,14 @@ class ScheduleCache:
     def stats(self) -> CacheStats:
         """Current counters (see :class:`CacheStats`)."""
         with self._lock:
+            total_hits, total_misses = self._store.counters()
             return CacheStats(
                 hits=self.hits,
                 misses=self.misses,
                 stores=self.stores,
                 disk_entries=len(self._store) if self.path is not None else 0,
-                total_hits=self._store.hits,
-                total_misses=self._store.misses,
+                total_hits=total_hits,
+                total_misses=total_misses,
                 path=self.path,
             )
 
@@ -228,9 +235,13 @@ class ScheduleCache:
             return self._store.entries() if self.path is not None else []
 
     def clear(self) -> None:
-        """Drop every entry and the on-disk file; counters reset to zero."""
+        """Drop every entry, the store directory and a legacy store file;
+        counters reset to zero."""
         with self._lock:
             self._store.clear()
+            if self.path is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(os.path.dirname(self.path), LEGACY_FILENAME))
             self.hits = 0
             self.misses = 0
             self.stores = 0

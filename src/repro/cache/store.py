@@ -4,34 +4,45 @@
   rebuild the schedule without re-running search: the tiling expression
   text, the tile sizes, the DAG-optimization flag, and accounting numbers.
 * :class:`PersistentStore` — the one signature -> entry map behind a
-  :class:`~repro.cache.cache.ScheduleCache`: a versioned JSON file with
-  atomic writes, least-recently-used eviction, and corrupted-file recovery
-  (a damaged store is moved aside to ``<path>.corrupt`` and an empty store
-  started, never an exception into the tuning path). With ``path=None``
-  it is the same bounded map, kept in memory only.
+  :class:`~repro.cache.cache.ScheduleCache`: one versioned JSON file per
+  entry, least-recently-used eviction, and per-entry corruption recovery
+  (a damaged file loses one entry, never raises into the tuning path).
+  With ``path=None`` it is the same bounded map, kept in memory only.
 * :class:`LRUCache` — a bounded in-memory key -> value map, used by
   codegen's compiled-kernel memo and :class:`~repro.codegen.clang_runtime.ClangRuntime`.
 
-The persistent store also keeps *cumulative* hit/miss counters in the file
-itself, so ``repro cache stats`` reports activity across processes, not
-just the current session.
+The persistent store also keeps *cumulative* hit/miss counters in an
+append-only log beside the entries, so ``repro cache stats`` reports
+activity across processes, not just the current session.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import json
 import os
+import re
+import shutil
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from repro.utils import atomic_write
 
 __all__ = ["SCHEMA_VERSION", "CacheDecodeError", "CacheEntry", "LRUCache", "PersistentStore"]
 
-#: On-disk schema version. A store written by a different version is
-#: discarded (moved aside), never partially interpreted.
-SCHEMA_VERSION = 1
+#: On-disk schema version of one entry file. A file written under another
+#: version is quarantined, never partially interpreted. Version 1 was a
+#: single whole-store document; a cache directory holding one reads as cold.
+SCHEMA_VERSION = 2
+
+#: Append-only log of recorded lookups inside the store directory: one
+#: ``h`` (hit) or ``m`` (miss) line per event.
+COUNTERS_FILENAME = "counters.log"
+
+#: What a signature must look like to name its entry file.
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class CacheDecodeError(ValueError):
@@ -74,20 +85,7 @@ class CacheEntry:
 
     def to_json(self) -> dict:
         """Plain-JSON form (inverse of :meth:`from_json`)."""
-        return {
-            "signature": self.signature,
-            "workload": self.workload,
-            "gpu": self.gpu,
-            "variant": self.variant,
-            "expr": self.expr,
-            "tiles": dict(self.tiles),
-            "optimized": self.optimized,
-            "best_time": self.best_time,
-            "tuning_seconds": self.tuning_seconds,
-            "created_at": self.created_at,
-            "last_used": self.last_used,
-            "hits": self.hits,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: object) -> "CacheEntry":
@@ -159,33 +157,23 @@ class LRUCache:
 
 
 class PersistentStore:
-    """JSON-on-disk schedule store with versioning, eviction, and recovery.
+    """Schedule store with one JSON file per entry, eviction, and recovery.
 
-    The whole store is one JSON document::
+    Layout of the store directory::
 
-        {"schema": 1, "hits": 12, "misses": 3, "entries": {sig: {...}, ...}}
+        <path>/<signature>.json   {"schema": 2, "signature": ..., "tiles": ...}
+        <path>/counters.log       one "h" or "m" line per recorded lookup
 
-    Writes are atomic (temp file + ``os.replace``) so a crash mid-write
-    leaves the previous store intact, and every flush first re-reads the
-    file and merges — entries written by *other* processes since our load
-    are kept (ours win per signature), and counters accumulate as deltas —
-    so concurrent warmup processes sharing one store do not overwrite each
-    other. An unreadable, unparsable, or wrong-schema file is renamed to
-    ``<path>.corrupt`` and replaced by an empty store — the cache must
-    degrade, never break tuning. If the directory is unwritable, the store
-    silently runs memory-only; ``path=None`` asks for that from the start.
-
-    The store is also safe under concurrent *threads*: a re-entrant lock
-    serializes get/put/flush, and each flush writes through a per-call
-    temp file (pid + thread id + sequence number), so two threads sharing
-    one instance — or two instances sharing one path — can never interleave
-    a partially written document into the visible file and trip the
-    corruption-recovery path.
+    Opening the store scans the directory once; every read after that is in
+    memory. A put writes only its own entry file (through
+    :func:`~repro.utils.atomic_write`) and reads nothing, so processes
+    sharing a directory never lose each other's entries; within one
+    signature the last writer wins. An unreadable, unparsable or
+    wrong-schema entry file is renamed to ``<signature>.json.corrupt`` and
+    skipped. A failed write turns the store memory-only; ``path=None`` asks
+    for that from the start. A re-entrant lock makes one instance
+    thread-safe.
     """
-
-    #: Distinguishes concurrent temp files within one process (two threads
-    #: flushing "simultaneously" must never share a temp path).
-    _flush_seq = itertools.count()
 
     def __init__(self, path: str | os.PathLike | None, max_entries: int = 512) -> None:
         if max_entries < 1:
@@ -193,91 +181,71 @@ class PersistentStore:
         self.path = os.fspath(path) if path is not None else None
         self.max_entries = max_entries
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        # counters already reflected on disk; (self.hits - _flushed_hits) is
-        # the delta this process still owes the file.
-        self._flushed_hits = 0
-        self._flushed_misses = 0
+        # Cumulative counters once the store is memory-only.
+        self._hits = 0
+        self._misses = 0
         self._entries: dict[str, CacheEntry] = {}
         self._load()
 
-    # -- loading / saving ----------------------------------------------------
+    # -- disk ----------------------------------------------------------------
 
-    def _read_disk(self) -> tuple[dict[str, CacheEntry], int, int]:
-        """Parse the store file; corruption quarantines it and reads empty."""
-        if self.path is None or not os.path.exists(self.path):
-            return {}, 0, 0
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
-                raise CacheDecodeError(
-                    f"schema {doc.get('schema') if isinstance(doc, dict) else doc!r} "
-                    f"!= {SCHEMA_VERSION}"
-                )
-            entries = doc.get("entries")
-            if not isinstance(entries, dict):
-                raise CacheDecodeError("missing entries table")
-            parsed = {sig: CacheEntry.from_json(raw) for sig, raw in entries.items()}
-            return parsed, int(doc.get("hits", 0)), int(doc.get("misses", 0))
-        except (OSError, json.JSONDecodeError, CacheDecodeError, ValueError, TypeError):
-            self._quarantine()
-            return {}, 0, 0
+    def _entry_path(self, signature: str) -> str:
+        return os.path.join(self.path, signature + ".json")
 
     def _load(self) -> None:
-        self._entries, self.hits, self.misses = self._read_disk()
-        self._flushed_hits = self.hits
-        self._flushed_misses = self.misses
-
-    def _quarantine(self) -> None:
-        """Move a corrupted store aside so the evidence survives."""
+        """Read every entry file once, quarantining bad ones, then evict
+        down to ``max_entries``."""
         try:
-            os.replace(self.path, self.path + ".corrupt")
+            names = os.listdir(self.path) if self.path is not None else []
         except OSError:
-            pass
-
-    def flush(self) -> None:
-        """Merge with the on-disk state and write atomically.
-
-        Unwritable targets degrade silently (the store keeps working in
-        memory; counters stay pending for a later successful flush). A
-        memory-only store has nothing to write.
-        """
-        if self.path is None:
-            return
-        with self._lock:
-            disk_entries, disk_hits, disk_misses = self._read_disk()
-            # Keep entries another process added since we loaded; ours win
-            # when both processes tuned the same signature.
-            merged = {**disk_entries, **self._entries}
-            self._entries = merged
-            self._evict()
-            hits = disk_hits + (self.hits - self._flushed_hits)
-            misses = disk_misses + (self.misses - self._flushed_misses)
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "hits": hits,
-                "misses": misses,
-                "entries": {sig: e.to_json() for sig, e in self._entries.items()},
-            }
-            tmp = (
-                f"{self.path}.tmp.{os.getpid()}"
-                f".{threading.get_ident()}.{next(self._flush_seq)}"
-            )
+            names = []
+        for name in names:
+            if not name.endswith(".json"):
+                continue
+            file = os.path.join(self.path, name)
             try:
-                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, indent=1, sort_keys=True)
-                os.replace(tmp, self.path)
+                with open(file, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
+                    raise CacheDecodeError(f"{name}: schema is not {SCHEMA_VERSION}")
+                entry = CacheEntry.from_json(doc)
+                if entry.signature + ".json" != name:
+                    raise CacheDecodeError(f"{name} holds signature {entry.signature!r}")
+            except FileNotFoundError:
+                continue  # another process evicted or cleared it mid-scan
+            except (OSError, ValueError):
+                with contextlib.suppress(OSError):
+                    os.replace(file, file + ".corrupt")
+                continue
+            self._entries[entry.signature] = entry
+        self._evict()
+
+    def _write(self, entry: CacheEntry) -> None:
+        """Persist one entry file; a failed write turns the store memory-only."""
+        if self.path is not None:
+            text = json.dumps({"schema": SCHEMA_VERSION, **entry.to_json()}, sort_keys=True)
+            try:
+                atomic_write(self._entry_path(entry.signature), text)
             except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                return
-            self.hits = self._flushed_hits = hits
-            self.misses = self._flushed_misses = misses
+                self.path = None
+
+    def _log(self, line: str) -> None:
+        """Append one counter line; a failed append turns the store memory-only."""
+        if self.path is not None:
+            try:
+                os.makedirs(self.path, exist_ok=True)
+                with open(os.path.join(self.path, COUNTERS_FILENAME), "a", encoding="utf-8") as fh:
+                    fh.write(line)
+            except OSError:
+                self.path = None
+
+    def _evict(self) -> None:
+        while len(self._entries) > self.max_entries:
+            oldest = min(self._entries.values(), key=lambda e: e.last_used)
+            del self._entries[oldest.signature]
+            if self.path is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(self._entry_path(oldest.signature))
 
     # -- access --------------------------------------------------------------
 
@@ -286,56 +254,53 @@ class PersistentStore:
             return self._entries.get(signature)
 
     def put(self, entry: CacheEntry) -> None:
+        """Store ``entry``, writing only its own file. A signature that is not
+        a plain file name (letters, digits, ``_``, ``-``) raises ValueError."""
+        if not _PLAIN_NAME.fullmatch(entry.signature):
+            raise ValueError(f"signature {entry.signature!r} is not a plain file name")
         with self._lock:
             self._entries[entry.signature] = entry
+            self._write(entry)
             self._evict()
-            self.flush()
 
     def record_hit(self, entry: CacheEntry) -> None:
-        """Persist one lookup served by ``entry`` (refreshes its LRU stamp).
-
-        Deliberately flushes per hit: a warm lookup is usually the last
-        cache interaction of its process (the CLI exits right after), and
-        cross-process ``cache stats`` must see the hit. The rewrite is
-        bounded by ``max_entries``; a process that finds per-hit writes too
-        hot should shrink the store, not batch the counters.
-        """
+        """Persist one lookup served by ``entry``: rewrite its file with the
+        new ``hits``/``last_used`` and log the hit, so that ``cache stats``
+        in another process sees it."""
         with self._lock:
             entry.hits += 1
             entry.last_used = time.time()
-            self.hits += 1
-            self.flush()
+            self._hits += 1
+            self._write(entry)
+            self._log("h\n")
 
     def record_miss(self) -> None:
-        """Count a miss without touching the disk.
-
-        On the cold path a miss is almost always followed by a ``put`` of
-        the freshly tuned schedule, whose flush persists the counter too —
-        no point paying a full-file rewrite twice per cold tune. A miss
-        with no subsequent store (e.g. an untunable chain) stays pending
-        until any later flush.
-        """
+        """Count a miss: one line appended to the log."""
         with self._lock:
-            self.misses += 1
+            self._misses += 1
+            self._log("m\n")
 
-    def _evict(self) -> None:
-        while len(self._entries) > self.max_entries:
-            oldest = min(self._entries.values(), key=lambda e: e.last_used)
-            del self._entries[oldest.signature]
+    def counters(self) -> tuple[int, int]:
+        """Cumulative ``(hits, misses)`` logged by every process that shared
+        the store (this instance's counts when memory-only)."""
+        with self._lock:
+            if self.path is None:
+                return self._hits, self._misses
+            try:
+                with open(os.path.join(self.path, COUNTERS_FILENAME), encoding="utf-8") as fh:
+                    log = fh.read()
+            except OSError:
+                return 0, 0
+            return log.count("h"), log.count("m")
 
     def clear(self) -> None:
+        """Drop every entry and counter, and remove the store directory."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self._flushed_hits = 0
-            self._flushed_misses = 0
-            if self.path is None:
-                return
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+            self._hits = 0
+            self._misses = 0
+            if self.path is not None:
+                shutil.rmtree(self.path, ignore_errors=True)
 
     def entries(self) -> list[CacheEntry]:
         """All entries, most recently used first (for ``cache stats``)."""
@@ -347,7 +312,3 @@ class PersistentStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, signature: str) -> bool:
-        with self._lock:
-            return signature in self._entries

@@ -35,6 +35,8 @@ import math
 import os
 from typing import Iterable
 
+from repro.utils import atomic_write
+
 from .tracer import FlightRecorder, SpanRecord, load_jsonl
 
 __all__ = [
@@ -186,11 +188,7 @@ def save_chrome_trace(
     doc = chrome_trace(spans)
     validate_chrome_trace(doc)
     path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(doc))
     return path
 
 

@@ -55,6 +55,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.utils import atomic_write
+
 __all__ = [
     "SpanRecord",
     "Span",
@@ -326,13 +328,9 @@ class FlightRecorder:
     def save_jsonl(self, path: str | os.PathLike) -> str:
         """Persist the buffer as JSON-lines (one span per line), atomically."""
         path = os.fspath(path)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in self.spans():
-                fh.write(json.dumps(record.to_dict(), sort_keys=True))
-                fh.write("\n")
-        os.replace(tmp, path)
+        atomic_write(path, "".join(
+            json.dumps(record.to_dict(), sort_keys=True) + "\n" for record in self.spans()
+        ))
         return path
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.baselines.gbt import GradientBoostedTrees
 from repro.search.features import FEATURE_NAMES, FEATURE_VERSION
-from repro.utils import rng_for
+from repro.utils import atomic_write, rng_for
 
 __all__ = [
     "DATASET_FILENAME",
@@ -63,7 +63,7 @@ __all__ = [
     "open_cost_model",
 ]
 
-#: File names inside the cache directory (next to ``schedule_cache.json``).
+#: File names inside the cache directory (next to the ``schedules/`` store).
 DATASET_FILENAME = "measurements.jsonl"
 MODEL_FILENAME = "cost_model.json"
 
@@ -448,11 +448,7 @@ class LearnedCostModel:
                 "gbt": self._gbt.to_json(),
             }
         path = os.fspath(path)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(doc, indent=1, sort_keys=True))
         return path
 
     @classmethod

@@ -62,6 +62,8 @@ import threading
 import time
 from collections import deque
 
+from repro.utils import atomic_write
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -333,11 +335,7 @@ class MetricsRegistry:
 def save_snapshot(snapshot: dict, path: str | os.PathLike) -> str:
     """Persist a registry snapshot atomically; returns the path written."""
     path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(snapshot, indent=2, sort_keys=True))
     return path
 
 

@@ -4,7 +4,7 @@ A :class:`~repro.cache.cache.ScheduleCache` holds exactly one
 signature -> entry map. The service reads that map on every request, so
 its reads must be cheap: :meth:`TieredCache.lookup` is a *non-recording*
 read (:meth:`~repro.cache.cache.ScheduleCache.peek`) — no hit counter, no
-recency refresh, no store flush. A hit is served as source ``"hot"`` (or
+recency refresh, no store write. A hit is served as source ``"hot"`` (or
 ``"bucket"`` when found under the bucketed signature); the per-request
 ``serve.hits.*`` counters in the service's telemetry registry count them.
 """

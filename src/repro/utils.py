@@ -1,4 +1,5 @@
-"""Small shared utilities: deterministic hashing, seeded RNG, table formatting.
+"""Small shared utilities: deterministic hashing, seeded RNG, table formatting,
+atomic file writes.
 
 Everything here is dependency-free (stdlib + numpy) and used across all
 subpackages. Determinism matters: the GPU simulator derives measurement
@@ -9,8 +10,12 @@ salted per process and must not be used).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import math
+import os
+import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +31,7 @@ __all__ = [
     "fmt_bytes",
     "format_table",
     "pearson",
+    "atomic_write",
 ]
 
 
@@ -129,3 +135,27 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if sx == 0.0 or sy == 0.0:
         return float("nan")
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
+#: Keeps two threads writing one path from ever sharing a temp file.
+_tmp_seq = itertools.count()
+
+
+def atomic_write(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` so readers see the old file or the new one.
+
+    Creates the parent directory, writes a temp file beside ``path`` (named
+    with pid, thread id and a counter) and ``os.replace``-s it into place.
+    On any error the temp file is unlinked and the error propagates.
+    """
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}.{next(_tmp_seq)}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -37,6 +37,35 @@ def _isolated_schedule_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def store_io(monkeypatch):
+    """Record every ``open`` and ``os.replace`` the schedule store makes,
+    including those inside :func:`repro.utils.atomic_write`, as
+    ``(op, path, mode)`` tuples (``op`` is ``"open"`` or ``"replace"``;
+    a replace records its destination)."""
+    import builtins
+    import os
+
+    from repro import utils
+    from repro.cache import store
+
+    calls: list[tuple[str, str, str | None]] = []
+    real_open, real_replace = builtins.open, os.replace
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        calls.append(("open", os.fspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_replace(src, dst, *args, **kwargs):
+        calls.append(("replace", os.fspath(dst), None))
+        return real_replace(src, dst, *args, **kwargs)
+
+    for module in (store, utils):
+        monkeypatch.setattr(module, "open", spy_open, raising=False)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    return calls
+
+
+@pytest.fixture
 def a100():
     return A100
 

@@ -1,13 +1,15 @@
-"""Schedule cache under concurrent threads: no corruption, no lost entries.
+"""Schedule cache under concurrent threads and processes: no corruption,
+no lost entries.
 
-Regression suite for the serving-era hardening: ``PersistentStore`` holds
-an internal re-entrant lock and writes through per-flush temp files, so
-interleaved writers can never publish a partially written store file and
-trip the corruption-recovery path (the pre-hardening failure mode: two
-threads sharing one pid-named temp file).
+``PersistentStore`` holds an internal re-entrant lock, keeps one file per
+entry, and writes each through its own temp file (pid + thread id +
+counter), so interleaved writers can never publish a partially written
+entry and trip the corruption-recovery path, and writers of different
+signatures never overwrite each other.
 """
 
 import glob
+import multiprocessing
 import os
 import threading
 from types import SimpleNamespace
@@ -39,7 +41,20 @@ def stub_report(i: int) -> SimpleNamespace:
 
 
 def no_corruption(directory) -> bool:
-    return not glob.glob(os.path.join(str(directory), "*.corrupt"))
+    return not glob.glob(os.path.join(str(directory), "**", "*.corrupt"), recursive=True)
+
+
+def put_many(directory, base: int, count: int, start) -> None:
+    """One writer process: open the cache, wait for the shared start, then
+    put ``count`` distinct workloads."""
+    cache = ScheduleCache(directory)
+    chains = [
+        gemm_chain(1, 64 + 16 * (base + i), 64, 32, 32, name=f"mp-{base}-{i}")
+        for i in range(count)
+    ]
+    start.wait(60)
+    for i, chain in enumerate(chains):
+        cache.put(chain, A100, stub_report(base + i))
 
 
 class TestScheduleCacheThreaded:
@@ -101,13 +116,13 @@ class TestScheduleCacheThreaded:
 
 class TestPersistentStoreSharedPath:
     def test_two_instances_one_path_merge_not_clobber(self, tmp_path):
-        """Two stores flushing the same file concurrently must merge.
+        """Two stores writing one directory concurrently must both land.
 
         This models two ScheduleCache processes sharing a cache directory,
         compressed into threads: every entry written by either instance
-        must survive in the final file, with no corruption quarantine.
+        must survive on disk, with no corruption quarantine.
         """
-        path = tmp_path / "schedule_cache.json"
+        path = tmp_path / "schedules"
         store_a = PersistentStore(path)
         store_b = PersistentStore(path)
 
@@ -127,12 +142,27 @@ class TestPersistentStoreSharedPath:
         t_a.join()
         t_b.join()
 
-        # the concurrent phase must never quarantine the file; a racing
-        # final write may momentarily shadow the other instance's tail,
-        # so settle both stores sequentially before counting
         assert no_corruption(tmp_path)
-        store_a.flush()
-        store_b.flush()
         merged = PersistentStore(path)
         assert len(merged) == 24
+        assert no_corruption(tmp_path)
+
+
+class TestScheduleCacheProcesses:
+    def test_two_processes_lose_no_entries(self, tmp_path):
+        """Two processes x 200 puts into one directory, released together:
+        a fresh open sees all 400 entries and nothing was quarantined."""
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Event()
+        procs = [
+            ctx.Process(target=put_many, args=(str(tmp_path), base, 200, start))
+            for base in (0, 1000)
+        ]
+        for proc in procs:
+            proc.start()
+        start.set()
+        for proc in procs:
+            proc.join(120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert ScheduleCache(tmp_path).stats().disk_entries == 400
         assert no_corruption(tmp_path)

@@ -289,6 +289,14 @@ class TestFlightRecorder:
         assert docs[0]["events"][0]["name"] == "mark"
         assert docs[0]["duration"] >= 0
 
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        tracer = Tracer()
+        with tracer.span("root", payload=object()):  # not JSON-serializable
+            pass
+        with pytest.raises(TypeError):
+            tracer.recorder.save_jsonl(tmp_path / "t.jsonl")
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a .tmp. file
+
     def test_load_jsonl_skips_corruption_and_missing(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"name": "ok"}\nnot json\n[1,2]\n\n{"name": "ok2"}\n')

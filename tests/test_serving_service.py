@@ -8,7 +8,6 @@ import pytest
 
 from conftest import QUICK
 from repro.cache import ScheduleCache
-from repro.cache.store import PersistentStore
 from repro.cli import main
 from repro.config import SessionConfig
 from repro.frontend.executor import compile_model
@@ -96,23 +95,17 @@ class TestBasics:
         assert result.source == "hot"
         assert result.report.cache_hit
 
-    def test_warm_hits_never_flush_the_store(self, tmp_path, monkeypatch):
-        """Warm reads do not record the hit, so they never rewrite the
-        store file — not even the first hit of a fresh process."""
+    def test_warm_hits_never_write_the_store(self, tmp_path, store_io):
+        """Warm reads do not record the hit, so they never open, write or
+        replace a store file — not even the first hit of a fresh process."""
         base_dir = tmp_path / "store"
         with quick_service(workers=1, cache=ScheduleCache(base_dir)) as svc:
             svc.compile(chain_for(0))
-        flushes = []
-        real_flush = PersistentStore.flush
-
-        def spy(self):
-            flushes.append(self.path)
-            return real_flush(self)
-
         with quick_service(workers=1, cache=ScheduleCache(base_dir)) as svc2:
-            monkeypatch.setattr(PersistentStore, "flush", spy)
+            store_io.clear()
             sources = [svc2.submit(chain_for(0)).result(timeout=10).source for _ in range(20)]
-        assert flushes == []
+            touched = [call for call in store_io if call[1].startswith(str(base_dir))]
+        assert touched == []
         assert sources == ["hot"] * 20
 
     def test_cleared_entry_is_not_served(self, tmp_path):

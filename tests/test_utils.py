@@ -1,6 +1,8 @@
 """Unit tests for repro.utils."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils import (
+    atomic_write,
     ceil_div,
     fmt_bytes,
     fmt_time,
@@ -163,3 +166,49 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])
+
+
+class TestAtomicWrite:
+    def test_creates_parents_and_replaces(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f.txt"
+        atomic_write(path, "one")
+        atomic_write(path, "two")
+        assert path.read_text() == "two"
+        assert os.listdir(path.parent) == ["f.txt"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write(tmp_path / "f.txt", b"not text")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.txt"
+        atomic_write(path, "old")
+
+        def broken(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", broken)
+        with pytest.raises(OSError):
+            atomic_write(path, "new")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["f.txt"]
+
+    def test_concurrent_writers_never_share_a_temp_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        errors = []
+
+        def writer(n):
+            try:
+                for i in range(50):
+                    atomic_write(path, f"{n}-{i}")
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert errors == []
+        assert os.listdir(tmp_path) == ["f.txt"]
