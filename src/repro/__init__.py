@@ -25,7 +25,7 @@ Layers (see docs/architecture.md):
 * :mod:`repro.experiments`— one driver per paper figure/table
 """
 
-from repro.cache import BatchTuner, ScheduleCache, default_cache, workload_signature
+from repro.cache import ScheduleCache, default_cache, workload_signature
 from repro.codegen import (
     EXEC_BACKENDS,
     OperatorModule,
@@ -42,12 +42,7 @@ from repro.config import (
     ServeConfig,
     SessionConfig,
 )
-from repro.frontend import (
-    bert_encoder,
-    compile_model,
-    legacy_partition_graph,
-    partition_graph,
-)
+from repro.frontend import bert_encoder, compile_model, partition_graph
 from repro.gpu import A100, RTX3080, GPUSimulator, GPUSpec, KernelLaunch
 from repro.ir import ComputeChain, Graph, attention_chain, gemm3_chain, gemm_chain
 from repro.search import (
@@ -109,7 +104,6 @@ __all__ = [
     "make_strategy",
     "strategy_names",
     "ScheduleCache",
-    "BatchTuner",
     "default_cache",
     "workload_signature",
     "CompileService",
@@ -124,7 +118,6 @@ __all__ = [
     "bert_encoder",
     "compile_model",
     "partition_graph",
-    "legacy_partition_graph",
     "gemm_workload",
     "attention_workload",
     "build_workload",

@@ -1,4 +1,4 @@
-"""Compilation cache: persistent schedule reuse and batch tuning.
+"""Compilation cache: persistent schedule reuse.
 
 MCFuser's headline is *rapid* tuning; this package makes repeated tuning
 free. The pieces:
@@ -10,13 +10,15 @@ free. The pieces:
   per-entry corruption recovery.
 * :mod:`repro.cache.cache`     — :class:`ScheduleCache`, the two-level
   front door the tuner consults before any enumeration.
-* :mod:`repro.cache.batch`     — :class:`BatchTuner`, signature-dedup +
-  ``concurrent.futures`` tuning of workload lists (``repro cache warmup``).
+
+Batch warmup (``repro cache warmup``, ``Session.tune_all``) is not a cache
+feature: it runs through the compile service
+(:mod:`repro.serving.service`), whose coalescing and worker pool tune each
+distinct signature once.
 
 See ``docs/architecture.md`` for where the cache sits in the pipeline.
 """
 
-from repro.cache.batch import BatchResult, BatchTuner
 from repro.cache.cache import CacheStats, ScheduleCache, default_cache, default_cache_dir
 from repro.cache.signature import (
     SIGNATURE_VERSION,
@@ -42,6 +44,4 @@ __all__ = [
     "ScheduleCache",
     "default_cache",
     "default_cache_dir",
-    "BatchResult",
-    "BatchTuner",
 ]

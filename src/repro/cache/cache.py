@@ -14,8 +14,8 @@ Each cache holds exactly one signature -> entry map, the
 read once when the cache opens; a put writes only its own entry file.
 :meth:`ScheduleCache.lookup` records the hit or miss (persistently);
 :meth:`ScheduleCache.peek` reads the same map without recording anything —
-the serving layer's warm path. All operations are thread-safe
-(``BatchTuner`` tunes concurrently against one cache).
+the serving layer's warm path. All operations are thread-safe (the
+compile service's workers tune concurrently against one cache).
 
 The default persistent location is ``$REPRO_CACHE_DIR`` when set, else
 ``~/.cache/mcfuser-repro``; pass ``path=None`` for a memory-only cache

@@ -6,8 +6,8 @@ dtype, batch), the target GPU's hardware description, and the tuner variant.
 Two :class:`~repro.ir.chain.ComputeChain` objects with the same structure
 hash identically even if they were built independently or carry different
 display names — a BERT model's twelve identical attention layers share one
-signature, which is what lets the cache (and :class:`~repro.cache.batch.
-BatchTuner`) tune the shape once and reuse the schedule everywhere.
+signature, which is what lets the cache (and the compile service's
+request coalescing) tune the shape once and reuse the schedule everywhere.
 
 Signatures are hex digests of a canonical JSON rendering, hashed with
 BLAKE2b. ``repr``-based hashing is deliberately avoided: dict ordering,

@@ -250,7 +250,8 @@ def add_config_flags(
     Every flag defaults to ``None`` ("not passed"), so
     :func:`config_from_args` can layer explicit flags over the config file
     and environment. ``aliases`` renames a flag for one verb (``serve``
-    exposes ``serve.workers`` as its historical ``--workers``).
+    exposes ``serve.workers`` as its historical ``--workers``, ``cache
+    warmup`` as ``--jobs``).
     """
     aliases = aliases or {}
     dests: list[tuple[str, str]] = []
@@ -319,7 +320,8 @@ _TUNE_PATHS = (
 _WARMUP_PATHS = (
     "gpu", "search.variant", "search.strategy", "search.population_size",
     "search.top_n", "search.epsilon", "search.max_rounds",
-    "search.min_rounds", "search.seed", "search.workers", "cache.dir",
+    "search.min_rounds", "search.seed", "search.workers", "serve.workers",
+    "cache.dir",
 )
 _SERVE_PATHS = (
     "gpu", "search.seed", "search.population_size", "search.max_rounds",
@@ -443,8 +445,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
     verified = "verified against reference" if report.verified else "unverified"
     print(f"exec:  {report.exec_backend} backend ({verified})")
     cost_model = session.cost_model
+    session.close()  # refit + persist the model snapshot, write the trace
     if cost_model is not None:
-        session.close()  # refit + persist the model snapshot
         acc = cost_model.accuracy
         acc_txt = f"{acc:.0%}" if acc is not None and acc == acc else "n/a"
         guided = report.search.model_rounds
@@ -682,13 +684,18 @@ def cmd_cache_warmup(args: argparse.Namespace) -> int:
     if args.all or not names:
         names = [*GEMM_CHAIN_CONFIGS, *ATTENTION_CONFIGS]
     chains = [workload_by_name(name) for name in names]
-    session = Session(config_from_args(args))
-    result = session.tune_all(chains, max_workers=args.jobs)
-    print(f"warmed {result.unique} unique workload(s) "
-          f"({result.duplicates} duplicate(s), {result.cache_hits} already cached) "
-          f"in {fmt_time(result.tuning_seconds)} simulated tuning time")
-    cache = session.cache
-    print(f"cache now holds {cache.stats().disk_entries} entries at {cache.path}")
+    with Session(config_from_args(args)) as session:
+        results = session.tune_all(chains)
+        firsts = {}
+        for r in results:
+            firsts.setdefault(r.signature, r)
+        cached = sum(r.source in ("hot", "bucket") for r in firsts.values())
+        seconds = sum(r.report.tuning_seconds for r in results if r.source == "tuned")
+        print(f"warmed {len(firsts)} unique workload(s) "
+              f"({len(results) - len(firsts)} duplicate(s), {cached} already cached) "
+              f"in {fmt_time(seconds)} simulated tuning time")
+        cache = session.cache
+        print(f"cache now holds {cache.stats().disk_entries} entries at {cache.path}")
     return 0
 
 
@@ -1005,14 +1012,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_clear.set_defaults(fn=cmd_cache_clear)
 
     p_warm = cache_sub.add_parser(
-        "warmup", help="batch-tune workloads into the cache (dedup + thread pool)"
+        "warmup",
+        help="tune workloads into the cache through the compile service "
+             "(one tune per distinct signature, --jobs worker threads)",
     )
     p_warm.add_argument("workloads", nargs="*",
                         help="workload names (G1..G12, S1..S9); empty or --all = all")
     p_warm.add_argument("--all", action="store_true")
-    add_config_flags(p_warm, _WARMUP_PATHS)
-    p_warm.add_argument("--jobs", type=int, default=4,
-                        help="tuning thread-pool width")
+    add_config_flags(p_warm, _WARMUP_PATHS, aliases={"serve.workers": "--jobs"})
     p_warm.set_defaults(fn=cmd_cache_warmup)
 
     p_serve = sub.add_parser(

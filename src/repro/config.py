@@ -28,8 +28,8 @@ This module is the single source of truth for every tunable knob:
   :meth:`SessionConfig.content_hash` is a stable digest of the whole
   config for replica hand-off and snapshot naming.
 
-Every entry point (``MCFuserTuner``, ``BatchTuner``, ``CompileService``,
-``compile_model``, the MCFuser baselines, the serve-load generator) takes
+Every entry point (``MCFuserTuner``, ``CompileService``, ``compile_model``,
+the MCFuser baselines, the serve-load generator) takes
 its knobs as ``config=`` only; live resources (GPU spec, caches, cost
 model, telemetry) stay separate arguments. Build a config with
 :meth:`SessionConfig.make` from flat names, or derive one from an existing

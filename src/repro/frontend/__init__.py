@@ -3,12 +3,7 @@
 from repro.frontend.executor import STRATEGIES, E2EResult, compile_model
 from repro.frontend.grouping import NodeClass, Rejection, classify_node
 from repro.frontend.models import BERT_CONFIGS, BertConfig, bert_encoder, mlp_mixer, vit_encoder
-from repro.frontend.partition import (
-    MBCISubgraph,
-    Partition,
-    legacy_partition_graph,
-    partition_graph,
-)
+from repro.frontend.partition import MBCISubgraph, Partition, partition_graph
 
 __all__ = [
     "bert_encoder",
@@ -17,7 +12,6 @@ __all__ = [
     "BertConfig",
     "BERT_CONFIGS",
     "partition_graph",
-    "legacy_partition_graph",
     "Partition",
     "Rejection",
     "NodeClass",

@@ -312,11 +312,13 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
                 f"was built with dynamic={service.dynamic!r}; bucketing changes "
                 "the service's cache keys and coalescing, so configure it there"
             )
+    if use_mcfuser:
         with tracer.span("partition", clock=clock, model=graph.name) as psp:
             clock.charge("graph_partition")
-            partition = partition_graph(graph, gpu)
+            partition: Partition = partition_graph(graph, gpu)
             psp.set(subgraphs=len(partition.subgraphs))
         rejections = partition.rejection_reasons()
+    if use_mcfuser and service is not None:
         # Submit every group up front (identical shapes coalesce or hit the
         # service's schedule cache), then collect in partition order.
         tickets = [
@@ -336,13 +338,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
             module.add_module(op_module)
             mbci_nodes.update(sg.nodes)
             n_subgraphs += 1
-        residual_nodes = [n for n in graph.nodes if n.output not in mbci_nodes]
     elif use_mcfuser:
-        with tracer.span("partition", clock=clock, model=graph.name) as psp:
-            clock.charge("graph_partition")
-            partition: Partition = partition_graph(graph, gpu)
-            psp.set(subgraphs=len(partition.subgraphs))
-        rejections = partition.rejection_reasons()
         tuned: dict[str, OperatorModule] = {}
         if cost_model is None and (search.measure_topk > 0 or search.cost_model):
             from repro.search.cost_model import LearnedCostModel
@@ -378,9 +374,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
             module.add_module(tuned[key])
             mbci_nodes.update(sg.nodes)
             n_subgraphs += 1
-        residual_nodes = [n for n in graph.nodes if n.output not in mbci_nodes]
-    else:
-        residual_nodes = list(graph.nodes)
+    residual_nodes = [n for n in graph.nodes if n.output not in mbci_nodes]
 
     # 2. Residual operators on the backend compiler/library.
     eager_ops = 0

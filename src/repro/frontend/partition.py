@@ -23,11 +23,6 @@ Sub-graphs that pass the chain-level MBCI test (``phi < P/W``) go to
 MCFuser; everything else stays with the Relay/Ansor-style library path.
 Anchors that fail to fuse are *diagnosed*, not dropped: ``Partition.
 rejected`` carries a structured :class:`Rejection` per failed anchor.
-
-The legacy pattern matchers (attention, GEMM chain) are retained as
-:func:`legacy_partition_graph` — a differential-testing oracle: on graphs
-made of the paper's two patterns, the general partitioner must produce
-exactly the same fusion groups.
 """
 
 from __future__ import annotations
@@ -44,18 +39,17 @@ from repro.frontend.linearize import LinearizeError, LinearizedGroup, linearize_
 from repro.gpu.memory import TileBuffer, estimate_shared_memory
 from repro.gpu.specs import GPUSpec
 
+from repro.ir.chain import ComputeChain
+from repro.ir.graph import Graph, GraphNode
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import ScheduleCache
-from repro.ir.chain import ComputeChain, attention_chain, gemm_chain
-from repro.ir.graph import Graph, GraphNode
-from repro.ir.ops import BatchMatmul, Scale, Softmax
 
 __all__ = [
     "MBCISubgraph",
     "Partition",
     "Rejection",
     "partition_graph",
-    "legacy_partition_graph",
     "MAX_GROUP_BLOCKS",
     "MAX_GROUP_LOOPS",
 ]
@@ -314,94 +308,3 @@ def partition_graph(
 
     rest = [n for n in graph.nodes if n.output not in claimed]
     return Partition(graph=graph, subgraphs=subgraphs, rest=rest, rejected=rejected)
-
-
-# -- legacy pattern-matching oracle ------------------------------------------
-#
-# The original partitioner recognized exactly the paper's two fusable
-# shapes. It is kept as a differential-testing oracle: on graphs composed
-# of these patterns the general partitioner must produce identical groups
-# (tests/test_partition_parity.py).
-
-
-def _single_consumer(graph: Graph, tensor: str) -> GraphNode | None:
-    consumers = graph.consumers(tensor)
-    return consumers[0] if len(consumers) == 1 else None
-
-
-def _match_attention(graph: Graph, node: GraphNode) -> MBCISubgraph | None:
-    """Match BatchMatmul -> [Scale] -> Softmax -> BatchMatmul at ``node``."""
-    if not isinstance(node.op, BatchMatmul):
-        return None
-    nxt = _single_consumer(graph, node.output)
-    absorbed = [node.output]
-    if nxt is not None and isinstance(nxt.op, Scale):
-        absorbed.append(nxt.output)
-        nxt = _single_consumer(graph, nxt.output)
-    if nxt is None or not isinstance(nxt.op, Softmax):
-        return None
-    absorbed.append(nxt.output)
-    last = _single_consumer(graph, nxt.output)
-    if last is None or not isinstance(last.op, BatchMatmul):
-        return None
-    if last.inputs[0] != nxt.output or last.op.transpose_a:
-        return None
-    absorbed.append(last.output)
-
-    q, k = node.inputs
-    v = last.inputs[1]
-    s_shape = graph.shape(node.output)
-    o_shape = graph.shape(last.output)
-    heads, m, n = s_shape
-    kk = graph.shape(q)[1 if node.op.transpose_a else 2]
-    h = o_shape[2]
-    chain = attention_chain(heads, m, n, kk, h, name=f"attn@{node.output}")
-    return MBCISubgraph(
-        kind="attention",
-        nodes=tuple(absorbed),
-        chain=chain,
-        inputs=(q, k, v),
-        output=last.output,
-    )
-
-
-def _match_gemm_chain(graph: Graph, node: GraphNode) -> MBCISubgraph | None:
-    """Match BatchMatmul -> BatchMatmul at ``node``."""
-    if not isinstance(node.op, BatchMatmul):
-        return None
-    nxt = _single_consumer(graph, node.output)
-    if nxt is None or not isinstance(nxt.op, BatchMatmul):
-        return None
-    if nxt.inputs[0] != node.output or nxt.op.transpose_a:
-        return None
-    batch, m, n = graph.shape(node.output)
-    k = graph.shape(node.inputs[0])[1 if node.op.transpose_a else 2]
-    h = graph.shape(nxt.output)[2]
-    chain = gemm_chain(batch, m, n, k, h, name=f"gemm2@{node.output}")
-    return MBCISubgraph(
-        kind="gemm_chain",
-        nodes=(node.output, nxt.output),
-        chain=chain,
-        inputs=(node.inputs[0], node.inputs[1], nxt.inputs[1]),
-        output=nxt.output,
-    )
-
-
-def legacy_partition_graph(graph: Graph, gpu: GPUSpec, mbci_only: bool = True) -> Partition:
-    """The original two-pattern partitioner (differential-testing oracle)."""
-    subgraphs: list[MBCISubgraph] = []
-    claimed: set[str] = set()
-    for node in graph.nodes:
-        if node.output in claimed:
-            continue
-        match = _match_attention(graph, node) or _match_gemm_chain(graph, node)
-        if match is None:
-            continue
-        if any(t in claimed for t in match.nodes):
-            continue
-        if mbci_only and not match.chain.is_mbci(gpu):
-            continue
-        subgraphs.append(match)
-        claimed.update(match.nodes)
-    rest = [n for n in graph.nodes if n.output not in claimed]
-    return Partition(graph=graph, subgraphs=subgraphs, rest=rest)

@@ -10,7 +10,8 @@ for, created lazily and shared across everything the session runs:
   measurement dataset (when the config asks for cost-model guidance),
 * a :class:`~repro.serving.telemetry.MetricsRegistry`,
 * the process tracer (enabled when ``config.obs.trace``),
-* and, on first use, a :class:`~repro.serving.service.CompileService`.
+* and, on first use, a :class:`~repro.serving.service.CompileService`,
+  which also runs batch warmup (:meth:`Session.tune_all`).
 
 So instead of hand-wiring five objects::
 
@@ -29,12 +30,14 @@ callers write::
     result = session.compile("bert-small")  # model-level
 
 The session is a context manager; ``close()`` shuts down the compile
-service (if one was started) and persists the cost model (if one learned
-anything new).
+service (if one was started), persists the cost model (if one learned
+anything new) and, when the session turned tracing on, turns it off and
+writes the recorded spans to ``traces.jsonl`` in the cache directory.
 """
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING
 
 from repro.config import SessionConfig
@@ -46,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.chain import ComputeChain
     from repro.search.cost_model import LearnedCostModel
     from repro.search.tuner import MCFuserTuner, TuneReport
-    from repro.serving.service import CompileService
+    from repro.serving.service import CompileService, ServeResult
     from repro.serving.telemetry import MetricsRegistry
 
 __all__ = ["Session"]
@@ -70,9 +73,9 @@ class Session:
     Every resource is created lazily on first access and cached on the
     session, so a ``Session`` is cheap to construct and only pays for what
     the caller actually touches. Resources are *owned* singletons: every
-    tuner, batch tuner, compile, and the compile service built by this
-    session share the same cache, cost model, and metrics registry —
-    that sharing is the point of having a session.
+    tuner, compile, and the compile service built by this session share
+    the same cache, cost model, and metrics registry — that sharing is the
+    point of having a session.
     """
 
     def __init__(
@@ -88,7 +91,8 @@ class Session:
         self._cost_model = _LAZY
         self._metrics = _LAZY
         self._service: "CompileService | None" = None
-        if self.config.obs.trace:
+        self._tracing = self.config.obs.trace
+        if self._tracing:
             from repro.obs import enable_tracing
 
             enable_tracing()
@@ -176,14 +180,19 @@ class Session:
         """Tune one compute chain under the session config."""
         return self.tuner().tune(chain)
 
-    def tune_all(self, chains, max_workers: int = 4):
-        """Batch-tune many chains (signature-deduplicated, concurrent)."""
-        from repro.cache.batch import BatchTuner
+    def tune_all(self, chains) -> "list[ServeResult]":
+        """Tune many chains through the session's compile service.
 
-        return BatchTuner(
-            self.gpu, cache=self.cache, max_workers=max_workers,
-            config=self.config,
-        ).tune_all(chains)
+        Returns one :class:`~repro.serving.service.ServeResult` per input
+        chain, in input order. Every chain is submitted on the background
+        lane; the service's cache ladder and request coalescing tune each
+        distinct workload signature once, on ``serve.workers`` threads,
+        and store the result in the session cache. Like any service
+        submit, more unique uncached signatures than ``serve.queue_limit``
+        fail the extra tickets with
+        :class:`~repro.serving.service.QueueFull`, which this call raises.
+        """
+        return [t.result() for t in self.service.prefetch(list(chains))]
 
     def compile(
         self, model, strategy: str = "mcfuser+relay", use_service: bool = False
@@ -213,7 +222,9 @@ class Session:
         """Shut down the service (if started) and persist what learned.
 
         Idempotent. The cost model is refit from any new measurements and
-        snapshotted next to the cache so the next session warm-starts.
+        snapshotted next to the cache so the next session warm-starts. If
+        the session turned tracing on, tracing goes off and the recorded
+        spans are written to ``traces.jsonl`` in the cache directory.
         """
         if self._service is not None:
             self._service.close()
@@ -226,6 +237,16 @@ class Session:
             if model.ready:
                 model.save(
                     default_model_path(self.config.cache.resolved_dir())
+                )
+        if self._tracing:
+            from repro.obs import TRACE_FILENAME, disable_tracing, save_trace_jsonl
+
+            self._tracing = False
+            spans = disable_tracing().recorder.spans()
+            if spans:
+                save_trace_jsonl(
+                    spans,
+                    os.path.join(self.config.cache.resolved_dir(), TRACE_FILENAME),
                 )
 
     def __enter__(self) -> "Session":

@@ -1,15 +1,30 @@
-"""BatchTuner: signature dedup, concurrency, cache interplay."""
+"""Batch warmup through the compile service: ``Session.tune_all``.
+
+Signature dedup, input order, worker-count independence, cache interplay,
+equivalence with the chain tuner's cache writes, and read-only counters.
+"""
+
+import dataclasses
 
 import pytest
 
 from conftest import QUICK
-from repro.cache import BatchTuner, ScheduleCache
+from repro.cache import ScheduleCache
 from repro.gpu.specs import A100
 from repro.ir.chain import attention_chain, gemm_chain
+from repro.search.tuner import MCFuserTuner
+from repro.session import Session
 
 
-def batch_tuner(cache=None, max_workers=2):
-    return BatchTuner(A100, cache=cache, max_workers=max_workers, config=QUICK)
+def session(cache_dir=None, workers=2):
+    if cache_dir is None:
+        return Session(QUICK.evolve(cache_enabled=False, serve_workers=workers))
+    return Session(QUICK.evolve(cache_dir=str(cache_dir), serve_workers=workers))
+
+
+def tune_all(chains, cache_dir=None, workers=2):
+    with session(cache_dir, workers) as s:
+        return s.tune_all(chains), s.metrics.counter("serve.tunes").value
 
 
 class TestDedup:
@@ -19,26 +34,29 @@ class TestDedup:
             gemm_chain(1, 128, 128, 64, 64, name="layer1"),  # same shape
             attention_chain(4, 128, 128, 32, 32, name="attn"),
         ]
-        result = batch_tuner().tune_all(chains)
-        assert result.unique == 2
-        assert result.duplicates == 1
-        assert len(result.reports) == 3
-        # the two duplicated chains got the *same* report object
-        assert result.reports[0] is result.reports[1]
-        assert result.reports[2] is not result.reports[0]
-        assert result.signatures[0] == result.signatures[1]
+        results, tunes = tune_all(chains)
+        assert len(results) == 3
+        assert results[0].signature == results[1].signature
+        assert results[2].signature != results[0].signature
+        assert tunes == len({r.signature for r in results}) == 2
+        assert results[0].source == "tuned"
+        assert results[1].source in ("coalesced", "hot")
+        assert (
+            results[0].report.best_candidate.key == results[1].report.best_candidate.key
+        )
 
     def test_reports_align_with_input_order(self):
         g = gemm_chain(1, 128, 128, 64, 64, name="g")
         a = attention_chain(4, 128, 128, 32, 32, name="a")
-        result = batch_tuner().tune_all([a, g, a])
-        assert result.reports[0].chain.name == "a"
-        assert result.reports[1].chain.name == "g"
-        assert result.reports[0] is result.reports[2]
+        results, _ = tune_all([a, g, a])
+        assert [r.workload for r in results] == ["a", "g", "a"]
+        assert results[0].report.chain.name == "a"
+        assert results[1].report.chain.name == "g"
+        assert results[0].signature == results[2].signature
 
     def test_empty_batch(self):
-        result = batch_tuner().tune_all([])
-        assert result.reports == [] and result.unique == 0 and result.duplicates == 0
+        results, tunes = tune_all([])
+        assert results == [] and tunes == 0
 
 
 class TestConcurrency:
@@ -48,15 +66,15 @@ class TestConcurrency:
             gemm_chain(1, 96, 96, 32, 32, name="g2"),
             attention_chain(4, 128, 128, 32, 32, name="a1"),
         ]
-        serial = BatchTuner(A100, max_workers=1, config=QUICK).tune_all(chains)
-        threaded = BatchTuner(A100, max_workers=3, config=QUICK).tune_all(chains)
-        for s, t in zip(serial.reports, threaded.reports):
-            assert s.best_candidate.key == t.best_candidate.key
-            assert s.best_time == t.best_time
+        serial, _ = tune_all(chains, workers=1)
+        threaded, _ = tune_all(chains, workers=3)
+        for s, t in zip(serial, threaded):
+            assert s.report.best_candidate.key == t.report.best_candidate.key
+            assert s.report.best_time == t.report.best_time
 
     def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            BatchTuner(A100, max_workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            session(workers=0)
 
 
 class TestCacheInterplay:
@@ -65,15 +83,15 @@ class TestCacheInterplay:
             gemm_chain(1, 128, 128, 64, 64, name="g"),
             attention_chain(4, 128, 128, 32, 32, name="a"),
         ]
-        cache = ScheduleCache(tmp_path)
-        first = batch_tuner(cache).tune_all(chains)
-        assert first.cache_hits == 0
-        assert first.tuning_seconds > 0
-        second = batch_tuner(cache).tune_all(chains)
-        assert second.cache_hits == second.unique == 2
-        assert second.tuning_seconds == 0.0
-        for a, b in zip(first.reports, second.reports):
-            assert a.best_candidate.key == b.best_candidate.key
+        first, _ = tune_all(chains, tmp_path)
+        assert [r.source for r in first] == ["tuned", "tuned"]
+        assert sum(r.report.tuning_seconds for r in first) > 0
+        second, tunes = tune_all(chains, tmp_path)
+        assert [r.source for r in second] == ["hot", "hot"]
+        assert tunes == 0
+        assert sum(r.report.tuning_seconds for r in second) == 0.0
+        for a, b in zip(first, second):
+            assert a.report.best_candidate.key == b.report.best_candidate.key
 
     def test_concurrent_writes_to_one_cache(self, tmp_path):
         """Several workers storing into one cache must not corrupt it."""
@@ -83,7 +101,47 @@ class TestCacheInterplay:
             gemm_chain(1, 96, 80, 64, 48, name="g3"),
             attention_chain(4, 128, 128, 32, 32, name="a1"),
         ]
-        cache = ScheduleCache(tmp_path)
-        batch_tuner(cache, max_workers=4).tune_all(chains)
+        tune_all(chains, tmp_path, workers=4)
         reopened = ScheduleCache(tmp_path)
         assert reopened.stats().disk_entries == 4
+
+    def test_warmup_writes_the_tuners_entries(self, tmp_path):
+        """Warmup through the service stores, per signature, exactly the
+        entry a chain tuner with the same cache would store (timestamps
+        aside)."""
+        chains = [
+            gemm_chain(1, 128, 128, 64, 64, name="g"),
+            gemm_chain(1, 128, 128, 64, 64, name="g-dup"),
+            attention_chain(4, 128, 128, 32, 32, name="a"),
+        ]
+        tune_all(chains, tmp_path / "service")
+        direct = ScheduleCache(tmp_path / "tuner")
+        tuner = MCFuserTuner(A100, cache=direct, config=QUICK)
+        for chain in (chains[0], chains[2]):  # one tune per signature
+            tuner.tune(chain)
+
+        def fields(cache):
+            return {
+                e.signature: {
+                    k: v
+                    for k, v in dataclasses.asdict(e).items()
+                    if k not in ("created_at", "last_used")
+                }
+                for e in cache.entries()
+            }
+
+        warmed = fields(ScheduleCache(tmp_path / "service"))
+        assert len(warmed) == 2
+        assert warmed == fields(ScheduleCache(tmp_path / "tuner"))
+
+    def test_warmup_records_no_hits_or_misses(self, tmp_path):
+        """Warmup reads the cache through the service's non-recording peek:
+        neither a cold nor a warm batch moves the persisted counters."""
+        chains = [
+            gemm_chain(1, 128, 128, 64, 64, name="g"),
+            attention_chain(4, 128, 128, 32, 32, name="a"),
+        ]
+        for _ in range(2):
+            tune_all(chains, tmp_path)
+            stats = ScheduleCache(tmp_path).stats()
+            assert (stats.total_hits, stats.total_misses) == (0, 0)

@@ -8,6 +8,7 @@ from repro.cli import (
     FLAG_TABLE,
     FLAGS_BY_PATH,
     build_parser,
+    config_from_args,
     main,
     workload_by_name,
 )
@@ -78,6 +79,14 @@ class TestCommands:
         assert "warmed 1 unique workload" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         assert "mcfuser+random" in capsys.readouterr().out
+
+    def test_cache_warmup_jobs_is_serve_workers(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SERVE_WORKERS", raising=False)
+        parser = build_parser()
+        default = config_from_args(parser.parse_args(["cache", "warmup", "G1"]))
+        assert default.serve.workers == 4
+        jobs = config_from_args(parser.parse_args(["cache", "warmup", "G1", "--jobs", "2"]))
+        assert jobs.serve.workers == 2
 
     def test_compare(self, capsys):
         assert main(["compare", "S4", "--ansor-trials", "64"]) == 0
@@ -201,6 +210,17 @@ class TestTraceCommand:
         names = {e["name"] for e in doc["traceEvents"]}
         assert "tune" in names and "search.round" in names
         assert (tmp_path / "cache" / "traces.jsonl").exists()
+
+    def test_env_trace_on_tune_writes_jsonl(self, tmp_path, monkeypatch, capsys):
+        """``REPRO_OBS_TRACE=1`` traces a session-driven verb: closing the
+        session turns tracing off and leaves the spans in the cache dir."""
+        from repro.obs import load_trace_jsonl, tracing_enabled
+
+        monkeypatch.setenv("REPRO_OBS_TRACE", "1")
+        assert main(["tune", "G1", "--cache-dir", str(tmp_path)]) == 0
+        spans = load_trace_jsonl(tmp_path / "traces.jsonl")
+        assert any(s["name"] == "tune" for s in spans)
+        assert not tracing_enabled()
 
     def test_trace_leaves_tracing_disabled(self, tmp_path):
         from repro.obs import tracing_enabled

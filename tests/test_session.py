@@ -7,7 +7,6 @@ import warnings
 import pytest
 
 from conftest import QUICK
-from repro.cache.batch import BatchTuner
 from repro.cache.cache import ScheduleCache
 from repro.config import SessionConfig
 from repro.frontend.executor import compile_model
@@ -127,10 +126,13 @@ class TestWork:
             gemm_chain(batch=1, m=128, n=64, k=32, h=32, name="Ga"),
             gemm_chain(batch=1, m=64, n=64, k=32, h=32, name="Gb"),
         ]
-        session = Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path)))
-        result = session.tune_all(chains, max_workers=2)
-        assert len(result.reports) == len(chains)
-        assert result.unique + result.duplicates == len(chains)
+        with Session(
+            SESSION_QUICK.evolve(cache_dir=str(tmp_path), serve_workers=2)
+        ) as session:
+            results = session.tune_all(chains)
+            assert [r.workload for r in results] == ["Ga", "Gb"]
+            assert [r.source for r in results] == ["tuned", "tuned"]
+            assert session.cache.stats().disk_entries == len(chains)
 
     def test_compile_model(self, tmp_path):
         session = Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path)))
@@ -177,16 +179,13 @@ class TestDeprecationShims:
         [
             lambda: MCFuserTuner(A100, seed=3),
             lambda: MCFuserTuner(A100, population_size=64),
-            lambda: BatchTuner(A100, seed=3, cache=ScheduleCache(path=None)),
-            lambda: BatchTuner(A100, max_rounds=2),
             lambda: CompileService(A100, workers=2),
             lambda: CompileService(A100, seed=3),
             lambda: compile_model(BERT_SMALL, A100, "relay", seed=0),
             lambda: compile_model(BERT_SMALL, A100, "relay", search_strategy="random"),
         ],
         ids=[
-            "tuner-seed", "tuner-budget", "batch-seed", "batch-budget",
-            "service-workers", "service-seed", "compile-seed", "compile-strategy",
+            "tuner-seed", "tuner-budget", "service-workers", "service-seed", "compile-seed", "compile-strategy",
         ],
     )
     def test_old_keywords_raise_type_error(self, call):
