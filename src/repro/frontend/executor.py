@@ -17,6 +17,7 @@ layers of a BERT share one shape) are tuned once and the kernel reused.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -29,7 +30,6 @@ from repro.baselines.library import (
 )
 from repro.codegen.runtime import (
     GraphExecutorFactoryModule,
-    OperatorModule,
     compile_schedule,
     defer_native_build,
 )
@@ -51,13 +51,12 @@ from repro.ir.ops import (
     Softmax,
     Transpose,
 )
-from repro.search.tuner import MCFuserTuner
 from repro.search.tuning_cost import TuningClock
+from repro.serving.service import CompileService
 from repro.utils import prod
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import ScheduleCache
-    from repro.serving.service import CompileService
 
 __all__ = ["E2EResult", "compile_model", "STRATEGIES"]
 
@@ -191,14 +190,6 @@ def compile_model(
     The compilation *strategy* argument is not a config knob: it selects
     which compiler stack handles which part of the graph.
 
-    ``cache`` (a :class:`~repro.cache.cache.ScheduleCache`) makes MBCI
-    sub-graph tuning persistent: a model recompiled in a later process pays
-    zero tuning time for every shape the cache already holds. Within one
-    call, identically shaped sub-graphs are deduplicated by workload
-    signature regardless of caching. ``detail["cache_hits"]`` counts the
-    distinct shapes served from the cache; for MCFuser strategies,
-    ``detail["rejections"]`` histograms why unfused anchors stayed residual.
-
     ``config.search.strategy``/``config.search.workers`` select how each
     MBCI sub-graph is tuned (the engine's registered search strategies and
     the per-round measurement pool width).
@@ -214,34 +205,40 @@ def compile_model(
     runs no ``cc``, and the first module run in the process starts all of
     them in parallel.
 
-    ``service`` (a :class:`~repro.serving.service.CompileService`) routes
-    MBCI sub-graph tuning through the compile service instead of a private
-    tuner: every fusion group is submitted with ``config`` as its
-    per-request config, requests coalesce with other callers of the same
-    service, hit its schedule cache, and show up in its telemetry. The
-    service owns the cache and cost model in that mode (the ``cache`` and
-    ``cost_model`` arguments are ignored) and must target the same
-    ``gpu``. ``detail["served"]`` histograms the per-sub-graph outcome
-    sources (``tuned``/``coalesced``/``hot``/...), and
-    ``detail["cache_hits"]`` counts sub-graph *requests* served from a
-    cache. To inherit the service's own knobs, pass
-    ``config=service.config`` (or an ``evolve`` of it).
+    MBCI sub-graphs are tuned through a compile service: every fusion
+    group is submitted with ``config`` as its per-request config, so
+    identical shapes coalesce onto one tune or hit the schedule cache, and
+    distinct shapes tune on ``config.serve.workers`` threads. ``service``
+    (a :class:`~repro.serving.service.CompileService` on the same ``gpu``)
+    shares a long-lived service, which then owns the cache and cost model
+    (``cache`` and ``cost_model`` are ignored; pass
+    ``config=service.config`` to inherit its knobs). Without one, a
+    service is opened over ``cache`` (a
+    :class:`~repro.cache.cache.ScheduleCache`; ``None`` means an in-memory
+    store) and ``cost_model`` for the call and closed when it returns or
+    raises. A persistent cache makes a recompile in a later process pay
+    zero tuning time for every shape it holds; the service reads it
+    without recording hits or misses. ``cost_model`` or
+    ``config.search.measure_topk`` enables learned-cost-model-guided
+    tuning (see :class:`~repro.search.cost_model.LearnedCostModel`): one
+    model learns from every sub-graph tune, in completion order when
+    ``config.serve.workers > 1``.
 
-    ``cost_model``/``config.search.measure_topk`` enable
-    learned-cost-model-guided tuning of the MBCI sub-graphs (measure only
-    the model's predicted top-k per search round; see
-    :class:`~repro.search.cost_model.LearnedCostModel`). One model is
-    shared across all of a model's sub-graphs, so learning compounds
-    shape-to-shape within the compile.
+    For MCFuser strategies, ``detail["served"]`` histograms the
+    per-sub-graph request outcomes
+    (``tuned``/``coalesced``/``hot``/``bucket``), ``detail["cache_hits"]``
+    counts the sub-graph *requests* served from the cache (``hot`` plus
+    ``bucket``), and ``detail["rejections"]`` histograms why unfused
+    anchors stayed residual.
 
     ``config.exec.dynamic="buckets"`` makes MBCI sub-graph tuning
     shape-generic over power-of-two sequence-length buckets
     (``config.exec.dynamic_loops``, default ``("m", "n")``): in-bucket
     sub-graphs of *different* lengths dedupe to one ceiling tune, and each
     compiled module runs the ceiling schedule at its own shape with tail
-    tiles masked. Through a ``service`` the service itself must have been
-    built with the same ``dynamic`` mode (bucketing changes its cache keys
-    and coalescing).
+    tiles masked. A caller's ``service`` must have been built with the
+    same ``dynamic`` mode (bucketing changes its cache keys and
+    coalescing).
     """
     if isinstance(graph, str):
         from repro.workloads.registry import get_workload
@@ -274,8 +271,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
     tracing is disabled)."""
     from repro.obs import get_tracer
 
-    search = config.search
-    seed = search.seed
+    seed = config.search.seed
     exec_backend = config.exec.backend
     dynamic = config.exec.dynamic
     tracer = get_tracer()
@@ -293,44 +289,58 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
     }[backend]
     fuse_epilogues = backend in ("relay", "ansor", "bolt")
 
-    # 1. Partition: MBCI sub-graphs go to MCFuser (deduplicated by workload
-    #    signature in-process; persistent across processes with a cache).
+    # 1. Partition: MBCI sub-graphs go to MCFuser through a compile service
+    #    (identical shapes coalesce or hit its schedule cache, so each is
+    #    tuned once; persistent across processes with a cache).
     mbci_nodes: set[str] = set()
     n_subgraphs = 0
     cache_hits = 0
     rejections: dict[str, int] = {}
     served: dict[str, int] = {}
-    if use_mcfuser and service is not None:
-        if service.gpu != gpu:
-            raise ValueError(
-                f"service targets {service.gpu.name}, compile_model asked for "
-                f"{gpu.name}; one service serves one GPU"
-            )
-        if dynamic != "off" and service.dynamic != dynamic:
-            raise ValueError(
-                f"compile_model asked for dynamic={dynamic!r} but the service "
-                f"was built with dynamic={service.dynamic!r}; bucketing changes "
-                "the service's cache keys and coalescing, so configure it there"
-            )
     if use_mcfuser:
+        if service is not None:
+            if service.gpu != gpu:
+                raise ValueError(
+                    f"service targets {service.gpu.name}, compile_model asked for "
+                    f"{gpu.name}; one service serves one GPU"
+                )
+            if dynamic != "off" and service.dynamic != dynamic:
+                raise ValueError(
+                    f"compile_model asked for dynamic={dynamic!r} but the service "
+                    f"was built with dynamic={service.dynamic!r}; bucketing changes "
+                    "the service's cache keys and coalescing, so configure it there"
+                )
         with tracer.span("partition", clock=clock, model=graph.name) as psp:
             clock.charge("graph_partition")
             partition: Partition = partition_graph(graph, gpu)
             psp.set(subgraphs=len(partition.subgraphs))
         rejections = partition.rejection_reasons()
-    if use_mcfuser and service is not None:
         # Submit every group up front (identical shapes coalesce or hit the
-        # service's schedule cache), then collect in partition order.
-        tickets = [
-            service.submit(sg.chain, config=config) for sg in partition.subgraphs
-        ]
-        for sg, ticket in zip(partition.subgraphs, tickets):
-            result = ticket.result()
+        # service's schedule cache), then collect in partition order. The
+        # wait is spanned so compile.model's children cover its wall-clock;
+        # a service opened here lives only for this call.
+        with ExitStack() as stack:
+            stack.enter_context(
+                tracer.span(
+                    "compile.subgraphs", clock=clock, subgraphs=len(partition.subgraphs)
+                )
+            )
+            if service is None:
+                service = stack.enter_context(
+                    CompileService(gpu, cache, cost_model=cost_model, config=config)
+                )
+            tickets = [
+                service.submit(sg.chain, config=config) for sg in partition.subgraphs
+            ]
+            results = [ticket.result() for ticket in tickets]
+        for sg, result in zip(partition.subgraphs, results):
             served[result.source] = served.get(result.source, 0) + 1
             if result.source == "tuned":
                 # coalesced riders share the tune; bill its cost once.
                 clock.seconds += result.report.tuning_seconds
             cache_hits += result.source in ("hot", "bucket")
+            # compile through the kernel memo: a repeated shape (or a
+            # second model sharing it) reuses the same module.
             op_module = compile_schedule(
                 result.report.best_schedule, gpu, exec_backend=exec_backend
             )
@@ -338,61 +348,27 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
             module.add_module(op_module)
             mbci_nodes.update(sg.nodes)
             n_subgraphs += 1
-    elif use_mcfuser:
-        tuned: dict[str, OperatorModule] = {}
-        if cost_model is None and (search.measure_topk > 0 or search.cost_model):
-            from repro.search.cost_model import LearnedCostModel
-
-            # one shared model: sub-graph tunes feed one dataset.
-            cost_model = LearnedCostModel(seed=seed)
-        if dynamic == "buckets" and cache is None:
-            from repro.cache.cache import ScheduleCache
-
-            # In-process bucket store: in-bucket sub-graphs of different
-            # lengths dedupe to one ceiling tune even without a user cache.
-            cache = ScheduleCache(path=None)
-        for sg in partition.subgraphs:
-            # Compiled modules are memoized by the *exact* signature even
-            # under bucketing — a module is bound to its output shapes; the
-            # tuner's bucketed cache ladder dedupes the tuning instead.
-            key = sg.signature(gpu, config.variant_key)
-            if key not in tuned:
-                tuner = MCFuserTuner(
-                    gpu, cache=cache, cost_model=cost_model, config=config
-                )
-                report = tuner.tune(sg.chain)
-                clock.seconds += report.tuning_seconds
-                cache_hits += int(report.cache_hit)
-                if getattr(report, "bucket_hit", False):
-                    served["bucket"] = served.get("bucket", 0) + 1
-                # compile through the kernel memo: a model recompiled (or a
-                # second model sharing this shape) reuses the same module.
-                tuned[key] = compile_schedule(
-                    report.best_schedule, gpu, exec_backend=exec_backend
-                )
-                defer_native_build(tuned[key])
-            module.add_module(tuned[key])
-            mbci_nodes.update(sg.nodes)
-            n_subgraphs += 1
     residual_nodes = [n for n in graph.nodes if n.output not in mbci_nodes]
 
     # 2. Residual operators on the backend compiler/library.
     eager_ops = 0
-    groups = _epilogue_groups(residual_nodes) if fuse_epilogues else {}
-    absorbed: set[str] = set()
-    for anchor, eps in groups.items():
-        absorbed.update(n.output for n in eps)
-    for node in residual_nodes:
-        if node.output in absorbed:
-            continue
-        node_codegen = codegen
-        if backend == "bolt" and isinstance(node.op, (Dense, BatchMatmul)) and groups.get(node.output):
-            node_codegen = "cutlass"  # BOLT's epilogue-fused CUTLASS GEMMs
-        kernel = _op_kernel(graph, node, gpu, node_codegen, seed)
-        if kernel is None:
-            continue
-        module.add(f"{backend}:{node.output}", kernel)
-        eager_ops += 1
+    with tracer.span("compile.residual", backend=backend) as rsp:
+        groups = _epilogue_groups(residual_nodes) if fuse_epilogues else {}
+        absorbed: set[str] = set()
+        for anchor, eps in groups.items():
+            absorbed.update(n.output for n in eps)
+        for node in residual_nodes:
+            if node.output in absorbed:
+                continue
+            node_codegen = codegen
+            if backend == "bolt" and isinstance(node.op, (Dense, BatchMatmul)) and groups.get(node.output):
+                node_codegen = "cutlass"  # BOLT's epilogue-fused CUTLASS GEMMs
+            kernel = _op_kernel(graph, node, gpu, node_codegen, seed)
+            if kernel is None:
+                continue
+            module.add(f"{backend}:{node.output}", kernel)
+            eager_ops += 1
+        rsp.set(kernels=eager_ops)
 
     # 3. Timing.
     with tracer.span("execute.model", kernels=module.kernel_count()) as esp:

@@ -194,26 +194,17 @@ class Session:
         """
         return [t.result() for t in self.service.prefetch(list(chains))]
 
-    def compile(
-        self, model, strategy: str = "mcfuser+relay", use_service: bool = False
-    ) -> "E2EResult":
+    def compile(self, model, strategy: str = "mcfuser+relay") -> "E2EResult":
         """Compile a whole model (a :class:`~repro.ir.graph.Graph` or a
         model-level workload name) end to end under the session config.
 
-        ``use_service=True`` routes MBCI sub-graph tuning through the
-        session's :attr:`service` (coalescing + schedule cache + telemetry)
-        instead of a private per-call tuner.
+        MBCI sub-graph tuning goes through the session's :attr:`service`,
+        so it uses the session's cache, cost model and metrics.
         """
         from repro.frontend.executor import compile_model
 
         return compile_model(
-            model,
-            self.gpu,
-            strategy,
-            cache=self.cache,
-            cost_model=self.cost_model,
-            service=self.service if use_service else None,
-            config=self.config,
+            model, self.gpu, strategy, service=self.service, config=self.config
         )
 
     # -- lifecycle ------------------------------------------------------------

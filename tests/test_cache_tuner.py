@@ -139,12 +139,19 @@ class TestExecutorCache:
     def test_recompile_hits_cache(self, tmp_path):
         graph = _tiny_attention_graph()
         cache = ScheduleCache(tmp_path)
+        before = cache.stats()
         cold = compile_model(graph, A100, "mcfuser+relay", config=QUICK, cache=cache)
         warm = compile_model(graph, A100, "mcfuser+relay", config=QUICK, cache=cache)
         assert cold.detail["cache_hits"] == 0
         assert warm.detail["cache_hits"] == warm.mbci_subgraphs == 1
         assert warm.tuning_seconds < cold.tuning_seconds
         assert warm.time == cold.time  # same kernels either way
+        # compile_model reads the cache without recording hits or misses
+        after = cache.stats()
+        assert (after.hits, after.misses, after.total_hits, after.total_misses) == (
+            before.hits, before.misses, before.total_hits, before.total_misses
+        )
+        assert after.stores == 1
 
     def test_partition_cache_split(self, tmp_path):
         graph = _tiny_attention_graph()

@@ -417,7 +417,7 @@ class TestServiceBuckets:
 
 
 class TestCompileModelBuckets:
-    def test_private_path_buckets_across_lengths(self):
+    def test_buckets_across_lengths(self):
         """Two compiles of the same FFN at different in-bucket sequence
         lengths share one set of ceiling tunes via the schedule cache."""
         from repro.cache import ScheduleCache

@@ -1,11 +1,16 @@
 """Tests for the end-to-end executor (Fig. 9 machinery)."""
 
+import threading
+
 import pytest
 
 from conftest import QUICK
 from repro.frontend.executor import STRATEGIES, compile_model
 from repro.frontend.models import bert_encoder
 from repro.gpu.specs import A100
+from repro.ir.graph import Graph
+from repro.ir.ops import BatchMatmul, Softmax
+from repro.search.tuner import MCFuserTuner
 
 FAST_TUNER = QUICK.evolve(population_size=96, top_n=6, max_rounds=4, min_rounds=2)
 
@@ -75,3 +80,54 @@ class TestSubgraphCaching:
             bert_encoder("Bert-Small", 256), A100, "relay"
         ).tuning_seconds
         assert r.tuning_seconds - single < 120
+
+
+def _multi_shape_graph() -> Graph:
+    """Four independent attention blocks over three distinct shapes."""
+    g = Graph("multi-shape")
+    for i, (b, s, d) in enumerate([(4, 64, 32), (4, 128, 32), (2, 64, 64), (4, 64, 32)]):
+        for t in "qkv":
+            g.add_input(f"{t}{i}", (b, s, d))
+        g.add(BatchMatmul((f"q{i}", f"k{i}"), f"s{i}", transpose_b=True))
+        g.add(Softmax((f"s{i}",), f"p{i}"))
+        g.add(BatchMatmul((f"p{i}", f"v{i}"), f"o{i}"))
+        g.mark_output(f"o{i}")
+    return g
+
+
+def _compile_workers():
+    return {t for t in threading.enumerate() if t.name.startswith("compile-worker-")}
+
+
+class TestServicePath:
+    """``compile_model`` tunes through a compile service it opens per call."""
+
+    @pytest.mark.parametrize("fails", [True, False], ids=["tune-raises", "succeeds"])
+    def test_per_call_service_is_closed(self, fails, monkeypatch):
+        before = _compile_workers()
+        if fails:
+            def boom(self, chain):
+                raise RuntimeError("tune exploded")
+
+            monkeypatch.setattr(MCFuserTuner, "tune", boom)
+            with pytest.raises(RuntimeError, match="tune exploded"):
+                compile_model(_multi_shape_graph(), A100, config=QUICK)
+        else:
+            result = compile_model(_multi_shape_graph(), A100, config=QUICK)
+            assert result.mbci_subgraphs == 4
+        assert not _compile_workers() - before
+
+    @pytest.mark.parametrize("model", ["bert-small", "multi-shape"])
+    def test_results_independent_of_serve_workers(self, model):
+        def compile_with(workers):
+            graph = _multi_shape_graph() if model == "multi-shape" else model
+            return compile_model(graph, A100, config=QUICK.evolve(serve_workers=workers))
+
+        one, three = compile_with(1), compile_with(3)
+        assert one.tuning_seconds == three.tuning_seconds
+        assert one.time == three.time
+        assert one.detail["served"] == three.detail["served"]
+        assert sum(one.detail["served"].values()) == one.mbci_subgraphs
+        assert [dict(m.schedule.tiles) for m in one.module.operator_modules] == [
+            dict(m.schedule.tiles) for m in three.module.operator_modules
+        ]

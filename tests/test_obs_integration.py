@@ -372,6 +372,29 @@ class TestCompileModelDetail:
         [partition] = spans["partition"]
         assert partition.parent_id == root.span_id
         for r in spans["tune"]:
-            assert by_id[r.parent_id].name == "compile.model"
+            # tune -> serve.tune (worker) -> serve.request (admission) ->
+            # the sub-graph span -> compile.model
+            chain = []
+            parent_id = r.parent_id
+            while parent_id is not None:
+                chain.append(by_id[parent_id].name)
+                parent_id = by_id[parent_id].parent_id
+            assert chain == [
+                "serve.tune", "serve.request", "compile.subgraphs", "compile.model",
+            ]
         doc = chrome_trace(tracer.recorder)
         validate_chrome_trace(doc)
+
+    def test_traced_compile_model_root_coverage(self, a100):
+        """The wait on sub-graph tunes is spanned under ``compile.model``,
+        so its direct children cover nearly all of its wall-clock."""
+        from repro.frontend.executor import compile_model
+        from repro.frontend.models import BertConfig, bert_encoder
+
+        tracer = enable_tracing()
+        graph = bert_encoder(
+            BertConfig("Bert-Tiny", layers=1, hidden=256, heads=4, intermediate=512),
+            128,
+        )
+        compile_model(graph, a100, "mcfuser+relay", config=TRACE_QUICK)
+        assert trace_coverage(tracer.recorder, root_name="compile.model") >= 0.9

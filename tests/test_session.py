@@ -135,9 +135,21 @@ class TestWork:
             assert session.cache.stats().disk_entries == len(chains)
 
     def test_compile_model(self, tmp_path):
-        session = Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path)))
-        result = session.compile(bert_encoder("Bert-Small", 128), strategy="relay")
+        with Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path))) as session:
+            result = session.compile(bert_encoder("Bert-Small", 128), strategy="relay")
         assert result.time > 0
+
+    def test_compile_model_goes_through_the_session_service(self, tmp_path):
+        with Session(SESSION_QUICK.evolve(cache_dir=str(tmp_path))) as session:
+            result = session.compile(BERT_SMALL)
+            counters = session.metrics.snapshot()["counters"]
+            assert counters["serve.requests"] == result.mbci_subgraphs == 4
+            assert counters["serve.tunes"] == 1
+            assert session.cache.stats().disk_entries == 1
+            again = session.compile(BERT_SMALL)
+        assert result.detail["served"] == {"tuned": 1, "coalesced": 3}
+        assert again.detail["served"] == {"hot": 4}
+        assert again.detail["cache_hits"] == 4
 
     def test_trace_config_enables_tracing(self, tmp_path):
         from repro.obs import disable_tracing, get_tracer
