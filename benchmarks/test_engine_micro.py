@@ -42,9 +42,9 @@ def test_schedules_built_once(run_once, monkeypatch):
     touched: set[tuple] = set()
     real_schedule_for = SearchSpace.schedule_for
 
-    def tracking_schedule_for(self, cand, optimize=None):
+    def tracking_schedule_for(self, cand):
         touched.add(cand.key)
-        return real_schedule_for(self, cand, optimize=optimize)
+        return real_schedule_for(self, cand)
 
     monkeypatch.setattr(SearchSpace, "schedule_for", tracking_schedule_for)
 

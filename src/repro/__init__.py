@@ -17,7 +17,7 @@ Layers (see docs/architecture.md):
 * :mod:`repro.tiling`     — tiling expressions, schedules, DAG analysis
 * :mod:`repro.search`     — pruning rules, perf model, search engine, tuner
 * :mod:`repro.cache`      — persistent schedule cache + batch tuning
-* :mod:`repro.codegen`    — TIR / Triton-IR / PTX emission + interpreter
+* :mod:`repro.codegen`    — Triton-IR / PTX / C emission + interpreter
 * :mod:`repro.baselines`  — PyTorch, Relay, Ansor, BOLT, FlashAttention, Chimera
 * :mod:`repro.frontend`   — model builders, partitioner, end-to-end executor
 * :mod:`repro.serving`    — compile service: coalescing, cache reads, telemetry

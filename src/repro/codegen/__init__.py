@@ -1,5 +1,5 @@
-"""Code generation: TIR lowering, Triton-style tile IR, pseudo-PTX emission,
-runtime modules, and the execution backends — the scalar tile interpreter,
+"""Code generation: tile-program lowering, Triton-style tile IR, pseudo-PTX
+emission, runtime modules, and the execution backends — the scalar tile interpreter,
 the vectorized batched tile executor, and the native compiled C backend —
 that verify numerical correctness of every fused schedule."""
 
@@ -34,15 +34,6 @@ from repro.codegen.runtime import (
     compile_schedule,
     kernel_cache_stats,
 )
-from repro.codegen.tir import (
-    TIRLoop,
-    TIRModule,
-    TIRScheduleBuilder,
-    TIRStmt,
-    extract_tiling_expr,
-    tir_from_program,
-    tir_from_schedule,
-)
 from repro.codegen.triton_ir import (
     TritonLoop,
     TritonOp,
@@ -71,13 +62,6 @@ __all__ = [
     "lower_schedule",
     "TileProgram",
     "TileOp",
-    "tir_from_schedule",
-    "tir_from_program",
-    "extract_tiling_expr",
-    "TIRModule",
-    "TIRLoop",
-    "TIRStmt",
-    "TIRScheduleBuilder",
     "triton_from_schedule",
     "triton_from_program",
     "TritonProgram",

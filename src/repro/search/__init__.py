@@ -1,5 +1,5 @@
-"""Search layer: the streaming engine (space pipeline, pluggable
-strategies, parallel measurement), pruning rules, analytical performance
+"""Search layer: the engine (space builder, pluggable strategies,
+parallel measurement), pruning rules, analytical performance
 model, tuner, and the simulated tuning clock."""
 
 from repro.config import VERIFY_MODES

@@ -1,12 +1,12 @@
-"""The search engine: streaming space generation, pluggable strategies,
-and parallel measurement.
+"""The search engine: space generation, pluggable strategies, and
+parallel measurement.
 
 Layout::
 
-    pipeline.py   Rule 1-4 stages as a composable generator pipeline that
-                  prices every candidate from per-expression schedule
-                  templates (no schedule built per candidate), with the
-                  pruning funnel accumulated incrementally.
+    pipeline.py   build_space: Rules 1-4 over each expression's tile grid,
+                  every candidate priced from per-expression schedule
+                  templates (no schedule built per candidate), the pruning
+                  funnel counted from the grids' masks.
     loop.py       SearchLoop: the shared Algorithm-1 driver (measured
                   cache, failed blacklist, convergence, measurement
                   dispatch) every strategy runs inside.
@@ -18,7 +18,7 @@ Layout::
 
 from repro.search.engine.evaluator import ParallelEvaluator, batch_makespan
 from repro.search.engine.loop import SearchLoop, SearchResult
-from repro.search.engine.pipeline import PruningFunnel, stream_space
+from repro.search.engine.pipeline import build_space
 from repro.search.engine.strategy import (
     STRATEGY_REGISTRY,
     EvolutionarySearch,
@@ -33,8 +33,7 @@ from repro.search.engine.strategy import (
 )
 
 __all__ = [
-    "PruningFunnel",
-    "stream_space",
+    "build_space",
     "SearchLoop",
     "SearchResult",
     "ParallelEvaluator",

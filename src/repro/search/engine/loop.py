@@ -77,7 +77,7 @@ class SearchLoop:
     """Drives one strategy over a pruned space with shared bookkeeping.
 
     Args:
-        space: The (lazy) pruned search space.
+        space: The pruned search space.
         estimate_fn: Analytical model over a batch: ``candidates ->
             estimates`` aligned with the input (cheap, called on every
             ranked population; each candidate counts into

@@ -1,13 +1,15 @@
-"""Streaming search-space generation: the Rule 1-4 stages as a generator
-pipeline (§III), priced without building a schedule per candidate.
+"""Search-space generation: Rules 1-4 (§III-C, Fig. 7), priced without
+building a schedule per candidate.
 
 ::
 
-    expression_stage   Rule 1 dedup + Rule 2 class filter  -> TilingExpr
-    price_stage        Rule 3 tile grid per expression,    -> (Candidate,
-                       priced from schedule templates:         PerfEstimate,
-                       validity, candidate-level Rule 2,       template)
-                       Rule 4 and the eq. 2-5 estimate
+    surviving_expressions  Rule 1 dedup + Rule 2 class filter -> expressions
+                           and the analytic head of the funnel
+    price_grid             Rule 3 tile grid of one expression,  -> PricedGrid
+                           priced from schedule templates:
+                           validity, candidate-level Rule 2,
+                           Rule 4 and the eq. 2-5 estimate
+    build_space            Rules 3-4 as masks over every grid   -> SearchSpace
 
 Everything the search needs before measuring depends only on the tiling
 expression and on which per-block loops have extent 1 (see
@@ -19,18 +21,11 @@ measured candidate as a kernel launch
 (:meth:`~repro.search.space.SearchSpace.launch_for`); schedules of
 individual candidates are built only for candidates that are verified,
 featurized or returned (:meth:`~repro.search.space.SearchSpace.schedule_for`).
-
-The Fig. 7 pruning funnel is accumulated *incrementally* in a
-:class:`PruningFunnel` as candidates flow; a fully drained pipeline yields
-the complete funnel.
-:func:`stream_space` assembles the stages and wraps them in a lazy
-:class:`~repro.search.space.SearchSpace` view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,73 +40,26 @@ from repro.search.pruning import (
     rule4_fits,
     unconstrained_tile_count,
 )
+from repro.search.space import Candidate, SearchSpace
 from repro.tiling.enumeration import all_tilings, sub_tiling_expr
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import ScheduleTemplate, build_schedule
 from repro.utils import prod
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.search.space import Candidate, SearchSpace
-
-__all__ = [
-    "PruningFunnel",
-    "PricedGrid",
-    "expression_stage",
-    "price_grid",
-    "price_stage",
-    "candidate_pipeline",
-    "stream_space",
-]
+__all__ = ["PricedGrid", "surviving_expressions", "price_grid", "build_space"]
 
 #: ``(rendered expression, extent-1 loops, optimize) -> template``.
 TemplateTable = dict[tuple[str, frozenset, bool], ScheduleTemplate]
 
 
-@dataclass
-class PruningFunnel:
-    """Incrementally accumulated Fig. 7 funnel counts.
+def surviving_expressions(
+    chain: ComputeChain, deep_only: bool = False
+) -> tuple[list[TilingExpr], PruningStats]:
+    """Rules 1-2 at the expression level.
 
-    The expression-level counts (Rules 1-2 plus the analytic early-stage
-    sizes) are filled in by :func:`expression_stage` up front; the
-    enumerated counts (Rules 3-4) grow as candidates flow through the
-    pipeline. ``complete`` flips when the pipeline is fully drained —
-    :meth:`snapshot` before that point describes a partially generated
-    space.
-    """
-
-    expressions: int = 0
-    classes_rule1: int = 0
-    classes_rule2: int = 0
-    original: int = 0
-    after_rule1: int = 0
-    after_rule2: int = 0
-    after_rule3: int = 0
-    after_rule4: int = 0
-    complete: bool = False
-
-    def snapshot(self) -> PruningStats:
-        """Freeze the current counts into an immutable :class:`PruningStats`."""
-        return PruningStats(
-            expressions=self.expressions,
-            classes_rule1=self.classes_rule1,
-            classes_rule2=self.classes_rule2,
-            original=self.original,
-            after_rule1=self.after_rule1,
-            after_rule2=self.after_rule2,
-            after_rule3=self.after_rule3,
-            after_rule4=self.after_rule4,
-        )
-
-
-def expression_stage(
-    chain: ComputeChain,
-    funnel: PruningFunnel,
-    deep_only: bool = False,
-) -> Iterator[TilingExpr]:
-    """Rules 1-2 at the expression level; fills the funnel's analytic head.
-
-    Yields the canonical representative of every equivalence class that
-    survives Rule 2 for generic loop extents, in deterministic class order.
+    Returns the canonical representative of every equivalence class that
+    survives Rule 2 for generic loop extents, in deterministic class order,
+    and the funnel's analytic head (its Rule 3-4 counts are still 0).
     """
     exprs = all_tilings(chain)
     if deep_only:
@@ -119,19 +67,20 @@ def expression_stage(
     classes = expression_classes(chain)
     if deep_only:
         classes = {k: v for k, v in classes.items() if v.is_deep}
-    survivors = {
-        k: v for k, v in classes.items() if rule2_class_survives(chain, v)
-    }
+    survivors = [v for v in classes.values() if rule2_class_survives(chain, v)]
 
     raw_tiles = int(prod(unconstrained_tile_count(s) for s in chain.loops.values()))
-    funnel.expressions = len(exprs)
-    funnel.classes_rule1 = len(classes)
-    funnel.classes_rule2 = len(survivors)
-    funnel.original = len(exprs) * raw_tiles
-    funnel.after_rule1 = len(classes) * raw_tiles
-    funnel.after_rule2 = len(survivors) * raw_tiles
-
-    yield from survivors.values()
+    head = PruningStats(
+        expressions=len(exprs),
+        classes_rule1=len(classes),
+        classes_rule2=len(survivors),
+        original=len(exprs) * raw_tiles,
+        after_rule1=len(classes) * raw_tiles,
+        after_rule2=len(survivors) * raw_tiles,
+        after_rule3=0,
+        after_rule4=0,
+    )
+    return survivors, head
 
 
 @dataclass(frozen=True)
@@ -213,100 +162,59 @@ def price_grid(
     )
 
 
-def price_stage(
-    chain: ComputeChain,
-    gpu: GPUSpec,
-    exprs: Iterator[TilingExpr],
-    options: dict[str, list[int]],
-    funnel: PruningFunnel,
-    templates: TemplateTable,
-    optimize: bool = True,
-) -> Iterator[tuple["Candidate", PerfEstimate, ScheduleTemplate]]:
-    """Rules 3-4 over each expression's priced grid.
-
-    Yields every surviving candidate with its estimate and the template
-    that priced it (which also launches it), counting points
-    that are valid and pass candidate-level Rule 2 into ``after_rule3`` and
-    Rule-4 survivors into ``after_rule4``, one candidate at a time.
-    """
-    from repro.search.space import Candidate  # deferred: space imports us
-
-    names = sorted(chain.loop_names)
-    columns = [chain.loop_names.index(l) for l in names]
-    for expr in exprs:
-        grid = price_grid(chain, gpu, expr, options, templates, optimize)
-        rule3 = grid.valid & grid.rule2
-        fits = grid.rule4.tolist()
-        rows = grid.tiles.tolist()
-        t_mem = grid.price.t_mem.tolist()
-        t_comp = grid.price.t_comp.tolist()
-        alpha = grid.price.alpha.tolist()
-        group = grid.group.tolist()
-        for i in np.flatnonzero(rule3).tolist():
-            funnel.after_rule3 += 1
-            if not fits[i]:
-                continue
-            funnel.after_rule4 += 1
-            row = rows[i]
-            cand = Candidate(expr=expr, tiles=tuple((l, row[j]) for l, j in zip(names, columns)))
-            price = PerfEstimate(t_mem=t_mem[i], t_comp=t_comp[i], alpha=alpha[i])
-            yield cand, price, grid.templates[group[i]]
-
-
-def candidate_pipeline(
-    chain: ComputeChain,
-    gpu: GPUSpec,
-    funnel: PruningFunnel,
-    tile_options: dict[str, list[int]],
-    templates: TemplateTable,
-    deep_only: bool = False,
-    optimize_schedules: bool = True,
-) -> Iterator[tuple["Candidate", PerfEstimate, ScheduleTemplate]]:
-    """The full composed pipeline; marks ``funnel.complete`` when drained."""
-    exprs = expression_stage(chain, funnel, deep_only=deep_only)
-    yield from price_stage(
-        chain, gpu, exprs, tile_options, funnel, templates, optimize=optimize_schedules
-    )
-    funnel.complete = True
-
-
-def stream_space(
+def build_space(
     chain: ComputeChain,
     gpu: GPUSpec,
     deep_only: bool = False,
     optimize_schedules: bool = True,
     max_candidates: int | None = None,
-) -> "SearchSpace":
-    """Build a lazy :class:`~repro.search.space.SearchSpace` over the
-    streaming pipeline.
+) -> SearchSpace:
+    """The pruned :class:`~repro.search.space.SearchSpace` of ``chain``
+    (arguments as :func:`~repro.search.space.generate_space`).
 
-    Nothing is enumerated until the space is iterated (or an accessor that
-    needs the full set — ``candidates``, ``stats``, ``len`` — forces
-    materialization). The estimates priced on the way are kept in the
-    space's price table; schedules are built only on request.
+    A point survives Rule 3 if it is valid and passes candidate-level
+    Rule 2, and Rule 4 if its shared-memory estimate fits too. Candidates
+    come in expression order, then grid row order, each with its estimate
+    and the template that priced it (which also launches it).
     """
-    from repro.search.space import SearchSpace  # deferred: space imports us
-
-    funnel = PruningFunnel()
-    templates: TemplateTable = {}
+    exprs, head = surviving_expressions(chain, deep_only=deep_only)
     options = {loop: rule3_tile_options(size) for loop, size in chain.loops.items()}
-    priced = candidate_pipeline(
+    templates: TemplateTable = {}
+    names = sorted(chain.loop_names)
+    columns = [chain.loop_names.index(l) for l in names]
+    candidates: list[Candidate] = []
+    prices: dict[tuple, PerfEstimate] = {}
+    launchers: dict[tuple, ScheduleTemplate] = {}
+    after_rule3 = 0
+    for expr in exprs:
+        grid = price_grid(chain, gpu, expr, options, templates, optimize_schedules)
+        rule3 = grid.valid & grid.rule2
+        after_rule3 += int(rule3.sum())
+        kept = np.flatnonzero(rule3 & grid.rule4)
+        for row, t_mem, t_comp, alpha, group in zip(
+            grid.tiles[kept][:, columns].tolist(),
+            grid.price.t_mem[kept].tolist(),
+            grid.price.t_comp[kept].tolist(),
+            grid.price.alpha[kept].tolist(),
+            grid.group[kept].tolist(),
+        ):
+            cand = Candidate(expr=expr, tiles=tuple(zip(names, row)))
+            candidates.append(cand)
+            prices[cand.key] = PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha)
+            launchers[cand.key] = grid.templates[group]
+    stats = replace(head, after_rule3=after_rule3, after_rule4=len(candidates))
+    if max_candidates is not None and len(candidates) > max_candidates:
+        stride = len(candidates) / max_candidates
+        candidates = [candidates[int(i * stride)] for i in range(max_candidates)]
+    return SearchSpace(
         chain,
         gpu,
-        funnel,
+        candidates,
+        stats,
         options,
-        templates,
-        deep_only=deep_only,
-        optimize_schedules=optimize_schedules,
-    )
-    return SearchSpace(
-        chain=chain,
-        gpu=gpu,
-        source=priced,
-        funnel=funnel,
-        tile_options=options,
         deep_only=deep_only,
         optimized=optimize_schedules,
-        max_candidates=max_candidates,
+        prices=prices,
+        launchers=launchers,
         templates=templates,
     )

@@ -1,6 +1,6 @@
 """MCFuserTuner: end-to-end tuning of one MBCI chain (§III + §IV).
 
-Pipeline: stream + prune the search space (every candidate priced from
+Pipeline: build the pruned search space (every candidate priced from
 per-expression schedule templates), run a pluggable search strategy with
 the analytical model, measure the per-round top-n through the parallel
 evaluator, and return the best schedule with full accounting — simulated
@@ -498,7 +498,7 @@ class MCFuserTuner:
         return report
 
     def _tune_uncached(self, chain: ComputeChain) -> TuneReport:
-        """The full stream → prune → search → measure pipeline."""
+        """The full prune → search → measure pipeline."""
         from repro.obs import get_tracer
 
         tracer = get_tracer()

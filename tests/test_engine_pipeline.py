@@ -1,5 +1,6 @@
-"""Engine streaming pipeline: laziness, incremental funnel, lazy schedules."""
+"""Engine space generation: the frozen space, its Fig. 7 funnel, lazy schedules."""
 
+import dataclasses
 import sys
 
 import pytest
@@ -9,7 +10,6 @@ from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.engine import pipeline as pipeline_mod
 from repro.search.engine.loop import SearchLoop
-from repro.search.engine.pipeline import PruningFunnel, stream_space
 from repro.search.space import SearchSpace, generate_space
 from repro.search.tuner import MCFuserTuner
 from repro.tiling import schedule as schedule_mod
@@ -19,72 +19,53 @@ def _chain(name="eng"):
     return gemm_chain(1, 256, 256, 128, 128, name=name)
 
 
-class TestStreaming:
-    def test_nothing_enumerated_up_front(self):
-        space = generate_space(_chain("lazy1"), A100)
-        assert space._candidates is None
-        assert not space.funnel.complete
-        # The analytic funnel head is only filled once the pipeline starts.
-        assert space.funnel.after_rule3 == 0
+#: The Fig. 7 funnel of ``gemm_chain(1, 1024, 1024, 512, 512)`` on the A100:
+#: ``(expressions, classes_rule1, classes_rule2, original, after_rule1,
+#: after_rule2, after_rule3, after_rule4)`` per space variant.
+FIG7_FUNNELS = {
+    "default": (
+        {},
+        (26, 3, 2, 109051904, 12582912, 8388608, 2268, 824),
+    ),
+    "chimera": (
+        {"deep_only": True, "optimize_schedules": False},
+        (24, 2, 1, 100663296, 8388608, 4194304, 1764, 751),
+    ),
+}
 
-    def test_partial_iteration_is_partial(self):
-        space = generate_space(_chain("lazy2"), A100)
-        seen = []
-        for cand in space:
-            seen.append(cand)
-            if len(seen) == 5:
-                break
-        assert not space.funnel.complete
-        assert space.funnel.after_rule4 == 5
-        # Abandoned iteration loses nothing: a fresh iterator replays the
-        # same prefix in the same order.
-        replay = []
-        for cand in space:
-            replay.append(cand)
-            if len(replay) == 5:
-                break
-        assert [c.key for c in seen] == [c.key for c in replay]
 
-    def test_pairs_carry_built_schedules(self):
+class TestFrozenSpace:
+    @pytest.mark.parametrize("variant", sorted(FIG7_FUNNELS))
+    def test_stats_match_pre_engine_funnel(self, variant):
+        kwargs, want = FIG7_FUNNELS[variant]
+        chain = gemm_chain(1, 1024, 1024, 512, 512, name=f"eng-fig7-{variant}")
+        stats = generate_space(chain, A100, **kwargs).stats
+        assert dataclasses.astuple(stats) == want
+        assert stats.original == stats.expressions * 64 * 64 * 32 * 32
+
+    def test_funnel_tail_counts_the_space(self):
+        space = generate_space(_chain("tail"), A100)
+        stats = space.stats
+        assert stats.after_rule4 == len(space)
+        assert stats.after_rule3 >= stats.after_rule4
+
+    def test_schedule_for_memoizes(self):
         # Candidates carry prices, not schedules: a schedule is built on the
         # first request only, then memoized.
-        space = generate_space(_chain("lazy3"), A100)
-        cand = next(iter(space))
+        space = generate_space(_chain("memo"), A100)
+        cand = space.candidates[0]
         before = space.schedules_built
         sched = space.schedule_for(cand)
         assert space.schedule_for(cand) is sched
         assert space.schedules_built == before + 1
         assert space.price(cand).total > 0
 
-    def test_streamed_matches_eager_order(self):
-        chain = _chain("lazy4")
-        streamed = [c.key for c in generate_space(chain, A100)]
-        materialized = [c.key for c in generate_space(chain, A100).candidates]
-        assert streamed == materialized
-
-    def test_funnel_completes_on_materialize(self):
-        space = generate_space(_chain("lazy5"), A100)
-        stats = space.stats
-        assert space.funnel.complete
-        assert stats.after_rule4 == len(space)
-        assert stats.after_rule3 >= stats.after_rule4
-
-    def test_stats_match_pre_engine_funnel(self):
-        # The Fig. 7 configuration; counts pinned by the eager implementation.
-        chain = gemm_chain(1, 1024, 1024, 512, 512, name="eng-fig7")
-        stats = stream_space(chain, A100).stats
-        assert stats.expressions == 26
-        assert stats.classes_rule1 == 3
-        assert stats.classes_rule2 == 2
-        assert stats.original == 26 * 64 * 64 * 32 * 32
-
-    def test_max_candidates_materializes_and_caps(self):
-        space = generate_space(_chain("lazy6"), A100, max_candidates=20)
-        assert len(list(space)) == 20
+    def test_max_candidates_caps(self):
+        space = generate_space(_chain("cap"), A100, max_candidates=20)
+        assert len(space.candidates) == 20
         assert len(space) == 20
+        assert space.stats.after_rule4 > 20
 
-
-class TestFrozenSpace:
     def test_candidates_tuple_immutable(self):
         space = generate_space(_chain("frz1"), A100)
         assert isinstance(space.candidates, tuple)
@@ -97,15 +78,15 @@ class TestFrozenSpace:
         assert space.contains(cand)
         assert space._keys is space._keys  # cached_property: one computation
 
-    def test_from_candidates_eager(self):
+    def test_space_built_by_hand(self):
         base = generate_space(_chain("frz3"), A100)
-        sub = SearchSpace.from_candidates(
+        sub = SearchSpace(
             base.chain, base.gpu, base.candidates[:10], base.stats, base.tile_options
         )
         assert len(sub) == 10
         assert sub.contains(base.candidates[0])
         assert not sub.contains(base.candidates[-1])
-        assert sub.funnel.complete
+        assert sub.stats == base.stats
 
 
 class TestSingleBuild:
@@ -197,14 +178,3 @@ class TestSingleBuild:
         assert state["searched"] == 1
         assert report.search.num_measurements > 0
         assert state["builds"] == 0
-
-    def test_space_rebuilds_only_on_optimize_mismatch(self, counters):
-        chain = gemm_chain(1, 256, 256, 64, 64, name="onebuild2")
-        space = generate_space(chain, A100)
-        cand = space.candidates[0]
-        before = counters["space"]
-        assert space.schedule_for(cand).optimized  # the space's own flag: built
-        space.schedule_for(cand, optimize=True)  # memoized
-        assert counters["space"] == before + 1
-        space.schedule_for(cand, optimize=False)  # different flag: fresh build
-        assert counters["space"] == before + 2

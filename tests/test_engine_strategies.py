@@ -211,7 +211,7 @@ class TestSearchLoopBookkeeping:
     def test_empty_space_rejected(self, space):
         from repro.search.space import SearchSpace
 
-        empty = SearchSpace.from_candidates(
+        empty = SearchSpace(
             space.chain, space.gpu, [], space.stats, space.tile_options
         )
         with pytest.raises(ValueError):

@@ -39,14 +39,10 @@ class TestTuneCompileRun:
         np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
 
     def test_artifact_bundle(self):
-        """Every tuned kernel ships with TIR, Triton source and PTX."""
-        from repro.codegen import extract_tiling_expr, tir_from_schedule
-
+        """Every tuned kernel ships with Triton source and PTX."""
         chain = gemm_chain(1, 128, 128, 64, 64, name="int-art")
         report = MCFuserTuner(A100, config=QUICK).tune(chain)
         module = OperatorModule(schedule=report.best_schedule, gpu=A100)
-        tir = tir_from_schedule(report.best_schedule)
-        assert extract_tiling_expr(tir).render() == report.best_schedule.residual.render()
         assert "mma.sync" in module.ptx
         assert "@triton.jit" in module.triton.render()
 

@@ -104,7 +104,7 @@ def _edge_space() -> tuple[SearchSpace, Candidate]:
     source = next(c for c in base.candidates if c.tile_dict["m"] == m_opts[1])
     off_grid = Candidate.make(source.expr, {**source.tile_dict, "m": 3})
     assert 3 not in m_opts
-    space = SearchSpace.from_candidates(
+    space = SearchSpace(
         base.chain,
         A100,
         [*base.candidates, off_grid],

@@ -102,7 +102,7 @@ class TestFailureHandling:
         space, estimate, measure, _ = setup
         from repro.search.space import SearchSpace
 
-        empty = SearchSpace.from_candidates(
+        empty = SearchSpace(
             space.chain, space.gpu, [], space.stats, space.tile_options
         )
         with pytest.raises(ValueError):

@@ -11,8 +11,6 @@ exact values.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +19,7 @@ from dag_gen import pattern_graph, random_graph
 from repro.frontend.partition import partition_graph
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import ComputeChain, gemm_chain
-from repro.search.engine.pipeline import PruningFunnel, expression_stage, price_grid
+from repro.search.engine.pipeline import price_grid, surviving_expressions
 from repro.search.perf_model import (
     AnalyticalModel,
     ChimeraModel,
@@ -53,8 +51,8 @@ def assert_priced_like_built(
     options = options or _options(chain)
     templates: dict = {}
     checked = 0
-    exprs = expression_stage(chain, PruningFunnel(), deep_only=deep_only)
-    for expr in islice(exprs, max_exprs):
+    exprs, _ = surviving_expressions(chain, deep_only=deep_only)
+    for expr in exprs[:max_exprs]:
         grid = price_grid(chain, gpu, expr, options, templates, optimize)
         t_mem = grid.price.t_mem.tolist()
         t_comp = grid.price.t_comp.tolist()
@@ -139,7 +137,7 @@ def test_space_prices_match_built_schedules():
     for cand in space.candidates[::5]:
         assert space.price(cand) == estimate_time(space.schedule_for(cand), A100)
     # A space that did not price its candidates prices them on request.
-    eager = SearchSpace.from_candidates(
+    eager = SearchSpace(
         chain, A100, space.candidates[:20], space.stats, space.tile_options
     )
     for cand in eager.candidates:

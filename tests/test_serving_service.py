@@ -171,7 +171,7 @@ class TestLanesAndShedding:
         svc["svc"] = quick_service(workers=1, tune_fn=tune, **kwargs)
         return svc["svc"], release, order
 
-    def _wait_queue_drained(self, svc):
+    def _wait_queue_empty(self, svc):
         deadline = time.time() + 5
         while svc._queue.qsize() > 0:
             assert time.time() < deadline, "worker never picked up the job"
@@ -180,7 +180,7 @@ class TestLanesAndShedding:
     def test_interactive_overtakes_background(self):
         svc, release, order = self._gated_service()
         blocker = svc.submit(chain_for(0))
-        self._wait_queue_drained(svc)  # worker now blocked inside svc-0
+        self._wait_queue_empty(svc)  # worker now blocked inside svc-0
         bg = svc.submit(chain_for(1), lane="background")
         it = svc.submit(chain_for(2), lane="interactive")
         release.set()
@@ -192,7 +192,7 @@ class TestLanesAndShedding:
     def test_full_queue_sheds(self):
         svc, release, _ = self._gated_service(queue_limit=1)
         blocker = svc.submit(chain_for(0))
-        self._wait_queue_drained(svc)
+        self._wait_queue_empty(svc)
         queued = svc.submit(chain_for(1))  # fills the single queue slot
         shed = svc.submit(chain_for(2))  # over the bound: load-shed
         with pytest.raises(QueueFull):

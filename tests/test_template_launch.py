@@ -71,7 +71,7 @@ def test_every_candidate_launches_like_its_schedule(name, gpu, optimize):
 def test_space_without_templates_launches_built_schedules():
     chain = build_workload("S3")
     space = generate_space(chain, A100)
-    eager = SearchSpace.from_candidates(
+    eager = SearchSpace(
         chain, A100, space.candidates[:10], space.stats, space.tile_options
     )
     for cand in eager.candidates:
