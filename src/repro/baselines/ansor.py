@@ -164,7 +164,7 @@ class AnsorBaseline(Baseline):
 
         # Per-operator fallback: Ansor always tunes the unfused form too
         # (single-op kernels come out much better than its fused attempts).
-        unfused = chain_unfused_kernels(chain, gpu, codegen="ansor_op", seed=seed)
+        unfused = chain_unfused_kernels(chain, gpu, codegen="ansor_op")
         unfused_time = sim.run_sequence(unfused)
         per_op_trials = min(128, self.trials // 4) * len(unfused)
         clock.charge("ansor_trial", count=per_op_trials, runtime=0.0)

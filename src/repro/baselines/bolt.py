@@ -87,7 +87,7 @@ class BOLTBaseline(Baseline):
 
         # Epilogue-fused-but-unfused-chain fallback (BOLT inherits Relay's
         # per-op path when no template matches).
-        unfused = chain_unfused_kernels(chain, gpu, codegen="cutlass", seed=seed)
+        unfused = chain_unfused_kernels(chain, gpu, codegen="cutlass")
         unfused_time = sim.run_sequence(unfused)
         clock.charge("bolt_template", count=2)  # profile the fallback too
 

@@ -69,7 +69,6 @@ def gemm_kernel(
     k: int,
     gpu: GPUSpec,
     codegen: str = "cublas",
-    seed: int = 0,
 ) -> KernelLaunch:
     """One library batched-GEMM launch with a dispatch-table tile choice.
 
@@ -78,7 +77,7 @@ def gemm_kernel(
     table. Traffic is the classic panel-reuse model: each column of blocks
     re-reads the A panel, each row re-reads the B panel.
     """
-    sim = GPUSimulator(gpu, seed=seed, jitter=False)
+    sim = GPUSimulator(gpu, jitter=False)
     best: KernelLaunch | None = None
     best_time = float("inf")
     for tm, tn in _TILE_MENU:
@@ -209,7 +208,7 @@ def transpose_kernel(name: str, elements: int, gpu: GPUSpec, codegen: str = "cub
 
 
 def chain_unfused_kernels(
-    chain: ComputeChain, gpu: GPUSpec, codegen: str = "cublas", seed: int = 0
+    chain: ComputeChain, gpu: GPUSpec, codegen: str = "cublas"
 ) -> list[KernelLaunch]:
     """The launch sequence a library framework issues for one chain:
     one batched GEMM per block, plus a standalone softmax where fused
@@ -231,7 +230,7 @@ def chain_unfused_kernels(
             )
         kernels.append(
             gemm_kernel(
-                f"{chain.name}.{block.name}", chain.batch, m, n, k, gpu, codegen, seed
+                f"{chain.name}.{block.name}", chain.batch, m, n, k, gpu, codegen
             )
         )
         if block.epilogue is not None:
@@ -259,7 +258,7 @@ class PyTorchBaseline(Baseline):
     name = "PyTorch"
 
     def run_chain(self, chain: ComputeChain, gpu: GPUSpec, seed: int = 0) -> BaselineResult:
-        kernels = chain_unfused_kernels(chain, gpu, codegen="cublas", seed=seed)
+        kernels = chain_unfused_kernels(chain, gpu, codegen="cublas")
         sim = GPUSimulator(gpu, seed=seed)
         time = sim.run_sequence(kernels) + EAGER_OVERHEAD_PER_OP * len(kernels)
         return BaselineResult(

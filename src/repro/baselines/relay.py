@@ -28,7 +28,7 @@ class RelayBaseline(Baseline):
     def run_chain(self, chain: ComputeChain, gpu: GPUSpec, seed: int = 0) -> BaselineResult:
         clock = TuningClock()
         clock.charge("relay_compile")
-        kernels = chain_unfused_kernels(chain, gpu, codegen="relay", seed=seed)
+        kernels = chain_unfused_kernels(chain, gpu, codegen="relay")
         sim = GPUSimulator(gpu, seed=seed)
         return BaselineResult(
             name=self.name,

@@ -47,6 +47,12 @@ each verb attaches the subset it supports. Verbs that tune accept
 ``--config file.json`` (a ``config dump`` artifact); the precedence is
 defaults < ``--config`` file < ``REPRO_*`` environment < explicit flags.
 
+Every verb that tunes, compiles, serves or traces runs through one
+:class:`~repro.session.Session`: it owns the schedule cache, the cost
+model, the compile service and the trace lifecycle (closing it persists
+the model snapshot and ``traces.jsonl``), so the handlers here only turn
+flags into a config and print results.
+
 ``tune`` consults the persistent schedule cache by default: the second run
 for the same workload/GPU is a pure lookup. Disable with ``--no-cache``;
 point at a non-default store with ``--cache-dir`` (or ``$REPRO_CACHE_DIR``).
@@ -106,7 +112,6 @@ from repro.config import (
 from repro.gpu.specs import by_name
 from repro.ir.chain import ComputeChain
 from repro.search.engine.strategy import strategy_names
-from repro.search.tuner import MCFuserTuner
 from repro.session import Session
 from repro.utils import fmt_time, format_table
 from repro.workloads import (
@@ -340,11 +345,6 @@ _TRACE_PATHS = (
 # -- shared helpers ------------------------------------------------------------
 
 
-def _open_cache(cfg: SessionConfig) -> ScheduleCache:
-    """The persistent cache selected by the config (flag/env/default dir)."""
-    return ScheduleCache(cfg.cache.resolved_dir())
-
-
 def _metrics_path(cfg: SessionConfig) -> str:
     """Where ``serve`` persists (and ``metrics`` reads) the telemetry snapshot."""
     from repro.serving.telemetry import SNAPSHOT_FILENAME
@@ -387,41 +387,36 @@ def _tune_config(args: argparse.Namespace) -> SessionConfig:
 
 
 def _tune_model(args: argparse.Namespace, session: Session) -> int:
-    """Partition a model workload and tune every distinct fusion group."""
-    from repro.frontend.partition import partition_graph
-
+    """Partition a model workload and tune its fusion groups through the
+    session's compile service (identical shapes coalesce onto one tune)."""
     graph = get_workload(args.workload).build()
-    partition = partition_graph(graph, session.gpu)
+    ticket = session.service.submit_model(graph)
+    partition = ticket.partition
     print(f"model: {graph}")
     print(f"fusion groups: {len(partition.subgraphs)}  "
           f"residual ops: {len(partition.rest)}  "
           f"rejections: {partition.rejection_reasons() or 'none'}")
-    seen: dict[str, str] = {}
     rows = []
-    for sg in partition.subgraphs:
-        key = sg.signature(session.gpu, "mcfuser")
-        if key in seen:
-            rows.append([sg.output, sg.kind, "=", seen[key], "(shape dedup)"])
-            continue
-        report = session.tune(sg.chain)
-        seen[key] = report.best_candidate.describe()
+    for sg, result in zip(partition.subgraphs, ticket.results()):
+        report = result.report
         rows.append([
             sg.output,
             sg.kind,
-            "hit" if report.cache_hit else f"{report.search.num_measurements} meas",
+            f"{report.search.num_measurements} meas"
+            if result.source == "tuned" else result.source,
             report.best_candidate.describe(),
             fmt_time(report.best_time),
         ])
     print(format_table(["group", "kind", "tuning", "best schedule", "kernel"], rows))
-    session.close()
     return 0
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     cfg = _tune_config(args)
-    session = Session(cfg)
     if get_workload(args.workload).level == "model":
-        return _tune_model(args, session)
+        with Session(cfg) as session:
+            return _tune_model(args, session)
+    session = Session(cfg)
     chain = workload_by_name(args.workload)
     report = session.tune(chain)
     print(f"workload: {chain}")
@@ -510,12 +505,13 @@ def cmd_config_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    gpu = by_name(args.gpu)
+    cfg = config_from_args(args)
+    gpu = by_name(cfg.gpu)
     chain = workload_by_name(args.workload)
     rows = []
     pytorch_time = None
     for baseline in default_baselines(ansor_trials=args.ansor_trials):
-        result = baseline.run_chain(chain, gpu, seed=args.seed)
+        result = baseline.run_chain(chain, gpu, seed=cfg.search.seed)
         if result is None:
             rows.append([baseline.name, "-", "-", "-"])
             continue
@@ -545,7 +541,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     """Partition one model workload and print groups + rejection reasons."""
     from repro.frontend.partition import partition_graph
 
-    gpu = by_name(args.gpu)
+    gpu = by_name(config_from_args(args).gpu)
     spec = get_workload(args.workload)
     if spec.level != "model":
         print(f"{spec.name} is a chain-level workload; nothing to partition")
@@ -601,7 +597,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     from repro.serving.telemetry import load_snapshot
 
     cfg = config_from_args(args)
-    cache = _open_cache(cfg)
+    cache = ScheduleCache(cfg.cache.resolved_dir())
     stats = cache.stats()
     print(f"cache: {stats.path}")
     print(f"entries: {stats.disk_entries}")
@@ -671,8 +667,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_clear(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
-    cache = _open_cache(cfg)
+    cache = ScheduleCache(config_from_args(args).cache.resolved_dir())
     n = cache.stats().disk_entries
     cache.clear()
     print(f"cleared {n} cached schedule(s) from {cache.path}")
@@ -705,53 +700,33 @@ def cmd_cache_warmup(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the compile service under the Zipf replay load generator."""
     from repro.experiments import serve_load
-    from repro.serving.telemetry import MetricsRegistry, save_snapshot
+    from repro.obs import TRACE_FILENAME, save_chrome_trace
+    from repro.serving.telemetry import save_snapshot
 
     cfg = config_from_args(args)
     budget_flags = (args.population, args.max_rounds, args.min_rounds)
     if args.quick and not args.config and all(v is None for v in budget_flags):
         cfg = cfg.evolve(**serve_load.QUICK_TUNER_KWARGS)
-    disk = _open_cache(cfg) if cfg.cache.enabled else None
-    registry = MetricsRegistry()
-    if cfg.obs.trace:
-        from repro.obs import enable_tracing
-
-        enable_tracing()
-    try:
+    directory = cfg.cache.resolved_dir()
+    with Session(cfg) as session:
         result = serve_load.run(
             clients=args.clients,
             requests_per_client=args.requests,
             workload_names=args.workloads or None,
             signatures=args.signatures,
             zipf_s=args.zipf,
-            gpu=by_name(cfg.gpu),
-            cache=disk,
-            telemetry=registry,
+            cache=session.cache,
             quick=args.quick,
             lengths=args.lengths,
             config=cfg,
         )
-    finally:
-        if cfg.obs.trace:
-            from repro.obs import (
-                TRACE_FILENAME,
-                disable_tracing,
-                save_chrome_trace,
-                save_trace_jsonl,
+        spans = session.tracer.recorder.spans() if cfg.obs.trace else []
+        if spans:
+            chrome = save_chrome_trace(
+                spans, os.path.join(directory, "serve_trace.json")
             )
-
-            tracer = disable_tracing()
-            spans = tracer.recorder.spans()
-            if spans:
-                directory = cfg.cache.resolved_dir()
-                jsonl = save_trace_jsonl(
-                    spans, os.path.join(directory, TRACE_FILENAME)
-                )
-                chrome = save_chrome_trace(
-                    spans, os.path.join(directory, "serve_trace.json")
-                )
-                print(f"{len(spans)} span(s): chrome trace at {chrome}, "
-                      f"raw spans at {jsonl}")
+            print(f"{len(spans)} span(s): chrome trace at {chrome}, raw spans "
+                  f"at {os.path.join(directory, TRACE_FILENAME)}")
     print(result.table())
     m = result.meta
     for line in serve_load.summary_lines(m):
@@ -789,31 +764,28 @@ def cmd_model_train(args: argparse.Namespace) -> int:
 
     With workload names, each is tuned first — uncached, full measurement,
     model attached — so its (features, measured time) pairs grow the
-    dataset before the fit.
+    dataset before the fit. The model lives in the cache dir even though
+    the schedule cache is off; closing the session saves the snapshot.
     """
-    from repro.search.cost_model import default_model_path, open_cost_model
+    from repro.search.cost_model import default_model_path
 
-    cfg = config_from_args(args)
-    gpu = by_name(cfg.gpu)
-    # The model lives in the cache dir even under ``--no-cache``, which
-    # disables only the *schedule* cache.
-    model = open_cost_model(cfg.cache.resolved_dir(), seed=cfg.search.seed)
-    for name in args.workloads:
-        chain = workload_by_name(name)
-        report = MCFuserTuner(gpu, cost_model=model, config=cfg).tune(chain)
-        print(f"measured {name}: {report.search.num_measurements} samples "
-              f"({fmt_time(report.tuning_seconds)} simulated tuning)")
-    if not model.fit(force=True):
-        print(f"dataset too small to fit: {len(model.dataset)} sample(s), "
-              f"need {model.min_samples} — tune with --cost-model or pass "
-              f"workloads to `model train` to grow it")
-        return 1
-    path = model.save(default_model_path(cfg.cache.resolved_dir()))
+    cfg = config_from_args(args).evolve(cost_model=True, cache_enabled=False)
+    with Session(cfg) as session:
+        model = session.cost_model
+        for name in args.workloads:
+            report = session.tune(workload_by_name(name))
+            print(f"measured {name}: {report.search.num_measurements} samples "
+                  f"({fmt_time(report.tuning_seconds)} simulated tuning)")
+        if not model.fit(force=True):
+            print(f"dataset too small to fit: {len(model.dataset)} sample(s), "
+                  f"need {model.min_samples} — tune with --cost-model or pass "
+                  f"workloads to `model train` to grow it")
+            return 1
     acc = model.accuracy
     acc_txt = f"{acc:.0%}" if acc is not None and acc == acc else "n/a"
     print(f"fitted on {model.samples} sample(s); "
           f"holdout pairwise ranking accuracy {acc_txt}")
-    print(f"model snapshot written to {path}")
+    print(f"model snapshot written to {default_model_path(cfg.cache.resolved_dir())}")
     return 0
 
 
@@ -880,66 +852,41 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     Chain workloads run one tune; model workloads run a full
     ``compile_model`` (partition -> per-group tunes -> residual lowering
-    -> simulated execution). The raw spans are also persisted as JSONL in
-    the cache dir for offline analysis.
+    -> simulated execution). Closing the traced session also persists the
+    raw spans as JSONL in the cache dir for offline analysis.
     """
-    from repro.obs import (
-        TRACE_FILENAME,
-        disable_tracing,
-        enable_tracing,
-        save_chrome_trace,
-        save_trace_jsonl,
-        trace_coverage,
-    )
+    from repro.obs import TRACE_FILENAME, save_chrome_trace, trace_coverage
 
-    cfg = config_from_args(args)
-    gpu = by_name(cfg.gpu)
-    cache = _open_cache(cfg) if cfg.cache.enabled else None
+    cfg = config_from_args(args).evolve(trace=True)
     spec = get_workload(args.workload)
-    enable_tracing()
-    try:
+    with Session(cfg) as session:
         if spec.level == "model":
-            from repro.frontend.executor import compile_model
-
-            result = compile_model(
-                spec.build(),
-                gpu,
-                strategy="mcfuser+relay",
-                cache=cache,
-                config=cfg,
-            )
+            result = session.compile(spec.build())
             headline = (
                 f"{args.workload}: {fmt_time(result.time)} model time, "
                 f"{result.mbci_subgraphs} fused sub-graph(s), "
                 f"{fmt_time(result.tuning_seconds)} simulated tuning"
             )
         else:
-            report = MCFuserTuner(gpu, cache=cache, config=cfg).tune(spec.build())
+            report = session.tune(spec.build())
             headline = (
                 f"{args.workload}: best {fmt_time(report.best_time)}, "
                 f"{report.search.num_measurements} measurement(s), "
                 f"{fmt_time(report.tuning_seconds)} simulated tuning"
             )
-    finally:
-        tracer = disable_tracing()
-    spans = tracer.recorder.spans()
-    if not spans:
-        print("no spans recorded")
-        return 1
-    coverage = trace_coverage(spans)
+        recorder = session.tracer.recorder
+        spans = recorder.spans()
     out = save_chrome_trace(spans, args.out)
-    jsonl = save_trace_jsonl(
-        spans, os.path.join(cfg.cache.resolved_dir(), TRACE_FILENAME)
-    )
     print(headline)
-    for line in _trace_summary_lines(spans, coverage):
+    for line in _trace_summary_lines(spans, trace_coverage(spans)):
         print(line)
-    if tracer.recorder.dropped:
-        print(f"flight recorder dropped {tracer.recorder.dropped} span(s) "
+    if recorder.dropped:
+        print(f"flight recorder dropped {recorder.dropped} span(s) "
               "(ring buffer full)")
     print(f"chrome trace written to {out}  "
           "(load in https://ui.perfetto.dev or chrome://tracing)")
-    print(f"raw spans written to {jsonl}")
+    print(f"raw spans written to "
+          f"{os.path.join(cfg.cache.resolved_dir(), TRACE_FILENAME)}")
     return 0
 
 
@@ -981,15 +928,14 @@ def build_parser() -> argparse.ArgumentParser:
         "partition", help="partition a model workload and show fusion groups"
     )
     p_part.add_argument("workload")
-    p_part.add_argument("--gpu", default="a100")
+    add_config_flags(p_part, ("gpu",))
     p_part.add_argument("--all-chains", action="store_true",
                         help="keep compute-bound chains too (mbci_only=False)")
     p_part.set_defaults(fn=cmd_partition)
 
     p_cmp = sub.add_parser("compare", help="run all baselines on one workload")
     p_cmp.add_argument("workload")
-    p_cmp.add_argument("--gpu", default="a100")
-    p_cmp.add_argument("--seed", type=int, default=0)
+    add_config_flags(p_cmp, ("gpu", "search.seed"))
     p_cmp.add_argument("--ansor-trials", type=int, default=1000)
     p_cmp.set_defaults(fn=cmd_compare)
 

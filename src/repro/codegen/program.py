@@ -38,7 +38,7 @@ from repro.tiling.schedule import LoopScope, Schedule, Statement
 from repro.utils import prod
 
 __all__ = ["TileOp", "TileProgram", "LoweringError", "lower_schedule",
-           "try_lower", "schedule_facts", "ScheduleFacts",
+           "schedule_facts", "ScheduleFacts",
            "MAX_PROGRAM_OPS", "MAX_GATHER_BYTES"]
 
 #: Unrolled-program size cap. The flat program has one op per residual
@@ -214,27 +214,6 @@ def _lower_uncached(
 
     walk(schedule.root, {})
     return TileProgram(schedule=schedule, ops=tuple(ops), grid_loops=grid_loops)
-
-
-def try_lower(schedule: Schedule, backend: str = "auto") -> TileProgram | None:
-    """Lower ``schedule`` honoring the backend's fallback rules.
-
-    Returns the :class:`TileProgram` when the schedule is expressible,
-    ``None`` when it is not and the backend allows falling back to the
-    scalar interpreter (``"auto"``) or is pinned to it (``"scalar"``);
-    a pinned ``"vectorized"`` or ``"compiled"`` backend re-raises the
-    :class:`LoweringError`. This is the single place the fallback policy
-    lives — the dispatchers in :mod:`repro.codegen.interpreter` and
-    :class:`~repro.codegen.runtime.OperatorModule` all route through it.
-    """
-    if backend == "scalar":
-        return None
-    try:
-        return lower_schedule(schedule)
-    except LoweringError:
-        if backend in ("vectorized", "compiled"):
-            raise
-        return None
 
 
 @dataclass

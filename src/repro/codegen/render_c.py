@@ -980,7 +980,7 @@ def schedule_renderable(schedule, facts=None) -> bool:
     """Whether ``schedule`` lowers *and* renders to C (memoized by schedule
     content in its :class:`~repro.codegen.program.ScheduleFacts`; pass
     ``facts`` when the caller already holds them)."""
-    from repro.codegen.program import schedule_facts, try_lower
+    from repro.codegen.program import lower_schedule, schedule_facts
 
     if facts is None:
         facts = schedule_facts(schedule)
@@ -988,7 +988,7 @@ def schedule_renderable(schedule, facts=None) -> bool:
         renderable = False
         if facts.lowerable:
             try:
-                render_program(try_lower(schedule, "auto"))
+                render_program(lower_schedule(schedule))
                 renderable = True
             except RenderError:
                 pass

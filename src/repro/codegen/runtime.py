@@ -24,7 +24,7 @@ from repro.codegen.interpreter import (
     resolve_exec_backend,
     validate_exec_backend,
 )
-from repro.codegen.program import TileProgram, try_lower
+from repro.codegen.program import TileProgram, lower_schedule
 from repro.codegen.ptx import emit_ptx, emit_ptx_from_program
 from repro.codegen.triton_ir import (
     TritonProgram,
@@ -73,15 +73,15 @@ class OperatorModule:
     @cached_property
     def program(self) -> "TileProgram | None":
         """The lowered batched tile program, cached for the life of the
-        module (``None`` when pinned to scalar or not vectorizable —
-        explicit ``"vectorized"`` raises the lowering error)."""
-        return try_lower(self.schedule, self.exec_backend)
+        module (``None`` when the backend resolves to scalar)."""
+        if self.resolved_exec_backend == "scalar":
+            return None
+        return lower_schedule(self.schedule)
 
     @cached_property
     def resolved_exec_backend(self) -> str:
-        """The concrete executor ``run`` uses (``auto`` resolved)."""
-        if self.program is None:
-            return "scalar"
+        """The concrete executor ``run`` uses (``auto`` resolved); a pinned
+        backend that cannot run raises what execution would."""
         return resolve_exec_backend(self.schedule, self.exec_backend)
 
     @cached_property

@@ -55,7 +55,7 @@ def matmul_points(
         m = int(round((total_work / r) ** (1.0 / 3.0) / 16) * 16)
         m = max(m, 64)
         k = max(int(round(r * m / 16) * 16), 16)
-        kernel = gemm_kernel(f"roofline_m{m}k{k}", 1, m, m, k, gpu, seed=seed)
+        kernel = gemm_kernel(f"roofline_m{m}k{k}", 1, m, m, k, gpu)
         timing = sim.time_kernel(kernel)
         tflops = kernel.flops / timing.total / 1e12
         ops_per_byte = phi(tile, m, m, k) / 2.0  # fp16: 2 bytes/element

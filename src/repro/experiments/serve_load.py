@@ -35,9 +35,7 @@ import numpy as np
 from repro.cache.signature import bucket_dims, bucket_of
 from repro.config import SessionConfig
 from repro.experiments.common import ExperimentResult, print_header
-from repro.gpu.specs import A100, GPUSpec
 from repro.serving.service import CompileService, ServeResult
-from repro.serving.telemetry import MetricsRegistry
 from repro.workloads import build_workload, serve_mix
 
 __all__ = [
@@ -152,9 +150,7 @@ def run(
     workload_names: list[str] | None = None,
     signatures: int = 8,
     zipf_s: float = 1.1,
-    gpu: GPUSpec = A100,
     cache=None,
-    telemetry: MetricsRegistry | None = None,
     quick: bool = False,
     lengths: int = 0,
     verify_served: bool | None = None,
@@ -169,10 +165,8 @@ def run(
             ``serve_mix(signatures)`` (ignored when ``lengths`` is set).
         signatures: Size of the default mix (distinct workload signatures).
         zipf_s: Zipf exponent of the request skew (larger = hotter head).
-        gpu: Target GPU spec.
         cache: Optional :class:`~repro.cache.cache.ScheduleCache` the
             service reads and stores through; default memory-only.
-        telemetry: Registry to record into (created if omitted).
         quick: CI smoke mode — fewer clients/requests, and (with no
             ``config``) the reduced :data:`QUICK_TUNER_KWARGS` tune budget.
         lengths: Number of *distinct sequence lengths* to mix (ragged
@@ -183,11 +177,11 @@ def run(
             the run. Defaults to on for ragged (``lengths > 0``) runs.
         config: The service's :class:`~repro.config.SessionConfig`;
             defaults to ``SessionConfig.make(seed=0, serve_workers=4)``.
-            ``search.seed`` is the base RNG seed (client ``i`` derives its
-            own stream), ``serve.workers`` the tune worker-pool width, and
-            ``exec.dynamic="buckets"`` serves ragged lengths from
-            ceiling-tuned schedules (source ``"bucket"``, warm) and reports
-            per-bucket tune counts.
+            ``gpu`` is the target GPU, ``search.seed`` the base RNG seed
+            (client ``i`` derives its own stream), ``serve.workers`` the
+            tune worker-pool width, and ``exec.dynamic="buckets"`` serves
+            ragged lengths from ceiling-tuned schedules (source
+            ``"bucket"``, warm) and reports per-bucket tune counts.
 
     Returns:
         An :class:`ExperimentResult` with one row per workload (per model
@@ -213,8 +207,7 @@ def run(
         chains = {name: build_workload(name) for name in names}
     if verify_served is None:
         verify_served = bool(lengths)
-    registry = telemetry if telemetry is not None else MetricsRegistry()
-    service = CompileService(gpu, cache=cache, telemetry=registry, config=config)
+    service = CompileService(cache=cache, config=config)
 
     pmf = _zipf_pmf(len(names), zipf_s)
     barrier = threading.Barrier(clients)

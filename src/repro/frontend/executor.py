@@ -112,7 +112,7 @@ def _epilogue_groups(nodes: list[GraphNode]) -> dict[str, list[GraphNode]]:
 
 
 def _op_kernel(
-    graph: Graph, node: GraphNode, gpu: GPUSpec, codegen: str, seed: int
+    graph: Graph, node: GraphNode, gpu: GPUSpec, codegen: str
 ) -> KernelLaunch | None:
     """Lower one residual operator to a library-style kernel launch."""
     op = node.op
@@ -121,12 +121,12 @@ def _op_kernel(
     if isinstance(op, Dense):
         x, w = shapes[op.inputs[0]], shapes[op.inputs[1]]
         m = int(prod(x[:-1]))
-        return gemm_kernel(node.output, 1, m, w[1], w[0], gpu, codegen, seed)
+        return gemm_kernel(node.output, 1, m, w[1], w[0], gpu, codegen)
     if isinstance(op, BatchMatmul):
         b, m, n = out_shape
         a_shape = shapes[op.inputs[0]]
         k = a_shape[1] if op.transpose_a else a_shape[2]
-        return gemm_kernel(node.output, b, m, n, k, gpu, codegen, seed)
+        return gemm_kernel(node.output, b, m, n, k, gpu, codegen)
     if isinstance(op, Softmax):
         lead = int(prod(out_shape[:-1]))
         return softmax_kernel(node.output, 1, lead, out_shape[-1], gpu, codegen)
@@ -176,7 +176,6 @@ def compile_model(
     config: "SessionConfig | None" = None,
     cache: "ScheduleCache | None" = None,
     service: "CompileService | None" = None,
-    cost_model=None,
 ) -> E2EResult:
     """Compile (and price the tuning of) a whole model under a strategy.
 
@@ -211,18 +210,18 @@ def compile_model(
     distinct shapes tune on ``config.serve.workers`` threads. ``service``
     (a :class:`~repro.serving.service.CompileService` on the same ``gpu``)
     shares a long-lived service, which then owns the cache and cost model
-    (``cache`` and ``cost_model`` are ignored; pass
-    ``config=service.config`` to inherit its knobs). Without one, a
-    service is opened over ``cache`` (a
+    (``cache`` is ignored; pass ``config=service.config`` to inherit its
+    knobs). Without one, a service is opened over ``cache`` (a
     :class:`~repro.cache.cache.ScheduleCache`; ``None`` means an in-memory
-    store) and ``cost_model`` for the call and closed when it returns or
-    raises. A persistent cache makes a recompile in a later process pay
-    zero tuning time for every shape it holds; the service reads it
-    without recording hits or misses. ``cost_model`` or
-    ``config.search.measure_topk`` enables learned-cost-model-guided
-    tuning (see :class:`~repro.search.cost_model.LearnedCostModel`): one
+    store) for the call and closed when it returns or raises. A persistent
+    cache makes a recompile in a later process pay zero tuning time for
+    every shape it holds; the service reads it without recording hits or
+    misses. ``config.search.cost_model`` or ``config.search.measure_topk``
+    enables learned-cost-model-guided tuning (see
+    :class:`~repro.search.cost_model.LearnedCostModel`): the service's one
     model learns from every sub-graph tune, in completion order when
-    ``config.serve.workers > 1``.
+    ``config.serve.workers > 1``; :meth:`repro.session.Session.compile`
+    shares the session's persistent model.
 
     For MCFuser strategies, ``detail["served"]`` histograms the
     per-sub-graph request outcomes
@@ -261,11 +260,11 @@ def compile_model(
         "compile.model", model=graph.name, strategy=strategy
     ) as span:
         return _compile_model(
-            graph, gpu, strategy, cache, service, cost_model, config, span
+            graph, gpu, strategy, cache, service, config, span
         )
 
 
-def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, span):
+def _compile_model(graph, gpu, strategy, cache, service, config, span):
     """The validated body of :func:`compile_model`, running inside its
     ``compile.model`` root span (``span`` — the no-op singleton when
     tracing is disabled)."""
@@ -327,7 +326,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
             )
             if service is None:
                 service = stack.enter_context(
-                    CompileService(gpu, cache, cost_model=cost_model, config=config)
+                    CompileService(gpu, cache, config=config)
                 )
             tickets = [
                 service.submit(sg.chain, config=config) for sg in partition.subgraphs
@@ -363,7 +362,7 @@ def _compile_model(graph, gpu, strategy, cache, service, cost_model, config, spa
             node_codegen = codegen
             if backend == "bolt" and isinstance(node.op, (Dense, BatchMatmul)) and groups.get(node.output):
                 node_codegen = "cutlass"  # BOLT's epilogue-fused CUTLASS GEMMs
-            kernel = _op_kernel(graph, node, gpu, node_codegen, seed)
+            kernel = _op_kernel(graph, node, gpu, node_codegen)
             if kernel is None:
                 continue
             module.add(f"{backend}:{node.output}", kernel)

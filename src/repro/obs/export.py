@@ -37,7 +37,7 @@ from typing import Iterable
 
 from repro.utils import atomic_write
 
-from .tracer import FlightRecorder, SpanRecord, load_jsonl
+from .tracer import FlightRecorder, SpanRecord
 
 __all__ = [
     "TRACE_FILENAME",
@@ -315,18 +315,34 @@ def prometheus_text(registry_or_snapshot) -> str:
 def save_trace_jsonl(
     spans: Iterable[SpanRecord] | FlightRecorder, path: str | os.PathLike
 ) -> str:
-    """Persist span records as JSON-lines (one span per line); returns path."""
-    recorder = spans
-    if not isinstance(recorder, FlightRecorder):
-        recorder = FlightRecorder(max_spans=max(len(_span_records(spans)), 1))
-        for record in _span_records(spans):
-            recorder._add(record)
-    return recorder.save_jsonl(path)
+    """Persist span records as JSON-lines (one span per line), atomically;
+    returns the path."""
+    path = os.fspath(path)
+    atomic_write(path, "".join(
+        json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        for record in _span_records(spans)
+    ))
+    return path
 
 
 def load_trace_jsonl(path: str | os.PathLike) -> list[dict]:
-    """Read persisted span dicts back (corrupt lines skipped)."""
-    return load_jsonl(path)
+    """Read persisted span dicts back; corrupt lines are skipped, not fatal."""
+    out: list[dict] = []
+    try:
+        with open(os.fspath(path), encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if isinstance(doc, dict):
+                    out.append(doc)
+    except OSError:
+        return []
+    return out
 
 
 # -- coverage ------------------------------------------------------------------

@@ -48,14 +48,11 @@ Usage::
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-
-from repro.utils import atomic_write
 
 __all__ = [
     "SpanRecord",
@@ -324,34 +321,6 @@ class FlightRecorder:
         with self._lock:
             self._spans.clear()
             self._dropped = 0
-
-    def save_jsonl(self, path: str | os.PathLike) -> str:
-        """Persist the buffer as JSON-lines (one span per line), atomically."""
-        path = os.fspath(path)
-        atomic_write(path, "".join(
-            json.dumps(record.to_dict(), sort_keys=True) + "\n" for record in self.spans()
-        ))
-        return path
-
-
-def load_jsonl(path: str | os.PathLike) -> list[dict]:
-    """Read persisted span dicts; corrupt lines are skipped, not fatal."""
-    out: list[dict] = []
-    try:
-        with open(os.fspath(path), encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(doc, dict):
-                    out.append(doc)
-    except OSError:
-        return []
-    return out
 
 
 class Tracer:

@@ -101,7 +101,7 @@ class TestPyTorchBaseline:
 
     def test_eager_overhead_charged(self, small_attention):
         r = PyTorchBaseline().run_chain(small_attention, A100, seed=0)
-        kernels = chain_unfused_kernels(small_attention, A100, seed=0)
+        kernels = chain_unfused_kernels(small_attention, A100)
         raw = GPUSimulator(A100, seed=0).run_sequence(kernels)
         assert r.time == pytest.approx(raw + EAGER_OVERHEAD_PER_OP * len(kernels))
 

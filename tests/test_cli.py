@@ -99,6 +99,36 @@ class TestCommands:
         bolt_row = [l for l in out.splitlines() if l.startswith("BOLT")][0]
         assert "-" in bolt_row
 
+    def test_compare_reads_gpu_from_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_GPU", "rtx3080")
+        assert main(["compare", "G1", "--ansor-trials", "64"]) == 0
+        assert "on RTX3080" in capsys.readouterr().out
+
+    def test_tune_model_coalesces_identical_groups(self, capsys):
+        """A model tune goes through the compile service: bert-small's four
+        identically shaped attention groups cost one tune."""
+        assert main(["tune", "bert-small", "--no-cache", "--population", "64",
+                     "--max-rounds", "2"]) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines()
+                if l.startswith("layer")]
+        assert len(rows) == 4
+        tuning = [" ".join(r[2:-2]) for r in rows]
+        assert tuning[0].endswith(" meas")
+        assert tuning[1:] == ["coalesced"] * 3
+        assert len({r[-2] for r in rows}) == 1  # one schedule for all four
+
+    def test_partition(self, capsys):
+        assert main(["partition", "bert-small"]) == 0
+        out = capsys.readouterr().out
+        assert "on A100" in out
+        assert "layer0.attn.context" in out and "attention" in out
+        assert "rejected anchors:" in out and "unsupported-op" in out
+
+    def test_partition_reads_gpu_from_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_GPU", "rtx3080")
+        assert main(["partition", "bert-small"]) == 0
+        assert "on RTX3080" in capsys.readouterr().out
+
     def test_experiments_single(self, capsys):
         assert main(["experiments", "table1"]) == 0
         assert "MCFuser (ours)" in capsys.readouterr().out
@@ -251,3 +281,13 @@ class TestTraceCommand:
         doc = json.loads((tmp_path / "serve_trace.json").read_text(encoding="utf-8"))
         validate_chrome_trace(doc)
         assert any(e["name"] == "serve.request" for e in doc["traceEvents"])
+
+    def test_serve_without_trace_writes_no_trace_files(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_OBS_TRACE", raising=False)
+        assert main(["serve", "--quick", "--clients", "2", "--requests", "2",
+                     "--signatures", "2", "--cache-dir", str(tmp_path)]) == 0
+        assert "chrome trace at" not in capsys.readouterr().out
+        assert not (tmp_path / "serve_trace.json").exists()
+        assert not (tmp_path / "traces.jsonl").exists()

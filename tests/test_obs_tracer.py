@@ -15,10 +15,12 @@ from repro.obs import (
     disable_tracing,
     enable_tracing,
     get_tracer,
+    load_trace_jsonl,
+    save_trace_jsonl,
     set_tracer,
     tracing_enabled,
 )
-from repro.obs.tracer import NOOP_SPAN, load_jsonl
+from repro.obs.tracer import NOOP_SPAN
 
 
 class TestSpanBasics:
@@ -281,8 +283,8 @@ class TestFlightRecorder:
         tracer = Tracer()
         with tracer.span("root", model="gqa") as span:
             span.event("mark", n=1)
-        path = tracer.recorder.save_jsonl(tmp_path / "t.jsonl")
-        docs = load_jsonl(path)
+        path = save_trace_jsonl(tracer.recorder, tmp_path / "t.jsonl")
+        docs = load_trace_jsonl(path)
         assert len(docs) == 1
         assert docs[0]["name"] == "root"
         assert docs[0]["attrs"] == {"model": "gqa"}
@@ -294,15 +296,15 @@ class TestFlightRecorder:
         with tracer.span("root", payload=object()):  # not JSON-serializable
             pass
         with pytest.raises(TypeError):
-            tracer.recorder.save_jsonl(tmp_path / "t.jsonl")
+            save_trace_jsonl(tracer.recorder, tmp_path / "t.jsonl")
         assert list(tmp_path.iterdir()) == []  # neither the file nor a .tmp. file
 
     def test_load_jsonl_skips_corruption_and_missing(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"name": "ok"}\nnot json\n[1,2]\n\n{"name": "ok2"}\n')
-        docs = load_jsonl(path)
+        docs = load_trace_jsonl(path)
         assert [d["name"] for d in docs] == ["ok", "ok2"]
-        assert load_jsonl(tmp_path / "absent.jsonl") == []
+        assert load_trace_jsonl(tmp_path / "absent.jsonl") == []
 
 
 class TestGlobalTracer:
