@@ -20,8 +20,6 @@ Faithful to the traits the paper contrasts against (§II-B, Table I):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.baselines.base import Baseline, BaselineResult
@@ -57,17 +55,6 @@ def candidate_features(schedule: Schedule, gpu: GPUSpec) -> np.ndarray:
     has no such model to lean on).
     """
     return schedule_features(schedule, gpu)[: len(ANSOR_FEATURE_NAMES)]
-
-
-@dataclass
-class AnsorReport:
-    """Extra detail from one Ansor tuning run."""
-
-    trials: int
-    rounds: int
-    fused: bool
-    best_fused_time: float
-    unfused_time: float
 
 
 class AnsorBaseline(Baseline):

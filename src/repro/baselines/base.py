@@ -28,10 +28,6 @@ class BaselineResult:
     fused: bool = False  # whether an actually fused kernel was produced
     detail: dict = field(default_factory=dict)
 
-    @property
-    def tflops_label(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}: {self.time * 1e6:.1f}us"
-
 
 class Baseline:
     """Base class; subclasses set ``name`` and implement ``run_chain``."""

@@ -27,7 +27,7 @@ from repro.cache.signature import (
     schedule_signature,
     workload_signature,
 )
-from repro.cache.store import SCHEMA_VERSION, CacheDecodeError, CacheEntry, LRUCache, PersistentStore
+from repro.cache.store import SCHEMA_VERSION, CacheDecodeError, CacheEntry, PersistentStore
 
 __all__ = [
     "SIGNATURE_VERSION",
@@ -38,7 +38,6 @@ __all__ = [
     "schedule_signature",
     "CacheDecodeError",
     "CacheEntry",
-    "LRUCache",
     "PersistentStore",
     "CacheStats",
     "ScheduleCache",

@@ -1,4 +1,4 @@
-"""Storage pieces of the caching subsystem: entries, an LRU map, JSON disk.
+"""Storage pieces of the caching subsystem: entries and their JSON disk store.
 
 * :class:`CacheEntry` — one tuned result, reduced to what is needed to
   rebuild the schedule without re-running search: the tiling expression
@@ -8,8 +8,6 @@
   entry, least-recently-used eviction, and per-entry corruption recovery
   (a damaged file loses one entry, never raises into the tuning path).
   With ``path=None`` it is the same bounded map, kept in memory only.
-* :class:`LRUCache` — a bounded in-memory key -> value map, used by
-  codegen's compiled-kernel memo and :class:`~repro.codegen.clang_runtime.ClangRuntime`.
 
 The persistent store also keeps *cumulative* hit/miss counters in an
 append-only log beside the entries, so ``repro cache stats`` reports
@@ -25,12 +23,11 @@ import re
 import shutil
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
 from repro.utils import atomic_write
 
-__all__ = ["SCHEMA_VERSION", "CacheDecodeError", "CacheEntry", "LRUCache", "PersistentStore"]
+__all__ = ["SCHEMA_VERSION", "CacheDecodeError", "CacheEntry", "PersistentStore"]
 
 #: On-disk schema version of one entry file. A file written under another
 #: version is quarantined, never partially interpreted. Version 1 was a
@@ -113,47 +110,6 @@ class CacheEntry:
         if not entry.signature or entry.best_time <= 0 or not entry.tiles:
             raise CacheDecodeError(f"implausible cache entry for {entry.workload!r}")
         return entry
-
-
-class LRUCache:
-    """Bounded in-memory key -> value map with least-recently-used eviction.
-
-    ``get`` refreshes recency; inserting beyond ``capacity`` evicts the
-    least recently used entry. Capacity 0 disables the map entirely.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 0:
-            raise ValueError(f"LRU capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
-
-    def get(self, key: str):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def peek(self, key: str):
-        """Lookup without refreshing recency."""
-        return self._entries.get(key)
-
-    def put(self, key: str, value) -> None:
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
 
 
 class PersistentStore:

@@ -64,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.store import LRUCache
 from repro.codegen.program import TileProgram
 from repro.codegen.render_c import RenderedKernel, RenderError, render_program
+from repro.codegen.runtime import LRUCache
 from repro.obs.tracer import NOOP_SPAN, get_tracer
 
 __all__ = [

@@ -18,7 +18,6 @@ expressions and tile sizes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,86 +400,66 @@ def execute_schedule(
     :class:`InterpreterError` for schedules the pruning rules should have
     rejected (invalid orders, multi-copy buffers).
     """
-    from repro.obs import get_tracer
-
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return _execute(schedule, inputs, backend)
-    with tracer.span("exec", backend=backend) as span:
-        out = _execute(schedule, inputs, backend)
-        span.set(resolved=_LAST_RESOLVED.value or backend)
-        return out
-
-
-class _LastResolved(threading.local):
-    value: str | None = None
-
-
-#: Per-thread breadcrumb so the traced `exec` span can report the backend
-#: that actually ran, without re-deriving the (memoized but not free)
-#: resolution a second time.
-_LAST_RESOLVED = _LastResolved()
-
-
-def _execute(
-    schedule: Schedule, inputs: dict[str, np.ndarray], backend: str
-) -> dict[str, np.ndarray]:
-    _LAST_RESOLVED.value = None
     decision = explain_exec_backend(schedule, backend)
-    resolved = decision["resolved"]
-    if resolved is None:
+    if decision["resolved"] is None:
         _raise_unrunnable(schedule, decision)
-    if decision["fallbacks"]:
-        # One count per execution: the last step ``auto`` stepped down.
-        last = decision["fallbacks"][-1]
-        _record_fallback(last["from"], last["to"], last["reason"])
     program = None
-    if resolved != "scalar":
+    if decision["resolved"] != "scalar":
         from repro.codegen.program import lower_schedule
 
         program = lower_schedule(schedule)
-    return execute_resolved(schedule, program, resolved, backend, inputs)
+    return execute_resolved(schedule, program, decision, inputs)
 
 
 def execute_resolved(
     schedule: Schedule,
     program,
-    resolved: str,
-    requested: str,
+    decision: dict,
     inputs: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Run an already-resolved backend on ``schedule``'s lowered ``program``.
+    """Run the backend ``decision`` resolved on ``schedule``'s lowered
+    ``program``.
 
-    The shared tail of :func:`execute_schedule` and
+    The one execution tail of :func:`execute_schedule` and
     :meth:`~repro.codegen.runtime.OperatorModule.run` (which passes its
-    cached program and resolution). It owns the one runtime fallback the
-    static decision cannot foresee: a compiled kernel that fails to build
+    cached program and decision); ``decision`` is an
+    :func:`explain_exec_backend` result whose ``resolved`` backend can run.
+    It opens the ``exec`` span, counts the last static step-down ``auto``
+    took, and owns the one runtime fallback the static decision cannot
+    foresee: a compiled kernel that fails to build
     (:class:`~repro.codegen.render_c.RenderError`, including
     :class:`~repro.codegen.clang_runtime.CompileError`) falls back to the
-    vectorized executor under ``requested="auto"`` — counted as
+    vectorized executor under ``auto`` — counted as
     ``exec.fallback.compiled.render-error`` — and re-raises when the
     caller pinned ``"compiled"``.
     """
-    if resolved == "scalar":
-        _LAST_RESOLVED.value = "scalar"
-        return _Executor(schedule, inputs).run()
-    if resolved == "compiled":
-        from repro.codegen.clang_runtime import execute_program_compiled
-        from repro.codegen.render_c import RenderError
+    from repro.obs import get_tracer
 
-        try:
-            _LAST_RESOLVED.value = "compiled"
-            return execute_program_compiled(program, inputs)
-        except RenderError as exc:
-            if requested == "compiled":
-                raise
-            _record_fallback(
-                "compiled", "vectorized", "render-error", detail=str(exc)
-            )
-    from repro.codegen.vectorized import execute_program
+    resolved = decision["resolved"]
+    with get_tracer().span("exec", backend=decision["requested"]) as span:
+        span.set(resolved=resolved)
+        if decision["fallbacks"]:
+            # One count per execution: the last step ``auto`` stepped down.
+            last = decision["fallbacks"][-1]
+            _record_fallback(last["from"], last["to"], last["reason"])
+        if resolved == "scalar":
+            return _Executor(schedule, inputs).run()
+        if resolved == "compiled":
+            from repro.codegen.clang_runtime import execute_program_compiled
+            from repro.codegen.render_c import RenderError
 
-    _LAST_RESOLVED.value = "vectorized"
-    return execute_program(program, inputs)
+            try:
+                return execute_program_compiled(program, inputs)
+            except RenderError as exc:
+                if decision["requested"] == "compiled":
+                    raise
+                _record_fallback(
+                    "compiled", "vectorized", "render-error", detail=str(exc)
+                )
+                span.set(resolved="vectorized")
+        from repro.codegen.vectorized import execute_program
+
+        return execute_program(program, inputs)
 
 
 def _record_fallback(frm: str, to: str, reason: str, detail: str = "") -> None:

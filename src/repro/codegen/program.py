@@ -133,11 +133,7 @@ def _check_expressible(schedule: Schedule) -> None:
             )
 
 
-def lower_schedule(
-    schedule: Schedule,
-    max_ops: int = MAX_PROGRAM_OPS,
-    max_gather_bytes: int = MAX_GATHER_BYTES,
-) -> TileProgram:
+def lower_schedule(schedule: Schedule) -> TileProgram:
     """Unroll ``schedule``'s residual loop tree into a :class:`TileProgram`.
 
     Raises :class:`LoweringError` when the flat batched form cannot
@@ -145,17 +141,15 @@ def lower_schedule(
     :class:`~repro.tiling.schedule.InvalidScheduleError` for schedules no
     backend may run.
     """
-    memo_key = None
-    if max_ops == MAX_PROGRAM_OPS and max_gather_bytes == MAX_GATHER_BYTES:
-        memo_key = schedule.content_key
-        hit = _LOWER_MEMO.get(memo_key)
-        if hit is not None:
-            # The unrolled ops depend only on schedule content; hand back
-            # the caller's own schedule object so downstream identity
-            # checks and tile lookups see exactly what was passed in.
-            if hit.schedule is schedule:
-                return hit
-            return replace(hit, schedule=schedule)
+    memo_key = schedule.content_key
+    hit = _LOWER_MEMO.get(memo_key)
+    if hit is not None:
+        # The unrolled ops depend only on schedule content; hand back
+        # the caller's own schedule object so downstream identity
+        # checks and tile lookups see exactly what was passed in.
+        if hit.schedule is schedule:
+            return hit
+        return replace(hit, schedule=schedule)
     from repro.obs import get_tracer
 
     tracer = get_tracer()
@@ -165,18 +159,15 @@ def lower_schedule(
         else {}
     )
     with tracer.span("lower", **attrs) as span:
-        program = _lower_uncached(schedule, max_ops, max_gather_bytes)
+        program = _lower_uncached(schedule)
         span.set(ops=len(program.ops), cells=program.n_cells)
-    if memo_key is not None:
-        if len(_LOWER_MEMO) >= _LOWER_MEMO_CAP:
-            _LOWER_MEMO.clear()
-        _LOWER_MEMO[memo_key] = program
+    if len(_LOWER_MEMO) >= _LOWER_MEMO_CAP:
+        _LOWER_MEMO.clear()
+    _LOWER_MEMO[memo_key] = program
     return program
 
 
-def _lower_uncached(
-    schedule: Schedule, max_ops: int, max_gather_bytes: int
-) -> TileProgram:
+def _lower_uncached(schedule: Schedule) -> TileProgram:
     schedule.check_valid()
     _check_expressible(schedule)
     grid_loops = tuple(schedule.grid_dims)
@@ -186,10 +177,10 @@ def _lower_uncached(
         (schedule.tile_elements(stmt.related) for stmt in schedule.statements()),
         default=1,
     )
-    if n_cells * widest * 4 > max_gather_bytes:
+    if n_cells * widest * 4 > MAX_GATHER_BYTES:
         raise LoweringError(
             f"batched working set ~{n_cells * widest * 4} bytes exceeds the "
-            f"{max_gather_bytes}-byte gather cap for {schedule.describe()}"
+            f"{MAX_GATHER_BYTES}-byte gather cap for {schedule.describe()}"
         )
 
     ops: list[TileOp] = []
@@ -197,10 +188,10 @@ def _lower_uncached(
     def walk(scope: LoopScope, idx: dict[str, int]) -> None:
         for item in scope.body:
             if isinstance(item, Statement):
-                if len(ops) >= max_ops:
+                if len(ops) >= MAX_PROGRAM_OPS:
                     raise LoweringError(
                         f"unrolled program of {schedule.describe()} exceeds "
-                        f"{max_ops} ops"
+                        f"{MAX_PROGRAM_OPS} ops"
                     )
                 ops.append(
                     TileOp(item.kind, item.tensor, item.block, tuple(idx.items()))
@@ -236,9 +227,9 @@ class ScheduleFacts:
 _FACTS_MEMO: dict[tuple, ScheduleFacts] = {}
 _FACTS_MEMO_CAP = 4096
 
-#: schedule content key -> unrolled program (default caps only). The op
-#: list is pure in schedule content, so repeat executions of one schedule
-#: skip the residual-loop walk; hits re-bind the caller's schedule object.
+#: schedule content key -> unrolled program. The op list is pure in
+#: schedule content, so repeat executions of one schedule skip the
+#: residual-loop walk; hits re-bind the caller's schedule object.
 _LOWER_MEMO: dict[tuple, TileProgram] = {}
 _LOWER_MEMO_CAP = 256
 

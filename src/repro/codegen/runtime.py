@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro.cache.signature import schedule_signature
-from repro.cache.store import LRUCache
 from repro.codegen.interpreter import (
+    _raise_unrunnable,
     execute_resolved,
     execute_schedule,
-    resolve_exec_backend,
+    explain_exec_backend,
     validate_exec_backend,
 )
 from repro.codegen.program import TileProgram, lower_schedule
@@ -79,10 +80,20 @@ class OperatorModule:
         return lower_schedule(self.schedule)
 
     @cached_property
+    def decision(self) -> dict:
+        """The :func:`~repro.codegen.interpreter.explain_exec_backend`
+        decision ``run`` executes: the backend ``auto`` resolved to and
+        why it stepped down, derived once per module."""
+        return explain_exec_backend(self.schedule, self.exec_backend)
+
+    @property
     def resolved_exec_backend(self) -> str:
         """The concrete executor ``run`` uses (``auto`` resolved); a pinned
         backend that cannot run raises what execution would."""
-        return resolve_exec_backend(self.schedule, self.exec_backend)
+        resolved = self.decision["resolved"]
+        if resolved is None:
+            _raise_unrunnable(self.schedule, self.decision)
+        return resolved
 
     @cached_property
     def triton(self) -> TritonProgram:
@@ -106,7 +117,7 @@ class OperatorModule:
         """Execute on concrete tensors under :attr:`resolved_exec_backend`.
 
         Repeated runs reuse the module's cached lowered program and backend
-        resolution instead of re-deriving them every call; an explicit
+        decision instead of re-deriving them every call; an explicit
         ``backend`` override bypasses the cache. The first run in the
         process starts every deferred native build
         (:func:`defer_native_build`), this module's first.
@@ -115,13 +126,8 @@ class OperatorModule:
             _start_deferred_builds(self)
         if backend is not None and backend != self.exec_backend:
             return execute_schedule(self.schedule, inputs, backend=backend)
-        return execute_resolved(
-            self.schedule,
-            self.program,
-            self.resolved_exec_backend,
-            self.exec_backend,
-            inputs,
-        )
+        program = self.program  # raises first when the backend cannot run
+        return execute_resolved(self.schedule, program, self.decision, inputs)
 
     def time(self, simulator: GPUSimulator | None = None) -> float:
         """Simulated execution time in seconds."""
@@ -187,6 +193,47 @@ class KernelCacheStats:
     entries: int = 0
 
 
+class LRUCache:
+    """Bounded in-memory key -> value map with least-recently-used eviction.
+
+    ``get`` refreshes recency; inserting beyond ``capacity`` evicts the
+    least recently used entry. Capacity 0 disables the map entirely.
+    """
+
+    def __init__(self, capacity: int = 128) -> None:
+        if capacity < 0:
+            raise ValueError(f"LRU capacity must be >= 0, got {capacity}")
+        self.capacity = capacity
+        self._entries: OrderedDict[str, object] = OrderedDict()
+
+    def get(self, key: str):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def peek(self, key: str):
+        """Lookup without refreshing recency."""
+        return self._entries.get(key)
+
+    def put(self, key: str, value) -> None:
+        if self.capacity == 0:
+            return
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
+
 #: Process-wide memo of compiled modules, keyed by the same content
 #: signature the schedule cache uses (chain structure + GPU + tiling
 #: decision). Compiling the "same" fused kernel twice — e.g. every
@@ -202,16 +249,14 @@ _KERNEL_STATS = KernelCacheStats()
 def compile_schedule(
     schedule: Schedule,
     gpu: GPUSpec,
-    memoize: bool = True,
     exec_backend: str = "auto",
 ) -> OperatorModule:
     """Compile a tuned schedule into a runnable operator module.
 
-    ``memoize=True`` (default) consults the process-wide kernel memo: a
-    schedule whose content signature (chain + GPU + expression + tiles) was
-    compiled before returns the existing module instead of a fresh one.
-    Modules are immutable-by-convention, so sharing is safe; pass
-    ``memoize=False`` to force a private instance. ``exec_backend``
+    Consults the process-wide kernel memo: a schedule whose content
+    signature (chain + GPU + expression + tiles) was compiled before
+    returns the existing module instead of a fresh one. Modules are
+    immutable-by-convention, so sharing is safe. ``exec_backend``
     configures how the module executes numerically (memo entries are keyed
     per backend so a scalar-pinned module is never served to an ``auto``
     caller).
@@ -219,11 +264,6 @@ def compile_schedule(
     from repro.obs import get_tracer
 
     with get_tracer().span("compile.schedule", backend=exec_backend) as span:
-        if not memoize:
-            span.set(memo="bypass")
-            return OperatorModule(
-                schedule=schedule, gpu=gpu, exec_backend=exec_backend
-            )
         key = (schedule_signature(schedule, gpu), exec_backend)
         module = _KERNEL_MEMO.get(key)
         if module is None:

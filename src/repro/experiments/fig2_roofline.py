@@ -44,11 +44,10 @@ def matmul_points(
     tile: int = 256,
     total_work: int = 1024**3,
     num_points: int = 12,
-    seed: int = 0,
 ) -> list[RooflinePoint]:
     """Sweep K/M from 1 down to ~1/256 at constant M*N*K."""
     points: list[RooflinePoint] = []
-    sim = GPUSimulator(gpu, seed=seed, jitter=False)
+    sim = GPUSimulator(gpu, jitter=False)
     ratios = [2.0 ** (-i) for i in range(num_points)]
     for r in ratios:
         # M = N, K = r*M, M^2 * K = total -> M = (total / r)^(1/3)
@@ -72,8 +71,8 @@ def matmul_points(
     return points
 
 
-def run(gpu: GPUSpec = A100, seed: int = 0, quick: bool = False) -> ExperimentResult:
-    points = matmul_points(gpu, num_points=6 if quick else 12, seed=seed)
+def run(gpu: GPUSpec = A100, quick: bool = False) -> ExperimentResult:
+    points = matmul_points(gpu, num_points=6 if quick else 12)
     ridge = gpu.flops_per_byte
     rows = [
         [

@@ -390,19 +390,15 @@ def _compile_model(graph, gpu, strategy, cache, service, config, span):
         clock.charge("ansor_train_round", count=tasks * _ANSOR_TRIALS_PER_TASK / 64)
 
     # Per-module exec-backend breadcrumb: which engine `auto` resolved to
-    # for each fused kernel (resolution is memoized on the module), plus
+    # for each fused kernel (the decision is cached on the module), plus
     # why any module fell back down the compiled → vectorized → scalar
     # chain (reason histogram, e.g. {"no-compiler": 12}).
-    from repro.codegen.interpreter import explain_exec_backend
-
     exec_backends: dict[str, int] = {}
     fallbacks: dict[str, int] = {}
     for op_module in module.operator_modules:
         resolved = op_module.resolved_exec_backend
         exec_backends[resolved] = exec_backends.get(resolved, 0) + 1
-        for fb in explain_exec_backend(
-            op_module.schedule, op_module.exec_backend
-        )["fallbacks"]:
+        for fb in op_module.decision["fallbacks"]:
             fallbacks[fb["reason"]] = fallbacks.get(fb["reason"], 0) + 1
 
     span.set(

@@ -104,25 +104,12 @@ class GPUSimulator:
             identical timings for identical launches.
         jitter: Set ``False`` for exact, noise-free timings (useful in
             tests and in the roofline experiment).
-        exec_backend: Default numeric execution engine for
-            :meth:`execute` (``"auto"``/``"compiled"``/``"vectorized"``/``"scalar"`` —
-            see :func:`repro.codegen.interpreter.execute_schedule`).
-            Timing (:meth:`run`) is analytic and backend-independent.
     """
 
-    def __init__(
-        self,
-        gpu: GPUSpec,
-        seed: int = 0,
-        jitter: bool = True,
-        exec_backend: str = "auto",
-    ) -> None:
-        from repro.codegen.interpreter import validate_exec_backend
-
+    def __init__(self, gpu: GPUSpec, seed: int = 0, jitter: bool = True) -> None:
         self.gpu = gpu
         self.seed = seed
         self.jitter_enabled = jitter
-        self.exec_backend = validate_exec_backend(exec_backend)
 
     # -- single kernels ----------------------------------------------------
 
@@ -181,19 +168,6 @@ class GPUSimulator:
     def run(self, kernel: KernelLaunch) -> float:
         """Total time (s) of one launch."""
         return self.time_kernel(kernel).total
-
-    def execute(self, schedule, inputs, backend: str | None = None) -> dict:
-        """Functionally execute a schedule "on the device" (NumPy backends).
-
-        The timing model above never runs the numerics; this entry point is
-        what measurement-time verification and `OperatorModule.run` use.
-        ``backend`` overrides the simulator-wide :attr:`exec_backend`.
-        """
-        from repro.codegen.interpreter import execute_schedule
-
-        return execute_schedule(
-            schedule, inputs, backend=backend or self.exec_backend
-        )
 
     # -- kernel sequences ---------------------------------------------------
 

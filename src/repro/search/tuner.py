@@ -30,7 +30,11 @@ import numpy as np
 
 from repro.cache.cache import Resolution, resolve
 from repro.cache.signature import variant_key
-from repro.codegen.interpreter import InterpreterError, resolve_exec_backend
+from repro.codegen.interpreter import (
+    InterpreterError,
+    execute_schedule,
+    resolve_exec_backend,
+)
 from repro.config import SessionConfig
 from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
@@ -358,9 +362,7 @@ class MCFuserTuner:
         self.measure_topk = search.measure_topk
         self.dynamic = config.exec.dynamic
         self.dynamic_loops = tuple(config.exec.dynamic_loops)
-        self.simulator = GPUSimulator(
-            self.gpu, seed=search.seed, exec_backend=config.exec.backend
-        )
+        self.simulator = GPUSimulator(self.gpu, seed=search.seed)
         #: chain content fingerprint -> (inputs, reference output); lazily
         #: built when a verification mode is active. Keyed by content, not
         #: name — two differently shaped chains may share a name.
@@ -428,10 +430,12 @@ class MCFuserTuner:
         chain = schedule.chain
         inputs, ref = self._reference_for(chain)
         try:
-            out = self.simulator.execute(schedule, inputs)[chain.output]
+            out = execute_schedule(schedule, inputs, self.config.exec.backend)
         except (InterpreterError, InvalidScheduleError):
             return False
-        return bool(np.allclose(out, ref, rtol=_VERIFY_RTOL, atol=_VERIFY_ATOL))
+        return bool(
+            np.allclose(out[chain.output], ref, rtol=_VERIFY_RTOL, atol=_VERIFY_ATOL)
+        )
 
     # -- main entry -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Storage layers: entry codec, LRU behavior, per-entry disk files, recovery."""
+"""Storage layers: entry codec, per-entry disk files, recovery."""
 
 import json
 import os
@@ -12,7 +12,6 @@ from repro.cache.store import (
     SCHEMA_VERSION,
     CacheDecodeError,
     CacheEntry,
-    LRUCache,
     PersistentStore,
 )
 
@@ -66,33 +65,6 @@ class TestEntryCodec:
     def test_non_dict_rejected(self):
         with pytest.raises(CacheDecodeError):
             CacheEntry.from_json(["not", "an", "entry"])
-
-
-class TestLRU:
-    def test_basic_get_put(self):
-        lru = LRUCache(capacity=4)
-        e = entry("sig1")
-        lru.put("sig1", e)
-        assert lru.get("sig1") is e
-        assert lru.get("sig2") is None
-        assert len(lru) == 1
-
-    def test_eviction_is_least_recently_used(self):
-        lru = LRUCache(capacity=2)
-        lru.put("a", entry("a"))
-        lru.put("b", entry("b"))
-        lru.get("a")  # refresh a, so b is now oldest
-        lru.put("c", entry("c"))
-        assert "a" in lru and "c" in lru and "b" not in lru
-
-    def test_capacity_zero_disables(self):
-        lru = LRUCache(capacity=0)
-        lru.put("a", entry("a"))
-        assert len(lru) == 0 and lru.get("a") is None
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(capacity=-1)
 
 
 class TestPersistentStore:

@@ -1,9 +1,15 @@
-"""Unit tests for runtime modules (OperatorModule / GraphExecutorFactory)."""
+"""Unit tests for runtime modules (OperatorModule / GraphExecutorFactory)
+and the LRU map behind the kernel memos."""
 
 import numpy as np
 import pytest
 
-from repro.codegen.runtime import GraphExecutorFactoryModule, OperatorModule, compile_schedule
+from repro.codegen.runtime import (
+    GraphExecutorFactoryModule,
+    LRUCache,
+    OperatorModule,
+    compile_schedule,
+)
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import A100
@@ -72,3 +78,30 @@ class TestFactoryModule:
         assert len(breakdown) == 2
         assert breakdown[0][0] == "lib:x"
         assert breakdown[1][0].startswith("mcfuser:")
+
+
+class TestLRU:
+    def test_basic_get_put(self):
+        lru = LRUCache(capacity=4)
+        e = object()
+        lru.put("sig1", e)
+        assert lru.get("sig1") is e
+        assert lru.get("sig2") is None
+        assert len(lru) == 1
+
+    def test_eviction_is_least_recently_used(self):
+        lru = LRUCache(capacity=2)
+        lru.put("a", object())
+        lru.put("b", object())
+        lru.get("a")  # refresh a, so b is now oldest
+        lru.put("c", object())
+        assert "a" in lru and "c" in lru and "b" not in lru
+
+    def test_capacity_zero_disables(self):
+        lru = LRUCache(capacity=0)
+        lru.put("a", object())
+        assert len(lru) == 0 and lru.get("a") is None
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            LRUCache(capacity=-1)

@@ -232,9 +232,10 @@ class TestExecFallbacks:
 
 
 class TestExecDispatchParity:
-    """``execute_schedule`` and ``OperatorModule.run`` share one dispatcher,
-    so a compiled kernel that fails to build falls back (``auto``) or
-    raises (pinned ``compiled``) the same way on both paths."""
+    """``execute_schedule`` and ``OperatorModule.run`` share one execution
+    tail, so a static ``auto`` step-down is counted and traced, and a
+    compiled kernel that fails to build falls back (``auto``) or raises
+    (pinned ``compiled``), the same way on both paths."""
 
     PATHS = ("execute_schedule", "OperatorModule.run")
 
@@ -274,6 +275,23 @@ class TestExecDispatchParity:
         registry = get_metrics()
         assert registry.counter("exec.fallback.compiled.render-error").value == 1
         assert registry.counter("exec.fallback").value == 1
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_static_fallback_counts_and_traces(self, path, small_gemm, monkeypatch):
+        import repro.codegen.clang_runtime as clang_runtime
+
+        monkeypatch.setattr(clang_runtime, "compiler_available", lambda: False)
+        tracer = enable_tracing()
+        self._run(path, self._schedule(small_gemm), "auto",
+                  small_gemm.random_inputs(0))
+        registry = get_metrics()
+        assert registry.counter("exec.fallback.compiled.no-compiler").value == 1
+        assert registry.counter("exec.fallback").value == 1
+        [exec_span] = _spans_by_name(tracer)["exec"]
+        assert exec_span.attrs["resolved"] == "vectorized"
+        [(name, _, attrs)] = exec_span.events
+        assert name == "exec.fallback"
+        assert attrs["reason"] == "no-compiler"
 
     @pytest.mark.parametrize("path", PATHS)
     def test_pinned_compiled_raises(self, path, failing_compile, small_gemm):

@@ -366,14 +366,18 @@ class TestBackendSelection:
             with pytest.raises(InvalidScheduleError):
                 execute_schedule(schedule, small_gemm.random_inputs(0), backend=backend)
 
-    def test_oversized_program_falls_back(self, small_gemm):
+    def test_oversized_program_falls_back(self, small_gemm, monkeypatch):
+        from repro.codegen import program
+
         schedule = build_schedule(
             small_gemm, TilingExpr.parse("mhnk"), {"m": 16, "n": 16, "k": 16, "h": 16}
         )
-        with pytest.raises(LoweringError):
-            lower_schedule(schedule, max_ops=2)
-        with pytest.raises(LoweringError):
-            lower_schedule(schedule, max_gather_bytes=16)
+        for cap, value in (("MAX_PROGRAM_OPS", 2), ("MAX_GATHER_BYTES", 16)):
+            with monkeypatch.context() as patch:
+                patch.setattr(program, cap, value)
+                patch.setattr(program, "_LOWER_MEMO", {})
+                with pytest.raises(LoweringError):
+                    lower_schedule(schedule)
 
     def test_missing_input_and_bad_shape(self, small_gemm):
         schedule = build_schedule(
@@ -465,4 +469,4 @@ class TestProgramLowering:
             rtol=BACKEND_RTOL, atol=BACKEND_ATOL,
         )
         with pytest.raises(ValueError):
-            compile_schedule(schedule, A100, exec_backend="cuda", memoize=False)
+            compile_schedule(schedule, A100, exec_backend="cuda")
