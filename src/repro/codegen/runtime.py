@@ -14,6 +14,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Hashable
 
 import numpy as np
 
@@ -204,19 +205,19 @@ class LRUCache:
         if capacity < 0:
             raise ValueError(f"LRU capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
 
-    def get(self, key: str):
+    def get(self, key: Hashable):
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
         return value
 
-    def peek(self, key: str):
+    def peek(self, key: Hashable):
         """Lookup without refreshing recency."""
         return self._entries.get(key)
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: Hashable, value) -> None:
         if self.capacity == 0:
             return
         self._entries[key] = value
@@ -230,7 +231,7 @@ class LRUCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
 

@@ -4,9 +4,10 @@ parallel measurement.
 Layout::
 
     pipeline.py   build_space: Rules 1-4 over each expression's tile grid,
-                  every candidate priced from per-expression schedule
-                  templates (no schedule built per candidate), the pruning
-                  funnel counted from the grids' masks.
+                  every point priced from per-expression schedule
+                  templates (no schedule built per candidate), the kept
+                  points held as arrays, the pruning funnel counted from
+                  the grids' masks.
     loop.py       SearchLoop: the shared Algorithm-1 driver (measured
                   cache, failed blacklist, convergence, measurement
                   dispatch) every strategy runs inside.
@@ -27,7 +28,7 @@ from repro.search.engine.strategy import (
     SearchStrategy,
     SimulatedAnnealingSearch,
     make_strategy,
-    mutate_candidate,
+    mutate_position,
     register_strategy,
     strategy_names,
 )
@@ -47,5 +48,5 @@ __all__ = [
     "register_strategy",
     "make_strategy",
     "strategy_names",
-    "mutate_candidate",
+    "mutate_position",
 ]

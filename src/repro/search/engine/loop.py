@@ -76,11 +76,18 @@ class SearchResult:
 class SearchLoop:
     """Drives one strategy over a pruned space with shared bookkeeping.
 
+    The loop and its strategies work on space positions; a
+    :class:`~repro.search.space.Candidate` is built only for a position
+    that is measured or featurized. ``measured``, ``failed`` and the
+    :class:`SearchResult` stay keyed by candidate key; ``measured_codes``
+    and ``failed_codes`` hold the same points as space key codes, which is
+    what strategies test positions against.
+
     Args:
         space: The pruned search space.
-        estimate_fn: Analytical model over a batch: ``candidates ->
+        estimate_fn: Analytical model over a batch: ``positions ->
             estimates`` aligned with the input (cheap, called on every
-            ranked population; each candidate counts into
+            ranked population; each position counts into
             ``num_estimates``).
         evaluator: Measurement executor for the per-round top-n batch.
         population_size/top_n/epsilon/max_rounds/min_rounds: Algorithm-1
@@ -102,7 +109,7 @@ class SearchLoop:
     def __init__(
         self,
         space: "SearchSpace",
-        estimate_fn: Callable[[Sequence["Candidate"]], Sequence[float]],
+        estimate_fn: Callable[[np.ndarray], Sequence[float]],
         evaluator: ParallelEvaluator,
         population_size: int = 512,
         top_n: int = 8,
@@ -114,7 +121,7 @@ class SearchLoop:
         measure_topk: int = 0,
         feature_fn: Callable[["Candidate"], np.ndarray] | None = None,
     ) -> None:
-        if not space.candidates:
+        if len(space) == 0:
             raise ValueError(f"empty search space for chain {space.chain.name!r}")
         if measure_topk < 0:
             raise ValueError(f"measure_topk must be >= 0, got {measure_topk}")
@@ -123,8 +130,8 @@ class SearchLoop:
         self.space = space
         self._estimate_fn = estimate_fn
         self.evaluator = evaluator
-        self.population_size = min(population_size, len(space.candidates))
-        self.top_n = min(top_n, len(space.candidates))
+        self.population_size = min(population_size, len(space))
+        self.top_n = min(top_n, len(space))
         self.epsilon = epsilon
         self.max_rounds = max_rounds
         self.min_rounds = min_rounds
@@ -132,14 +139,17 @@ class SearchLoop:
         self.cost_model = cost_model
         self.measure_topk = measure_topk
         self._feature_fn = feature_fn
-        self._feature_cache: dict[tuple, np.ndarray] = {}
+        self._feature_cache: dict[int, np.ndarray] = {}
         # shared bookkeeping; rng is assigned by run() from the strategy's
         # rng_key — accessing it before run() is a bug and fails loudly.
         self.rng: np.random.Generator
         self.measured: dict[tuple, float] = {}
         self.failed: set[tuple] = set()
+        self.measured_codes: set[int] = set()
+        self.failed_codes: set[int] = set()
         self.pairs: list[tuple[float, float]] = []
         self.best: "Candidate | None" = None
+        self.best_position: int | None = None
         self.best_time = float("inf")
         self.num_estimates = 0
         self.num_measurements = 0
@@ -149,70 +159,73 @@ class SearchLoop:
 
     # -- services strategies call back into -----------------------------------
 
-    def estimate_batch(self, cands: Sequence["Candidate"]) -> np.ndarray:
-        """Score ``cands`` with the analytical model in one call (counted)."""
-        self.num_estimates += len(cands)
-        return np.asarray(self._estimate_fn(cands), dtype=np.float64)
+    def estimate_batch(self, positions: "Sequence[int]") -> np.ndarray:
+        """Score ``positions`` with the analytical model in one call (counted)."""
+        positions = np.asarray(positions, dtype=np.intp)
+        self.num_estimates += len(positions)
+        return np.asarray(self._estimate_fn(positions), dtype=np.float64)
 
-    def estimate(self, cand: "Candidate") -> float:
-        """Score one candidate: a batch of one."""
-        return float(self.estimate_batch((cand,))[0])
+    def estimate(self, position: int) -> float:
+        """Score one position: a batch of one."""
+        return float(self.estimate_batch([position])[0])
+
+    def _unmeasured(self, positions: np.ndarray, limit: int | None) -> list[int]:
+        """Indices into ``positions`` of its first ``limit`` (all, if
+        ``None``) points not yet measured, one per key."""
+        codes, done = self.space.codes, self.measured_codes
+        picked: list[int] = []
+        seen: set[int] = set()
+        for i, p in enumerate(positions.tolist()):
+            code = codes[p]
+            if code in done or code in seen:
+                continue
+            picked.append(i)
+            seen.add(code)
+            if limit is not None and len(picked) >= limit:
+                break
+        return picked
 
     def pick_unmeasured(
-        self, ranked: list[tuple["Candidate", float]]
-    ) -> list[tuple["Candidate", float]]:
-        """The best ``top_n`` candidates of ``ranked`` not yet measured.
+        self, positions: np.ndarray, estimates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The best ``top_n`` ranked positions not yet measured, with their
+        estimates.
 
         Skips everything in the measured cache (which subsumes the failed
         blacklist — failures are cached as ``inf``) and deduplicates within
         the batch, so each round extends hardware knowledge strictly deeper
         into the strategy's ranking.
         """
-        picked: list[tuple["Candidate", float]] = []
-        seen: set[tuple] = set()
-        for cand, est in ranked:
-            key = cand.key
-            if key in self.measured or key in seen:
-                continue
-            picked.append((cand, est))
-            seen.add(key)
-            if len(picked) >= self.top_n:
-                break
-        return picked
+        picked = self._unmeasured(positions, self.top_n)
+        return positions[picked], estimates[picked]
 
-    def features_for(self, cand: "Candidate") -> np.ndarray:
-        """The candidate's cost-model feature vector (memoized by key)."""
+    def features_for(self, position: int) -> np.ndarray:
+        """The cost-model feature vector of a position's candidate
+        (memoized by key)."""
         assert self._feature_fn is not None
-        key = cand.key
-        feats = self._feature_cache.get(key)
+        code = self.space.codes[position]
+        feats = self._feature_cache.get(code)
         if feats is None:
-            feats = self._feature_cache[key] = self._feature_fn(cand)
+            feats = self._feature_cache[code] = self._feature_fn(self.space.candidate(position))
         return feats
 
     def pick_by_model(
-        self, ranked: list[tuple["Candidate", float]]
-    ) -> list[tuple["Candidate", float]]:
+        self, positions: np.ndarray, estimates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The learned model's predicted-best ``measure_topk`` unmeasured
-        candidates — drawn from *all* of ``ranked``, not just its analytic
+        positions — drawn from *all* of the ranking, not just its analytic
         top-n, so a good model can rescue candidates the prior misranks.
         Stable-sorted, so ties fall back to the strategy's order and the
         pick stays deterministic for a fixed (seed, dataset).
         """
         assert self.cost_model is not None
-        pool: list[tuple["Candidate", float]] = []
-        seen: set[tuple] = set()
-        for cand, est in ranked:
-            key = cand.key
-            if key in self.measured or key in seen:
-                continue
-            pool.append((cand, est))
-            seen.add(key)
+        pool = self._unmeasured(positions, None)
         if not pool:
-            return []
-        x = np.stack([self.features_for(cand) for cand, _ in pool])
-        analytic = np.array([est for _, est in pool], dtype=np.float64)
-        order = self.cost_model.rank(x, analytic)
-        return [pool[i] for i in order[: self.measure_topk]]
+            return positions[pool], estimates[pool]
+        x = np.stack([self.features_for(p) for p in positions[pool].tolist()])
+        order = self.cost_model.rank(x, estimates[pool])
+        picked = [pool[i] for i in order[: self.measure_topk]]
+        return positions[picked], estimates[picked]
 
     # -- the driver ------------------------------------------------------------
 
@@ -221,7 +234,8 @@ class SearchLoop:
         from repro.obs import get_tracer
 
         tracer = get_tracer()
-        self.rng = rng_for(*strategy.rng_key(self.space, self.seed))
+        space = self.space
+        self.rng = rng_for(*strategy.rng_key(space, self.seed))
         strategy.begin(self)
         while self.rounds < strategy.round_budget(self):
             self.rounds += 1
@@ -231,50 +245,57 @@ class SearchLoop:
                 round=self.rounds,
                 strategy=strategy.name,
             ) as span:
-                ranked = strategy.propose(self)
+                positions, estimates = strategy.propose(self)
+                positions = np.asarray(positions, dtype=np.intp)
+                estimates = np.asarray(estimates, dtype=np.float64)
                 model_guided = (
                     self.measure_topk > 0
                     and self.cost_model is not None
                     and self.cost_model.ready
                 )
                 if model_guided:
-                    picked = self.pick_by_model(ranked)
+                    picked, picked_est = self.pick_by_model(positions, estimates)
                     self.model_rounds += 1
                 else:
-                    picked = self.pick_unmeasured(ranked)
+                    picked, picked_est = self.pick_unmeasured(positions, estimates)
                 span.set(
-                    proposed=len(ranked),
-                    pruned=len(ranked) - len(picked),
+                    proposed=len(positions),
+                    pruned=len(positions) - len(picked),
                     measured=len(picked),
                     model_guided=model_guided,
                 )
-                if not picked:
+                if not len(picked):
                     break  # every reachable candidate measured or failed
-                times = self.evaluator.measure([c for c, _ in picked])
+                picked_positions = picked.tolist()
+                cands = [space.candidate(p) for p in picked_positions]
+                times = self.evaluator.measure(cands)
 
                 round_best_time = float("inf")
-                round_best: "Candidate | None" = None
-                for (cand, est), t in zip(picked, times):
+                round_best = round_best_position = None
+                for p, cand, est, t in zip(picked_positions, cands, picked_est.tolist(), times):
                     # Normalize non-finite measurements (inf *and* NaN) to a
                     # plain launch failure: a NaN would compare False against
                     # everything and silently corrupt best-tracking and the
                     # convergence test.
                     if not math.isfinite(t):
                         t = float("inf")
+                    code = space.codes[p]
                     self.measured[cand.key] = t
+                    self.measured_codes.add(code)
                     self.num_measurements += 1
                     self.pairs.append((est, t))
                     if t == float("inf"):
                         self.failed.add(cand.key)
+                        self.failed_codes.add(code)
                     elif self.cost_model is not None and self._feature_fn is not None:
                         self.cost_model.observe(
-                            self.features_for(cand),
+                            self.features_for(p),
                             est,
                             t,
-                            workload=self.space.chain.name,
+                            workload=space.chain.name,
                         )
                     if round_best is None or t < round_best_time:
-                        round_best_time, round_best = t, cand
+                        round_best_time, round_best, round_best_position = t, cand, p
                 assert round_best is not None
                 if self.cost_model is not None and self._feature_fn is not None:
                     self.cost_model.fit()  # no-op while starved or data-unchanged
@@ -287,6 +308,7 @@ class SearchLoop:
                 prev_best = self.best_time
                 if self.best is None or round_best_time < self.best_time:
                     self.best, self.best_time = round_best, round_best_time
+                    self.best_position = round_best_position
                 span.set(round_best=round_best_time, best_time=self.best_time)
                 if (
                     strategy.uses_convergence

@@ -40,7 +40,7 @@ from repro.search.pruning import (
     rule4_fits,
     unconstrained_tile_count,
 )
-from repro.search.space import Candidate, SearchSpace
+from repro.search.space import SearchSpace, SpacePoints
 from repro.tiling.enumeration import all_tilings, sub_tiling_expr
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import ScheduleTemplate, build_schedule
@@ -173,48 +173,61 @@ def build_space(
     (arguments as :func:`~repro.search.space.generate_space`).
 
     A point survives Rule 3 if it is valid and passes candidate-level
-    Rule 2, and Rule 4 if its shared-memory estimate fits too. Candidates
-    come in expression order, then grid row order, each with its estimate
-    and the template that priced it (which also launches it).
+    Rule 2, and Rule 4 if its shared-memory estimate fits too. The kept
+    points of every grid are concatenated into the space's arrays, in
+    expression order, then grid row order, each with its estimate and the
+    template that priced it (which also launches it). No
+    :class:`~repro.search.space.Candidate` is built here.
     """
     exprs, head = surviving_expressions(chain, deep_only=deep_only)
     options = {loop: rule3_tile_options(size) for loop, size in chain.loops.items()}
     templates: TemplateTable = {}
-    names = sorted(chain.loop_names)
-    columns = [chain.loop_names.index(l) for l in names]
-    candidates: list[Candidate] = []
-    prices: dict[tuple, PerfEstimate] = {}
-    launchers: dict[tuple, ScheduleTemplate] = {}
+    launchers: list[ScheduleTemplate] = []
+    parts: list[tuple[np.ndarray, ...]] = []
     after_rule3 = 0
-    for expr in exprs:
+    for eid, expr in enumerate(exprs):
         grid = price_grid(chain, gpu, expr, options, templates, optimize_schedules)
         rule3 = grid.valid & grid.rule2
         after_rule3 += int(rule3.sum())
         kept = np.flatnonzero(rule3 & grid.rule4)
-        for row, t_mem, t_comp, alpha, group in zip(
-            grid.tiles[kept][:, columns].tolist(),
-            grid.price.t_mem[kept].tolist(),
-            grid.price.t_comp[kept].tolist(),
-            grid.price.alpha[kept].tolist(),
-            grid.group[kept].tolist(),
-        ):
-            cand = Candidate(expr=expr, tiles=tuple(zip(names, row)))
-            candidates.append(cand)
-            prices[cand.key] = PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha)
-            launchers[cand.key] = grid.templates[group]
-    stats = replace(head, after_rule3=after_rule3, after_rule4=len(candidates))
-    if max_candidates is not None and len(candidates) > max_candidates:
-        stride = len(candidates) / max_candidates
-        candidates = [candidates[int(i * stride)] for i in range(max_candidates)]
+        parts.append((
+            np.full(len(kept), eid, dtype=np.int64),
+            grid.tiles[kept],
+            grid.price.t_mem[kept],
+            grid.price.t_comp[kept],
+            grid.price.alpha[kept],
+            grid.group[kept] + len(launchers),
+        ))
+        launchers.extend(grid.templates)
+    if parts:
+        expr_id, tiles, t_mem, t_comp, alpha, template = map(np.concatenate, zip(*parts))
+    else:
+        expr_id = template = np.zeros(0, dtype=np.int64)
+        tiles = np.zeros((0, len(chain.loop_names)), dtype=np.int64)
+        t_mem = t_comp = alpha = np.zeros(0)
+    stats = replace(head, after_rule3=after_rule3, after_rule4=len(expr_id))
+    if max_candidates is not None and len(expr_id) > max_candidates:
+        stride = len(expr_id) / max_candidates
+        rows = np.array([int(i * stride) for i in range(max_candidates)], dtype=np.int64)
+        expr_id, tiles, t_mem, t_comp, alpha, template = (
+            a[rows] for a in (expr_id, tiles, t_mem, t_comp, alpha, template)
+        )
+    points = SpacePoints(
+        exprs=tuple(exprs),
+        expr_id=expr_id,
+        tiles=tiles,
+        price=PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha),
+        template=template,
+        launchers=tuple(launchers),
+    )
     return SearchSpace(
         chain,
         gpu,
-        candidates,
+        None,
         stats,
         options,
         deep_only=deep_only,
         optimized=optimize_schedules,
-        prices=prices,
-        launchers=launchers,
+        points=points,
         templates=templates,
     )

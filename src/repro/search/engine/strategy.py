@@ -1,6 +1,6 @@
 """Pluggable search strategies over the pruned space.
 
-A strategy decides *which candidates to rank* each round; the shared
+A strategy decides *which space positions to rank* each round; the shared
 :class:`~repro.search.engine.loop.SearchLoop` handles everything else
 (measured cache, failed blacklist, convergence, parallel measurement).
 Four strategies ship in the registry:
@@ -46,9 +46,20 @@ __all__ = [
     "make_strategy",
     "strategy_names",
     "BulkIntegers",
-    "mutate_candidate",
+    "mutate_position",
+    "mutate_positions",
     "rank_by_estimate",
 ]
+
+
+def _lemire(raw: np.ndarray, n: int) -> list[int]:
+    """What ``rng.integers(n)`` makes of each raw uint32 draw: numpy's
+    Lemire rule keeps ``(x * n) >> 32`` unless ``(x * n) mod 2**32 <
+    (2**32 - n) % n``, which rejects the draw (-1 here)."""
+    m = raw.astype(np.uint64) * np.uint64(n)
+    values = (m >> np.uint64(32)).astype(np.int64)
+    values[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
+    return values.tolist()
 
 
 class BulkIntegers:
@@ -57,11 +68,15 @@ class BulkIntegers:
     Within the ``with`` block, :meth:`integers` returns exactly what the
     same sequence of scalar ``rng.integers(n)`` calls would: numpy draws a
     bounded integer below ``n <= 2**32`` with Lemire's rule on one uint32
-    per try, rejecting only when ``(x * n) mod 2**32 < (2**32 - n) % n``,
-    and consumes nothing for ``n == 1``. On exit the generator is rewound
-    and advanced by exactly the uint32 draws used, so the stream after the
-    batch is the scalar stream. Nothing else may draw from ``rng`` inside
-    the block.
+    per try (:func:`_lemire`), and consumes nothing for ``n == 1``. On
+    exit the generator is rewound and advanced by exactly the uint32 draws
+    used, so the stream after the batch is the scalar stream. Nothing else
+    may draw from ``rng`` inside the block.
+
+    A hot loop may skip the method call per draw: :meth:`bounded` gives
+    the block already decoded for one bound, and the loop reads it at
+    ``_used`` after :meth:`reserve`, advancing ``_used`` itself and
+    falling back to :meth:`integers` on a rejected (-1) draw.
     """
 
     def __init__(self, rng: np.random.Generator, size: int) -> None:
@@ -71,6 +86,7 @@ class BulkIntegers:
     def __enter__(self) -> "BulkIntegers":
         self._state = self._rng.bit_generator.state
         self._block: list[int] = []
+        self._decoded: dict[int, list[int]] = {}
         self._used = 0
         return self
 
@@ -79,78 +95,126 @@ class BulkIntegers:
         if self._used:
             self._rng.integers(0, 2**32, size=self._used, dtype=np.uint32)
 
+    def _grow(self) -> None:
+        raw = self._rng.integers(0, 2**32, size=self._size, dtype=np.uint32)
+        self._block.extend(raw.tolist())
+        for n, values in self._decoded.items():
+            values.extend(_lemire(raw, n))
+
+    def reserve(self, count: int) -> None:
+        """Grow the block to hold at least ``count`` raw draws."""
+        while len(self._block) < count:
+            self._grow()
+
+    def bounded(self, n: int) -> list[int]:
+        """Per raw draw of the block, the value ``rng.integers(n)`` takes
+        from it, or -1 if the draw is rejected. The list grows with the
+        block; ``n`` must be at least 2."""
+        values = self._decoded.get(n)
+        if values is None:
+            values = self._decoded[n] = _lemire(np.asarray(self._block, dtype=np.uint32), n)
+        return values
+
     def integers(self, n: int) -> int:
         """The next ``rng.integers(n)`` value, as a Python int."""
         if not 1 <= n <= 2**32:
             raise ValueError(f"bound must be in [1, 2**32], got {n}")
         if n == 1:
             return 0
-        threshold = (2**32 - n) % n
-        block = self._block
+        values = self.bounded(int(n))
         while True:
-            if self._used == len(block):
-                block.extend(
-                    self._rng.integers(0, 2**32, size=self._size, dtype=np.uint32).tolist()
-                )
-            m = block[self._used] * n
+            if self._used == len(values):
+                self._grow()
+            value = values[self._used]
             self._used += 1
-            if (m & 0xFFFFFFFF) >= threshold:
-                return m >> 32
+            if value >= 0:
+                return value
 
 
-def mutate_candidate(
+def mutate_position(
     space: "SearchSpace",
-    cand: "Candidate",
+    position: int,
     rng: "np.random.Generator | BulkIntegers",
     attempts: int = 8,
-) -> "Candidate":
+) -> int:
     """Mutate one loop's tile size to a neighboring Rule-3 option, keeping
     the result inside the pruned space (retry a few times, else keep).
 
-    Returns the space's own candidate object (``cand`` itself when every
-    attempt fails). ``rng`` only needs ``integers(n)``.
+    Each attempt draws the loop, then (unless the loop has a single
+    option) the direction, and reads the landing point from
+    ``space.mutants``. Returns the mutant's position (``position`` itself
+    when every attempt fails). ``rng`` only needs ``integers(n)``.
     """
-    table = space.mutation_table
-    expr_key, tiles = cand.key
+    mutable, mutants = space.mutable_loops, space.mutants
+    row = position * 2 * len(space.chain.loop_names)
     for _ in range(attempts):
-        loop, pos, options, index = table[rng.integers(len(table))]
-        if len(options) < 2:
+        i = rng.integers(len(mutable))
+        if not mutable[i]:
             continue
-        # ``tiles`` is sorted by loop name; ``pos`` is this loop's entry.
-        idx = index.get(tiles[pos][1], 0)
         # Same draw as ``rng.choice((-1, 1))``, at a fraction of its cost.
-        new_idx = idx + (-1, 1)[rng.integers(2)]
-        # Clamping a step off either end gives back ``idx``: no move.
-        if not 0 <= new_idx < len(options):
-            continue
-        mutated = space.canonical(
-            (expr_key, (*tiles[:pos], (loop, options[new_idx]), *tiles[pos + 1:]))
-        )
-        if mutated is not None:
-            return mutated
-    return cand
+        mutant = mutants[row + 2 * i + rng.integers(2)]
+        if mutant >= 0:
+            return mutant
+    return position
+
+
+def mutate_positions(
+    space: "SearchSpace", parents: "Sequence[int]", draws: BulkIntegers, attempts: int = 8
+) -> list[int]:
+    """:func:`mutate_position` of every parent in turn, drawing from
+    ``draws``: the same mutants and the same draws, read from the decoded
+    block without a method call per draw."""
+    mutable, mutants = space.mutable_loops, space.mutants
+    n = len(mutable)
+    if n < 2:  # a one-loop draw consumes nothing; there is no block to read
+        return [mutate_position(space, p, draws, attempts) for p in parents]
+    width = 2 * len(space.chain.loop_names)
+    loops, steps = draws.bounded(n), draws.bounded(2)  # a bound of 2 never rejects
+    need = 2 * attempts
+    used = draws._used
+    out = []
+    for parent in parents:
+        if used + need > len(loops):
+            draws.reserve(used + need)
+        row = parent * width
+        mutant = parent
+        for _ in range(attempts):
+            i = loops[used]
+            used += 1
+            if i < 0:  # rejected by Lemire's rule: let the method redraw
+                draws._used = used - 1
+                i = draws.integers(n)
+                used = draws._used
+                draws.reserve(used + need)
+            if not mutable[i]:
+                continue
+            found = mutants[row + 2 * i + steps[used]]
+            used += 1
+            if found >= 0:
+                mutant = found
+                break
+        out.append(mutant)
+    draws._used = used
+    return out
 
 
 def rank_by_estimate(
-    loop: "SearchLoop", candidates: "Sequence[Candidate]"
-) -> tuple[list[tuple["Candidate", float]], np.ndarray]:
-    """Model-estimate ``candidates`` (in one batch) and rank them best-first.
-
-    Returns the ranked (candidate, estimate) list plus the raw estimate
-    array aligned with ``candidates`` (evolution needs it for fitness
-    weights).
-    """
-    estimates = loop.estimate_batch(candidates)
-    values = estimates.tolist()
-    ranked = [(candidates[i], values[i]) for i in np.argsort(estimates).tolist()]
-    return ranked, estimates
+    loop: "SearchLoop", positions: "Sequence[int]"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model-estimate ``positions`` (in one batch) and rank them best-first:
+    the ranked positions and their estimates."""
+    positions = np.asarray(positions, dtype=np.intp)
+    estimates = loop.estimate_batch(positions)
+    order = np.argsort(estimates)
+    return positions[order], estimates[order]
 
 
 class SearchStrategy:
     """Base class for search strategies (the pluggable protocol).
 
     Subclasses set ``name`` (the registry key) and implement
-    :meth:`propose`; the other hooks have sensible defaults.
+    :meth:`propose`; the other hooks have sensible defaults. Strategies
+    work on space positions (see :class:`~repro.search.space.SearchSpace`).
     """
 
     #: Registry key; also recorded in TuneReport and the cache variant key.
@@ -169,11 +233,12 @@ class SearchStrategy:
     def begin(self, loop: "SearchLoop") -> None:
         """One-time setup before the first round."""
 
-    def propose(self, loop: "SearchLoop") -> list[tuple["Candidate", float]]:
-        """Rank candidates for this round: (candidate, estimate), best first.
+    def propose(self, loop: "SearchLoop") -> tuple[np.ndarray, np.ndarray]:
+        """Rank positions for this round: ``(positions, estimates)``,
+        aligned arrays, best first.
 
         Estimates must be obtained through ``loop.estimate_batch`` (or
-        ``loop.estimate`` for one candidate) so model-call accounting
+        ``loop.estimate`` for one position) so model-call accounting
         stays correct.
         """
         raise NotImplementedError
@@ -198,16 +263,15 @@ class EvolutionarySearch(SearchStrategy):
         return ("heuristic-search", space.chain.name, space.gpu.name, seed)
 
     def begin(self, loop: "SearchLoop") -> None:
-        space = loop.space
-        idx = loop.rng.choice(
-            len(space.candidates), size=loop.population_size, replace=False
+        self.population = loop.rng.choice(
+            len(loop.space), size=loop.population_size, replace=False
         )
-        self.population: list["Candidate"] = [space.candidates[int(i)] for i in idx]
         self._estimates = np.zeros(0)
 
-    def propose(self, loop: "SearchLoop") -> list[tuple["Candidate", float]]:
-        ranked, self._estimates = rank_by_estimate(loop, self.population)
-        return ranked
+    def propose(self, loop: "SearchLoop") -> tuple[np.ndarray, np.ndarray]:
+        self._estimates = loop.estimate_batch(self.population)
+        order = np.argsort(self._estimates)
+        return self.population[order], self._estimates[order]
 
     def evolve(self, loop: "SearchLoop") -> None:
         # Next generation: fitness-weighted resampling + tile mutation,
@@ -221,20 +285,17 @@ class EvolutionarySearch(SearchStrategy):
         )
         # The mutations are the only draws between the two choices, so they
         # come from one bulk block (same values, same stream afterwards).
-        parents = self.population
         with BulkIntegers(rng, 3 * len(chosen)) as draws:
-            population = [
-                mutate_candidate(space, parents[i], draws) for i in chosen.tolist()
-            ]
-        fresh_ids = rng.choice(len(space.candidates), size=n_fresh, replace=True)
-        population += [space.candidates[int(i)] for i in fresh_ids]
+            population = mutate_positions(space, self.population[chosen].tolist(), draws)
+        population += rng.choice(len(space), size=n_fresh, replace=True).tolist()
         # Known launch failures are replaced with fresh draws.
-        self.population = [
-            c
-            if c.key not in loop.failed
-            else space.candidates[int(rng.integers(len(space.candidates)))]
-            for c in population
-        ]
+        failed, codes = loop.failed_codes, space.codes
+        if failed:
+            population = [
+                p if codes[p] not in failed else int(rng.integers(len(space)))
+                for p in population
+            ]
+        self.population = np.array(population, dtype=np.intp)
 
 
 class RandomSearch(SearchStrategy):
@@ -247,14 +308,9 @@ class RandomSearch(SearchStrategy):
 
     name = "random"
 
-    def propose(self, loop: "SearchLoop") -> list[tuple["Candidate", float]]:
-        space = loop.space
-        idx = loop.rng.choice(
-            len(space.candidates), size=loop.population_size, replace=False
-        )
-        sample = [space.candidates[int(i)] for i in idx]
-        ranked, _ = rank_by_estimate(loop, sample)
-        return ranked
+    def propose(self, loop: "SearchLoop") -> tuple[np.ndarray, np.ndarray]:
+        sample = loop.rng.choice(len(loop.space), size=loop.population_size, replace=False)
+        return rank_by_estimate(loop, sample)
 
 
 class ExhaustiveSearch(SearchStrategy):
@@ -269,14 +325,14 @@ class ExhaustiveSearch(SearchStrategy):
     uses_convergence = False
 
     def round_budget(self, loop: "SearchLoop") -> int:
-        return ceil_div(len(loop.space.candidates), loop.top_n)
+        return ceil_div(len(loop.space), loop.top_n)
 
     def begin(self, loop: "SearchLoop") -> None:
-        self._ranked: list[tuple["Candidate", float]] | None = None
+        self._ranked: tuple[np.ndarray, np.ndarray] | None = None
 
-    def propose(self, loop: "SearchLoop") -> list[tuple["Candidate", float]]:
+    def propose(self, loop: "SearchLoop") -> tuple[np.ndarray, np.ndarray]:
         if self._ranked is None:
-            self._ranked, _ = rank_by_estimate(loop, list(loop.space.candidates))
+            self._ranked = rank_by_estimate(loop, np.arange(len(loop.space)))
         return self._ranked
 
 
@@ -284,7 +340,7 @@ class SimulatedAnnealingSearch(SearchStrategy):
     """Simulated annealing on the analytical model's cost surface.
 
     Each round walks ``steps_per_round`` mutation steps from the current
-    candidate, accepting uphill moves with probability
+    position, accepting uphill moves with probability
     ``exp(-relative_delta / temperature)``; the round's visited set is
     ranked by estimated cost and the loop measures its top-n. The
     temperature cools geometrically per round.
@@ -307,38 +363,40 @@ class SimulatedAnnealingSearch(SearchStrategy):
         self.steps_per_round = steps_per_round
 
     def begin(self, loop: "SearchLoop") -> None:
-        space = loop.space
-        start = int(loop.rng.integers(len(space.candidates)))
-        self.current = space.candidates[start]
+        self.current = int(loop.rng.integers(len(loop.space)))
         self.current_cost = loop.estimate(self.current)
         self.temperature = self.initial_temperature
 
-    def propose(self, loop: "SearchLoop") -> list[tuple["Candidate", float]]:
+    def propose(self, loop: "SearchLoop") -> tuple[np.ndarray, np.ndarray]:
         steps = self.steps_per_round or max(4 * loop.top_n, 32)
-        visited: dict[tuple, tuple["Candidate", float]] = {
-            self.current.key: (self.current, self.current_cost)
-        }
+        codes = loop.space.codes
+        # key code -> (first position visited with it, its estimate)
+        visited = {codes[self.current]: (self.current, self.current_cost)}
         for _ in range(steps):
-            neighbor = mutate_candidate(loop.space, self.current, loop.rng)
-            if neighbor.key in visited:
-                cost = visited[neighbor.key][1]
+            neighbor = mutate_position(loop.space, self.current, loop.rng)
+            seen = visited.get(codes[neighbor])
+            if seen is not None:
+                cost = seen[1]
             else:
                 cost = loop.estimate(neighbor)
-                visited[neighbor.key] = (neighbor, cost)
+                visited[codes[neighbor]] = (neighbor, cost)
             # Estimated times span orders of magnitude across the space;
             # anneal on the relative delta so temperature is scale-free.
             delta = (cost - self.current_cost) / max(self.current_cost, 1e-12)
             if delta <= 0 or loop.rng.random() < math.exp(-delta / self.temperature):
                 self.current, self.current_cost = neighbor, cost
-        ranked = sorted(visited.values(), key=lambda pair: pair[1])
-        return ranked
+        positions = np.array([p for p, _ in visited.values()], dtype=np.intp)
+        estimates = np.array([c for _, c in visited.values()], dtype=np.float64)
+        order = np.argsort(estimates, kind="stable")
+        return positions[order], estimates[order]
 
     def evolve(self, loop: "SearchLoop") -> None:
         self.temperature *= self.cooling
         # Restart the walk from the best measured point so the chain
         # exploits hardware knowledge, not just the model's surface.
-        if loop.best is not None and loop.best.key not in loop.failed:
-            self.current = loop.best
+        best = loop.best_position
+        if best is not None and loop.space.codes[best] not in loop.failed_codes:
+            self.current = best
             self.current_cost = loop.estimate(self.current)
 
 

@@ -37,7 +37,8 @@ def heuristic_search(
     """Run Algorithm 1 over a pruned search space.
 
     Args:
-        estimate_fn: Analytical model (cheap, called on everything).
+        estimate_fn: Analytical model (cheap, called on everything); the
+            search ranks space positions and hands it each one's candidate.
         measure_fn: Hardware measurement (expensive, top-n only). Results
             are cached by candidate key — re-measuring is free, as on real
             hardware with a measurement log.
@@ -47,7 +48,7 @@ def heuristic_search(
     evaluator = ParallelEvaluator(measure_fn, workers=1, clock=None)
     loop = SearchLoop(
         space,
-        lambda cands: [estimate_fn(c) for c in cands],
+        lambda positions: [estimate_fn(space.candidate(p)) for p in positions.tolist()],
         evaluator,
         population_size=population_size,
         top_n=top_n,

@@ -3,22 +3,27 @@
 :func:`generate_space` builds it once per tune, eagerly
 (:func:`repro.search.engine.pipeline.build_space`): Rules 1-4 cut the
 ~1e8 raw points of a chain to ~1e3-1e4 candidates, kept in a
-:class:`SearchSpace` together with the Fig. 7 funnel counts.
+:class:`SearchSpace` as a few aligned arrays together with the Fig. 7
+funnel counts.
 
-Candidates are **priced and measured, not built**: the pipeline evaluates
-the eq. 2-5 estimate of every candidate from per-expression schedule
-templates, ``price`` serves it from the space's price table, and
-``launch_for`` summarizes a candidate as a kernel launch from the template
-that priced it. ``schedule_for`` builds a
-:class:`~repro.tiling.schedule.Schedule` lazily, once per candidate, for
-the few candidates that are verified, featurized or returned.
+The search works on **positions**, ints into those arrays. A
+:class:`Candidate` is built only for a point that is measured,
+featurized or returned (:meth:`SearchSpace.candidate`). Points are
+**priced and measured, not built**: the pipeline evaluates the eq. 2-5
+estimate of every point from per-expression schedule templates,
+``prices`` holds them as arrays, and ``launch_for`` summarizes a
+candidate as a kernel launch from the template that priced it.
+``schedule_for`` builds a :class:`~repro.tiling.schedule.Schedule`
+lazily, once per candidate, for the few candidates that are verified,
+featurized or returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.specs import GPUSpec
@@ -31,7 +36,7 @@ from repro.tiling.schedule import Schedule, ScheduleTemplate, build_schedule
 if TYPE_CHECKING:  # pragma: no cover
     from repro.search.engine.pipeline import TemplateTable
 
-__all__ = ["Candidate", "SearchSpace", "generate_space"]
+__all__ = ["Candidate", "SpacePoints", "SearchSpace", "generate_space"]
 
 
 @dataclass(frozen=True)
@@ -62,28 +67,84 @@ class Candidate:
         return f"{self.expr.render()}[{tiles}]"
 
 
-class SearchSpace:
-    """The frozen pruned space: candidates, the Fig. 7 funnel and the
-    Rule-3 tile options, plus the price and launch tables of the pipeline
-    that priced the candidates.
+@dataclass(frozen=True)
+class SpacePoints:
+    """A space's points as aligned arrays, one row per position.
 
-    ``candidates`` is a tuple and there is no mutation path, so the key
-    index (`functools.cached_property`) can never go stale. A space built
-    by hand (in tests) may omit the tables: its candidates are then
-    priced and launched from built schedules.
+    Point ``p`` tiles ``exprs[expr_id[p]]`` with ``tiles[p]`` (columns in
+    ``chain.loop_names`` order). ``price`` holds the eq. 2-5 estimates as
+    arrays and ``template[p]`` indexes the entry of ``launchers`` that
+    priced the point; a space built by hand from candidates has neither,
+    and prices and launches them from built schedules.
+    """
+
+    exprs: tuple[TilingExpr, ...]
+    expr_id: np.ndarray
+    tiles: np.ndarray
+    price: PerfEstimate | None = None
+    template: np.ndarray | None = None
+    launchers: tuple[ScheduleTemplate, ...] = ()
+
+
+def _points_of(chain: ComputeChain, candidates: Sequence[Candidate]) -> SpacePoints:
+    """The arrays of a hand-built space: no prices, no templates."""
+    loops = chain.loop_names
+    ids: dict[str, int] = {}
+    exprs: list[TilingExpr] = []
+    expr_id = []
+    for cand in candidates:
+        eid = ids.setdefault(cand.key[0], len(exprs))
+        if eid == len(exprs):
+            exprs.append(cand.expr)
+        expr_id.append(eid)
+    tiles = np.array(
+        [[cand.tile_dict[l] for l in loops] for cand in candidates], dtype=np.int64
+    ).reshape(len(candidates), len(loops))
+    return SpacePoints(tuple(exprs), np.array(expr_id, dtype=np.int64), tiles)
+
+
+class SearchSpace:
+    """The frozen pruned space: its points, the Fig. 7 funnel and the
+    Rule-3 tile options, plus the prices and templates of the pipeline
+    that priced the points.
+
+    **Positions.** A position is an int in ``range(len(space))``;
+    :meth:`candidate` builds a position's :class:`Candidate` once and
+    returns the same object afterwards, and ``candidates`` is the tuple of
+    all of them, built on first access. A space built by hand
+    (``SearchSpace(chain, gpu, candidates, stats, tile_options)``) keeps
+    the given objects and prices and launches them from built schedules.
+
+    **Key codes.** Every point has a mixed-radix code: its expression id,
+    then, per loop in ``chain.loop_names`` order, the index of its tile in
+    that loop's value universe (the Rule-3 options, then any off-grid tile
+    a hand-built candidate carries). Two positions have equal codes
+    exactly when their candidates have equal keys.
+
+    * ``codes[p]`` is position ``p``'s code;
+    * ``code_positions[c]`` is the position holding code ``c`` (the last
+      one, when a hand-built space repeats a key), or -1;
+    * ``mutants[(p * L + i) * 2 + d]``, with ``L`` the chain's loop count,
+      is where stepping loop ``i`` of point ``p`` one Rule-3 option down
+      (``d = 0``) or up (``d = 1``) lands: ``code ± stride[i]`` looked up
+      in ``code_positions``, or -1 when the step leaves the options or the
+      space. A tile sits at its first option index; an off-grid tile
+      steps from option 0;
+    * ``mutable_loops[i]`` is false for a loop with fewer than two options.
+
+    Nothing here changes after construction, so no index can go stale.
     """
 
     def __init__(
         self,
         chain: ComputeChain,
         gpu: GPUSpec,
-        candidates: "list[Candidate] | tuple[Candidate, ...]",
+        candidates: "Sequence[Candidate] | None",
         stats: PruningStats,
         tile_options: dict[str, list[int]],
         deep_only: bool = False,
         optimized: bool = True,
-        prices: dict[tuple, PerfEstimate] | None = None,
-        launchers: dict[tuple, ScheduleTemplate] | None = None,
+        points: SpacePoints | None = None,
         templates: "TemplateTable | None" = None,
     ) -> None:
         self.chain = chain
@@ -93,19 +154,79 @@ class SearchSpace:
         #: Whether candidates are priced (and ``schedule_for`` builds
         #: schedules) with the extent-1 DAG optimization.
         self.optimized = optimized
-        self._candidates = tuple(candidates)
         self._stats = stats
-        self._prices: dict[tuple, PerfEstimate] = {} if prices is None else prices
-        #: candidate key -> the template that priced it
-        self._launchers: dict[tuple, ScheduleTemplate] = {} if launchers is None else launchers
         self._templates: "TemplateTable" = {} if templates is None else templates
         self._schedules: dict[tuple, Schedule] = {}
+        self._priced: dict[tuple, PerfEstimate] = {}
         self._lazy_builds = 0
+        self._candidates: tuple[Candidate, ...] | None = None
+        if points is None:
+            self._candidates = tuple(candidates or ())
+            points = _points_of(chain, self._candidates)
+            self._memo: list[Candidate | None] = list(self._candidates)
+        else:
+            self._memo = [None] * len(points.expr_id)
+        self._points = points
+        self._build_index()
+
+    def _build_index(self) -> None:
+        loops = self.chain.loop_names
+        tiles = self._points.tiles
+        digits = np.zeros(tiles.shape, dtype=np.int64)
+        universes: list[list[int]] = []
+        for j, loop in enumerate(loops):
+            universe = list(dict.fromkeys(self.tile_options.get(loop, ())))
+            column = tiles[:, j]
+            universe += sorted(set(column.tolist()) - set(universe))
+            values = np.asarray(universe, dtype=np.int64)
+            order = np.argsort(values)
+            digits[:, j] = order[np.searchsorted(values[order], column)]
+            universes.append(universe)
+        radices = [len(u) for u in universes]
+        strides = [int(np.prod(radices[j + 1:], dtype=np.int64)) for j in range(len(loops))]
+        span = int(np.prod(radices, dtype=np.int64))
+        codes = self._points.expr_id * span + digits @ np.asarray(strides, dtype=np.int64)
+        positions = np.full(len(self._points.exprs) * span, -1, dtype=np.int64)
+        last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
+        positions[codes[last]] = last
+        self.codes: list[int] = codes.tolist()
+        self.code_positions: list[int] = positions.tolist()
+
+        # Every one-option step of every point: code ± stride[loop], where
+        # a tile sits at its first option index (off-grid: option 0).
+        value_index = [{t: v for v, t in enumerate(u)} for u in universes]
+        mutants = np.full((len(codes), len(loops), 2), -1, dtype=np.int64)
+        mutable = []
+        for j, loop in enumerate(loops):
+            options = self.tile_options.get(loop, ())
+            mutable.append(len(options) >= 2)
+            if not mutable[-1]:
+                continue
+            first: dict[int, int] = {}
+            for i, tile in enumerate(options):
+                first.setdefault(tile, i)
+            at = np.array([first.get(t, 0) for t in universes[j]], dtype=np.int64)[digits[:, j]]
+            option_values = np.array([value_index[j][t] for t in options], dtype=np.int64)
+            for d, new in enumerate((at - 1, at + 1)):
+                inside = (new >= 0) & (new < len(options))
+                step = option_values[new[inside]] - digits[inside, j]
+                mutants[inside, j, d] = positions[codes[inside] + step * strides[j]]
+        self.mutants: list[int] = mutants.ravel().tolist()
+        self.mutable_loops = tuple(mutable)
+
+        # Key -> code, loop by loop in the key's name-sorted tile order.
+        self._span = span
+        self._expr_ids = {e.render(): i for i, e in enumerate(self._points.exprs)}
+        by_name = sorted(range(len(loops)), key=lambda j: loops[j])
+        self._key_loops = tuple((loops[j], value_index[j], strides[j]) for j in by_name)
+        self._sorted_columns = tuple((loops[j], j) for j in by_name)
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
-        """The candidates; a generated space lists them in expression
-        order, then grid row order."""
+        """Every position's candidate; a generated space lists them in
+        expression order, then grid row order."""
+        if self._candidates is None:
+            self._candidates = tuple(self.candidate(p) for p in range(len(self)))
         return self._candidates
 
     @property
@@ -114,20 +235,70 @@ class SearchSpace:
         return self._stats
 
     def __len__(self) -> int:
-        return len(self._candidates)
+        return len(self._memo)
 
     # -- lookups ---------------------------------------------------------------
 
+    def candidate(self, position: int) -> Candidate:
+        """The candidate at ``position``, built on first request."""
+        cand = self._memo[position]
+        if cand is None:
+            points = self._points
+            row = points.tiles[position].tolist()
+            cand = Candidate(
+                expr=points.exprs[points.expr_id[position]],
+                tiles=tuple((loop, row[j]) for loop, j in self._sorted_columns),
+            )
+            self._memo[position] = cand
+        return cand
+
+    def position(self, key: tuple) -> int | None:
+        """The position holding ``key`` (the last one, for a key a
+        hand-built space repeats), or ``None`` if outside the space."""
+        render, tiles = key
+        eid = self._expr_ids.get(render)
+        if eid is None or len(tiles) != len(self._key_loops):
+            return None
+        code = eid * self._span
+        for (loop, tile), (name, values, stride) in zip(tiles, self._key_loops):
+            v = values.get(tile) if loop == name else None
+            if v is None:
+                return None
+            code += v * stride
+        p = self.code_positions[code]
+        return p if p >= 0 else None
+
+    @property
+    def prices(self) -> PerfEstimate:
+        """Every position's eq. 2-5 estimate, as arrays aligned with the
+        positions (a hand-built space prices each candidate on request)."""
+        if self._points.price is not None:
+            return self._points.price
+        ests = [self.price(self.candidate(p)) for p in range(len(self))]
+        return PerfEstimate(
+            t_mem=np.array([e.t_mem for e in ests], dtype=np.float64),
+            t_comp=np.array([e.t_comp for e in ests], dtype=np.float64),
+            alpha=np.array([e.alpha for e in ests], dtype=np.float64),
+        )
+
     def price(self, cand: Candidate) -> PerfEstimate:
-        """The eq. 2-5 estimate of ``cand``, from the price table.
+        """The eq. 2-5 estimate of ``cand``, from the price arrays.
 
         Candidates the pipeline did not price (a space built by hand) are
         priced by the reference oracle on first use. Bit-identical to
         ``estimate_time(schedule_for(cand), gpu)``.
         """
-        est = self._prices.get(cand.key)
+        price = self._points.price
+        p = None if price is None else self.position(cand.key)
+        if p is not None:
+            return PerfEstimate(
+                t_mem=float(price.t_mem[p]),
+                t_comp=float(price.t_comp[p]),
+                alpha=float(price.alpha[p]),
+            )
+        est = self._priced.get(cand.key)
         if est is None:
-            est = self._prices[cand.key] = estimate_time(self.schedule_for(cand), self.gpu)
+            est = self._priced[cand.key] = estimate_time(self.schedule_for(cand), self.gpu)
         return est
 
     def launch_for(self, cand: Candidate) -> KernelLaunch:
@@ -137,10 +308,11 @@ class SearchSpace:
         by hand) fall back to the built schedule. Equal to
         ``schedule_for(cand).kernel_launch(gpu)``.
         """
-        template = self._launchers.get(cand.key)
-        if template is None:
+        points = self._points
+        p = None if points.template is None else self.position(cand.key)
+        if p is None:
             return self.schedule_for(cand).kernel_launch(self.gpu)
-        return template.launch(cand.tile_dict, self.gpu)
+        return points.launchers[points.template[p]].launch(cand.tile_dict, self.gpu)
 
     def schedule_for(self, cand: Candidate) -> Schedule:
         """The schedule of ``cand`` under the space's own ``optimized``
@@ -151,6 +323,7 @@ class SearchSpace:
             schedule = build_schedule(self.chain, cand.expr, cand.tile_dict, optimize=self.optimized)
             schedule = self._schedules.setdefault(cand.key, schedule)
         return schedule
+
     @property
     def templates(self) -> int:
         """Schedule templates that priced the space (one schedule built for each)."""
@@ -163,34 +336,12 @@ class SearchSpace:
         return len(self._templates) + self._lazy_builds
 
     def contains(self, cand: Candidate) -> bool:
-        return cand.key in self._keys
+        return self.position(cand.key) is not None
 
     def canonical(self, key: tuple) -> Candidate | None:
         """The space's own candidate with ``key``, or ``None`` if outside."""
-        return self._keys.get(key)
-
-    @cached_property
-    def _keys(self) -> dict[tuple, Candidate]:
-        # Safe to cache permanently: the candidate tuple never changes.
-        return {c.key: c for c in self._candidates}
-
-    @cached_property
-    def mutation_table(self) -> tuple[tuple[str, int, tuple[int, ...], dict[int, int]], ...]:
-        """Per loop, in ``chain.loop_names`` order: ``(loop, position in the
-        name-sorted tiles, Rule-3 options, tile -> first option index)`` —
-        what one tile mutation looks up instead of recomputing."""
-        loops = self.chain.loop_names
-        ordered = sorted(loops)
-        table = []
-        for loop in loops:
-            options = tuple(self.tile_options[loop])
-            index: dict[int, int] = {}
-            for i, tile in enumerate(options):
-                index.setdefault(tile, i)
-            table.append((loop, ordered.index(loop), options, index))
-        return tuple(table)
-
-
+        p = self.position(key)
+        return None if p is None else self.candidate(p)
 
 
 def generate_space(

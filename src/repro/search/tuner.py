@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -501,40 +501,25 @@ class MCFuserTuner:
                 self.cache.put(chain, self.gpu, report, signature=res.key)
         return report
 
-    def _tune_uncached(self, chain: ComputeChain) -> TuneReport:
-        """The full prune → search → measure pipeline."""
-        from repro.obs import get_tracer
+    def _search_loop(self, space: SearchSpace, clock: TuningClock) -> SearchLoop:
+        """The search loop of one tune over ``space``, billing ``clock``.
 
-        tracer = get_tracer()
-        clock = TuningClock()
-        with tracer.span("tune.space", clock=clock, chain=chain.name) as span:
-            space = self.build_space(chain, clock)
-            span.set(
-                candidates=len(space.candidates),
-                templates=space.templates,
-                schedules_built=space.schedules_built,
-            )
+        The model reads the space's price arrays and measurements read the
+        space's template launches (every point was priced from its
+        schedule template); schedules are built lazily, only for
+        candidates that are verified, featurized or returned. Every ranked
+        position bills one model estimate, however often the search
+        re-ranks it; the objective of every point is computed once per
+        tune (elementwise, so bit-identical to the scalar objective).
+        """
         model = (
             ChimeraModel(self.gpu) if self.variant == "chimera" else AnalyticalModel(self.gpu)
         )
+        objective = model.objective(space.prices)
 
-        # The model reads the space's price table and measurements read the
-        # space's template launches (every candidate was priced from its
-        # schedule template); schedules are built lazily, only for
-        # candidates that are verified, featurized or returned.
-        # Each candidate still bills one model estimate, however often the
-        # search re-ranks it; its objective is computed once per tune.
-        objectives: dict[tuple, float] = {}
-
-        def estimate_fn(cands: Sequence[Candidate]) -> list[float]:
-            clock.charge_each("model_estimate", len(cands))
-            out = []
-            for cand in cands:
-                value = objectives.get(cand.key)
-                if value is None:
-                    value = objectives[cand.key] = model.objective(space.price(cand))
-                out.append(value)
-            return out
+        def estimate_fn(positions: np.ndarray) -> np.ndarray:
+            clock.charge_each("model_estimate", len(positions))
+            return objective[positions]
 
         def raw_measure(cand: Candidate) -> float:
             return self.measure_schedule(space, cand)
@@ -552,7 +537,7 @@ class MCFuserTuner:
             clock=clock,
             repetitions=MEASURE_REPETITIONS,
         )
-        loop = SearchLoop(
+        return SearchLoop(
             space,
             estimate_fn,
             evaluator,
@@ -566,10 +551,26 @@ class MCFuserTuner:
             measure_topk=self.measure_topk,
             feature_fn=feature_fn,
         )
+
+    def _tune_uncached(self, chain: ComputeChain) -> TuneReport:
+        """The full prune → search → measure pipeline."""
+        from repro.obs import get_tracer
+
+        tracer = get_tracer()
+        clock = TuningClock()
+        with tracer.span("tune.space", clock=clock, chain=chain.name) as span:
+            space = self.build_space(chain, clock)
+            span.set(
+                candidates=len(space),
+                templates=space.templates,
+                schedules_built=space.schedules_built,
+            )
+        # The loop's set-up and the best's schedule build run inside the
+        # search span, so the tune's child spans cover its wall time.
         with tracer.span(
             "search", clock=clock, strategy=self.strategy.name
         ) as span:
-            result = loop.run(self.strategy)
+            result = self._search_loop(space, clock).run(self.strategy)
             span.set(
                 rounds=result.rounds,
                 estimates=result.num_estimates,
@@ -579,12 +580,13 @@ class MCFuserTuner:
                 best_time=result.best_time,
                 schedules_built=space.schedules_built,
             )
+            best_schedule = space.schedule_for(result.best)
         return TuneReport(
             chain=chain,
             gpu=self.gpu,
             variant=self.variant,
             best_candidate=result.best,
-            best_schedule=space.schedule_for(result.best),
+            best_schedule=best_schedule,
             best_time=result.best_time,
             tuning_seconds=clock.seconds,
             pruning=space.stats,

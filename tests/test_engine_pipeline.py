@@ -10,7 +10,7 @@ from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.engine import pipeline as pipeline_mod
 from repro.search.engine.loop import SearchLoop
-from repro.search.space import SearchSpace, generate_space
+from repro.search.space import Candidate, SearchSpace, generate_space
 from repro.search.tuner import MCFuserTuner
 from repro.tiling import schedule as schedule_mod
 
@@ -72,11 +72,28 @@ class TestFrozenSpace:
         with pytest.raises(AttributeError):
             space.candidates = ()
 
-    def test_contains_uses_cached_keys(self):
-        space = generate_space(_chain("frz2"), A100)
-        cand = space.candidates[0]
-        assert space.contains(cand)
-        assert space._keys is space._keys  # cached_property: one computation
+    @pytest.mark.parametrize("cap", [None, 40])
+    def test_contains_and_canonical_agree_with_the_candidate_keys(self, cap):
+        space = generate_space(_chain("frz2"), A100, max_candidates=cap)
+        keys = {c.key for c in space.candidates}
+        outside = 0
+        for cand in space.candidates:
+            assert space.contains(cand)
+            assert space.canonical(cand.key) is cand
+            for loop, tile in cand.tiles:
+                options = space.tile_options[loop]
+                i = options.index(tile)
+                for j in (i - 1, i + 1):
+                    if not 0 <= j < len(options):
+                        continue
+                    neighbour = Candidate.make(cand.expr, {**cand.tile_dict, loop: options[j]})
+                    if neighbour.key in keys:
+                        assert space.canonical(neighbour.key) is not None
+                        continue
+                    outside += 1
+                    assert not space.contains(neighbour)
+                    assert space.canonical(neighbour.key) is None
+        assert outside > 0
 
     def test_space_built_by_hand(self):
         base = generate_space(_chain("frz3"), A100)

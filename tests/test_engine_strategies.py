@@ -66,7 +66,8 @@ class TestRegistry:
                 return 2
 
             def propose(self, loop):
-                return [(c, loop.estimate(c)) for c in loop.space.candidates]
+                positions = np.arange(len(loop.space))
+                return positions, loop.estimate_batch(positions)
 
         try:
             register_strategy(FirstN)

@@ -1,11 +1,12 @@
-"""Table-driven mutation against the original per-attempt implementation.
+"""Position mutation against the original per-attempt implementation.
 
 ``oracle_mutate`` is the mutation helper as it was written before the
-search space grew its mutation tables: it re-sorts the loop names, builds a
+search space grew its mutation index: it re-sorts the loop names, builds a
 throwaway ``Candidate`` and asks the space whether it contains it. The
-engine's ``mutate_candidate`` must return the same mutant (as the space's
-own object) and leave the rng in the same state, and every strategy must
-return the same search result with either helper.
+engine's ``mutate_position`` (scalar draws) and ``mutate_positions`` (one
+bulk block per batch) must return the position of the same mutant and
+leave the rng in the same state, and every strategy must return the same
+search result with either helper.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.config import SessionConfig
 from repro.gpu.specs import A100
 from repro.search.engine import ParallelEvaluator, SearchLoop, make_strategy
 from repro.search.engine import strategy as strategy_mod
-from repro.search.engine.strategy import BulkIntegers, mutate_candidate
+from repro.search.engine.strategy import BulkIntegers, mutate_position, mutate_positions
 from repro.search.space import Candidate, SearchSpace, generate_space
 from repro.search.tuner import MCFuserTuner
 from repro.workloads import build_workload, workload_names
@@ -63,39 +64,52 @@ def _state(rng):
     return rng.bit_generator.state
 
 
+def _oracle_position(space, position, rng, attempts=8):
+    """``oracle_mutate`` of the position's candidate, as a position."""
+    cand = space.candidate(position)
+    got = oracle_mutate(space, cand, rng, attempts)
+    return position if got is cand else space.position(got.key)
+
+
 def _assert_same_mutant(space, expected, got, parent):
-    assert got.key == expected.key
-    assert got is parent or got is space.canonical(got.key)
+    assert space.candidate(got).key == expected.key
+    assert got == parent or got == space.position(expected.key)
 
 
 def _check_against_oracle(space, starts, seed, steps=3):
-    """Chained walks with scalar draws, then one bulk batch, both against
-    the oracle on a twin generator."""
+    """Chained walks with scalar draws, then one batch through the bulk
+    loop and one through ``BulkIntegers.integers``, each against the
+    oracle on a twin generator."""
     old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for start in starts:
-        old = new = start
+        old, new = space.candidate(start), start
         for _ in range(steps):
             parent = new
             old = oracle_mutate(space, old, old_rng)
-            new = mutate_candidate(space, new, new_rng)
+            new = mutate_position(space, new, new_rng)
             _assert_same_mutant(space, old, new, parent)
             assert _state(old_rng) == _state(new_rng)
-    expected = [oracle_mutate(space, c, old_rng) for c in starts]
-    with BulkIntegers(new_rng, len(starts)) as draws:
-        got = [mutate_candidate(space, c, draws) for c in starts]
-    for parent, e, g in zip(starts, expected, got):
-        _assert_same_mutant(space, e, g, parent)
-    assert _state(old_rng) == _state(new_rng)
+    for batch in (
+        lambda draws: mutate_positions(space, starts, draws),
+        lambda draws: [mutate_position(space, p, draws) for p in starts],
+    ):
+        expected = [oracle_mutate(space, space.candidate(p), old_rng) for p in starts]
+        with BulkIntegers(new_rng, len(starts)) as draws:
+            got = batch(draws)
+        for parent, e, g in zip(starts, expected, got):
+            _assert_same_mutant(space, e, g, parent)
+        assert _state(old_rng) == _state(new_rng)
     assert old_rng.random() == new_rng.random()
 
 
-def _edge_space() -> tuple[SearchSpace, Candidate]:
+def _edge_space() -> tuple[SearchSpace, int]:
     """A frozen space with a single-option loop and an off-grid tile.
 
     Loop ``h`` keeps one Rule-3 option, so mutations drawing it skip
     without a step draw. The extra candidate's ``m`` tile (3) is not an
     option, so mutation starts it from option 0; one step up lands on the
-    candidate it was derived from.
+    candidate it was derived from. Returns the space and the extra
+    candidate's position.
     """
     base = generate_space(build_workload("G1"), A100)
     options = dict(base.tile_options)
@@ -111,13 +125,13 @@ def _edge_space() -> tuple[SearchSpace, Candidate]:
         base.stats,
         options,
     )
-    return space, off_grid
+    return space, len(space) - 1
 
 
 @pytest.mark.parametrize("name", workload_names(level="chain"))
 def test_every_chain_mutates_like_the_oracle(name):
     space = generate_space(build_workload(name), A100)
-    starts = space.candidates[:: max(1, len(space.candidates) // 40)]
+    starts = list(range(0, len(space), max(1, len(space) // 40)))
     for seed in (0, 1, 2):
         _check_against_oracle(space, starts, seed)
 
@@ -125,11 +139,46 @@ def test_every_chain_mutates_like_the_oracle(name):
 def test_single_option_loop_and_off_grid_tile():
     space, off_grid = _edge_space()
     for seed in range(20):
-        _check_against_oracle(space, [off_grid] * 8 + list(space.candidates[:24]), seed)
+        _check_against_oracle(space, [off_grid] * 8 + list(range(24)), seed)
     # The off-grid start really mutates (from option 0, up to option 1).
     rng = np.random.default_rng(0)
-    mutants = {mutate_candidate(space, off_grid, rng).key for _ in range(50)}
-    assert any(dict(key[1])["m"] == space.tile_options["m"][1] for key in mutants)
+    mutants = {mutate_position(space, off_grid, rng) for _ in range(50)}
+    assert any(
+        space.candidate(p).tile_dict["m"] == space.tile_options["m"][1] for p in mutants
+    )
+
+
+class _Scripted:
+    """A generator stand-in that serves a fixed cycle of raw uint32 draws."""
+
+    def __init__(self, raw):
+        self.raw, self.state, self.bit_generator = raw, 0, self
+
+    def integers(self, low, high, size, dtype):
+        out = [self.raw[(self.state + i) % len(self.raw)] for i in range(size)]
+        self.state += size
+        return np.array(out, dtype=dtype)
+
+
+def test_rejected_loop_draws_fall_back_exactly():
+    """With three loops to draw from, Lemire's rule rejects a raw 0; the
+    bulk loop then finishes that draw through ``integers`` and reads on."""
+    space = generate_space(build_workload("G1"), A100)
+    space.mutable_loops = space.mutable_loops[:3]
+    raw = [0, 0, 2**31, 5 * 2**29, 0, 3 * 2**30, 2**30, 7 * 2**29, 0, 2**29]
+    parents = list(range(0, len(space), max(1, len(space) // 60)))
+    fallbacks = []
+    with BulkIntegers(_Scripted(raw), 4) as bulk:
+        integers = bulk.integers
+        bulk.integers = lambda n: fallbacks.append(n) or integers(n)
+        got = mutate_positions(space, parents, bulk)
+        used = bulk._used
+    with BulkIntegers(_Scripted(raw), 4) as scalar:
+        want = [mutate_position(space, p, scalar) for p in parents]
+        assert used == scalar._used
+    assert got == want
+    assert fallbacks and set(fallbacks) == {3}
+    assert any(p != q for p, q in zip(parents, got))
 
 
 def _synthetic(cands):
@@ -141,13 +190,16 @@ def _synthetic(cands):
 
 
 def _search(space, name, seed):
+    def estimate(positions):
+        return _synthetic([space.candidate(p) for p in positions.tolist()])
+
     def measure(c):
         (est,) = _synthetic([c])
         return est * (1.0 + 0.01 * (len(c.key[0]) % 5))
 
     loop = SearchLoop(
         space,
-        _synthetic,
+        estimate,
         ParallelEvaluator(measure),
         population_size=48,
         top_n=4,
@@ -168,11 +220,26 @@ def _summary(result):
     )
 
 
+#: Strategies whose search mutates (so the oracle patch must be called).
+MUTATING = ("evolutionary", "annealing")
+
+
 @pytest.fixture
 def oracle_patched(monkeypatch):
+    calls = []
+
+    def oracle_position(space, position, rng, attempts=8):
+        calls.append(position)
+        return _oracle_position(space, position, rng, attempts)
+
+    def oracle_positions(space, parents, draws, attempts=8):
+        return [oracle_position(space, p, draws, attempts) for p in parents]
+
     def patch():
-        monkeypatch.setattr(strategy_mod, "mutate_candidate", oracle_mutate)
+        monkeypatch.setattr(strategy_mod, "mutate_position", oracle_position)
+        monkeypatch.setattr(strategy_mod, "mutate_positions", oracle_positions)
         monkeypatch.setattr(strategy_mod, "BulkIntegers", _ScalarDraws)
+        return calls
 
     return patch
 
@@ -181,8 +248,9 @@ def oracle_patched(monkeypatch):
 def test_strategies_match_the_oracle_on_the_edge_space(name, oracle_patched):
     space, _ = _edge_space()
     fast = [_summary(_search(space, name, seed)) for seed in range(3)]
-    oracle_patched()
+    calls = oracle_patched()
     assert [_summary(_search(space, name, seed)) for seed in range(3)] == fast
+    assert bool(calls) == (name in MUTATING)
 
 
 @pytest.mark.parametrize("name", ALL_STRATEGIES)
@@ -201,5 +269,6 @@ def test_tuner_results_match_the_oracle(name, oracle_patched):
         return _summary(report.search), report.tuning_seconds, report.clock.breakdown
 
     fast = tune()
-    oracle_patched()
+    calls = oracle_patched()
     assert tune() == fast
+    assert bool(calls) == (name in MUTATING)

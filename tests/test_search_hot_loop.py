@@ -1,5 +1,5 @@
-"""The search loop's hot path: no candidate objects built, estimates billed
-in batches exactly as one-by-one billing would."""
+"""The search loop's hot path: candidate objects built only for measured
+points, estimates billed in batches exactly as one-by-one billing would."""
 
 from __future__ import annotations
 
@@ -16,43 +16,34 @@ from repro.search.tuning_cost import COSTS, TuningClock
 from repro.workloads import build_workload
 
 
-def test_seeded_g1_tune_builds_no_candidates_inside_the_loop(monkeypatch):
-    built = {"in_loop": 0}
-    in_loop = {"active": False}
+def test_seeded_g1_tune_builds_only_measured_candidates(monkeypatch):
+    built = [0]
     populations: list[tuple] = []
     original_post_init = Candidate.__post_init__
-    original_run = SearchLoop.run
     original_evolve = EvolutionarySearch.evolve
 
     def counting_post_init(self):
-        if in_loop["active"]:
-            built["in_loop"] += 1
+        built[0] += 1
         original_post_init(self)
-
-    def run(self, strategy):
-        in_loop["active"] = True
-        try:
-            return original_run(self, strategy)
-        finally:
-            in_loop["active"] = False
 
     def evolve(self, loop):
         original_evolve(self, loop)
-        populations.append((loop.space, list(self.population)))
+        populations.append((len(loop.space), self.population))
 
     monkeypatch.setattr(Candidate, "__post_init__", counting_post_init)
-    monkeypatch.setattr(SearchLoop, "run", run)
     monkeypatch.setattr(EvolutionarySearch, "evolve", evolve)
     report = MCFuserTuner(
         A100, config=SessionConfig.make(seed=0, cache_enabled=False)
     ).tune(build_workload("G1"))
 
     assert report.search.strategy == "evolutionary"
-    assert built["in_loop"] == 0
+    assert report.search.num_measurements > 0
+    assert built[0] <= report.search.num_measurements
     assert populations, "the tune never evolved a generation"
-    for space, population in populations:
-        own = {id(c) for c in space.candidates}
-        assert all(id(c) in own for c in population)
+    for size, population in populations:
+        assert len(population) > 0
+        for p in population.tolist():
+            assert isinstance(p, int) and 0 <= p < size
 
 
 def test_charge_each_is_sequential_charges_bit_for_bit():
@@ -89,9 +80,9 @@ def test_estimates_are_counted_per_candidate():
         return [1e-6] * len(cands)
 
     loop = SearchLoop(space, estimate, ParallelEvaluator(lambda c: 1e-6))
-    out = loop.estimate_batch(space.candidates[:5])
+    out = loop.estimate_batch(np.arange(5))
     assert out.dtype == np.float64 and out.shape == (5,)
-    assert loop.estimate(space.candidates[0]) == 1e-6
+    assert loop.estimate(0) == 1e-6
     assert calls == [5, 1]
     assert loop.num_estimates == 6
 
