@@ -33,7 +33,7 @@ from repro.utils import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.search.engine.loop import SearchLoop
-    from repro.search.space import Candidate, SearchSpace
+    from repro.search.space import SearchSpace
 
 __all__ = [
     "SearchStrategy",
