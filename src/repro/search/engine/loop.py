@@ -78,10 +78,12 @@ class SearchLoop:
 
     The loop and its strategies work on space positions; a
     :class:`~repro.search.space.Candidate` is built only for a position
-    that is measured or featurized. ``measured``, ``failed`` and the
-    :class:`SearchResult` stay keyed by candidate key; ``measured_codes``
-    and ``failed_codes`` hold the same points as space key codes, which is
-    what strategies test positions against.
+    that is measured or featurized. The bookkeeping is kept in space key
+    codes, which is what strategies test positions against:
+    ``measured_codes`` maps each measured code to its time (``inf`` for a
+    launch failure) and ``failed_codes`` holds the failures. ``measured``,
+    ``failed``, ``best`` and the :class:`SearchResult` give the same
+    points keyed by candidate key, derived on access.
 
     Args:
         space: The pruned search space.
@@ -143,12 +145,9 @@ class SearchLoop:
         # shared bookkeeping; rng is assigned by run() from the strategy's
         # rng_key — accessing it before run() is a bug and fails loudly.
         self.rng: np.random.Generator
-        self.measured: dict[tuple, float] = {}
-        self.failed: set[tuple] = set()
-        self.measured_codes: set[int] = set()
+        self.measured_codes: dict[int, float] = {}
         self.failed_codes: set[int] = set()
         self.pairs: list[tuple[float, float]] = []
-        self.best: "Candidate | None" = None
         self.best_position: int | None = None
         self.best_time = float("inf")
         self.num_estimates = 0
@@ -156,6 +155,29 @@ class SearchLoop:
         self.rounds = 0
         self.model_rounds = 0
         self.converged = False
+
+    # -- the bookkeeping by candidate key ---------------------------------------
+
+    def _key(self, code: int) -> tuple:
+        space = self.space
+        return space.candidate(space.code_positions[code]).key
+
+    @property
+    def measured(self) -> dict[tuple, float]:
+        """Measured time per candidate key, in measurement order."""
+        return {self._key(code): t for code, t in self.measured_codes.items()}
+
+    @property
+    def failed(self) -> set[tuple]:
+        """The keys of the candidates whose launch failed."""
+        return {self._key(code) for code in self.failed_codes}
+
+    @property
+    def best(self) -> "Candidate | None":
+        """The best measured candidate so far."""
+        if self.best_position is None:
+            return None
+        return self.space.candidate(self.best_position)
 
     # -- services strategies call back into -----------------------------------
 
@@ -271,8 +293,8 @@ class SearchLoop:
                 times = self.evaluator.measure(cands)
 
                 round_best_time = float("inf")
-                round_best = round_best_position = None
-                for p, cand, est, t in zip(picked_positions, cands, picked_est.tolist(), times):
+                round_best = None
+                for p, est, t in zip(picked_positions, picked_est.tolist(), times):
                     # Normalize non-finite measurements (inf *and* NaN) to a
                     # plain launch failure: a NaN would compare False against
                     # everything and silently corrupt best-tracking and the
@@ -280,12 +302,10 @@ class SearchLoop:
                     if not math.isfinite(t):
                         t = float("inf")
                     code = space.codes[p]
-                    self.measured[cand.key] = t
-                    self.measured_codes.add(code)
+                    self.measured_codes[code] = t
                     self.num_measurements += 1
                     self.pairs.append((est, t))
                     if t == float("inf"):
-                        self.failed.add(cand.key)
                         self.failed_codes.add(code)
                     elif self.cost_model is not None and self._feature_fn is not None:
                         self.cost_model.observe(
@@ -295,7 +315,7 @@ class SearchLoop:
                             workload=space.chain.name,
                         )
                     if round_best is None or t < round_best_time:
-                        round_best_time, round_best, round_best_position = t, cand, p
+                        round_best_time, round_best = t, p
                 assert round_best is not None
                 if self.cost_model is not None and self._feature_fn is not None:
                     self.cost_model.fit()  # no-op while starved or data-unchanged
@@ -306,9 +326,8 @@ class SearchLoop:
                     )
 
                 prev_best = self.best_time
-                if self.best is None or round_best_time < self.best_time:
-                    self.best, self.best_time = round_best, round_best_time
-                    self.best_position = round_best_position
+                if self.best_position is None or round_best_time < self.best_time:
+                    self.best_position, self.best_time = round_best, round_best_time
                 span.set(round_best=round_best_time, best_time=self.best_time)
                 if (
                     strategy.uses_convergence
@@ -323,9 +342,10 @@ class SearchLoop:
                         break
                 strategy.evolve(self)
 
-        assert self.best is not None
+        best = self.best
+        assert best is not None
         return SearchResult(
-            best=self.best,
+            best=best,
             best_time=self.best_time,
             rounds=self.rounds,
             num_estimates=self.num_estimates,

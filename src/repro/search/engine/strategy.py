@@ -73,10 +73,9 @@ class BulkIntegers:
     used, so the stream after the batch is the scalar stream. Nothing else
     may draw from ``rng`` inside the block.
 
-    A hot loop may skip the method call per draw: :meth:`bounded` gives
-    the block already decoded for one bound, and the loop reads it at
-    ``_used`` after :meth:`reserve`, advancing ``_used`` itself and
-    falling back to :meth:`integers` on a rejected (-1) draw.
+    A hot loop may skip the method call per draw: it reads the lists
+    :meth:`bounded` decodes from index :attr:`used` on, then passes the
+    number of draws it read to :meth:`advance`.
     """
 
     def __init__(self, rng: np.random.Generator, size: int) -> None:
@@ -95,24 +94,32 @@ class BulkIntegers:
         if self._used:
             self._rng.integers(0, 2**32, size=self._used, dtype=np.uint32)
 
-    def _grow(self) -> None:
-        raw = self._rng.integers(0, 2**32, size=self._size, dtype=np.uint32)
-        self._block.extend(raw.tolist())
-        for n, values in self._decoded.items():
-            values.extend(_lemire(raw, n))
+    @property
+    def used(self) -> int:
+        """Raw draws consumed so far: the index of the next one."""
+        return self._used
 
-    def reserve(self, count: int) -> None:
-        """Grow the block to hold at least ``count`` raw draws."""
-        while len(self._block) < count:
-            self._grow()
+    def advance(self, count: int) -> None:
+        """Consume ``count`` raw draws that a reader of :meth:`bounded`
+        lists has read."""
+        if count < 0 or self._used + count > len(self._block):
+            raise ValueError(f"cannot consume {count} draws at {self._used}")
+        self._used += count
 
-    def bounded(self, n: int) -> list[int]:
+    def bounded(self, n: int, count: int = 0) -> list[int]:
         """Per raw draw of the block, the value ``rng.integers(n)`` takes
-        from it, or -1 if the draw is rejected. The list grows with the
-        block; ``n`` must be at least 2."""
+        from it, or -1 where Lemire's rule rejects it (numpy then tries the
+        next raw draw). The block first grows to hold at least ``count``
+        raw draws, and the list keeps growing with it; ``n`` must be at
+        least 2."""
         values = self._decoded.get(n)
         if values is None:
             values = self._decoded[n] = _lemire(np.asarray(self._block, dtype=np.uint32), n)
+        while len(self._block) < count:
+            raw = self._rng.integers(0, 2**32, size=self._size, dtype=np.uint32)
+            self._block.extend(raw.tolist())
+            for bound, decoded in self._decoded.items():
+                decoded.extend(_lemire(raw, bound))
         return values
 
     def integers(self, n: int) -> int:
@@ -121,10 +128,11 @@ class BulkIntegers:
             raise ValueError(f"bound must be in [1, 2**32], got {n}")
         if n == 1:
             return 0
-        values = self.bounded(int(n))
+        n = int(n)
+        values = self.bounded(n)
         while True:
             if self._used == len(values):
-                self._grow()
+                self.bounded(n, self._used + 1)
             value = values[self._used]
             self._used += 1
             if value >= 0:
@@ -162,30 +170,29 @@ def mutate_positions(
     space: "SearchSpace", parents: "Sequence[int]", draws: BulkIntegers, attempts: int = 8
 ) -> list[int]:
     """:func:`mutate_position` of every parent in turn, drawing from
-    ``draws``: the same mutants and the same draws, read from the decoded
-    block without a method call per draw."""
+    ``draws``: the same mutants and the same draws, read from the block's
+    decoded lists without a method call per draw."""
     mutable, mutants = space.mutable_loops, space.mutants
     n = len(mutable)
     if n < 2:  # a one-loop draw consumes nothing; there is no block to read
         return [mutate_position(space, p, draws, attempts) for p in parents]
     width = 2 * len(space.chain.loop_names)
+    need = 2 * attempts  # the most draws a parent reads, rejections aside
+    start = used = draws.used
     loops, steps = draws.bounded(n), draws.bounded(2)  # a bound of 2 never rejects
-    need = 2 * attempts
-    used = draws._used
     out = []
     for parent in parents:
         if used + need > len(loops):
-            draws.reserve(used + need)
+            draws.bounded(n, used + need)  # grows every decoded list
         row = parent * width
         mutant = parent
         for _ in range(attempts):
             i = loops[used]
             used += 1
-            if i < 0:  # rejected by Lemire's rule: let the method redraw
-                draws._used = used - 1
-                i = draws.integers(n)
-                used = draws._used
-                draws.reserve(used + need)
+            while i < 0:  # rejected by Lemire's rule: numpy reads the next draw
+                draws.bounded(n, used + need)
+                i = loops[used]
+                used += 1
             if not mutable[i]:
                 continue
             found = mutants[row + 2 * i + steps[used]]
@@ -194,7 +201,7 @@ def mutate_positions(
                 mutant = found
                 break
         out.append(mutant)
-    draws._used = used
+    draws.advance(used - start)
     return out
 
 

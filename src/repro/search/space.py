@@ -122,14 +122,14 @@ class SearchSpace:
     exactly when their candidates have equal keys.
 
     * ``codes[p]`` is position ``p``'s code;
-    * ``code_positions[c]`` is the position holding code ``c`` (the last
-      one, when a hand-built space repeats a key), or -1;
+    * ``code_positions`` maps each code in the space to the position
+      holding it (the last one, when a hand-built space repeats a key);
     * ``mutants[(p * L + i) * 2 + d]``, with ``L`` the chain's loop count,
       is where stepping loop ``i`` of point ``p`` one Rule-3 option down
-      (``d = 0``) or up (``d = 1``) lands: ``code ± stride[i]`` looked up
-      in ``code_positions``, or -1 when the step leaves the options or the
-      space. A tile sits at its first option index; an off-grid tile
-      steps from option 0;
+      (``d = 0``) or up (``d = 1``) lands: the position holding ``code ±
+      stride[i]``, or -1 when the step leaves the options or the space. A
+      tile sits at its first option index; an off-grid tile steps from
+      option 0;
     * ``mutable_loops[i]`` is false for a loop with fewer than two options.
 
     Nothing here changes after construction, so no index can go stale.
@@ -186,11 +186,12 @@ class SearchSpace:
         strides = [int(np.prod(radices[j + 1:], dtype=np.int64)) for j in range(len(loops))]
         span = int(np.prod(radices, dtype=np.int64))
         codes = self._points.expr_id * span + digits @ np.asarray(strides, dtype=np.int64)
-        positions = np.full(len(self._points.exprs) * span, -1, dtype=np.int64)
-        last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
-        positions[codes[last]] = last
         self.codes: list[int] = codes.tolist()
-        self.code_positions: list[int] = positions.tolist()
+        # A repeated key maps to its last position.
+        self.code_positions: dict[int, int] = dict(zip(self.codes, range(len(self.codes))))
+        kept = np.fromiter(self.code_positions.values(), dtype=np.int64)
+        kept = kept[np.argsort(codes[kept])]  # the mapped positions, by code
+        kept_codes = codes[kept]
 
         # Every one-option step of every point: code ± stride[loop], where
         # a tile sits at its first option index (off-grid: option 0).
@@ -208,9 +209,12 @@ class SearchSpace:
             at = np.array([first.get(t, 0) for t in universes[j]], dtype=np.int64)[digits[:, j]]
             option_values = np.array([value_index[j][t] for t in options], dtype=np.int64)
             for d, new in enumerate((at - 1, at + 1)):
-                inside = (new >= 0) & (new < len(options))
+                inside = np.flatnonzero((new >= 0) & (new < len(options)))
                 step = option_values[new[inside]] - digits[inside, j]
-                mutants[inside, j, d] = positions[codes[inside] + step * strides[j]]
+                target = codes[inside] + step * strides[j]
+                found = np.minimum(np.searchsorted(kept_codes, target), len(kept_codes) - 1)
+                hit = kept_codes[found] == target
+                mutants[inside[hit], j, d] = kept[found[hit]]
         self.mutants: list[int] = mutants.ravel().tolist()
         self.mutable_loops = tuple(mutable)
 
@@ -265,21 +269,14 @@ class SearchSpace:
             if v is None:
                 return None
             code += v * stride
-        p = self.code_positions[code]
-        return p if p >= 0 else None
+        return self.code_positions.get(code)
 
     @property
-    def prices(self) -> PerfEstimate:
+    def prices(self) -> PerfEstimate | None:
         """Every position's eq. 2-5 estimate, as arrays aligned with the
-        positions (a hand-built space prices each candidate on request)."""
-        if self._points.price is not None:
-            return self._points.price
-        ests = [self.price(self.candidate(p)) for p in range(len(self))]
-        return PerfEstimate(
-            t_mem=np.array([e.t_mem for e in ests], dtype=np.float64),
-            t_comp=np.array([e.t_comp for e in ests], dtype=np.float64),
-            alpha=np.array([e.alpha for e in ests], dtype=np.float64),
-        )
+        positions; ``None`` for a space built by hand, which prices each
+        candidate on request (:meth:`price`)."""
+        return self._points.price
 
     def price(self, cand: Candidate) -> PerfEstimate:
         """The eq. 2-5 estimate of ``cand``, from the price arrays.

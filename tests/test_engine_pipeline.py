@@ -34,6 +34,21 @@ FIG7_FUNNELS = {
 }
 
 
+def _hand_built_space(name):
+    """A space built by hand with a single-option loop (``h``), an
+    off-grid tile (``m`` = 24) and a repeated key (the last copy wins)."""
+    base = generate_space(_chain(name), A100)
+    options = {**base.tile_options, "h": base.tile_options["h"][:1]}
+    source = base.candidates[3]
+    off_grid = Candidate.make(source.expr, {**source.tile_dict, "m": 24})
+    repeat = Candidate(expr=source.expr, tiles=source.tiles)
+    space = SearchSpace(
+        base.chain, A100, [*base.candidates, off_grid, repeat], base.stats, options
+    )
+    assert 24 not in options["m"] and space.candidates[-1] is not source
+    return space
+
+
 class TestFrozenSpace:
     @pytest.mark.parametrize("variant", sorted(FIG7_FUNNELS))
     def test_stats_match_pre_engine_funnel(self, variant):
@@ -72,28 +87,38 @@ class TestFrozenSpace:
         with pytest.raises(AttributeError):
             space.candidates = ()
 
-    @pytest.mark.parametrize("cap", [None, 40])
-    def test_contains_and_canonical_agree_with_the_candidate_keys(self, cap):
-        space = generate_space(_chain("frz2"), A100, max_candidates=cap)
-        keys = {c.key for c in space.candidates}
-        outside = 0
+    @pytest.mark.parametrize("kind", ["full", "capped", "hand-built"])
+    def test_contains_and_canonical_agree_with_the_candidate_keys(self, kind):
+        if kind == "hand-built":
+            space = _hand_built_space("frz2h")
+        else:
+            space = generate_space(
+                _chain("frz2"), A100, max_candidates=40 if kind == "capped" else None
+            )
+        keys = {c.key: p for p, c in enumerate(space.candidates)}  # a repeated key: last wins
+        inside = outside = 0
         for cand in space.candidates:
             assert space.contains(cand)
-            assert space.canonical(cand.key) is cand
+            assert space.position(cand.key) == keys[cand.key]
+            assert space.canonical(cand.key) is space.candidates[keys[cand.key]]
             for loop, tile in cand.tiles:
                 options = space.tile_options[loop]
-                i = options.index(tile)
+                i = options.index(tile) if tile in options else 0
                 for j in (i - 1, i + 1):
-                    if not 0 <= j < len(options):
+                    if not 0 <= j < len(options) or options[j] == tile:
                         continue
                     neighbour = Candidate.make(cand.expr, {**cand.tile_dict, loop: options[j]})
                     if neighbour.key in keys:
-                        assert space.canonical(neighbour.key) is not None
+                        inside += 1
+                        assert space.contains(neighbour)
+                        assert space.position(neighbour.key) == keys[neighbour.key]
+                        assert space.canonical(neighbour.key).key == neighbour.key
                         continue
                     outside += 1
                     assert not space.contains(neighbour)
+                    assert space.position(neighbour.key) is None
                     assert space.canonical(neighbour.key) is None
-        assert outside > 0
+        assert inside > 0 and outside > 0
 
     def test_space_built_by_hand(self):
         base = generate_space(_chain("frz3"), A100)

@@ -2,7 +2,10 @@
 
 ``oracle_mutate`` is the mutation helper as it was written before the
 search space grew its mutation index: it re-sorts the loop names, builds a
-throwaway ``Candidate`` and asks the space whether it contains it. The
+throwaway ``Candidate`` and looks its key up among the space's candidates.
+It decides containment, and maps its results to positions, with its own
+key table built from ``space.candidates`` (the last of a repeated key
+wins), so a fault in the space's key codes cannot move it too. The
 engine's ``mutate_position`` (scalar draws) and ``mutate_positions`` (one
 bulk block per batch) must return the position of the same mutant and
 leave the rng in the same state, and every strategy must return the same
@@ -10,6 +13,8 @@ search result with either helper.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,7 +31,15 @@ from repro.workloads import build_workload, workload_names
 ALL_STRATEGIES = ("evolutionary", "random", "exhaustive", "annealing")
 
 
+@lru_cache(maxsize=4)
+def oracle_keys(space):
+    """Key -> position over ``space.candidates``; a repeated key keeps its
+    last position."""
+    return {cand.key: p for p, cand in enumerate(space.candidates)}
+
+
 def oracle_mutate(space, cand, rng, attempts=8):
+    keys = oracle_keys(space)
     loops = space.chain.loop_names
     for _ in range(attempts):
         loop = loops[int(rng.integers(len(loops)))]
@@ -42,7 +55,7 @@ def oracle_mutate(space, cand, rng, attempts=8):
             continue
         tiles = (*cand.tiles[:pos], (loop, options[new_idx]), *cand.tiles[pos + 1:])
         mutated = Candidate(expr=cand.expr, tiles=tiles)
-        if space.contains(mutated):
+        if mutated.key in keys:
             return mutated
     return cand
 
@@ -66,14 +79,9 @@ def _state(rng):
 
 def _oracle_position(space, position, rng, attempts=8):
     """``oracle_mutate`` of the position's candidate, as a position."""
-    cand = space.candidate(position)
+    cand = space.candidates[position]
     got = oracle_mutate(space, cand, rng, attempts)
-    return position if got is cand else space.position(got.key)
-
-
-def _assert_same_mutant(space, expected, got, parent):
-    assert space.candidate(got).key == expected.key
-    assert got == parent or got == space.position(expected.key)
+    return position if got is cand else oracle_keys(space)[got.key]
 
 
 def _check_against_oracle(space, starts, seed, steps=3):
@@ -82,34 +90,34 @@ def _check_against_oracle(space, starts, seed, steps=3):
     oracle on a twin generator."""
     old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for start in starts:
-        old, new = space.candidate(start), start
+        old = new = start
         for _ in range(steps):
-            parent = new
-            old = oracle_mutate(space, old, old_rng)
+            old = _oracle_position(space, old, old_rng)
             new = mutate_position(space, new, new_rng)
-            _assert_same_mutant(space, old, new, parent)
+            assert new == old
             assert _state(old_rng) == _state(new_rng)
     for batch in (
         lambda draws: mutate_positions(space, starts, draws),
         lambda draws: [mutate_position(space, p, draws) for p in starts],
     ):
-        expected = [oracle_mutate(space, space.candidate(p), old_rng) for p in starts]
+        expected = [_oracle_position(space, p, old_rng) for p in starts]
         with BulkIntegers(new_rng, len(starts)) as draws:
             got = batch(draws)
-        for parent, e, g in zip(starts, expected, got):
-            _assert_same_mutant(space, e, g, parent)
+        assert got == expected
         assert _state(old_rng) == _state(new_rng)
     assert old_rng.random() == new_rng.random()
 
 
 def _edge_space() -> tuple[SearchSpace, int]:
-    """A frozen space with a single-option loop and an off-grid tile.
+    """A frozen space with a single-option loop, an off-grid tile and a
+    repeated key.
 
     Loop ``h`` keeps one Rule-3 option, so mutations drawing it skip
-    without a step draw. The extra candidate's ``m`` tile (3) is not an
+    without a step draw. The last candidate's ``m`` tile (3) is not an
     option, so mutation starts it from option 0; one step up lands on the
-    candidate it was derived from. Returns the space and the extra
-    candidate's position.
+    candidate it was derived from. Candidate 5 appears again just before
+    it, and a mutation landing on that key lands on the later copy.
+    Returns the space and the off-grid candidate's position.
     """
     base = generate_space(build_workload("G1"), A100)
     options = dict(base.tile_options)
@@ -118,10 +126,11 @@ def _edge_space() -> tuple[SearchSpace, int]:
     source = next(c for c in base.candidates if c.tile_dict["m"] == m_opts[1])
     off_grid = Candidate.make(source.expr, {**source.tile_dict, "m": 3})
     assert 3 not in m_opts
+    repeat = Candidate(expr=base.candidates[5].expr, tiles=base.candidates[5].tiles)
     space = SearchSpace(
         base.chain,
         A100,
-        [*base.candidates, off_grid],
+        [*base.candidates, repeat, off_grid],
         base.stats,
         options,
     )
@@ -146,6 +155,12 @@ def test_single_option_loop_and_off_grid_tile():
     assert any(
         space.candidate(p).tile_dict["m"] == space.tile_options["m"][1] for p in mutants
     )
+    # A step onto the repeated key lands on its later copy, never on 5.
+    repeat = off_grid - 1
+    landed = {
+        mutate_position(space, p, rng) for p in range(repeat) if p != 5 for _ in range(4)
+    }
+    assert repeat in landed and 5 not in landed
 
 
 class _Scripted:
@@ -160,24 +175,31 @@ class _Scripted:
         return np.array(out, dtype=dtype)
 
 
-def test_rejected_loop_draws_fall_back_exactly():
+def test_rejected_loop_draws_are_redrawn_exactly():
     """With three loops to draw from, Lemire's rule rejects a raw 0; the
-    bulk loop then finishes that draw through ``integers`` and reads on."""
+    bulk loop then reads on to the next raw draw, as numpy does."""
     space = generate_space(build_workload("G1"), A100)
     space.mutable_loops = space.mutable_loops[:3]
     raw = [0, 0, 2**31, 5 * 2**29, 0, 3 * 2**30, 2**30, 7 * 2**29, 0, 2**29]
     parents = list(range(0, len(space), max(1, len(space) // 60)))
-    fallbacks = []
     with BulkIntegers(_Scripted(raw), 4) as bulk:
-        integers = bulk.integers
-        bulk.integers = lambda n: fallbacks.append(n) or integers(n)
         got = mutate_positions(space, parents, bulk)
-        used = bulk._used
-    with BulkIntegers(_Scripted(raw), 4) as scalar:
+        used = bulk.used
+    redrawn = []
+
+    class Counting(BulkIntegers):
+        def integers(self, n):
+            before = self.used
+            value = super().integers(n)
+            if self.used - before > 1:
+                redrawn.append(n)
+            return value
+
+    with Counting(_Scripted(raw), 4) as scalar:
         want = [mutate_position(space, p, scalar) for p in parents]
-        assert used == scalar._used
+        assert used == scalar.used
     assert got == want
-    assert fallbacks and set(fallbacks) == {3}
+    assert redrawn and set(redrawn) == {3}
     assert any(p != q for p, q in zip(parents, got))
 
 
