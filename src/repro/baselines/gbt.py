@@ -16,6 +16,22 @@ import numpy as np
 
 __all__ = ["RegressionTree", "GradientBoostedTrees"]
 
+#: Split thresholds are midpoints of these quantiles of a feature's values.
+_CUTS = np.linspace(0.05, 0.95, 16)
+
+
+def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, q)`` of sorted ``values`` at ``0 < q < 1``,
+    bit for bit (numpy's "linear" method), without the ``np.unique`` call
+    through which numpy 2.x's quantile imports ``numpy.ma``."""
+    index = (len(values) - 1) * q
+    below = np.floor(index)
+    gamma = index - below
+    lo = values[below.astype(np.intp)]
+    hi = values[below.astype(np.intp) + 1]
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+
 
 @dataclass
 class _Node:
@@ -74,12 +90,13 @@ class RegressionTree:
         base_sse = float(((y - y.mean()) ** 2).sum())
         best: tuple[int, float, np.ndarray] | None = None
         for f in range(x.shape[1]):
-            values = np.unique(x[:, f])
+            # return_index keeps numpy 2.x's unique off its numpy.ma path.
+            values = np.unique(x[:, f], return_index=True)[0]
             if len(values) < 2:
                 continue
             # Candidate thresholds: midpoints of up to 16 quantile cuts.
             if len(values) > 16:
-                values = np.quantile(values, np.linspace(0.05, 0.95, 16))
+                values = _quantiles(values, _CUTS)
             for thr in (values[:-1] + values[1:]) / 2.0:
                 mask = x[:, f] <= thr
                 n_l = int(mask.sum())

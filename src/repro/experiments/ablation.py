@@ -60,15 +60,15 @@ def _search_time(
 
     if model_kind in ("mcfuser", "chimera"):
         model = AnalyticalModel(gpu) if model_kind == "mcfuser" else ChimeraModel(gpu)
-        estimate = lambda c: model.objective(space.price(c))  # noqa: E731
-    else:  # random ranking
+        estimate = lambda p: model.objective(space.price(p))  # noqa: E731
+    else:  # random ranking: one draw per position, in position order
         rng = rng_for("ablation-random", chain.name, seed)
-        noise = {c.key: float(rng.random()) for c in space.candidates}
-        estimate = lambda c: noise[c.key]  # noqa: E731
+        noise = rng.random(len(space)).tolist()
+        estimate = lambda p: noise[p]  # noqa: E731
 
-    def measure(c):
+    def measure(p):
         try:
-            return sim.run(space.launch_for(c))
+            return sim.run(space.launch_for(p))
         except SharedMemoryExceeded:
             return float("inf")
 

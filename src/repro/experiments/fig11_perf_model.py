@@ -41,10 +41,10 @@ def correlation_for(
     model = AnalyticalModel(gpu)
     sim = GPUSimulator(gpu, seed=seed)
     pairs: list[tuple[float, float]] = []
-    for cand in space.candidates:
-        est = model.objective(space.price(cand))
+    for p in range(len(space)):
+        est = model.objective(space.price(p))
         try:
-            meas = sim.run(space.launch_for(cand))
+            meas = sim.run(space.launch_for(p))
         except SharedMemoryExceeded:
             continue  # these never reach measurement on hardware either
         pairs.append((est, meas))

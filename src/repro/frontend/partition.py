@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,9 +40,6 @@ from repro.gpu.specs import GPUSpec
 
 from repro.ir.chain import ComputeChain
 from repro.ir.graph import Graph, GraphNode
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cache.cache import ScheduleCache
 
 __all__ = [
     "MBCISubgraph",
@@ -129,22 +125,6 @@ class Partition:
     def rejection_reasons(self) -> dict[str, int]:
         """Histogram of rejection reasons (diagnostic reporting)."""
         return dict(Counter(r.reason for r in self.rejected))
-
-    def cache_split(
-        self, cache: "ScheduleCache", gpu: GPUSpec, variant: str = "mcfuser"
-    ) -> tuple[list[MBCISubgraph], list[MBCISubgraph]]:
-        """Split sub-graphs into (already cached, needs tuning).
-
-        Consults ``cache`` without recording hits or misses — a planning
-        query for callers that want to report or schedule remaining tuning
-        work before compiling, not a lookup on the tuning path.
-        """
-        cached: list[MBCISubgraph] = []
-        uncached: list[MBCISubgraph] = []
-        for sg in self.subgraphs:
-            known = cache.peek(sg.signature(gpu, variant)) is not None
-            (cached if known else uncached).append(sg)
-        return cached, uncached
 
 
 def min_footprint_fits(chain: ComputeChain, gpu: GPUSpec) -> bool:

@@ -8,7 +8,7 @@ the wall-clock cost of the batch explicitly.
 Determinism is a hard requirement (the whole reproduction is seeded):
 
 * **Results** depend only on the measurement function, which is pure per
-  candidate (the simulator derives jitter from the kernel's content, not
+  space position (the simulator derives jitter from the kernel's content, not
   from call order), so any worker count returns the same times in the same
   submission order.
 * **Billing** never reads the real clock. Each measurement costs
@@ -24,12 +24,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.search.tuning_cost import COSTS, TuningClock
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.search.space import Candidate
 
 __all__ = ["ParallelEvaluator", "batch_makespan"]
 
@@ -53,10 +50,11 @@ def batch_makespan(costs: Sequence[float], workers: int) -> float:
 
 
 class ParallelEvaluator:
-    """Measures candidate batches on a worker pool with correct clock billing.
+    """Measures batches of space positions on a worker pool with correct
+    clock billing.
 
     Args:
-        measure_fn: Measures one candidate, returning the kernel time in
+        measure_fn: Measures one position, returning the kernel time in
             seconds (any non-finite value — ``inf`` or ``NaN`` — counts as
             a launch failure). Must be thread-safe —
             the GPU simulator is stateless, so the standard tuner path is.
@@ -72,7 +70,7 @@ class ParallelEvaluator:
 
     def __init__(
         self,
-        measure_fn: Callable[["Candidate"], float],
+        measure_fn: Callable[[int], float],
         workers: int = 1,
         clock: TuningClock | None = None,
         repetitions: int = 100,
@@ -92,14 +90,14 @@ class ParallelEvaluator:
         #: Batches executed so far.
         self.batches = 0
 
-    def measure(self, candidates: Sequence["Candidate"]) -> list[float]:
-        """Measure a batch; returns times aligned with ``candidates``.
+    def measure(self, positions: Sequence[int]) -> list[float]:
+        """Measure a batch; returns times aligned with ``positions``.
 
         Runs the measurement function across the pool, then bills the
         deterministic makespan of the batch to the clock.
         """
-        candidates = list(candidates)
-        if not candidates:
+        positions = list(positions)
+        if not positions:
             return []
         from repro.obs import get_tracer
 
@@ -107,18 +105,18 @@ class ParallelEvaluator:
         with tracer.span(
             "measure.batch",
             clock=self.clock,
-            n=len(candidates),
+            n=len(positions),
             workers=self.workers,
         ) as batch:
             if tracer.enabled:
                 # Pool threads don't inherit this thread's span stack, so
                 # each per-candidate span names the batch span explicitly.
                 def run_one(pair):
-                    i, cand = pair
+                    i, position = pair
                     with tracer.span(
                         "measure.candidate", parent=batch, idx=i
                     ) as span:
-                        t = self.measure_fn(cand)
+                        t = self.measure_fn(position)
                         span.set(time=t, failed=not math.isfinite(t))
                         return t
 
@@ -126,14 +124,14 @@ class ParallelEvaluator:
                 def run_one(pair):
                     return self.measure_fn(pair[1])
 
-            if self.workers == 1 or len(candidates) == 1:
-                times = [run_one(p) for p in enumerate(candidates)]
+            if self.workers == 1 or len(positions) == 1:
+                times = [run_one(p) for p in enumerate(positions)]
             else:
                 with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(candidates))
+                    max_workers=min(self.workers, len(positions))
                 ) as pool:
-                    times = list(pool.map(run_one, enumerate(candidates)))
-            self.measurements += len(candidates)
+                    times = list(pool.map(run_one, enumerate(positions)))
+            self.measurements += len(positions)
             self.batches += 1
             failures = sum(1 for t in times if not math.isfinite(t))
             if self.clock is not None:

@@ -76,14 +76,12 @@ class SearchResult:
 class SearchLoop:
     """Drives one strategy over a pruned space with shared bookkeeping.
 
-    The loop and its strategies work on space positions; a
-    :class:`~repro.search.space.Candidate` is built only for a position
-    that is measured or featurized. The bookkeeping is kept in space key
-    codes, which is what strategies test positions against:
-    ``measured_codes`` maps each measured code to its time (``inf`` for a
-    launch failure) and ``failed_codes`` holds the failures. ``measured``,
-    ``failed``, ``best`` and the :class:`SearchResult` give the same
-    points keyed by candidate key, derived on access.
+    The loop and its strategies work on space positions, and so does its
+    bookkeeping: ``measured_positions`` maps each measured position to its
+    time (``inf`` for a launch failure) and ``failed_positions`` holds the
+    failures. A :class:`~repro.search.space.Candidate` is built only for a
+    position that is measured or featurized; the :class:`SearchResult`
+    keys its measurements by candidate key.
 
     Args:
         space: The pruned search space.
@@ -91,7 +89,8 @@ class SearchLoop:
             estimates`` aligned with the input (cheap, called on every
             ranked population; each position counts into
             ``num_estimates``).
-        evaluator: Measurement executor for the per-round top-n batch.
+        evaluator: Measurement executor for the per-round top-n batch of
+            positions.
         population_size/top_n/epsilon/max_rounds/min_rounds: Algorithm-1
             parameters, identical semantics to the paper's pseudo-code.
         seed: Strategy randomness; the rng stream is derived from the
@@ -105,7 +104,7 @@ class SearchLoop:
             ``cost_model`` and ``feature_fn``). Falls back to the classic
             top-n batch in rounds where the model is not yet fitted.
         feature_fn: ``Candidate -> feature vector`` for the cost model
-            (memoized per candidate key).
+            (memoized per position).
     """
 
     def __init__(
@@ -145,8 +144,8 @@ class SearchLoop:
         # shared bookkeeping; rng is assigned by run() from the strategy's
         # rng_key — accessing it before run() is a bug and fails loudly.
         self.rng: np.random.Generator
-        self.measured_codes: dict[int, float] = {}
-        self.failed_codes: set[int] = set()
+        self.measured_positions: dict[int, float] = {}
+        self.failed_positions: set[int] = set()
         self.pairs: list[tuple[float, float]] = []
         self.best_position: int | None = None
         self.best_time = float("inf")
@@ -155,29 +154,6 @@ class SearchLoop:
         self.rounds = 0
         self.model_rounds = 0
         self.converged = False
-
-    # -- the bookkeeping by candidate key ---------------------------------------
-
-    def _key(self, code: int) -> tuple:
-        space = self.space
-        return space.candidate(space.code_positions[code]).key
-
-    @property
-    def measured(self) -> dict[tuple, float]:
-        """Measured time per candidate key, in measurement order."""
-        return {self._key(code): t for code, t in self.measured_codes.items()}
-
-    @property
-    def failed(self) -> set[tuple]:
-        """The keys of the candidates whose launch failed."""
-        return {self._key(code) for code in self.failed_codes}
-
-    @property
-    def best(self) -> "Candidate | None":
-        """The best measured candidate so far."""
-        if self.best_position is None:
-            return None
-        return self.space.candidate(self.best_position)
 
     # -- services strategies call back into -----------------------------------
 
@@ -193,16 +169,15 @@ class SearchLoop:
 
     def _unmeasured(self, positions: np.ndarray, limit: int | None) -> list[int]:
         """Indices into ``positions`` of its first ``limit`` (all, if
-        ``None``) points not yet measured, one per key."""
-        codes, done = self.space.codes, self.measured_codes
+        ``None``) positions not yet measured, each once."""
+        done = self.measured_positions
         picked: list[int] = []
         seen: set[int] = set()
         for i, p in enumerate(positions.tolist()):
-            code = codes[p]
-            if code in done or code in seen:
+            if p in done or p in seen:
                 continue
             picked.append(i)
-            seen.add(code)
+            seen.add(p)
             if limit is not None and len(picked) >= limit:
                 break
         return picked
@@ -223,12 +198,13 @@ class SearchLoop:
 
     def features_for(self, position: int) -> np.ndarray:
         """The cost-model feature vector of a position's candidate
-        (memoized by key)."""
+        (memoized by position)."""
         assert self._feature_fn is not None
-        code = self.space.codes[position]
-        feats = self._feature_cache.get(code)
+        feats = self._feature_cache.get(position)
         if feats is None:
-            feats = self._feature_cache[code] = self._feature_fn(self.space.candidate(position))
+            feats = self._feature_cache[position] = self._feature_fn(
+                self.space.candidate(position)
+            )
         return feats
 
     def pick_by_model(
@@ -289,8 +265,7 @@ class SearchLoop:
                 if not len(picked):
                     break  # every reachable candidate measured or failed
                 picked_positions = picked.tolist()
-                cands = [space.candidate(p) for p in picked_positions]
-                times = self.evaluator.measure(cands)
+                times = self.evaluator.measure(picked_positions)
 
                 round_best_time = float("inf")
                 round_best = None
@@ -301,12 +276,11 @@ class SearchLoop:
                     # convergence test.
                     if not math.isfinite(t):
                         t = float("inf")
-                    code = space.codes[p]
-                    self.measured_codes[code] = t
+                    self.measured_positions[p] = t
                     self.num_measurements += 1
                     self.pairs.append((est, t))
                     if t == float("inf"):
-                        self.failed_codes.add(code)
+                        self.failed_positions.add(p)
                     elif self.cost_model is not None and self._feature_fn is not None:
                         self.cost_model.observe(
                             self.features_for(p),
@@ -342,17 +316,16 @@ class SearchLoop:
                         break
                 strategy.evolve(self)
 
-        best = self.best
-        assert best is not None
+        assert self.best_position is not None
         return SearchResult(
-            best=best,
+            best=space.candidate(self.best_position),
             best_time=self.best_time,
             rounds=self.rounds,
             num_estimates=self.num_estimates,
             num_measurements=self.num_measurements,
             converged=self.converged,
             pairs=self.pairs,
-            measured=self.measured,
+            measured={space.candidate(p).key: t for p, t in self.measured_positions.items()},
             strategy=strategy.name,
             measure_topk=self.measure_topk,
             model_rounds=self.model_rounds,

@@ -223,11 +223,10 @@ def build_space(
     return SearchSpace(
         chain,
         gpu,
-        None,
+        points,
         stats,
         options,
         deep_only=deep_only,
         optimized=optimize_schedules,
-        points=points,
         templates=templates,
     )

@@ -296,11 +296,10 @@ class EvolutionarySearch(SearchStrategy):
             population = mutate_positions(space, self.population[chosen].tolist(), draws)
         population += rng.choice(len(space), size=n_fresh, replace=True).tolist()
         # Known launch failures are replaced with fresh draws.
-        failed, codes = loop.failed_codes, space.codes
+        failed = loop.failed_positions
         if failed:
             population = [
-                p if codes[p] not in failed else int(rng.integers(len(space)))
-                for p in population
+                p if p not in failed else int(rng.integers(len(space))) for p in population
             ]
         self.population = np.array(population, dtype=np.intp)
 
@@ -376,24 +375,20 @@ class SimulatedAnnealingSearch(SearchStrategy):
 
     def propose(self, loop: "SearchLoop") -> tuple[np.ndarray, np.ndarray]:
         steps = self.steps_per_round or max(4 * loop.top_n, 32)
-        codes = loop.space.codes
-        # key code -> (first position visited with it, its estimate)
-        visited = {codes[self.current]: (self.current, self.current_cost)}
+        # position -> its estimate, in visiting order
+        visited = {self.current: self.current_cost}
         for _ in range(steps):
             neighbor = mutate_position(loop.space, self.current, loop.rng)
-            seen = visited.get(codes[neighbor])
-            if seen is not None:
-                cost = seen[1]
-            else:
-                cost = loop.estimate(neighbor)
-                visited[codes[neighbor]] = (neighbor, cost)
+            cost = visited.get(neighbor)
+            if cost is None:
+                cost = visited[neighbor] = loop.estimate(neighbor)
             # Estimated times span orders of magnitude across the space;
             # anneal on the relative delta so temperature is scale-free.
             delta = (cost - self.current_cost) / max(self.current_cost, 1e-12)
             if delta <= 0 or loop.rng.random() < math.exp(-delta / self.temperature):
                 self.current, self.current_cost = neighbor, cost
-        positions = np.array([p for p, _ in visited.values()], dtype=np.intp)
-        estimates = np.array([c for _, c in visited.values()], dtype=np.float64)
+        positions = np.fromiter(visited, dtype=np.intp, count=len(visited))
+        estimates = np.fromiter(visited.values(), dtype=np.float64, count=len(visited))
         order = np.argsort(estimates, kind="stable")
         return positions[order], estimates[order]
 
@@ -402,7 +397,7 @@ class SimulatedAnnealingSearch(SearchStrategy):
         # Restart the walk from the best measured point so the chain
         # exploits hardware knowledge, not just the model's surface.
         best = loop.best_position
-        if best is not None and loop.space.codes[best] not in loop.failed_codes:
+        if best is not None and best not in loop.failed_positions:
             self.current = best
             self.current_cost = loop.estimate(self.current)
 

@@ -18,15 +18,15 @@ from typing import Callable
 from repro.search.engine.evaluator import ParallelEvaluator
 from repro.search.engine.loop import SearchLoop, SearchResult
 from repro.search.engine.strategy import EvolutionarySearch
-from repro.search.space import Candidate, SearchSpace
+from repro.search.space import SearchSpace
 
 __all__ = ["SearchResult", "heuristic_search"]
 
 
 def heuristic_search(
     space: SearchSpace,
-    estimate_fn: Callable[[Candidate], float],
-    measure_fn: Callable[[Candidate], float],
+    estimate_fn: Callable[[int], float],
+    measure_fn: Callable[[int], float],
     population_size: int = 512,
     top_n: int = 8,
     epsilon: float = 0.01,
@@ -37,18 +37,18 @@ def heuristic_search(
     """Run Algorithm 1 over a pruned search space.
 
     Args:
-        estimate_fn: Analytical model (cheap, called on everything); the
-            search ranks space positions and hands it each one's candidate.
-        measure_fn: Hardware measurement (expensive, top-n only). Results
-            are cached by candidate key — re-measuring is free, as on real
-            hardware with a measurement log.
+        estimate_fn: Analytical model of one space position (cheap, called
+            on everything the search ranks).
+        measure_fn: Hardware measurement of one space position (expensive,
+            top-n only). Results are cached by position — re-measuring is
+            free, as on real hardware with a measurement log.
         epsilon: Relative convergence threshold on the best measured time
             (only armed after ``min_rounds`` rounds).
     """
     evaluator = ParallelEvaluator(measure_fn, workers=1, clock=None)
     loop = SearchLoop(
         space,
-        lambda positions: [estimate_fn(space.candidate(p)) for p in positions.tolist()],
+        lambda positions: [estimate_fn(p) for p in positions.tolist()],
         evaluator,
         population_size=population_size,
         top_n=top_n,

@@ -41,8 +41,6 @@ __all__ = [
     "rule2_class_survives",
     "padding_ratio",
     "rule3_tile_options",
-    "bucket_tile_options",
-    "tile_legal_for_bucket",
     "unconstrained_tile_count",
     "rule4_fits",
     "rule4_ok",
@@ -189,30 +187,6 @@ def rule3_tile_options(size: int) -> list[int]:
     if not options:  # always allow the single full-dimension (padded) tile
         options.append(ceil_div(size, MIN_TILE) * MIN_TILE)
     return options
-
-
-def bucket_tile_options(ceiling: int) -> list[int]:
-    """Tiles legal for *every* length in a power-of-two bucket.
-
-    The bucket ceiling is a power of two (a multiple of 16 by
-    construction, since buckets floor at 16), so Rule 3 at the ceiling
-    admits only exact divisors of the ceiling. Each such tile is legal for
-    every in-bucket length ``l <= ceiling``: the padded extent
-    ``ceil(l/tile) * tile`` never exceeds the ceiling, so the ceiling-time
-    Rule-4 shared-memory estimate is conservative and execution-time
-    tail-tile masking covers the remainder.
-    """
-    if not _is_power_of_two(ceiling) or ceiling % MIN_TILE != 0:
-        raise ValueError(
-            f"bucket ceiling must be a power-of-two multiple of {MIN_TILE}, got {ceiling}"
-        )
-    return rule3_tile_options(ceiling)
-
-
-def tile_legal_for_bucket(tile: int, ceiling: int) -> bool:
-    """Whether ``tile`` is valid for every length in the bucket ``(ceiling/2,
-    ceiling]`` — i.e. it divides the power-of-two ceiling exactly."""
-    return 1 <= tile <= ceiling and ceiling % tile == 0
 
 
 # -- Rule 4 --------------------------------------------------------------------------

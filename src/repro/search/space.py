@@ -12,7 +12,7 @@ featurized or returned (:meth:`SearchSpace.candidate`). Points are
 **priced and measured, not built**: the pipeline evaluates the eq. 2-5
 estimate of every point from per-expression schedule templates,
 ``prices`` holds them as arrays, and ``launch_for`` summarizes a
-candidate as a kernel launch from the template that priced it.
+position as a kernel launch from the template that priced it.
 ``schedule_for`` builds a :class:`~repro.tiling.schedule.Schedule`
 lazily, once per candidate, for the few candidates that are verified,
 featurized or returned.
@@ -21,14 +21,14 @@ featurized or returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
-from repro.search.perf_model import PerfEstimate, estimate_time
+from repro.search.perf_model import PerfEstimate
 from repro.search.pruning import PruningStats
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import Schedule, ScheduleTemplate, build_schedule
@@ -44,7 +44,8 @@ class Candidate:
     """One point of the search space: an expression class + tile sizes.
 
     ``key`` — ``(rendered expression, tiles)`` — identifies the candidate
-    in every lookup table (prices, schedules, measurements).
+    outside the search: in memoized schedules and in
+    ``SearchResult.measured``.
     """
 
     expr: TilingExpr
@@ -74,62 +75,39 @@ class SpacePoints:
     Point ``p`` tiles ``exprs[expr_id[p]]`` with ``tiles[p]`` (columns in
     ``chain.loop_names`` order). ``price`` holds the eq. 2-5 estimates as
     arrays and ``template[p]`` indexes the entry of ``launchers`` that
-    priced the point; a space built by hand from candidates has neither,
-    and prices and launches them from built schedules.
+    priced the point.
     """
 
     exprs: tuple[TilingExpr, ...]
     expr_id: np.ndarray
     tiles: np.ndarray
-    price: PerfEstimate | None = None
-    template: np.ndarray | None = None
-    launchers: tuple[ScheduleTemplate, ...] = ()
-
-
-def _points_of(chain: ComputeChain, candidates: Sequence[Candidate]) -> SpacePoints:
-    """The arrays of a hand-built space: no prices, no templates."""
-    loops = chain.loop_names
-    ids: dict[str, int] = {}
-    exprs: list[TilingExpr] = []
-    expr_id = []
-    for cand in candidates:
-        eid = ids.setdefault(cand.key[0], len(exprs))
-        if eid == len(exprs):
-            exprs.append(cand.expr)
-        expr_id.append(eid)
-    tiles = np.array(
-        [[cand.tile_dict[l] for l in loops] for cand in candidates], dtype=np.int64
-    ).reshape(len(candidates), len(loops))
-    return SpacePoints(tuple(exprs), np.array(expr_id, dtype=np.int64), tiles)
+    price: PerfEstimate
+    template: np.ndarray
+    launchers: tuple[ScheduleTemplate, ...]
 
 
 class SearchSpace:
     """The frozen pruned space: its points, the Fig. 7 funnel and the
     Rule-3 tile options, plus the prices and templates of the pipeline
-    that priced the points.
+    that priced the points. :func:`~repro.search.engine.pipeline.build_space`
+    constructs it.
 
-    **Positions.** A position is an int in ``range(len(space))``;
-    :meth:`candidate` builds a position's :class:`Candidate` once and
-    returns the same object afterwards, and ``candidates`` is the tuple of
-    all of them, built on first access. A space built by hand
-    (``SearchSpace(chain, gpu, candidates, stats, tile_options)``) keeps
-    the given objects and prices and launches them from built schedules.
+    **Positions.** A position is an int in ``range(len(space))`` and is a
+    point's only identity inside the search: points are listed in
+    expression order, then in grid row order, so each candidate key is
+    held by exactly one position. :meth:`candidate` builds a position's
+    :class:`Candidate` once and returns the same object afterwards, and
+    ``candidates`` is the tuple of all of them, built on first access.
 
-    **Key codes.** Every point has a mixed-radix code: its expression id,
+    **Mutation index.** A point's mixed-radix code is its expression id,
     then, per loop in ``chain.loop_names`` order, the index of its tile in
-    that loop's value universe (the Rule-3 options, then any off-grid tile
-    a hand-built candidate carries). Two positions have equal codes
-    exactly when their candidates have equal keys.
+    that loop's (strictly increasing) Rule-3 options, so codes increase
+    with position.
 
-    * ``codes[p]`` is position ``p``'s code;
-    * ``code_positions`` maps each code in the space to the position
-      holding it (the last one, when a hand-built space repeats a key);
     * ``mutants[(p * L + i) * 2 + d]``, with ``L`` the chain's loop count,
       is where stepping loop ``i`` of point ``p`` one Rule-3 option down
       (``d = 0``) or up (``d = 1``) lands: the position holding ``code ±
-      stride[i]``, or -1 when the step leaves the options or the space. A
-      tile sits at its first option index; an off-grid tile steps from
-      option 0;
+      stride[i]``, or -1 when the step leaves the options or the space;
     * ``mutable_loops[i]`` is false for a loop with fewer than two options.
 
     Nothing here changes after construction, so no index can go stale.
@@ -139,12 +117,11 @@ class SearchSpace:
         self,
         chain: ComputeChain,
         gpu: GPUSpec,
-        candidates: "Sequence[Candidate] | None",
+        points: SpacePoints,
         stats: PruningStats,
         tile_options: dict[str, list[int]],
         deep_only: bool = False,
         optimized: bool = True,
-        points: SpacePoints | None = None,
         templates: "TemplateTable | None" = None,
     ) -> None:
         self.chain = chain
@@ -157,78 +134,40 @@ class SearchSpace:
         self._stats = stats
         self._templates: "TemplateTable" = {} if templates is None else templates
         self._schedules: dict[tuple, Schedule] = {}
-        self._priced: dict[tuple, PerfEstimate] = {}
         self._lazy_builds = 0
         self._candidates: tuple[Candidate, ...] | None = None
-        if points is None:
-            self._candidates = tuple(candidates or ())
-            points = _points_of(chain, self._candidates)
-            self._memo: list[Candidate | None] = list(self._candidates)
-        else:
-            self._memo = [None] * len(points.expr_id)
+        self._memo: list[Candidate | None] = [None] * len(points.expr_id)
         self._points = points
-        self._build_index()
+        self._sorted_columns = sorted((loop, j) for j, loop in enumerate(chain.loop_names))
+        self._build_mutants()
 
-    def _build_index(self) -> None:
+    def _build_mutants(self) -> None:
         loops = self.chain.loop_names
         tiles = self._points.tiles
-        digits = np.zeros(tiles.shape, dtype=np.int64)
-        universes: list[list[int]] = []
-        for j, loop in enumerate(loops):
-            universe = list(dict.fromkeys(self.tile_options.get(loop, ())))
-            column = tiles[:, j]
-            universe += sorted(set(column.tolist()) - set(universe))
-            values = np.asarray(universe, dtype=np.int64)
-            order = np.argsort(values)
-            digits[:, j] = order[np.searchsorted(values[order], column)]
-            universes.append(universe)
-        radices = [len(u) for u in universes]
+        options = [np.asarray(self.tile_options[loop], dtype=np.int64) for loop in loops]
+        digits = np.stack([np.searchsorted(o, tiles[:, j]) for j, o in enumerate(options)], axis=1)
+        radices = [len(o) for o in options]
         strides = [int(np.prod(radices[j + 1:], dtype=np.int64)) for j in range(len(loops))]
         span = int(np.prod(radices, dtype=np.int64))
         codes = self._points.expr_id * span + digits @ np.asarray(strides, dtype=np.int64)
-        self.codes: list[int] = codes.tolist()
-        # A repeated key maps to its last position.
-        self.code_positions: dict[int, int] = dict(zip(self.codes, range(len(self.codes))))
-        kept = np.fromiter(self.code_positions.values(), dtype=np.int64)
-        kept = kept[np.argsort(codes[kept])]  # the mapped positions, by code
-        kept_codes = codes[kept]
 
-        # Every one-option step of every point: code ± stride[loop], where
-        # a tile sits at its first option index (off-grid: option 0).
-        value_index = [{t: v for v, t in enumerate(u)} for u in universes]
+        # Every one-option step of every point: code ± stride[loop]. Codes
+        # increase with position, so a code's index in them is its position.
         mutants = np.full((len(codes), len(loops), 2), -1, dtype=np.int64)
-        mutable = []
-        for j, loop in enumerate(loops):
-            options = self.tile_options.get(loop, ())
-            mutable.append(len(options) >= 2)
-            if not mutable[-1]:
-                continue
-            first: dict[int, int] = {}
-            for i, tile in enumerate(options):
-                first.setdefault(tile, i)
-            at = np.array([first.get(t, 0) for t in universes[j]], dtype=np.int64)[digits[:, j]]
-            option_values = np.array([value_index[j][t] for t in options], dtype=np.int64)
-            for d, new in enumerate((at - 1, at + 1)):
-                inside = np.flatnonzero((new >= 0) & (new < len(options)))
-                step = option_values[new[inside]] - digits[inside, j]
+        for j in range(len(loops)):
+            for d, step in enumerate((-1, 1)):
+                new = digits[:, j] + step
+                inside = np.flatnonzero((new >= 0) & (new < radices[j]))
                 target = codes[inside] + step * strides[j]
-                found = np.minimum(np.searchsorted(kept_codes, target), len(kept_codes) - 1)
-                hit = kept_codes[found] == target
-                mutants[inside[hit], j, d] = kept[found[hit]]
+                found = np.minimum(np.searchsorted(codes, target), len(codes) - 1)
+                hit = codes[found] == target
+                mutants[inside[hit], j, d] = found[hit]
         self.mutants: list[int] = mutants.ravel().tolist()
-        self.mutable_loops = tuple(mutable)
-
-        # Key -> code, loop by loop in the key's name-sorted tile order.
-        self._span = span
-        self._expr_ids = {e.render(): i for i, e in enumerate(self._points.exprs)}
-        by_name = sorted(range(len(loops)), key=lambda j: loops[j])
-        self._key_loops = tuple((loops[j], value_index[j], strides[j]) for j in by_name)
-        self._sorted_columns = tuple((loops[j], j) for j in by_name)
+        self.mutable_loops = tuple(r >= 2 for r in radices)
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
-        """Every position's candidate; a generated space lists them in
-        expression order, then grid row order."""
+        """Every position's candidate, in position order."""
         if self._candidates is None:
             self._candidates = tuple(self.candidate(p) for p in range(len(self)))
         return self._candidates
@@ -256,60 +195,35 @@ class SearchSpace:
             self._memo[position] = cand
         return cand
 
-    def position(self, key: tuple) -> int | None:
-        """The position holding ``key`` (the last one, for a key a
-        hand-built space repeats), or ``None`` if outside the space."""
-        render, tiles = key
-        eid = self._expr_ids.get(render)
-        if eid is None or len(tiles) != len(self._key_loops):
-            return None
-        code = eid * self._span
-        for (loop, tile), (name, values, stride) in zip(tiles, self._key_loops):
-            v = values.get(tile) if loop == name else None
-            if v is None:
-                return None
-            code += v * stride
-        return self.code_positions.get(code)
-
     @property
-    def prices(self) -> PerfEstimate | None:
+    def prices(self) -> PerfEstimate:
         """Every position's eq. 2-5 estimate, as arrays aligned with the
-        positions; ``None`` for a space built by hand, which prices each
-        candidate on request (:meth:`price`)."""
+        positions."""
         return self._points.price
 
-    def price(self, cand: Candidate) -> PerfEstimate:
-        """The eq. 2-5 estimate of ``cand``, from the price arrays.
+    def price(self, position: int) -> PerfEstimate:
+        """The eq. 2-5 estimate of ``position``, from the price arrays.
 
-        Candidates the pipeline did not price (a space built by hand) are
-        priced by the reference oracle on first use. Bit-identical to
-        ``estimate_time(schedule_for(cand), gpu)``.
+        Bit-identical to ``estimate_time(schedule_for(candidate(position)),
+        gpu)``.
         """
         price = self._points.price
-        p = None if price is None else self.position(cand.key)
-        if p is not None:
-            return PerfEstimate(
-                t_mem=float(price.t_mem[p]),
-                t_comp=float(price.t_comp[p]),
-                alpha=float(price.alpha[p]),
-            )
-        est = self._priced.get(cand.key)
-        if est is None:
-            est = self._priced[cand.key] = estimate_time(self.schedule_for(cand), self.gpu)
-        return est
+        return PerfEstimate(
+            t_mem=float(price.t_mem[position]),
+            t_comp=float(price.t_comp[position]),
+            alpha=float(price.alpha[position]),
+        )
 
-    def launch_for(self, cand: Candidate) -> KernelLaunch:
-        """The simulator launch of ``cand``, from the template that priced it.
+    def launch_for(self, position: int) -> KernelLaunch:
+        """The simulator launch of ``position``, from the template that
+        priced it.
 
-        Builds nothing. Candidates the pipeline did not price (a space built
-        by hand) fall back to the built schedule. Equal to
-        ``schedule_for(cand).kernel_launch(gpu)``.
+        Builds nothing. Equal to
+        ``schedule_for(candidate(position)).kernel_launch(gpu)``.
         """
         points = self._points
-        p = None if points.template is None else self.position(cand.key)
-        if p is None:
-            return self.schedule_for(cand).kernel_launch(self.gpu)
-        return points.launchers[points.template[p]].launch(cand.tile_dict, self.gpu)
+        tiles = dict(zip(self.chain.loop_names, points.tiles[position].tolist()))
+        return points.launchers[points.template[position]].launch(tiles, self.gpu)
 
     def schedule_for(self, cand: Candidate) -> Schedule:
         """The schedule of ``cand`` under the space's own ``optimized``
@@ -331,14 +245,6 @@ class SearchSpace:
         """Every ``build_schedule`` call this space made: one per template
         plus one per ``schedule_for`` construction."""
         return len(self._templates) + self._lazy_builds
-
-    def contains(self, cand: Candidate) -> bool:
-        return self.position(cand.key) is not None
-
-    def canonical(self, key: tuple) -> Candidate | None:
-        """The space's own candidate with ``key``, or ``None`` if outside."""
-        p = self.position(key)
-        return None if p is None else self.candidate(p)
 
 
 def generate_space(

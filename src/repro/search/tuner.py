@@ -394,22 +394,23 @@ class MCFuserTuner:
             clock.charge("space_generation")
         return space
 
-    def measure_schedule(self, space: SearchSpace, cand: Candidate) -> float:
-        """One hardware measurement of ``cand``'s schedule; launch failures
-        count as +inf.
+    def measure_schedule(self, space: SearchSpace, position: int) -> float:
+        """One hardware measurement of the schedule at ``position``; launch
+        failures count as +inf.
 
-        The simulator times the candidate's template launch
+        The simulator times the position's template launch
         (:meth:`SearchSpace.launch_for`), so nothing is built. With
         ``verify="all"``, the measurement also builds the schedule, executes
         it numerically (on ``exec.backend``) and reports a numerically wrong
         program as a launch failure, so it can never win the search.
         """
         try:
-            t = self.simulator.run(space.launch_for(cand))
+            t = self.simulator.run(space.launch_for(position))
         except SharedMemoryExceeded:
             return float("inf")
-        if self.verify == "all" and not self.check_schedule(space.schedule_for(cand)):
-            return float("inf")
+        if self.verify == "all":
+            if not self.check_schedule(space.schedule_for(space.candidate(position))):
+                return float("inf")
         return t
 
     # -- numeric verification --------------------------------------------------
@@ -521,8 +522,8 @@ class MCFuserTuner:
             clock.charge_each("model_estimate", len(positions))
             return objective[positions]
 
-        def raw_measure(cand: Candidate) -> float:
-            return self.measure_schedule(space, cand)
+        def raw_measure(position: int) -> float:
+            return self.measure_schedule(space, position)
 
         feature_fn = None
         if self.cost_model is not None:

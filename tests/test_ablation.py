@@ -35,9 +35,9 @@ def test_no_dag_opt_measures_unoptimized_schedules(monkeypatch):
     launched = []
     real_launch_for = SearchSpace.launch_for
 
-    def spy(self, cand):
-        launch = real_launch_for(self, cand)
-        launched.append((self.chain, cand, launch))
+    def spy(self, position):
+        launch = real_launch_for(self, position)
+        launched.append((self.chain, self.candidate(position), launch))
         return launch
 
     monkeypatch.setattr(SearchSpace, "launch_for", spy)

@@ -134,3 +134,47 @@ class TestGBTSerialization:
         gbt = GradientBoostedTrees().fit(np.zeros((5, 2)), np.full(5, 1.5))
         clone = GradientBoostedTrees.from_json(gbt.to_json())
         np.testing.assert_array_equal(clone.predict(np.zeros((2, 2))), np.full(2, 1.5))
+
+
+class TestSplitThresholds:
+    def test_quantiles_match_numpy_bit_for_bit(self):
+        from repro.baselines.gbt import _CUTS, _quantiles
+
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            n = int(rng.integers(17, 300))
+            if trial % 3 == 0:
+                raw = rng.integers(-(10**6), 10**6, n)
+            elif trial % 3 == 1:
+                raw = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+            else:
+                raw = np.exp(20 * rng.standard_normal(n))
+            values = np.unique(raw)
+            want = np.quantile(values, _CUTS)
+            got = _quantiles(values, _CUTS)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_fit_does_not_import_numpy_ma(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.baselines.gbt import GradientBoostedTrees\n"
+            "x = np.random.default_rng(0).uniform(-2, 2, size=(200, 3))\n"
+            "gbt = GradientBoostedTrees(n_trees=4).fit(x, x[:, 0] + x[:, 1] ** 2)\n"
+            "assert gbt.trees and gbt.trees[0].root.feature >= 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,6 @@ from repro.cache import ScheduleCache
 from repro.cli import main
 from repro.codegen.interpreter import execute_schedule
 from repro.frontend.executor import compile_model
-from repro.frontend.partition import partition_graph
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.ir.graph import Graph
@@ -152,16 +151,6 @@ class TestExecutorCache:
             before.hits, before.misses, before.total_hits, before.total_misses
         )
         assert after.stores == 1
-
-    def test_partition_cache_split(self, tmp_path):
-        graph = _tiny_attention_graph()
-        cache = ScheduleCache(tmp_path)
-        partition = partition_graph(graph, A100)
-        cached, uncached = partition.cache_split(cache, A100)
-        assert not cached and len(uncached) == 1
-        compile_model(graph, A100, "mcfuser+relay", config=QUICK, cache=cache)
-        cached, uncached = partition.cache_split(cache, A100)
-        assert len(cached) == 1 and not uncached
 
 
 class TestCLICache:

@@ -227,14 +227,14 @@ class TestBucketCeilingSchedules:
     @pytest.mark.parametrize("m", LENGTHS)
     def test_gemm_ceiling_tiles_at_in_bucket_length(self, m):
         from repro.cache.signature import bucket_of
-        from repro.search.pruning import bucket_tile_options
+        from repro.search.pruning import rule3_tile_options
 
         ceiling = bucket_of(m)
         chain = gemm_chain(1, m, 64, 32, 48, name=f"cp-bucket-{m}")
         inputs = chain.random_inputs(m)
         ref = chain.reference(inputs)[chain.output]
         ran = 0
-        for tm in bucket_tile_options(ceiling):
+        for tm in rule3_tile_options(ceiling):
             schedule = build_schedule(
                 chain, TilingExpr.parse("mhnk"),
                 {"m": tm, "n": 32, "k": 32, "h": 48},

@@ -200,14 +200,14 @@ class TestLoopNonFiniteHandling:
 
         calls = {"n": 0}
 
-        def measure(c):
+        def measure(p):
             calls["n"] += 1
             return float("nan") if calls["n"] % 2 else 1e-6 * calls["n"]
 
         clock = TuningClock()
         loop = SearchLoop(
             space,
-            lambda cs: [1e-6] * len(cs),
+            lambda ps: [1e-6] * len(ps),
             ParallelEvaluator(measure, clock=clock),
             max_rounds=4,
             min_rounds=1,
@@ -216,7 +216,7 @@ class TestLoopNonFiniteHandling:
         result = loop.run(make_strategy("random"))
         assert math.isfinite(result.best_time)
         # NaNs were normalized to inf and blacklisted
-        assert loop.failed
+        assert loop.failed_positions
         assert all(not math.isnan(t) for t in result.measured.values())
         assert all(not math.isnan(t) for _, t in result.pairs)
         # and the makespan billing stayed finite
@@ -228,14 +228,15 @@ class TestLoopNonFiniteHandling:
 
         loop = SearchLoop(
             space,
-            lambda cs: [1e-6] * len(cs),
-            ParallelEvaluator(lambda c: float("nan")),
+            lambda ps: [1e-6] * len(ps),
+            ParallelEvaluator(lambda p: float("nan")),
             max_rounds=3,
             seed=0,
         )
         result = loop.run(make_strategy("evolutionary"))
         assert result.best_time == float("inf")  # not NaN
-        assert set(result.measured) == loop.failed
+        assert set(loop.measured_positions) == loop.failed_positions
+        assert len(result.measured) == len(loop.failed_positions)
 
 
 class TestTunerIntegration:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import empty_space
 
 from repro.config import SessionConfig
 from repro.gpu.specs import A100
@@ -169,13 +170,13 @@ class TestSearchLoopBookkeeping:
     def test_no_candidate_measured_twice(self, space):
         measured_calls = []
 
-        def measure(c):
-            measured_calls.append(c.key)
-            return 1e-6 * (1 + hash(c.key) % 7)
+        def measure(p):
+            measured_calls.append(p)
+            return 1e-6 * (1 + p % 7)
 
         loop = SearchLoop(
             space,
-            lambda cs: [1e-6] * len(cs),
+            lambda ps: [1e-6] * len(ps),
             ParallelEvaluator(measure),
             max_rounds=6,
             min_rounds=6,
@@ -188,35 +189,33 @@ class TestSearchLoopBookkeeping:
     def test_failed_candidates_blacklisted(self, space):
         loop = SearchLoop(
             space,
-            lambda cs: [1e-6] * len(cs),
-            ParallelEvaluator(lambda c: float("inf")),
+            lambda ps: [1e-6] * len(ps),
+            ParallelEvaluator(lambda p: float("inf")),
             max_rounds=3,
             seed=0,
         )
         result = loop.run(make_strategy("evolutionary"))
         assert result.best_time == float("inf")
-        assert set(result.measured) == loop.failed
+        assert set(loop.measured_positions) == loop.failed_positions
+        assert set(result.measured) == {space.candidate(p).key for p in loop.failed_positions}
 
     def test_pairs_align_with_measurements(self, space):
         rng = np.random.default_rng(0)
 
-        def measure(c):
+        def measure(p):
             return float(1e-6 + 1e-7 * rng.random())
 
         loop = SearchLoop(
-            space, lambda cs: [1e-6] * len(cs), ParallelEvaluator(measure), seed=0
+            space, lambda ps: [1e-6] * len(ps), ParallelEvaluator(measure), seed=0
         )
         result = loop.run(make_strategy("random"))
         assert len(result.pairs) == result.num_measurements
 
     def test_empty_space_rejected(self, space):
-        from repro.search.space import SearchSpace
-
-        empty = SearchSpace(
-            space.chain, space.gpu, [], space.stats, space.tile_options
-        )
         with pytest.raises(ValueError):
-            SearchLoop(empty, lambda cs: [1e-6] * len(cs), ParallelEvaluator(lambda c: 1e-6))
+            SearchLoop(
+                empty_space(space), lambda ps: [1e-6] * len(ps), ParallelEvaluator(lambda p: 1e-6)
+            )
 
 
 class TestCacheStrategyFaithfulness:

@@ -4,9 +4,8 @@
 search space grew its mutation index: it re-sorts the loop names, builds a
 throwaway ``Candidate`` and looks its key up among the space's candidates.
 It decides containment, and maps its results to positions, with its own
-key table built from ``space.candidates`` (the last of a repeated key
-wins), so a fault in the space's key codes cannot move it too. The
-engine's ``mutate_position`` (scalar draws) and ``mutate_positions`` (one
+key table built from ``space.candidates``, so a fault in the space's
+mutation index cannot move it too. The engine's ``mutate_position`` (scalar draws) and ``mutate_positions`` (one
 bulk block per batch) must return the position of the same mutant and
 leave the rng in the same state, and every strategy must return the same
 search result with either helper.
@@ -24,6 +23,7 @@ from repro.gpu.specs import A100
 from repro.search.engine import ParallelEvaluator, SearchLoop, make_strategy
 from repro.search.engine import strategy as strategy_mod
 from repro.search.engine.strategy import BulkIntegers, mutate_position, mutate_positions
+from repro.ir.chain import gemm_chain
 from repro.search.space import Candidate, SearchSpace, generate_space
 from repro.search.tuner import MCFuserTuner
 from repro.workloads import build_workload, workload_names
@@ -33,8 +33,7 @@ ALL_STRATEGIES = ("evolutionary", "random", "exhaustive", "annealing")
 
 @lru_cache(maxsize=4)
 def oracle_keys(space):
-    """Key -> position over ``space.candidates``; a repeated key keeps its
-    last position."""
+    """Key -> position over ``space.candidates``."""
     return {cand.key: p for p, cand in enumerate(space.candidates)}
 
 
@@ -108,33 +107,12 @@ def _check_against_oracle(space, starts, seed, steps=3):
     assert old_rng.random() == new_rng.random()
 
 
-def _edge_space() -> tuple[SearchSpace, int]:
-    """A frozen space with a single-option loop, an off-grid tile and a
-    repeated key.
-
-    Loop ``h`` keeps one Rule-3 option, so mutations drawing it skip
-    without a step draw. The last candidate's ``m`` tile (3) is not an
-    option, so mutation starts it from option 0; one step up lands on the
-    candidate it was derived from. Candidate 5 appears again just before
-    it, and a mutation landing on that key lands on the later copy.
-    Returns the space and the off-grid candidate's position.
-    """
-    base = generate_space(build_workload("G1"), A100)
-    options = dict(base.tile_options)
-    options["h"] = options["h"][:1]
-    m_opts = options["m"]
-    source = next(c for c in base.candidates if c.tile_dict["m"] == m_opts[1])
-    off_grid = Candidate.make(source.expr, {**source.tile_dict, "m": 3})
-    assert 3 not in m_opts
-    repeat = Candidate(expr=base.candidates[5].expr, tiles=base.candidates[5].tiles)
-    space = SearchSpace(
-        base.chain,
-        A100,
-        [*base.candidates, repeat, off_grid],
-        base.stats,
-        options,
-    )
-    return space, len(space) - 1
+def _edge_space() -> SearchSpace:
+    """A generated space whose loop ``n`` has a single Rule-3 option (its
+    extent is 1), so mutations drawing it skip without a step draw."""
+    space = generate_space(gemm_chain(1, 128, 1, 64, 64, name="edge"), A100)
+    assert space.tile_options["n"] == [1]
+    return space
 
 
 @pytest.mark.parametrize("name", workload_names(level="chain"))
@@ -145,22 +123,19 @@ def test_every_chain_mutates_like_the_oracle(name):
         _check_against_oracle(space, starts, seed)
 
 
-def test_single_option_loop_and_off_grid_tile():
-    space, off_grid = _edge_space()
+def test_single_option_loop():
+    space = _edge_space()
+    n = space.chain.loop_names.index("n")
+    assert not space.mutable_loops[n] and sum(space.mutable_loops) >= 2
+    starts = list(range(0, len(space), max(1, len(space) // 32)))
     for seed in range(20):
-        _check_against_oracle(space, [off_grid] * 8 + list(range(24)), seed)
-    # The off-grid start really mutates (from option 0, up to option 1).
+        _check_against_oracle(space, starts, seed)
+    # Every start really mutates, and only in its mutable loops.
     rng = np.random.default_rng(0)
-    mutants = {mutate_position(space, off_grid, rng) for _ in range(50)}
-    assert any(
-        space.candidate(p).tile_dict["m"] == space.tile_options["m"][1] for p in mutants
-    )
-    # A step onto the repeated key lands on its later copy, never on 5.
-    repeat = off_grid - 1
-    landed = {
-        mutate_position(space, p, rng) for p in range(repeat) if p != 5 for _ in range(4)
-    }
-    assert repeat in landed and 5 not in landed
+    for p in range(len(space)):
+        mutants = {mutate_position(space, p, rng) for _ in range(8)}
+        assert mutants - {p}
+        assert {space.candidate(q).tile_dict["n"] for q in mutants} == {1}
 
 
 class _Scripted:
@@ -215,7 +190,8 @@ def _search(space, name, seed):
     def estimate(positions):
         return _synthetic([space.candidate(p) for p in positions.tolist()])
 
-    def measure(c):
+    def measure(p):
+        c = space.candidate(p)
         (est,) = _synthetic([c])
         return est * (1.0 + 0.01 * (len(c.key[0]) % 5))
 
@@ -268,7 +244,7 @@ def oracle_patched(monkeypatch):
 
 @pytest.mark.parametrize("name", ALL_STRATEGIES)
 def test_strategies_match_the_oracle_on_the_edge_space(name, oracle_patched):
-    space, _ = _edge_space()
+    space = _edge_space()
     fast = [_summary(_search(space, name, seed)) for seed in range(3)]
     calls = oracle_patched()
     assert [_summary(_search(space, name, seed)) for seed in range(3)] == fast

@@ -1,6 +1,7 @@
 """Unit tests for Algorithm 1 (the heuristic evolutionary search)."""
 
 import pytest
+from conftest import empty_space
 
 from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
@@ -19,22 +20,22 @@ def setup():
     sim = GPUSimulator(A100, seed=0)
     schedules = {}
 
-    def sched(c):
-        if c.key not in schedules:
-            schedules[c.key] = space.schedule_for(c)
-        return schedules[c.key]
+    def sched(p):
+        if p not in schedules:
+            schedules[p] = space.schedule_for(space.candidate(p))
+        return schedules[p]
 
-    def estimate(c):
-        return model(sched(c))
+    def estimate(p):
+        return model(sched(p))
 
-    def measure(c):
+    def measure(p):
         try:
-            return sim.run(sched(c).kernel_launch(A100))
+            return sim.run(sched(p).kernel_launch(A100))
         except SharedMemoryExceeded:
             return float("inf")
 
     exhaustive = min(
-        t for t in (measure(c) for c in space.candidates) if t != float("inf")
+        t for t in (measure(p) for p in range(len(space))) if t != float("inf")
     )
     return space, estimate, measure, exhaustive
 
@@ -48,7 +49,8 @@ class TestSearchQuality:
     def test_result_consistent(self, setup):
         space, estimate, measure, _ = setup
         result = heuristic_search(space, estimate, measure, seed=0)
-        assert result.best_time == measure(result.best)
+        best = space.candidates.index(result.best)
+        assert result.best_time == measure(best)
         assert result.best.key in result.measured
 
     def test_deterministic_given_seed(self, setup):
@@ -89,22 +91,18 @@ class TestFailureHandling:
         space, estimate, measure, best = setup
         calls = {"n": 0}
 
-        def flaky(c):
+        def flaky(p):
             calls["n"] += 1
             if calls["n"] <= 8:  # the whole first round fails
                 return float("inf")
-            return measure(c)
+            return measure(p)
 
         result = heuristic_search(space, estimate, flaky, seed=0)
         assert result.best_time != float("inf")
 
     def test_empty_space_rejected(self, setup):
         space, estimate, measure, _ = setup
-        from repro.search.space import SearchSpace
-
-        empty = SearchSpace(
-            space.chain, space.gpu, [], space.stats, space.tile_options
-        )
+        empty = empty_space(space)
         with pytest.raises(ValueError):
             heuristic_search(empty, estimate, measure)
 

@@ -27,7 +27,7 @@ from repro.search.perf_model import (
     estimate_time,
 )
 from repro.search.pruning import rule2_candidate_ok, rule3_tile_options, rule4_ok
-from repro.search.space import SearchSpace, generate_space
+from repro.search.space import generate_space
 from repro.tiling.schedule import build_schedule
 from repro.workloads import build_workload, workload_names
 
@@ -134,13 +134,8 @@ def test_huge_extents_stay_exact():
 def test_space_prices_match_built_schedules():
     chain = build_workload("S3")
     space = generate_space(chain, A100)
-    for cand in space.candidates[::5]:
-        assert space.price(cand) == estimate_time(space.schedule_for(cand), A100)
-    # A space that did not price its candidates prices them on request.
-    eager = SearchSpace(
-        chain, A100, space.candidates[:20], space.stats, space.tile_options
-    )
-    for cand in eager.candidates:
-        sched = build_schedule(chain, cand.expr, cand.tile_dict)
-        assert eager.price(cand) == estimate_time(sched, A100)
-    assert eager.schedules_built == len(eager.candidates)
+    totals = space.prices.total
+    for p in range(0, len(space), 5):
+        want = estimate_time(space.schedule_for(space.candidate(p)), A100)
+        assert space.price(p) == want
+        assert totals[p] == want.total

@@ -10,14 +10,12 @@ from repro.search.pruning import (
     MIN_TILE,
     PADDING_RATIO_LIMIT,
     RULE4_SLACK,
-    bucket_tile_options,
     expression_classes,
     padding_ratio,
     rule2_candidate_ok,
     rule2_class_survives,
     rule3_tile_options,
     rule4_ok,
-    tile_legal_for_bucket,
     unconstrained_tile_count,
 )
 from repro.tiling.expr import TilingExpr
@@ -157,24 +155,19 @@ class TestRule3:
 
 
 class TestBucketTiles:
+    """A bucket tunes at its power-of-two ceiling, where Rule 3 admits
+    only the multiples of 16 that divide the ceiling."""
+
     def test_bucket_options_are_ceiling_divisors(self):
         for ceiling in (16, 64, 512, 1024):
-            opts = bucket_tile_options(ceiling)
-            assert opts == rule3_tile_options(ceiling)
-            assert all(ceiling % t == 0 for t in opts)
-
-    def test_bucket_ceiling_must_be_pow2_multiple_of_16(self):
-        with pytest.raises(ValueError):
-            bucket_tile_options(100)
-        with pytest.raises(ValueError):
-            bucket_tile_options(8)
+            opts = rule3_tile_options(ceiling)
+            assert opts == [t for t in range(16, ceiling + 1, 16) if ceiling % t == 0]
 
     def test_tile_legal_for_bucket(self):
-        assert tile_legal_for_bucket(64, 512)
-        assert tile_legal_for_bucket(512, 512)
-        assert not tile_legal_for_bucket(96, 512)  # not a divisor
-        assert not tile_legal_for_bucket(1024, 512)  # exceeds ceiling
-        assert not tile_legal_for_bucket(0, 512)
+        opts = rule3_tile_options(512)
+        assert 64 in opts and 512 in opts
+        assert 96 not in opts  # not a divisor
+        assert 1024 not in opts  # exceeds the ceiling
 
     @given(st.sampled_from([16, 32, 64, 128, 256, 512, 1024]), st.data())
     def test_in_bucket_lengths_never_overrun_ceiling(self, ceiling, data):
@@ -183,7 +176,7 @@ class TestBucketTiles:
         from repro.utils import ceil_div
 
         length = data.draw(st.integers(ceiling // 2 + 1, ceiling))
-        for t in bucket_tile_options(ceiling):
+        for t in rule3_tile_options(ceiling):
             assert ceil_div(length, t) * t <= ceiling
 
 

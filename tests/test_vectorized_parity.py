@@ -186,14 +186,14 @@ class TestBucketCeilingSchedules:
     @pytest.mark.parametrize("m", LENGTHS)
     def test_gemm_ceiling_tiles_at_in_bucket_length(self, m):
         from repro.cache.signature import bucket_of
-        from repro.search.pruning import bucket_tile_options
+        from repro.search.pruning import rule3_tile_options
 
         ceiling = bucket_of(m)
         chain = gemm_chain(1, m, 64, 32, 48, name=f"vp-bucket-{m}")
         inputs = chain.random_inputs(m)
         ref = chain.reference(inputs)[chain.output]
         ran = 0
-        for tm in bucket_tile_options(ceiling):
+        for tm in rule3_tile_options(ceiling):
             schedule = build_schedule(
                 chain, TilingExpr.parse("mhnk"),
                 {"m": tm, "n": 32, "k": 32, "h": 48},
@@ -202,14 +202,14 @@ class TestBucketCeilingSchedules:
         assert ran >= 1
 
     def test_attention_ceiling_tiles_both_seq_dims(self):
-        from repro.search.pruning import bucket_tile_options
+        from repro.search.pruning import rule3_tile_options
 
         # m=101 (prime) and n=75 (non-pow2) in buckets 128 / 128
         chain = attention_chain(2, 101, 75, 24, 40, name="vp-bucket-attn")
         inputs = chain.random_inputs(5)
         ref = chain.reference(inputs)[chain.output]
         ran = 0
-        for tm in bucket_tile_options(128):
+        for tm in rule3_tile_options(128):
             schedule = build_schedule(
                 chain, TilingExpr.parse("mn(k,h)"),
                 {"m": tm, "n": 32, "k": 24, "h": 40},
