@@ -1,6 +1,6 @@
 """Ablation study: how much does each MCFuser design choice contribute?
 
-DESIGN.md calls out four load-bearing choices; this driver isolates each
+MCFuser rests on four load-bearing choices; this experiment isolates each
 on representative workloads (a memory-bound GEMM chain, a larger one, and
 a self-attention module):
 

@@ -1,8 +1,9 @@
 """GPU substrate: hardware specs, occupancy, shared-memory backend, simulator.
 
-This package replaces the paper's physical A100 / RTX 3080 testbed (see
-DESIGN.md, "Hardware substitution"). Everything above it interacts with
-"hardware" exclusively through :class:`~repro.gpu.kernel.KernelLaunch` and
+This package replaces the paper's physical A100 / RTX 3080 testbed with a
+seeded analytic simulator (see docs/architecture.md). Everything above it
+interacts with "hardware" exclusively through
+:class:`~repro.gpu.kernel.KernelLaunch` and
 :class:`~repro.gpu.simulator.GPUSimulator`.
 """
 

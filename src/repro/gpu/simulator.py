@@ -119,7 +119,8 @@ class GPUSimulator:
         Reads beyond the compulsory traffic re-touch resident data (GEMM
         panel re-reads, reloads of hoisted tiles); when the working set
         fits L2, ~90% of them are served on-chip. Inter-kernel L2 reuse is
-        deliberately not modeled (documented limitation in DESIGN.md).
+        deliberately not modeled: every kernel starts from a cold L2, so
+        back-to-back kernels never share resident data.
         """
         reads = kernel.dram_read_bytes
         compulsory = kernel.dram_compulsory_read_bytes

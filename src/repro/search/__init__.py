@@ -36,7 +36,6 @@ from repro.search.pruning import (
     RULE4_SLACK,
     PruningStats,
     expression_classes,
-    rule2_candidate_ok,
     rule2_class_survives,
     rule3_tile_options,
     rule4_ok,
@@ -58,7 +57,6 @@ __all__ = [
     "PruningStats",
     "expression_classes",
     "rule2_class_survives",
-    "rule2_candidate_ok",
     "rule3_tile_options",
     "rule4_ok",
     "unconstrained_tile_count",

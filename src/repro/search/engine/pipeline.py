@@ -16,7 +16,10 @@ expression and on which per-block loops have extent 1 (see
 :class:`~repro.tiling.schedule.ScheduleTemplate`). :func:`price_grid`
 therefore builds one real schedule per distinct extent-1 set of an
 expression, records it as a template, and evaluates the template over the
-whole Rule-3 grid with numpy. The same template later summarizes a
+whole Rule-3 grid with numpy. Neither a template's core nor the surviving
+expressions depend on the chain's sizes, so both are memoized process-wide
+on the chain's size-free structure, shared by all of its shapes (bucket
+tunes, the layers of a model). The same template later summarizes a
 measured candidate as a kernel launch
 (:meth:`~repro.search.space.SearchSpace.launch_for`); schedules of
 individual candidates are built only for candidates that are verified,
@@ -36,6 +39,7 @@ from repro.search.pruning import (
     PruningStats,
     expression_classes,
     rule2_class_survives,
+    rule2_probe_applies,
     rule3_tile_options,
     rule4_fits,
     unconstrained_tile_count,
@@ -46,10 +50,36 @@ from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import ScheduleTemplate, build_schedule
 from repro.utils import prod
 
-__all__ = ["PricedGrid", "surviving_expressions", "price_grid", "build_space"]
+__all__ = ["PricedGrid", "surviving_expressions", "price_grid", "build_space", "clear_memos"]
 
-#: ``(rendered expression, extent-1 loops, optimize) -> template``.
-TemplateTable = dict[tuple[str, frozenset, bool], ScheduleTemplate]
+#: Entries each process-wide memo holds before it starts over.
+MEMO_CAPACITY = 1024
+
+#: ``(structure, rendered expression, extent-1 loops, optimize) -> template``
+#: and ``(structure, deep_only, probe applies) -> (survivors, expression
+#: count, class count)``, where the structure is :func:`_size_free`. Values
+#: are immutable, so concurrent tunes share them; concurrent misses on one
+#: key may both compute it, with equal results.
+_CORES: dict[tuple, ScheduleTemplate] = {}
+_SURVIVORS: dict[tuple, tuple[tuple[TilingExpr, ...], int, int]] = {}
+
+
+def _size_free(chain: ComputeChain) -> tuple:
+    """``chain.structure_key()`` without the loop sizes and batch."""
+    return (chain.loop_names, chain.dtype, chain.blocks, tuple(chain.tensors.items()))
+
+
+def _remember(memo: dict, key: tuple, value):
+    if len(memo) >= MEMO_CAPACITY:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def clear_memos() -> None:
+    """Empty the template-core and surviving-expression memos."""
+    _CORES.clear()
+    _SURVIVORS.clear()
 
 
 def surviving_expressions(
@@ -59,28 +89,34 @@ def surviving_expressions(
 
     Returns the canonical representative of every equivalence class that
     survives Rule 2 for generic loop extents, in deterministic class order,
-    and the funnel's analytic head (its Rule 3-4 counts are still 0).
+    and the funnel's analytic head (its Rule 3-4 counts are still 0). The
+    expressions are memoized per size-free structure; the head is counted
+    from ``chain``'s own sizes.
     """
-    exprs = all_tilings(chain)
-    if deep_only:
-        exprs = [e for e in exprs if e.is_deep]
-    classes = expression_classes(chain)
-    if deep_only:
-        classes = {k: v for k, v in classes.items() if v.is_deep}
-    survivors = [v for v in classes.values() if rule2_class_survives(chain, v)]
+    key = (_size_free(chain), deep_only, rule2_probe_applies(chain))
+    memo = _SURVIVORS.get(key)
+    if memo is None:
+        exprs = all_tilings(chain)
+        classes = expression_classes(chain)
+        if deep_only:
+            exprs = [e for e in exprs if e.is_deep]
+            classes = {k: v for k, v in classes.items() if v.is_deep}
+        survivors = tuple(v for v in classes.values() if rule2_class_survives(chain, v))
+        memo = _remember(_SURVIVORS, key, (survivors, len(exprs), len(classes)))
+    survivors, expressions, classes = memo
 
     raw_tiles = int(prod(unconstrained_tile_count(s) for s in chain.loops.values()))
     head = PruningStats(
-        expressions=len(exprs),
-        classes_rule1=len(classes),
+        expressions=expressions,
+        classes_rule1=classes,
         classes_rule2=len(survivors),
-        original=len(exprs) * raw_tiles,
-        after_rule1=len(classes) * raw_tiles,
+        original=expressions * raw_tiles,
+        after_rule1=classes * raw_tiles,
         after_rule2=len(survivors) * raw_tiles,
         after_rule3=0,
         after_rule4=0,
     )
-    return survivors, head
+    return list(survivors), head
 
 
 @dataclass(frozen=True)
@@ -90,7 +126,8 @@ class PricedGrid:
     ``tiles`` has one row per point (columns in ``chain.loop_names`` order,
     rows in ``itertools.product`` order of the options); every other array
     is aligned with its rows. Rejected points are priced too. Point ``i``
-    was priced from ``templates[group[i]]``.
+    was priced from ``templates[group[i]]``; ``bound`` of the templates
+    were bound from the memo, the others built.
     """
 
     tiles: np.ndarray
@@ -100,6 +137,7 @@ class PricedGrid:
     price: PerfEstimate
     group: np.ndarray
     templates: tuple[ScheduleTemplate, ...]
+    bound: int
 
 
 def price_grid(
@@ -107,14 +145,14 @@ def price_grid(
     gpu: GPUSpec,
     expr: TilingExpr,
     options: dict[str, list[int]],
-    templates: TemplateTable,
     optimize: bool = True,
 ) -> PricedGrid:
     """Price the ``expr`` x ``options`` tile grid from schedule templates.
 
     Points are grouped by their set of extent-1 per-block loops; each group
-    is evaluated from one template, built from a real schedule on first use
-    and kept in ``templates``.
+    is evaluated from one template: a memoized core of the same structure
+    bound to ``chain``, or else one derived from a real schedule and
+    memoized.
     """
     loops = chain.loop_names
     axes = np.meshgrid(*[np.asarray(options[l], dtype=np.int64) for l in loops], indexing="ij")
@@ -132,15 +170,20 @@ def price_grid(
     rule4 = np.zeros(n, dtype=bool)
     t_mem, t_comp, alpha = np.zeros(n), np.zeros(n), np.zeros(n)
     used: list[ScheduleTemplate] = []
+    bound = 0
+    structure = _size_free(chain)
     for g, rep in enumerate(first.tolist()):
         rows = np.flatnonzero(group == g)
-        key = (expr.render(), frozenset(l for l, u in zip(free, unit[rep]) if u), optimize)
-        template = templates.get(key)
-        if template is None:
+        unit_loops = frozenset(l for l, u in zip(free, unit[rep]) if u)
+        key = (structure, expr.render(), unit_loops, optimize)
+        template = _CORES.get(key)
+        if template is not None:
+            bound += 1
+            template = template.bind(chain)
+        else:
             point = dict(zip(loops, tiles[rep].tolist()))
-            template = templates[key] = ScheduleTemplate.from_schedule(
-                build_schedule(chain, expr, point, optimize=optimize)
-            )
+            schedule = build_schedule(chain, expr, point, optimize=optimize)
+            template = _remember(_CORES, key, ScheduleTemplate.from_schedule(schedule))
         used.append(template)
         work = template.work(
             {l: tiles[rows, j] for j, l in enumerate(loops)},
@@ -159,6 +202,7 @@ def price_grid(
         price=PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha),
         group=group,
         templates=tuple(used),
+        bound=bound,
     )
 
 
@@ -181,12 +225,12 @@ def build_space(
     """
     exprs, head = surviving_expressions(chain, deep_only=deep_only)
     options = {loop: rule3_tile_options(size) for loop, size in chain.loops.items()}
-    templates: TemplateTable = {}
     launchers: list[ScheduleTemplate] = []
     parts: list[tuple[np.ndarray, ...]] = []
-    after_rule3 = 0
+    after_rule3 = bound = 0
     for eid, expr in enumerate(exprs):
-        grid = price_grid(chain, gpu, expr, options, templates, optimize_schedules)
+        grid = price_grid(chain, gpu, expr, options, optimize_schedules)
+        bound += grid.bound
         rule3 = grid.valid & grid.rule2
         after_rule3 += int(rule3.sum())
         kept = np.flatnonzero(rule3 & grid.rule4)
@@ -219,6 +263,7 @@ def build_space(
         price=PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha),
         template=template,
         launchers=tuple(launchers),
+        bound=bound,
     )
     return SearchSpace(
         chain,
@@ -228,5 +273,4 @@ def build_space(
         options,
         deep_only=deep_only,
         optimized=optimize_schedules,
-        templates=templates,
     )

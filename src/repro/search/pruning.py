@@ -39,6 +39,7 @@ __all__ = [
     "MIN_TILE",
     "expression_classes",
     "rule2_class_survives",
+    "rule2_probe_applies",
     "padding_ratio",
     "rule3_tile_options",
     "unconstrained_tile_count",
@@ -120,20 +121,18 @@ def rule2_class_survives(chain: ComputeChain, expr: TilingExpr) -> bool:
     be collapsed by a full-extent tile of a private loop (the candidate-
     level check enforces that).
     """
+    if not rule2_probe_applies(chain):
+        return True
     probe_tiles = {loop: MIN_TILE for loop in chain.loop_names}
-    probe_chain_ok = all(size >= 2 * MIN_TILE for size in chain.loops.values())
     sched = build_schedule(chain, expr, probe_tiles, optimize=False)
-    for name, ref in chain.tensors.items():
-        if ref.role != "intermediate":
-            continue
-        if sched.live_copies(name) > 1 and probe_chain_ok:
-            return False
-    return True
+    intermediates = [n for n, ref in chain.tensors.items() if ref.role == "intermediate"]
+    return all(sched.live_copies(name) == 1 for name in intermediates)
 
 
-def rule2_candidate_ok(schedule: Schedule) -> bool:
-    """Candidate-level Rule 2: no tensor may need >1 live partial tile."""
-    return schedule.single_live_copies()
+def rule2_probe_applies(chain: ComputeChain) -> bool:
+    """Whether the Rule-2 probe gives every loop extent > 1: with a loop
+    shorter than two minimum tiles, every class survives at this level."""
+    return all(size >= 2 * MIN_TILE for size in chain.loops.values())
 
 
 # -- Rule 3 ---------------------------------------------------------------------

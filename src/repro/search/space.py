@@ -21,7 +21,6 @@ featurized or returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from repro.search.perf_model import PerfEstimate
 from repro.search.pruning import PruningStats
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import Schedule, ScheduleTemplate, build_schedule
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.search.engine.pipeline import TemplateTable
 
 __all__ = ["Candidate", "SpacePoints", "SearchSpace", "generate_space"]
 
@@ -75,7 +71,8 @@ class SpacePoints:
     Point ``p`` tiles ``exprs[expr_id[p]]`` with ``tiles[p]`` (columns in
     ``chain.loop_names`` order). ``price`` holds the eq. 2-5 estimates as
     arrays and ``template[p]`` indexes the entry of ``launchers`` that
-    priced the point.
+    priced the point. ``bound`` of the launchers were bound from the
+    pipeline's memo, the others built.
     """
 
     exprs: tuple[TilingExpr, ...]
@@ -84,6 +81,7 @@ class SpacePoints:
     price: PerfEstimate
     template: np.ndarray
     launchers: tuple[ScheduleTemplate, ...]
+    bound: int = 0
 
 
 class SearchSpace:
@@ -122,7 +120,6 @@ class SearchSpace:
         tile_options: dict[str, list[int]],
         deep_only: bool = False,
         optimized: bool = True,
-        templates: "TemplateTable | None" = None,
     ) -> None:
         self.chain = chain
         self.gpu = gpu
@@ -132,7 +129,6 @@ class SearchSpace:
         #: schedules) with the extent-1 DAG optimization.
         self.optimized = optimized
         self._stats = stats
-        self._templates: "TemplateTable" = {} if templates is None else templates
         self._schedules: dict[tuple, Schedule] = {}
         self._lazy_builds = 0
         self._candidates: tuple[Candidate, ...] | None = None
@@ -237,14 +233,20 @@ class SearchSpace:
 
     @property
     def templates(self) -> int:
-        """Schedule templates that priced the space (one schedule built for each)."""
-        return len(self._templates)
+        """Schedule templates that priced the space."""
+        return len(self._points.launchers)
+
+    @property
+    def templates_bound(self) -> int:
+        """Templates bound from the pipeline's memo, not built."""
+        return self._points.bound
 
     @property
     def schedules_built(self) -> int:
         """Every ``build_schedule`` call this space made: one per template
-        plus one per ``schedule_for`` construction."""
-        return len(self._templates) + self._lazy_builds
+        not bound from the memo, plus one per ``schedule_for``
+        construction."""
+        return self.templates - self.templates_bound + self._lazy_builds
 
 
 def generate_space(

@@ -564,6 +564,7 @@ class MCFuserTuner:
             span.set(
                 candidates=len(space),
                 templates=space.templates,
+                templates_bound=space.templates_bound,
                 schedules_built=space.schedules_built,
             )
         # The loop's set-up and the best's schedule build run inside the

@@ -28,7 +28,7 @@ expression without building a schedule for each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -524,21 +524,9 @@ class Schedule:
 
     # -- lowering to a kernel launch ------------------------------------------------------
 
-    def representative_loops(self) -> tuple[str, str, str]:
-        """The (m, n, k) loops of the flops-dominant block's MMA."""
-        best = None
-        best_flops = -1.0
-        for block in self.chain.blocks:
-            flops = self.chain.block_flops(block)
-            if flops > best_flops:
-                best_flops = flops
-                best = (block.spatial[0], block.spatial[-1], block.reduction[0])
-        assert best is not None
-        return best
-
     def representative_tiles(self) -> tuple[int, int, int]:
         """Flops-weighted dominant MMA tile shape (for the simulator)."""
-        return tuple(self.tiles[loop] for loop in self.representative_loops())
+        return tuple(self.tiles[loop] for loop in _mma_loops(self.chain))
 
     def contig_loops(self) -> tuple[str, ...]:
         """The innermost loop of every loaded, then every stored, tile."""
@@ -552,16 +540,6 @@ class Schedule:
         widths = [self.tiles[loop] * self.chain.dtype_bytes for loop in self.contig_loops()]
         return min(widths) if widths else 128
 
-    def compulsory_read_bytes(self) -> int:
-        """Every input byte read once."""
-        return sum(
-            self.chain.batch
-            * prod(self.chain.loops[d] for d in ref.dims)
-            * self.chain.dtype_bytes
-            for ref in self.chain.tensors.values()
-            if ref.role == "input"
-        )
-
     def kernel_launch(self, gpu: GPUSpec, codegen: str = "triton") -> KernelLaunch:
         """Summarize this schedule as a simulator kernel launch.
 
@@ -569,7 +547,7 @@ class Schedule:
         measures candidates with instead.
         """
         tm, tn, tk = self.representative_tiles()
-        compulsory = self.compulsory_read_bytes()
+        compulsory = _compulsory_bytes(self.chain)
         return KernelLaunch(
             name=f"{self.chain.name}:{self.describe()}",
             grid=self.grid_size,
@@ -613,6 +591,29 @@ class Schedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Schedule({self.chain.name}, {self.describe()}, grid={self.grid_size})"
+
+
+def _mma_loops(chain: ComputeChain) -> tuple[str, str, str]:
+    """The (m, n, k) loops of the flops-dominant block's MMA. The loop
+    sizes pick that block, so this is not size-free."""
+    best = None
+    best_flops = -1.0
+    for block in chain.blocks:
+        flops = chain.block_flops(block)
+        if flops > best_flops:
+            best_flops = flops
+            best = (block.spatial[0], block.spatial[-1], block.reduction[0])
+    assert best is not None
+    return best
+
+
+def _compulsory_bytes(chain: ComputeChain) -> int:
+    """Every input byte read once."""
+    return sum(
+        chain.batch * prod(chain.loops[d] for d in ref.dims) * chain.dtype_bytes
+        for ref in chain.tensors.values()
+        if ref.role == "input"
+    )
 
 
 def build_schedule(
@@ -714,6 +715,12 @@ class ScheduleTemplate:
     (:meth:`from_schedule`), so :func:`build_schedule` stays its only
     source. :meth:`work` evaluates it for many tile points at once, and
     :meth:`launch` summarizes one tile point as a kernel launch.
+
+    Only the chain-level fields (``chain_name``, ``loops``, ``mma_loops``,
+    ``compulsory_bytes``, ``batch``, ``dtype_bytes``) depend on the chain's
+    name and sizes; the rest, the *core*, is shared by every chain with
+    the same loop names, dtype, blocks and tensors. :meth:`bind` re-derives
+    the chain-level fields for another such chain.
     """
 
     #: Chain name and expression text, which name the kernel.
@@ -734,6 +741,25 @@ class ScheduleTemplate:
     dtype_bytes: int
     valid: bool
     single_copy: bool
+
+    @staticmethod
+    def _chain_fields(chain: ComputeChain) -> dict:
+        """The fields that depend on the chain's name or sizes."""
+        return {
+            "chain_name": chain.name,
+            "loops": tuple((loop, chain.loops[loop]) for loop in chain.loop_names),
+            "mma_loops": _mma_loops(chain),
+            "compulsory_bytes": _compulsory_bytes(chain),
+            "batch": chain.batch,
+            "dtype_bytes": chain.dtype_bytes,
+        }
+
+    def bind(self, chain: ComputeChain) -> "ScheduleTemplate":
+        """This template's core bound to ``chain``: equal to
+        :meth:`from_schedule` of ``chain``'s schedule with the same
+        expression, extent-1 set and ``optimize`` flag, provided ``chain``
+        has this template's loop names, dtype, blocks and tensors."""
+        return replace(self, **self._chain_fields(chain))
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "ScheduleTemplate":
@@ -764,19 +790,14 @@ class ScheduleTemplate:
             for buf in schedule.tile_buffers()
         )
         return cls(
-            chain_name=chain.name,
             expr=schedule.expr.render(),
-            loops=tuple((loop, chain.loops[loop]) for loop in chain.loop_names),
             grid_loops=tuple(loop for loop, _ in schedule.grid_dims[1:]),
             terms=tuple(terms),
             buffers=buffers,
-            mma_loops=schedule.representative_loops(),
             contig_loops=schedule.contig_loops(),
-            compulsory_bytes=schedule.compulsory_read_bytes(),
-            batch=chain.batch,
-            dtype_bytes=chain.dtype_bytes,
             valid=schedule.is_valid,
             single_copy=schedule.single_live_copies(),
+            **cls._chain_fields(chain),
         )
 
     def launch(

@@ -115,9 +115,10 @@ def test_generated_keys_are_unique_in_strictly_increasing_code_order():
 
 
 class TestSingleBuild:
-    """The search builds a schedule per template and for the returned best;
-    it measures candidates from template launches, and builds per measured
-    candidate only to verify it (``verify="all"``)."""
+    """The search builds a schedule per template core the memo lacks and
+    for the returned best; it measures candidates from template launches,
+    and builds per measured candidate only to verify it (``verify="all"``).
+    Every test starts with empty memos (``conftest.py``)."""
 
     @pytest.fixture
     def counters(self, monkeypatch):
@@ -139,7 +140,7 @@ class TestSingleBuild:
         return counts
 
     @staticmethod
-    def _tune(monkeypatch, name, **config):
+    def _tune(monkeypatch, name, batch=1, **config):
         spaces = []
         real_build_space = MCFuserTuner.build_space
 
@@ -148,7 +149,7 @@ class TestSingleBuild:
             return spaces[-1]
 
         monkeypatch.setattr(MCFuserTuner, "build_space", build_space)
-        chain = gemm_chain(1, 256, 256, 64, 64, name=name)
+        chain = gemm_chain(batch, 256, 256, 64, 64, name=name)
         report = MCFuserTuner(A100, config=SessionConfig.make(seed=0, **config)).tune(chain)
         (space,) = spaces
         return report, space
@@ -157,6 +158,7 @@ class TestSingleBuild:
         report, space = self._tune(monkeypatch, "onebuild")
         # Pricing builds one schedule per template, far fewer than points.
         assert counters["pipeline"] == space.templates
+        assert space.templates_bound == 0
         assert space.templates < report.pruning.after_rule3
         # Beyond that: one build, the returned best; none per measurement
         # or estimate.
@@ -165,6 +167,18 @@ class TestSingleBuild:
         assert report.search.num_measurements > 0
         assert report.search.num_estimates > total
 
+    def test_warm_memo_builds_only_the_best(self, counters, monkeypatch):
+        _, cold = self._tune(monkeypatch, "onebuild-cold")
+        built = counters["pipeline"]
+        assert built == cold.templates
+        # Another chain of the same structure (name and batch do not count)
+        # binds every template from the memo and builds none.
+        report, warm = self._tune(monkeypatch, "onebuild-warm", batch=2)
+        assert counters["pipeline"] == built
+        assert warm.templates_bound == warm.templates == cold.templates
+        assert warm.schedules_built == 1
+        assert report.best_schedule.chain.batch == 2
+
     def test_verify_all_builds_each_measured_candidate_once(self, counters, monkeypatch):
         report, space = self._tune(monkeypatch, "onebuild-verify", verify="all")
         measured = report.search.measured
@@ -172,6 +186,8 @@ class TestSingleBuild:
         # checked once; the returned best is one of them.
         assert all(t < float("inf") for t in measured.values())
         assert report.best_candidate.key in measured
+        assert counters["pipeline"] == space.templates
+        assert space.templates_bound == 0
         total = counters["pipeline"] + counters["space"]
         assert total == space.schedules_built == space.templates + len(measured)
 

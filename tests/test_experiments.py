@@ -44,6 +44,12 @@ class TestFig2:
         assert len(result.rows) == 6
         assert "TFLOPS" in result.headers
 
+    def test_summary_reads_the_simulators_bound(self):
+        meta = fig2_roofline.run(quick=True).meta
+        compute = float(meta["compute_bound_tflops"])
+        memory = float(meta["memory_bound_tflops"])
+        assert compute > memory > 0
+
 
 class TestFig7:
     def test_paper_funnel(self):

@@ -70,9 +70,11 @@ class TestTracedTune:
         report = MCFuserTuner(a100, config=TRACE_QUICK).tune(small_gemm)
         spans = _spans_by_name(tracer)
         [space], [search] = spans["tune.space"], spans["search"]
-        # Pricing builds one schedule per template; the search measures
-        # every candidate from its template launch and builds none.
+        # With empty memos, pricing builds one schedule per template and
+        # binds none; the search measures every candidate from its template
+        # launch and builds none.
         assert space.attrs["schedules_built"] == space.attrs["templates"] > 0
+        assert space.attrs["templates_bound"] == 0
         assert search.attrs["schedules_built"] == space.attrs["templates"]
         assert report.search.num_measurements > 0
 

@@ -12,7 +12,6 @@ from repro.search.pruning import (
     RULE4_SLACK,
     expression_classes,
     padding_ratio,
-    rule2_candidate_ok,
     rule2_class_survives,
     rule3_tile_options,
     rule4_ok,
@@ -57,8 +56,8 @@ class TestRule2:
         rep = expression_classes(small_gemm)["n(k,h)"]
         partial = build_schedule(small_gemm, rep, {"m": 32, "n": 16, "k": 16, "h": 16})
         full = build_schedule(small_gemm, rep, {"m": 32, "n": 16, "k": 16, "h": 48})
-        assert not rule2_candidate_ok(partial)
-        assert rule2_candidate_ok(full)
+        assert not partial.single_live_copies()
+        assert full.single_live_copies()
 
 
 class TestRule3:

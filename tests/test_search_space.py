@@ -4,7 +4,7 @@ import pytest
 
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
-from repro.search.pruning import rule2_candidate_ok, rule4_ok
+from repro.search.pruning import rule4_ok
 from repro.search.space import generate_space
 
 
@@ -21,7 +21,7 @@ class TestGeneration:
         for cand in space.candidates[::7]:
             sched = space.schedule_for(cand)
             sched.check_valid()
-            assert rule2_candidate_ok(sched)
+            assert sched.single_live_copies()
             assert rule4_ok(sched, A100)
 
     def test_all_tiles_from_rule3(self, space):
