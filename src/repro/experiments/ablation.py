@@ -26,7 +26,7 @@ from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import A100, GPUSpec
 from repro.ir.chain import ComputeChain
-from repro.search.evolution import heuristic_search
+from repro.search.engine import EvolutionarySearch, ParallelEvaluator, SearchLoop
 from repro.search.perf_model import AnalyticalModel, ChimeraModel
 from repro.search.space import generate_space
 from repro.utils import rng_for
@@ -60,11 +60,9 @@ def _search_time(
 
     if model_kind in ("mcfuser", "chimera"):
         model = AnalyticalModel(gpu) if model_kind == "mcfuser" else ChimeraModel(gpu)
-        estimate = lambda p: model.objective(space.price(p))  # noqa: E731
+        objective = model.objective(space.prices)
     else:  # random ranking: one draw per position, in position order
-        rng = rng_for("ablation-random", chain.name, seed)
-        noise = rng.random(len(space)).tolist()
-        estimate = lambda p: noise[p]  # noqa: E731
+        objective = rng_for("ablation-random", chain.name, seed).random(len(space))
 
     def measure(p):
         try:
@@ -72,8 +70,10 @@ def _search_time(
         except SharedMemoryExceeded:
             return float("inf")
 
-    result = heuristic_search(space, estimate, measure, top_n=top_n, seed=seed)
-    return result.best_time
+    loop = SearchLoop(
+        space, objective.__getitem__, ParallelEvaluator(measure), top_n=top_n, seed=seed
+    )
+    return loop.run(EvolutionarySearch()).best_time
 
 
 def ablate_chain(chain: ComputeChain, gpu: GPUSpec = A100, seed: int = 0) -> AblationRow:

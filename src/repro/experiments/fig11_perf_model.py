@@ -40,14 +40,14 @@ def correlation_for(
     space = generate_space(chain, gpu, max_candidates=sample)
     model = AnalyticalModel(gpu)
     sim = GPUSimulator(gpu, seed=seed)
+    objective = model.objective(space.prices).tolist()
     pairs: list[tuple[float, float]] = []
     for p in range(len(space)):
-        est = model.objective(space.price(p))
         try:
             meas = sim.run(space.launch_for(p))
         except SharedMemoryExceeded:
             continue  # these never reach measurement on hardware either
-        pairs.append((est, meas))
+        pairs.append((objective[p], meas))
     corr = pearson([p[0] for p in pairs], [p[1] for p in pairs])
     return ModelCorrelation(
         chain=name, corr=corr, num_points=len(pairs), pairs=tuple(pairs)

@@ -4,7 +4,7 @@ search strategy.
 Not a figure of the paper — this driver validates the engine's pluggable
 strategies against the paper's Algorithm 1 (``evolutionary``). For each
 workload it runs every registered strategy through the real tuner
-(streamed space, analytical model, simulated measurements) and reports:
+(pruned space, analytical model, simulated measurements) and reports:
 
 * the measured time of the selected kernel, normalized to evolutionary's
   (``1.00`` = identical choice; the exhaustive row is the space's true

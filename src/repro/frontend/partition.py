@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Default cap on contractions per fusion group: 3 keeps the enumeration
-#: space (loops! tiling expressions) tractable for the streaming pipeline.
+#: space (loops! tiling expressions) tractable for the search-space builder.
 MAX_GROUP_BLOCKS = 3
 
 #: Default cap on distinct cross-tile loops per group, for the same reason.

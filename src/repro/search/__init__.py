@@ -22,7 +22,6 @@ from repro.search.cost_model import (
     MeasurementDataset,
     pairwise_ranking_accuracy,
 )
-from repro.search.evolution import heuristic_search
 from repro.search.features import (
     FEATURE_NAMES,
     FEATURE_VERSION,
@@ -74,7 +73,6 @@ __all__ = [
     "LearnedCostModel",
     "MeasurementDataset",
     "pairwise_ranking_accuracy",
-    "heuristic_search",
     "SearchResult",
     "SearchLoop",
     "SearchStrategy",

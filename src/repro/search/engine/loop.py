@@ -4,8 +4,7 @@ Algorithm 1's skeleton — rank candidates, hardware-measure the best
 *unmeasured* top-n, track the best, stop on convergence — is strategy-
 independent; what differs between evolutionary, random, exhaustive, and
 annealing search is only *which* candidates get ranked each round. The
-loop therefore owns all the bookkeeping the old monolithic
-``heuristic_search`` kept inline:
+loop therefore owns all the shared bookkeeping:
 
 * the **measured cache** (re-measuring a program yields no information);
 * the **failed blacklist** (launch failures never re-enter the top-n);

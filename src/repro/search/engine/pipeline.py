@@ -8,7 +8,7 @@ building a schedule per candidate.
     price_grid             Rule 3 tile grid of one expression,  -> PricedGrid
                            priced from schedule templates:
                            validity, candidate-level Rule 2,
-                           Rule 4 and the eq. 2-5 estimate
+                           Rule 4 and the work totals
     build_space            Rules 3-4 as masks over every grid   -> SearchSpace
 
 Everything the search needs before measuring depends only on the tiling
@@ -19,8 +19,9 @@ expression, records it as a template, and evaluates the template over the
 whole Rule-3 grid with numpy. Neither a template's core nor the surviving
 expressions depend on the chain's sizes, so both are memoized process-wide
 on the chain's size-free structure, shared by all of its shapes (bucket
-tunes, the layers of a model). The same template later summarizes a
-measured candidate as a kernel launch
+tunes, the layers of a model). The space keeps each kept point's work
+totals, which give both its eq. 2-5 estimate and, with the same template,
+its kernel launch when measured
 (:meth:`~repro.search.space.SearchSpace.launch_for`); schedules of
 individual candidates are built only for candidates that are verified,
 featurized or returned (:meth:`~repro.search.space.SearchSpace.schedule_for`).
@@ -47,7 +48,7 @@ from repro.search.pruning import (
 from repro.search.space import SearchSpace, SpacePoints
 from repro.tiling.enumeration import all_tilings, sub_tiling_expr
 from repro.tiling.expr import TilingExpr
-from repro.tiling.schedule import ScheduleTemplate, build_schedule
+from repro.tiling.schedule import ScheduleTemplate, ScheduleWork, build_schedule
 from repro.utils import prod
 
 __all__ = ["PricedGrid", "surviving_expressions", "price_grid", "build_space", "clear_memos"]
@@ -124,20 +125,27 @@ class PricedGrid:
     """Every tile point of one expression, priced from its templates.
 
     ``tiles`` has one row per point (columns in ``chain.loop_names`` order,
-    rows in ``itertools.product`` order of the options); every other array
-    is aligned with its rows. Rejected points are priced too. Point ``i``
-    was priced from ``templates[group[i]]``; ``bound`` of the templates
-    were bound from the memo, the others built.
+    rows in ``itertools.product`` order of the options); every other array,
+    ``work``'s totals included, is aligned with its rows. Rejected points
+    are priced too. Point ``i`` was priced from ``templates[group[i]]``;
+    ``bound`` of the templates were bound from the memo, the others built.
     """
 
     tiles: np.ndarray
     valid: np.ndarray
     rule2: np.ndarray
     rule4: np.ndarray
-    price: PerfEstimate
+    work: ScheduleWork
     group: np.ndarray
     templates: tuple[ScheduleTemplate, ...]
     bound: int
+    gpu: GPUSpec
+
+    @property
+    def price(self) -> PerfEstimate:
+        """Every point's eq. 2-5 estimate, from its work totals."""
+        w = self.work
+        return combine(w.read_bytes, w.write_bytes, w.flops, w.grid, self.gpu)
 
 
 def price_grid(
@@ -164,12 +172,8 @@ def price_grid(
     codes = unit @ (1 << np.arange(len(free), dtype=np.int64))
     _, first, group = np.unique(codes, return_index=True, return_inverse=True)
 
-    n = len(tiles)
-    valid = np.zeros(n, dtype=bool)
-    rule2 = np.zeros(n, dtype=bool)
-    rule4 = np.zeros(n, dtype=bool)
-    t_mem, t_comp, alpha = np.zeros(n), np.zeros(n), np.zeros(n)
     used: list[ScheduleTemplate] = []
+    works: list[ScheduleWork] = []
     bound = 0
     structure = _size_free(chain)
     for g, rep in enumerate(first.tolist()):
@@ -185,24 +189,23 @@ def price_grid(
             schedule = build_schedule(chain, expr, point, optimize=optimize)
             template = _remember(_CORES, key, ScheduleTemplate.from_schedule(schedule))
         used.append(template)
-        work = template.work(
+        works.append(template.work(
             {l: tiles[rows, j] for j, l in enumerate(loops)},
             {l: extents[rows, j] for j, l in enumerate(loops)},
-        )
-        est = combine(work.read_bytes, work.write_bytes, work.flops, work.grid, gpu)
-        valid[rows] = template.valid
-        rule2[rows] = template.single_copy
-        rule4[rows] = rule4_fits(work.shm_estimate, gpu)
-        t_mem[rows], t_comp[rows], alpha[rows] = est.t_mem, est.t_comp, est.alpha
+        ))
+    # The works hold the rows group by group, in this order; undo it.
+    order = np.argsort(group, kind="stable")
+    work = ScheduleWork.concat(works).take(np.argsort(order))
     return PricedGrid(
         tiles=tiles,
-        valid=valid,
-        rule2=rule2,
-        rule4=rule4,
-        price=PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha),
+        valid=np.array([t.valid for t in used])[group],
+        rule2=np.array([t.single_copy for t in used])[group],
+        rule4=rule4_fits(work.shm_estimate, gpu),
+        work=work,
         group=group,
         templates=tuple(used),
         bound=bound,
+        gpu=gpu,
     )
 
 
@@ -219,14 +222,15 @@ def build_space(
     A point survives Rule 3 if it is valid and passes candidate-level
     Rule 2, and Rule 4 if its shared-memory estimate fits too. The kept
     points of every grid are concatenated into the space's arrays, in
-    expression order, then grid row order, each with its estimate and the
-    template that priced it (which also launches it). No
+    expression order, then grid row order, each with its work totals and
+    the template that priced it (which also launches it). No
     :class:`~repro.search.space.Candidate` is built here.
     """
     exprs, head = surviving_expressions(chain, deep_only=deep_only)
     options = {loop: rule3_tile_options(size) for loop, size in chain.loops.items()}
     launchers: list[ScheduleTemplate] = []
     parts: list[tuple[np.ndarray, ...]] = []
+    works: list[ScheduleWork] = []
     after_rule3 = bound = 0
     for eid, expr in enumerate(exprs):
         grid = price_grid(chain, gpu, expr, options, optimize_schedules)
@@ -237,30 +241,29 @@ def build_space(
         parts.append((
             np.full(len(kept), eid, dtype=np.int64),
             grid.tiles[kept],
-            grid.price.t_mem[kept],
-            grid.price.t_comp[kept],
-            grid.price.alpha[kept],
             grid.group[kept] + len(launchers),
         ))
+        works.append(grid.work.take(kept))
         launchers.extend(grid.templates)
     if parts:
-        expr_id, tiles, t_mem, t_comp, alpha, template = map(np.concatenate, zip(*parts))
+        expr_id, tiles, template = map(np.concatenate, zip(*parts))
+        work = ScheduleWork.concat(works)
     else:
-        expr_id = template = np.zeros(0, dtype=np.int64)
+        none, nothing = np.zeros(0, dtype=np.int64), np.zeros(0)
+        expr_id = template = none
         tiles = np.zeros((0, len(chain.loop_names)), dtype=np.int64)
-        t_mem = t_comp = alpha = np.zeros(0)
+        work = ScheduleWork(nothing, nothing, nothing, none, none)
     stats = replace(head, after_rule3=after_rule3, after_rule4=len(expr_id))
     if max_candidates is not None and len(expr_id) > max_candidates:
         stride = len(expr_id) / max_candidates
         rows = np.array([int(i * stride) for i in range(max_candidates)], dtype=np.int64)
-        expr_id, tiles, t_mem, t_comp, alpha, template = (
-            a[rows] for a in (expr_id, tiles, t_mem, t_comp, alpha, template)
-        )
+        expr_id, tiles, template = expr_id[rows], tiles[rows], template[rows]
+        work = work.take(rows)
     points = SpacePoints(
         exprs=tuple(exprs),
         expr_id=expr_id,
         tiles=tiles,
-        price=PerfEstimate(t_mem=t_mem, t_comp=t_comp, alpha=alpha),
+        work=work,
         template=template,
         launchers=tuple(launchers),
         bound=bound,

@@ -5,9 +5,8 @@ A strategy decides *which space positions to rank* each round; the shared
 (measured cache, failed blacklist, convergence, parallel measurement).
 Four strategies ship in the registry:
 
-* ``evolutionary`` — Algorithm 1 of the paper, behavior-identical to the
-  original monolithic implementation (same rng stream, same estimate and
-  measurement order for a given seed);
+* ``evolutionary`` — Algorithm 1 of the paper (fitness-weighted
+  resampling, tile mutation and a fresh-random share each generation);
 * ``random`` — fresh random sample each round, model-ranked, no evolution
   (the "search without learning" baseline);
 * ``exhaustive`` — rank the whole space with the model once, then measure
@@ -257,9 +256,9 @@ class SearchStrategy:
 class EvolutionarySearch(SearchStrategy):
     """Algorithm 1: fitness-weighted resampling + tile mutation.
 
-    Behavior-identical to the original monolithic ``heuristic_search``:
-    the rng key, the order of rng draws, and the order of estimate and
-    measurement calls all match, so seeded runs select the same schedule.
+    For a given seed, the rng key, the order of rng draws and the order of
+    estimate and measurement calls are fixed, so seeded runs select the
+    same schedule.
     """
 
     name = "evolutionary"

@@ -80,7 +80,9 @@ def estimate_time(schedule: Schedule, gpu: GPUSpec) -> PerfEstimate:
 
 
 class AnalyticalModel:
-    """Callable wrapper used by the heuristic search: schedule -> seconds."""
+    """The eq. 2-5 objective. The search ranks with :meth:`objective` over
+    a space's price arrays; calling the model on one built schedule
+    (schedule -> seconds) is the scalar reference."""
 
     name = "mcfuser"
 

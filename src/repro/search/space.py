@@ -9,10 +9,11 @@ funnel counts.
 The search works on **positions**, ints into those arrays. A
 :class:`Candidate` is built only for a point that is measured,
 featurized or returned (:meth:`SearchSpace.candidate`). Points are
-**priced and measured, not built**: the pipeline evaluates the eq. 2-5
-estimate of every point from per-expression schedule templates,
-``prices`` holds them as arrays, and ``launch_for`` summarizes a
-position as a kernel launch from the template that priced it.
+**priced and measured, not built**: the pipeline evaluates the work
+totals of every point (DRAM bytes, FLOPs, grid size) from per-expression
+schedule templates, ``prices`` holds the eq. 2-5 estimates computed from
+them as arrays, and ``launch_for`` summarizes a position as a kernel
+launch from its totals and the template that priced it.
 ``schedule_for`` builds a :class:`~repro.tiling.schedule.Schedule`
 lazily, once per candidate, for the few candidates that are verified,
 featurized or returned.
@@ -27,10 +28,10 @@ import numpy as np
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
-from repro.search.perf_model import PerfEstimate
+from repro.search.perf_model import PerfEstimate, combine
 from repro.search.pruning import PruningStats
 from repro.tiling.expr import TilingExpr
-from repro.tiling.schedule import Schedule, ScheduleTemplate, build_schedule
+from repro.tiling.schedule import Schedule, ScheduleTemplate, ScheduleWork, build_schedule
 
 __all__ = ["Candidate", "SpacePoints", "SearchSpace", "generate_space"]
 
@@ -69,16 +70,17 @@ class SpacePoints:
     """A space's points as aligned arrays, one row per position.
 
     Point ``p`` tiles ``exprs[expr_id[p]]`` with ``tiles[p]`` (columns in
-    ``chain.loop_names`` order). ``price`` holds the eq. 2-5 estimates as
-    arrays and ``template[p]`` indexes the entry of ``launchers`` that
-    priced the point. ``bound`` of the launchers were bound from the
-    pipeline's memo, the others built.
+    ``chain.loop_names`` order). ``work`` holds its work totals
+    (:meth:`~repro.tiling.schedule.ScheduleTemplate.work`), and
+    ``template[p]`` indexes the entry of ``launchers`` that priced the
+    point. ``bound`` of the launchers were bound from the pipeline's memo,
+    the others built.
     """
 
     exprs: tuple[TilingExpr, ...]
     expr_id: np.ndarray
     tiles: np.ndarray
-    price: PerfEstimate
+    work: ScheduleWork
     template: np.ndarray
     launchers: tuple[ScheduleTemplate, ...]
     bound: int = 0
@@ -86,8 +88,8 @@ class SpacePoints:
 
 class SearchSpace:
     """The frozen pruned space: its points, the Fig. 7 funnel and the
-    Rule-3 tile options, plus the prices and templates of the pipeline
-    that priced the points. :func:`~repro.search.engine.pipeline.build_space`
+    Rule-3 tile options, plus the work totals and templates of the
+    pipeline that priced the points. :func:`~repro.search.engine.pipeline.build_space`
     constructs it.
 
     **Positions.** A position is an int in ``range(len(space))`` and is a
@@ -134,6 +136,8 @@ class SearchSpace:
         self._candidates: tuple[Candidate, ...] | None = None
         self._memo: list[Candidate | None] = [None] * len(points.expr_id)
         self._points = points
+        work = points.work
+        self._prices = combine(work.read_bytes, work.write_bytes, work.flops, work.grid, gpu)
         self._sorted_columns = sorted((loop, j) for j, loop in enumerate(chain.loop_names))
         self._build_mutants()
 
@@ -194,32 +198,27 @@ class SearchSpace:
     @property
     def prices(self) -> PerfEstimate:
         """Every position's eq. 2-5 estimate, as arrays aligned with the
-        positions."""
-        return self._points.price
-
-    def price(self, position: int) -> PerfEstimate:
-        """The eq. 2-5 estimate of ``position``, from the price arrays.
-
-        Bit-identical to ``estimate_time(schedule_for(candidate(position)),
-        gpu)``.
-        """
-        price = self._points.price
-        return PerfEstimate(
-            t_mem=float(price.t_mem[position]),
-            t_comp=float(price.t_comp[position]),
-            alpha=float(price.alpha[position]),
-        )
+        positions, bit-identical to ``estimate_time`` of its schedule."""
+        return self._prices
 
     def launch_for(self, position: int) -> KernelLaunch:
-        """The simulator launch of ``position``, from the template that
-        priced it.
+        """The simulator launch of ``position``, from its work totals and
+        the template that priced it.
 
         Builds nothing. Equal to
-        ``schedule_for(candidate(position)).kernel_launch(gpu)``.
+        ``schedule_for(candidate(position)).kernel_launch(gpu)``, types
+        included (the simulator's jitter hashes the launch's ``repr``).
         """
-        points = self._points
+        points, work = self._points, self._points.work
         tiles = dict(zip(self.chain.loop_names, points.tiles[position].tolist()))
-        return points.launchers[points.template[position]].launch(tiles, self.gpu)
+        return points.launchers[points.template[position]].launch(
+            tiles,
+            self.gpu,
+            read_bytes=work.read_bytes.item(position),
+            write_bytes=work.write_bytes.item(position),
+            flops=work.flops.item(position),
+            grid=work.grid.item(position),
+        )
 
     def schedule_for(self, cand: Candidate) -> Schedule:
         """The schedule of ``cand`` under the space's own ``optimized``

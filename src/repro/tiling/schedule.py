@@ -28,7 +28,7 @@ expression without building a schedule for each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -690,13 +690,25 @@ class TemplateBuffer:
 
 @dataclass(frozen=True)
 class ScheduleWork:
-    """Work totals of a set of tile points (arrays aligned with the points)."""
+    """Work totals of a set of tile points (arrays aligned with the points):
+    float64 bytes and FLOPs, int64 grid sizes and eq. (1) estimates."""
 
     read_bytes: np.ndarray
     write_bytes: np.ndarray
     flops: np.ndarray
     grid: np.ndarray
     shm_estimate: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "ScheduleWork":
+        """The totals of the points at ``rows``."""
+        return ScheduleWork(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @staticmethod
+    def concat(works: "list[ScheduleWork]") -> "ScheduleWork":
+        """The points of ``works`` (at least one), in order."""
+        return ScheduleWork(*(
+            np.concatenate([getattr(w, f.name) for w in works]) for f in fields(ScheduleWork)
+        ))
 
 
 @dataclass(frozen=True)
@@ -713,8 +725,8 @@ class ScheduleTemplate:
     extents along the same statement list.
     A template records that structure from one real schedule
     (:meth:`from_schedule`), so :func:`build_schedule` stays its only
-    source. :meth:`work` evaluates it for many tile points at once, and
-    :meth:`launch` summarizes one tile point as a kernel launch.
+    source. :meth:`work`, its only term evaluator, totals many tile points
+    at once; :meth:`launch` summarizes one point and its totals as a launch.
 
     Only the chain-level fields (``chain_name``, ``loops``, ``mma_loops``,
     ``compulsory_bytes``, ``batch``, ``dtype_bytes``) depend on the chain's
@@ -801,34 +813,27 @@ class ScheduleTemplate:
         )
 
     def launch(
-        self, tiles: Mapping[str, int], gpu: GPUSpec, codegen: str = "triton"
+        self,
+        tiles: Mapping[str, int],
+        gpu: GPUSpec,
+        *,
+        read_bytes: float,
+        write_bytes: float,
+        flops: float,
+        grid: int,
     ) -> KernelLaunch:
-        """The kernel launch of this template's schedule at ``tiles``.
+        """The kernel launch of this template's schedule at ``tiles``, given
+        the point's :meth:`work` totals as Python numbers.
 
-        Equal to ``build_schedule(...).kernel_launch(gpu, codegen)`` at any
+        Equal to ``build_schedule(...).kernel_launch(gpu)`` at any
         tile point the template was keyed for, field for field and type for
-        type: counts are the same Python-int products, float totals add
-        terms in statement order, and shared memory goes through the same
-        backend (:func:`~repro.gpu.memory.measure_shared_memory`).
+        type: shared memory goes through the same backend
+        (:func:`~repro.gpu.memory.measure_shared_memory`), and the MMA
+        tiles, contiguity and kernel name read the same loops.
         """
         dtype_bytes = self.dtype_bytes
         extents = {loop: ceil_div(size, tiles[loop]) for loop, size in self.loops}
         tile, extent = tiles.__getitem__, extents.__getitem__
-        grid = self.batch * math.prod(map(extent, self.grid_loops))
-        read = write = flops = 0
-        for term in self.terms:
-            trips = grid * math.prod(map(extent, term.trip_loops))
-            elements = math.prod(map(tile, term.tile_dims))
-            if term.kind == "compute":
-                per_exec = 2.0 * elements
-                if term.softmax_dims is not None:
-                    per_exec += 7.0 * math.prod(map(tile, term.softmax_dims))
-                flops = flops + per_exec * trips
-            elif term.kind == "load":
-                read = read + float(elements * dtype_bytes * trips)
-            else:
-                stores = math.prod(map(extent, term.store_dims))
-                write = write + float(elements * dtype_bytes * trips * stores)
         buffers = [
             TileBuffer(
                 tensor=buf.tensor,
@@ -849,15 +854,14 @@ class ScheduleTemplate:
             name=f"{self.chain_name}:{described}",
             grid=grid,
             flops=flops,
-            dram_read_bytes=read,
-            dram_write_bytes=write,
+            dram_read_bytes=read_bytes,
+            dram_write_bytes=write_bytes,
             dram_compulsory_read_bytes=float(self.compulsory_bytes),
             shared_mem_bytes=measure_shared_memory(buffers, gpu).total_bytes,
             tile_m=tm,
             tile_n=tn,
             tile_k=tk,
             inner_contig_bytes=min(widths) if widths else 128,
-            codegen=codegen,
             extra={"schedule": described},
         )
 
@@ -910,10 +914,11 @@ class ScheduleTemplate:
             product((tiles[d] for d in buf.dims), one) * self.dtype_bytes
             for buf in self.buffers
         )
+        # Grids and tile footprints stay small even where bytes need Python ints.
         return ScheduleWork(
             read_bytes=read.astype(np.float64),
             write_bytes=write.astype(np.float64),
             flops=flops.astype(np.float64),
-            grid=grid,
-            shm_estimate=shm,
+            grid=grid.astype(np.int64),
+            shm_estimate=shm.astype(np.int64),
         )

@@ -9,8 +9,8 @@ from repro.config import SessionConfig
 from repro.gpu import A100, GENERIC, RTX3080, GPUSimulator
 from repro.ir import attention_chain, gemm_chain
 from repro.search import MCFuserTuner
-from repro.search.perf_model import PerfEstimate
 from repro.search.space import SearchSpace, SpacePoints
+from repro.tiling.schedule import ScheduleWork
 
 #: The shared quick tuning budget (seed 0). Tests that need a different
 #: budget derive it with ``QUICK.evolve(...)``; import it with
@@ -20,12 +20,12 @@ QUICK = SessionConfig.make(population_size=64, top_n=4, max_rounds=2, min_rounds
 
 def empty_space(space: SearchSpace) -> SearchSpace:
     """``space`` with no points left: same chain, GPU, funnel and options."""
-    none = np.zeros(0, dtype=np.int64)
+    none, nothing = np.zeros(0, dtype=np.int64), np.zeros(0)
     points = SpacePoints(
         exprs=(),
         expr_id=none,
         tiles=np.zeros((0, len(space.chain.loop_names)), dtype=np.int64),
-        price=PerfEstimate(t_mem=np.zeros(0), t_comp=np.zeros(0), alpha=np.zeros(0)),
+        work=ScheduleWork(nothing, nothing, nothing, none, none),
         template=none,
         launchers=(),
     )

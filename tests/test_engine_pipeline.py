@@ -60,7 +60,7 @@ class TestFrozenSpace:
         sched = space.schedule_for(cand)
         assert space.schedule_for(cand) is sched
         assert space.schedules_built == before + 1
-        assert space.price(0).total > 0
+        assert space.prices.total[0] > 0
 
     def test_max_candidates_caps(self):
         space = generate_space(_chain("cap"), A100, max_candidates=20)

@@ -135,8 +135,10 @@ def test_huge_extents_stay_exact():
 def test_space_prices_match_built_schedules():
     chain = build_workload("S3")
     space = generate_space(chain, A100)
-    totals = space.prices.total
+    prices = space.prices
+    totals = prices.total
     for p in range(0, len(space), 5):
         want = estimate_time(space.schedule_for(space.candidate(p)), A100)
-        assert space.price(p) == want
+        got = (prices.t_mem[p], prices.t_comp[p], prices.alpha[p])
+        assert got == (want.t_mem, want.t_comp, want.alpha)
         assert totals[p] == want.total
