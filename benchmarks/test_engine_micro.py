@@ -26,6 +26,7 @@ from repro.ir.chain import gemm_chain
 from repro.search.space import SearchSpace
 from repro.search.tuner import MCFuserTuner
 from repro.tiling.schedule import build_schedule as real_build
+from repro.utils import clear_memos
 
 
 def test_schedules_built_once(run_once, monkeypatch):
@@ -68,7 +69,7 @@ def test_schedules_built_once(run_once, monkeypatch):
         built = {k: counts[k] - before[k] for k in counts}
         return report, spaces[-1], built, set(touched)
 
-    pipeline_mod.clear_memos()
+    clear_memos()
     report, cold, cold_built, cold_touched = run_once(tune, "engine-micro")
     warm_report, warm, warm_built, warm_touched = tune("engine-micro-warm")
 

@@ -29,6 +29,8 @@ import hashlib
 import json
 from functools import lru_cache
 
+from repro.utils import process_memo
+
 __all__ = [
     "SIGNATURE_VERSION",
     "DEFAULT_STRATEGY",
@@ -212,6 +214,7 @@ def workload_signature(chain, gpu, variant: str = "mcfuser") -> str:
     return _workload_digest(chain.structure_key(), gpu, variant)
 
 
+@process_memo
 @lru_cache(maxsize=SIGNATURE_MEMO_SIZE)
 def _workload_digest(structure: tuple, gpu, variant: str) -> str:
     return _digest(
@@ -246,6 +249,7 @@ def bucketed_signature(
     )
 
 
+@process_memo
 @lru_cache(maxsize=SIGNATURE_MEMO_SIZE)
 def _bucketed_digest(structure: tuple, gpu, variant: str, dynamic_loops: tuple) -> str:
     fingerprint = _fingerprint(structure)

@@ -66,8 +66,8 @@ import numpy as np
 
 from repro.codegen.program import TileProgram
 from repro.codegen.render_c import RenderedKernel, RenderError, render_program
-from repro.codegen.runtime import LRUCache
 from repro.obs.tracer import NOOP_SPAN, get_tracer
+from repro.utils import LRUCache, process_memo
 
 __all__ = [
     "CompileError",
@@ -108,6 +108,7 @@ def find_compiler() -> str | None:
     return _discover(os.environ.get("REPRO_CC"), os.environ.get("PATH"))
 
 
+@process_memo
 @functools.lru_cache(maxsize=16)
 def _discover(override: str | None, path: str | None) -> str | None:
     # ``path`` is only the memo key: shutil.which reads os.environ itself.

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from repro.codegen.interpreter import InterpreterError
 from repro.tiling.schedule import LoopScope, Schedule, Statement
-from repro.utils import prod
+from repro.utils import LRUCache, process_memo, prod
 
 __all__ = ["TileOp", "TileProgram", "LoweringError", "lower_schedule",
            "schedule_facts", "ScheduleFacts",
@@ -161,10 +161,7 @@ def lower_schedule(schedule: Schedule) -> TileProgram:
     with tracer.span("lower", **attrs) as span:
         program = _lower_uncached(schedule)
         span.set(ops=len(program.ops), cells=program.n_cells)
-    if len(_LOWER_MEMO) >= _LOWER_MEMO_CAP:
-        _LOWER_MEMO.clear()
-    _LOWER_MEMO[memo_key] = program
-    return program
+    return _LOWER_MEMO.put(memo_key, program)
 
 
 def _lower_uncached(schedule: Schedule) -> TileProgram:
@@ -224,14 +221,12 @@ class ScheduleFacts:
 #: the same schedules over and over (one per served signature); memoizing
 #: the facts keeps `resolve_exec_backend` off the unroll, render and FLOPs
 #: walks there.
-_FACTS_MEMO: dict[tuple, ScheduleFacts] = {}
-_FACTS_MEMO_CAP = 4096
+_FACTS_MEMO = process_memo(LRUCache(capacity=4096))
 
 #: schedule content key -> unrolled program. The op list is pure in
 #: schedule content, so repeat executions of one schedule skip the
 #: residual-loop walk; hits re-bind the caller's schedule object.
-_LOWER_MEMO: dict[tuple, TileProgram] = {}
-_LOWER_MEMO_CAP = 256
+_LOWER_MEMO = process_memo(LRUCache(capacity=256))
 
 
 def schedule_facts(schedule: Schedule) -> ScheduleFacts:
@@ -246,8 +241,5 @@ def schedule_facts(schedule: Schedule) -> ScheduleFacts:
             lowerable = True
         except LoweringError:
             lowerable = False
-        facts = ScheduleFacts(lowerable=lowerable, flops=schedule.total_flops())
-        if len(_FACTS_MEMO) >= _FACTS_MEMO_CAP:
-            _FACTS_MEMO.clear()
-        _FACTS_MEMO[key] = facts
+        facts = _FACTS_MEMO.put(key, ScheduleFacts(lowerable, schedule.total_flops()))
     return facts

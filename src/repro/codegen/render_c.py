@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from repro.codegen.interpreter import InterpreterError, softmax_row_dims
 from repro.codegen.program import TileProgram
 from repro.tiling.schedule import LoopScope, Statement
-from repro.utils import prod, stable_hash
+from repro.utils import LRUCache, process_memo, prod, stable_hash
 
 __all__ = [
     "RenderError",
@@ -935,8 +935,7 @@ class _Emitter:
 #: header carries, so rebuilt-but-identical programs skip the ~1ms emit
 #: pass; a tampered program differs in its ops tuple, misses the memo, and
 #: still reaches ``_verify_program``.
-_RENDER_MEMO: dict[tuple, "RenderedKernel"] = {}
-_RENDER_MEMO_CAP = 256
+_RENDER_MEMO = process_memo(LRUCache(capacity=256))
 
 #: Attribute caching a program object's kernel on the (frozen) program
 #: itself: repeat executions of one module's program skip even the memo's
@@ -964,14 +963,11 @@ def render_program(program: TileProgram) -> RenderedKernel:
     if rendered is None:
         try:
             _verify_program(program)
-            rendered = _Emitter(program).render()
+            rendered = _RENDER_MEMO.put(key, _Emitter(program).render())
         except RenderError:
             raise
         except InterpreterError as exc:
             raise RenderError(str(exc)) from exc
-        if len(_RENDER_MEMO) >= _RENDER_MEMO_CAP:
-            _RENDER_MEMO.clear()
-        _RENDER_MEMO[key] = rendered
     object.__setattr__(program, _KERNEL_ATTR, rendered)
     return rendered
 

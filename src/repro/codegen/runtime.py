@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable
 
 import numpy as np
 
@@ -37,6 +35,7 @@ from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec
 from repro.tiling.schedule import Schedule
+from repro.utils import LRUCache
 
 __all__ = [
     "OperatorModule",
@@ -192,47 +191,6 @@ class KernelCacheStats:
     hits: int = 0
     misses: int = 0
     entries: int = 0
-
-
-class LRUCache:
-    """Bounded in-memory key -> value map with least-recently-used eviction.
-
-    ``get`` refreshes recency; inserting beyond ``capacity`` evicts the
-    least recently used entry. Capacity 0 disables the map entirely.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 0:
-            raise ValueError(f"LRU capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
-
-    def get(self, key: Hashable):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def peek(self, key: Hashable):
-        """Lookup without refreshing recency."""
-        return self._entries.get(key)
-
-    def put(self, key: Hashable, value) -> None:
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
 
 
 #: Process-wide memo of compiled modules, keyed by the same content

@@ -54,23 +54,21 @@ def collect_points(
     gpu: GPUSpec = A100,
     per_chain: int = 400,
 ) -> list[ShmemPoint]:
-    """Sample candidates (Rule 4 disabled) and record est/measured pairs."""
-    # A fictitious GPU with unbounded shared memory disables Rule 4 while
-    # keeping rules 1-3 intact; measurement then uses the real GPU.
-    unbounded = gpu.with_overrides(
-        shared_mem_per_block=1 << 30, shared_mem_per_sm=1 << 30
-    )
+    """Sample candidates (Rule 4 disabled) and record est/measured pairs
+    from the space's work totals and template launches, building nothing."""
+    # A fictitious GPU with unbounded shared memory disables Rule 4 but keeps
+    # rules 1-3; launches on it measure what the real GPU allocates, since
+    # shared-memory measurement reads only the register file.
+    unbounded = gpu.with_overrides(shared_mem_per_block=1 << 30, shared_mem_per_sm=1 << 30)
     points: list[ShmemPoint] = []
     for chain in workloads:
         space = generate_space(chain, unbounded, max_candidates=per_chain)
-        for cand in space.candidates:
-            sched = space.schedule_for(cand)
-            est = sched.shm_estimate()
-            meas = sched.shm_measured(gpu)
+        for p, est in enumerate(space.work.shm_estimate.tolist()):
+            meas = space.launch_for(p).shared_mem_bytes
             points.append(
                 ShmemPoint(
                     chain=chain.name,
-                    candidate=cand.describe(),
+                    candidate=space.candidate(p).describe(),
                     estimated=est,
                     measured=meas,
                     quadrant=_quadrant(est, meas, gpu),

@@ -49,38 +49,21 @@ from repro.search.space import SearchSpace, SpacePoints
 from repro.tiling.enumeration import all_tilings, sub_tiling_expr
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import ScheduleTemplate, ScheduleWork, build_schedule
-from repro.utils import prod
+from repro.utils import LRUCache, prod, process_memo
 
-__all__ = ["PricedGrid", "surviving_expressions", "price_grid", "build_space", "clear_memos"]
-
-#: Entries each process-wide memo holds before it starts over.
-MEMO_CAPACITY = 1024
+__all__ = ["PricedGrid", "surviving_expressions", "price_grid", "build_space"]
 
 #: ``(structure, rendered expression, extent-1 loops, optimize) -> template``
 #: and ``(structure, deep_only, probe applies) -> (survivors, expression
 #: count, class count)``, where the structure is :func:`_size_free`. Values
-#: are immutable, so concurrent tunes share them; concurrent misses on one
-#: key may both compute it, with equal results.
-_CORES: dict[tuple, ScheduleTemplate] = {}
-_SURVIVORS: dict[tuple, tuple[tuple[TilingExpr, ...], int, int]] = {}
+#: are immutable, so concurrent tunes share them.
+_CORES = process_memo(LRUCache(capacity=1024))
+_SURVIVORS = process_memo(LRUCache(capacity=1024))
 
 
 def _size_free(chain: ComputeChain) -> tuple:
     """``chain.structure_key()`` without the loop sizes and batch."""
     return (chain.loop_names, chain.dtype, chain.blocks, tuple(chain.tensors.items()))
-
-
-def _remember(memo: dict, key: tuple, value):
-    if len(memo) >= MEMO_CAPACITY:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
-def clear_memos() -> None:
-    """Empty the template-core and surviving-expression memos."""
-    _CORES.clear()
-    _SURVIVORS.clear()
 
 
 def surviving_expressions(
@@ -103,7 +86,7 @@ def surviving_expressions(
             exprs = [e for e in exprs if e.is_deep]
             classes = {k: v for k, v in classes.items() if v.is_deep}
         survivors = tuple(v for v in classes.values() if rule2_class_survives(chain, v))
-        memo = _remember(_SURVIVORS, key, (survivors, len(exprs), len(classes)))
+        memo = _SURVIVORS.put(key, (survivors, len(exprs), len(classes)))
     survivors, expressions, classes = memo
 
     raw_tiles = int(prod(unconstrained_tile_count(s) for s in chain.loops.values()))
@@ -187,7 +170,7 @@ def price_grid(
         else:
             point = dict(zip(loops, tiles[rep].tolist()))
             schedule = build_schedule(chain, expr, point, optimize=optimize)
-            template = _remember(_CORES, key, ScheduleTemplate.from_schedule(schedule))
+            template = _CORES.put(key, ScheduleTemplate.from_schedule(schedule))
         used.append(template)
         works.append(template.work(
             {l: tiles[rows, j] for j, l in enumerate(loops)},

@@ -196,6 +196,11 @@ class SearchSpace:
         return cand
 
     @property
+    def work(self) -> ScheduleWork:
+        """Every position's work totals and eq. (1) estimate, by position."""
+        return self._points.work
+
+    @property
     def prices(self) -> PerfEstimate:
         """Every position's eq. 2-5 estimate, as arrays aligned with the
         positions, bit-identical to ``estimate_time`` of its schedule."""

@@ -49,6 +49,7 @@ from repro.search.space import Candidate, SearchSpace, generate_space
 from repro.search.tuning_cost import TuningClock
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import InvalidScheduleError, Schedule, build_schedule
+from repro.utils import LRUCache, process_memo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports us)
     from repro.cache.cache import ScheduleCache
@@ -82,10 +83,12 @@ class VerificationError(RuntimeError):
 #: -> schedule. Every warm hit re-expands a stored decision at the request
 #: shape; schedules are immutable, so all reports of one decision on one
 #: chain share a single build. The name is part of the key because a
-#: schedule's kernel name and description carry it. Concurrent misses on
-#: one key may both build; either result is the same content.
-_REBUILD_MEMO: dict[tuple, Schedule] = {}
-_REBUILD_MEMO_CAP = 4096
+#: schedule's kernel name and description carry it.
+_REBUILD_MEMO = process_memo(LRUCache(capacity=4096))
+
+#: (chain structure, seed) -> read-only (inputs, reference output) for
+#: numeric verification, shared by every tuner and every verified warm hit.
+_REFERENCES = process_memo(LRUCache(capacity=64))
 
 
 def _rebuilt_schedule(
@@ -101,10 +104,7 @@ def _rebuilt_schedule(
     )
     schedule = _REBUILD_MEMO.get(key)
     if schedule is None:
-        schedule = build_schedule(chain, expr, dict(tiles), optimize=optimized)
-        if len(_REBUILD_MEMO) >= _REBUILD_MEMO_CAP:
-            _REBUILD_MEMO.clear()
-        _REBUILD_MEMO[key] = schedule
+        schedule = _REBUILD_MEMO.put(key, build_schedule(chain, expr, dict(tiles), optimized))
     return schedule
 
 
@@ -363,10 +363,6 @@ class MCFuserTuner:
         self.dynamic = config.exec.dynamic
         self.dynamic_loops = tuple(config.exec.dynamic_loops)
         self.simulator = GPUSimulator(self.gpu, seed=search.seed)
-        #: chain content fingerprint -> (inputs, reference output); lazily
-        #: built when a verification mode is active. Keyed by content, not
-        #: name — two differently shaped chains may share a name.
-        self._verify_data: dict[tuple, tuple[dict, np.ndarray]] = {}
 
     @property
     def cache_variant(self) -> str:
@@ -415,21 +411,18 @@ class MCFuserTuner:
 
     # -- numeric verification --------------------------------------------------
 
-    def _reference_for(self, chain: ComputeChain) -> tuple[dict, np.ndarray]:
-        key = chain.structure_key()
-        data = self._verify_data.get(key)
-        if data is None:
-            if len(self._verify_data) >= 64:  # long-lived tuners stay bounded
-                self._verify_data.clear()
-            inputs = chain.random_inputs(self.seed)
-            data = (inputs, chain.reference(inputs)[chain.output])
-            self._verify_data[key] = data
-        return data
-
     def check_schedule(self, schedule: Schedule) -> bool:
         """Execute ``schedule`` and compare against the unfused reference."""
         chain = schedule.chain
-        inputs, ref = self._reference_for(chain)
+        key = (chain.structure_key(), self.seed)
+        data = _REFERENCES.get(key)
+        if data is None:
+            inputs = chain.random_inputs(self.seed)
+            ref = chain.reference(inputs)[chain.output]
+            for array in (*inputs.values(), ref):
+                array.flags.writeable = False
+            data = _REFERENCES.put(key, (inputs, ref))
+        inputs, ref = data
         try:
             out = execute_schedule(schedule, inputs, self.config.exec.backend)
         except (InterpreterError, InvalidScheduleError):

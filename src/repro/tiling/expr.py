@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from repro.utils import process_memo
+
 __all__ = ["TilingExpr", "LoopNest", "parse_expr"]
 
 
@@ -77,6 +79,7 @@ class TilingExpr:
         return TilingExpr(roots=node)
 
     @staticmethod
+    @process_memo
     @lru_cache(maxsize=1024)
     def parse(text: str) -> "TilingExpr":
         """Parse the paper's textual syntax (``"mhnk"``, ``"mn(k,h)"``).

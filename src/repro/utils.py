@@ -1,5 +1,5 @@
 """Small shared utilities: deterministic hashing, seeded RNG, table formatting,
-atomic file writes.
+atomic file writes, and the process-wide memos.
 
 Everything here is dependency-free (stdlib + numpy) and used across all
 subpackages. Determinism matters: the GPU simulator derives measurement
@@ -16,7 +16,8 @@ import itertools
 import math
 import os
 import threading
-from collections.abc import Iterable, Sequence
+from collections import OrderedDict
+from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +33,9 @@ __all__ = [
     "format_table",
     "pearson",
     "atomic_write",
+    "LRUCache",
+    "process_memo",
+    "clear_memos",
 ]
 
 
@@ -159,3 +163,65 @@ def atomic_write(path: str | os.PathLike, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+class LRUCache:
+    """Bounded, locked key -> value map with least-recently-used eviction.
+
+    ``get`` refreshes recency (a miss is ``None``); inserting beyond
+    ``capacity`` evicts the least recently used entry; capacity 0 disables
+    the map. A memo's miss is computed outside the lock, so concurrent
+    misses on one key may both compute it.
+    """
+
+    def __init__(self, capacity: int = 128) -> None:
+        if capacity < 0:
+            raise ValueError(f"LRU capacity must be >= 0, got {capacity}")
+        self.capacity = capacity
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value):
+        """Store ``value`` at ``key`` and return it."""
+        if self.capacity == 0:
+            return value
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+
+#: Every process-wide memo: an :class:`LRUCache` or an ``lru_cache`` function.
+PROCESS_MEMOS: list = []
+
+
+def process_memo(memo):
+    """Register ``memo`` with :func:`clear_memos`; returns it."""
+    PROCESS_MEMOS.append(memo)
+    return memo
+
+
+def clear_memos() -> None:
+    """Empty every process-wide memo. Memo values are pure, so this changes
+    no result, only what later lookups recompute."""
+    for memo in PROCESS_MEMOS:
+        (memo.clear if isinstance(memo, LRUCache) else memo.cache_clear)()

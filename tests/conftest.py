@@ -36,14 +36,14 @@ def empty_space(space: SearchSpace) -> SearchSpace:
 def _isolated_schedule_cache(tmp_path, monkeypatch):
     """Point the default schedule-cache directory at a per-test temp dir so
     tests (CLI tests in particular) never touch ~/.cache or each other, and
-    reset the process-wide compiled-kernel memo, template-core and
-    surviving-expression memos, tracer, and obs metrics registry between
-    tests. Native kernel builds a test started in the
+    reset the process-wide compiled-kernel memo, every other process memo
+    (:func:`repro.utils.clear_memos`), tracer, and obs metrics registry
+    between tests. Native kernel builds a test started in the
     background (a first run prefetches every deferred build) finish before
     the next test begins."""
     from repro.codegen import clear_kernel_cache, get_runtime
     from repro.obs import disable_tracing, reset_metrics
-    from repro.search.engine.pipeline import clear_memos
+    from repro.utils import clear_memos
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "schedule-cache"))
     clear_kernel_cache()

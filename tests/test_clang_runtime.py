@@ -31,6 +31,7 @@ from repro.codegen.render_c import RenderError, render_program
 from repro.ir.chain import gemm_chain
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import build_schedule
+from repro.utils import clear_memos
 
 needs_cc = pytest.mark.skipif(
     not compiler_available(), reason="no C compiler (clang/cc/gcc) on PATH"
@@ -136,14 +137,12 @@ class TestCacheTiers:
 
 
 class TestRenderMemo:
-    def test_kernel_cached_on_program(self, monkeypatch):
+    def test_kernel_cached_on_program(self):
         """A second render of the same program object is served from the
         object itself, without the content-keyed memo."""
-        import repro.codegen.render_c as render_c
-
         _, program = _program(name="memo-object")
         first = render_program(program)
-        monkeypatch.setattr(render_c, "_RENDER_MEMO", {})
+        clear_memos()
         assert render_program(program) is first
 
     def test_tampered_copy_reaches_verifier(self):
@@ -281,7 +280,7 @@ class TestTypedFailures:
         monkeypatch.setattr(render_c, "MAX_ARENA_BYTES", 1024)
         # The render memo would short-circuit past the patched cap if this
         # program was already rendered; give the check a cold cache.
-        monkeypatch.setattr(render_c, "_RENDER_MEMO", {})
+        clear_memos()
         _, program = _program(name="cache-arena")
         with pytest.raises(RenderError, match="arena"):
             render_program(program)

@@ -22,6 +22,7 @@ from repro.codegen.triton_ir import triton_from_program
 from repro.ir.chain import attention_chain, gemm3_chain
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import build_schedule
+from repro.utils import clear_memos
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -135,13 +136,11 @@ def test_golden_structure(name):
 
 
 @pytest.mark.parametrize("first", ["golden-3gemm", "twin-3gemm"])
-def test_render_memo_keeps_each_chain_name(first, monkeypatch):
+def test_render_memo_keeps_each_chain_name(first):
     """Structurally identical chains share every memo but the rendered
     source, whose header names the chain: whichever renders first, each
     kernel must name its own chain (and so hash to its own ``.so``)."""
-    import repro.codegen.render_c as render_c
-
-    monkeypatch.setattr(render_c, "_RENDER_MEMO", {})
+    clear_memos()
     names = [first, "twin-3gemm" if first == "golden-3gemm" else "golden-3gemm"]
     rendered = {}
     for name in names:

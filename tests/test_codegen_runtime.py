@@ -6,7 +6,6 @@ import pytest
 
 from repro.codegen.runtime import (
     GraphExecutorFactoryModule,
-    LRUCache,
     OperatorModule,
     compile_schedule,
 )
@@ -15,6 +14,7 @@ from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import A100
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import build_schedule
+from repro.utils import LRUCache
 
 TILES = {"m": 32, "n": 16, "k": 16, "h": 16}
 

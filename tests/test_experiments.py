@@ -15,7 +15,9 @@ from repro.experiments import (
     table1_comparison,
     table4_tuning_time,
 )
-from repro.gpu.specs import A100
+from repro.gpu.specs import A100, RTX3080
+from repro.search.space import generate_space
+from repro.workloads import attention_workloads, gemm_workloads
 
 
 class TestFig2:
@@ -125,6 +127,25 @@ class TestFig10:
         assert shares["I"] + shares["III"] > 80.0  # paper: > 90%
         assert shares["IV"] < 5.0
         assert shares["II"] < 20.0
+
+    @pytest.mark.parametrize("gpu", [A100, RTX3080], ids=lambda g: g.name)
+    def test_points_match_built_schedules(self, gpu):
+        """Each point's estimate and measured bytes are those of its built
+        schedule, measured on the real GPU, as Python ints."""
+        chains = gemm_workloads(["G1"]) + attention_workloads(["S1"])
+        points = fig10_shmem.collect_points(chains, gpu, per_chain=100)
+        unbounded = gpu.with_overrides(shared_mem_per_block=1 << 30, shared_mem_per_sm=1 << 30)
+        expected = []
+        for chain in chains:
+            space = generate_space(chain, unbounded, max_candidates=100)
+            for cand in space.candidates:
+                schedule = space.schedule_for(cand)
+                expected.append(
+                    (chain.name, cand.describe(), schedule.shm_estimate(), schedule.shm_measured(gpu))
+                )
+        got = [(p.chain, p.candidate, p.estimated, p.measured) for p in points]
+        assert got == expected
+        assert all(type(p.estimated) is int and type(p.measured) is int for p in points)
 
 
 class TestFig11:

@@ -21,6 +21,7 @@ from repro.search import tuner as tuner_mod
 from repro.search.tuner import TuneReport, rebind_report, report_from_entry
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import LoopScope, build_schedule
+from repro.utils import LRUCache
 
 EXPR = "mhnk"
 TILES = {"m": 32, "n": 16, "k": 16, "h": 16}
@@ -47,11 +48,6 @@ def _scopes(scope: LoopScope):
     for item in scope.body:
         if isinstance(item, LoopScope):
             yield from _scopes(item)
-
-
-@pytest.fixture(autouse=True)
-def _empty_memo(monkeypatch):
-    monkeypatch.setattr(tuner_mod, "_REBUILD_MEMO", {})
 
 
 class TestFrozenSchedule:
@@ -147,7 +143,7 @@ class TestRebuildMemo:
         assert (a.chain.loops["m"], b.chain.loops["m"]) == (96, 128)
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
-        monkeypatch.setattr(tuner_mod, "_REBUILD_MEMO_CAP", 3)
+        monkeypatch.setattr(tuner_mod, "_REBUILD_MEMO", LRUCache(capacity=3))
         for m in range(64, 64 + 10 * 16, 16):
             _hit(_chain(m=m))
             assert len(tuner_mod._REBUILD_MEMO) <= 3
@@ -169,8 +165,8 @@ class TestRebuildMemo:
 def test_concurrent_hits_get_their_own_content(monkeypatch):
     """Threads racing on a small memo (more threads than cores, short
     switch interval) each get a schedule of exactly the chain they asked
-    for, whatever the interleaving of misses, inserts and clears."""
-    monkeypatch.setattr(tuner_mod, "_REBUILD_MEMO_CAP", 4)
+    for, whatever the interleaving of misses, inserts and evictions."""
+    monkeypatch.setattr(tuner_mod, "_REBUILD_MEMO", LRUCache(capacity=4))
     chains = [_chain(name=f"c{i % 3}", m=64 + 16 * (i % 5)) for i in range(15)]
     errors = []
 

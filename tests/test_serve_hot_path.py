@@ -243,3 +243,20 @@ def test_compiler_discovery_is_memoized_per_env(monkeypatch, tmp_path):
     monkeypatch.setenv("PATH", str(tmp_path) + os.pathsep + os.environ["PATH"])
     assert clang_runtime.find_compiler() == second
     assert which.calls == 3
+
+
+def test_verified_hits_compute_the_reference_once(monkeypatch):
+    """Verified warm hits share one unfused reference per chain structure:
+    each hit checks its schedule against it, but only the first computes
+    it."""
+    cache = ScheduleCache()
+    chain = gemm_chain(1, 96, 64, 32, 32, name="verified-hit")
+    tuner_mod.MCFuserTuner(A100, cache=cache, config=QUICK).tune(chain)
+    reference = _Counter(ComputeChain.reference)
+    monkeypatch.setattr(ComputeChain, "reference", reference)
+    config = QUICK.evolve(serve_workers=1, verify="best")
+    with CompileService(A100, cache=cache, config=config) as svc:
+        for _ in range(5):
+            result = svc.submit(chain).result()
+            assert result.source == "hot" and result.report.verified
+    assert reference.calls == 1

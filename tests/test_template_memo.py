@@ -32,11 +32,11 @@ from repro.ir.chain import ComputeChain, attention_chain, gemm_chain
 from repro.search.engine.pipeline import (
     _size_free,
     build_space,
-    clear_memos,
     price_grid,
     surviving_expressions,
 )
 from repro.search.pruning import rule3_tile_options
+from repro.utils import clear_memos
 from repro.workloads import build_workload, workload_names
 from test_template_launch import assert_same_launch
 

@@ -32,7 +32,7 @@ from repro.ir.chain import (
 from repro.tiling.enumeration import all_tilings
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import InvalidScheduleError, build_schedule
-from repro.utils import rng_for
+from repro.utils import clear_memos, rng_for
 
 #: fp32 tolerance. scalar-vs-vectorized differ only by BLAS contraction
 #: reassociation (batched vs per-tile GEMM); either-vs-reference adds the
@@ -375,7 +375,7 @@ class TestBackendSelection:
         for cap, value in (("MAX_PROGRAM_OPS", 2), ("MAX_GATHER_BYTES", 16)):
             with monkeypatch.context() as patch:
                 patch.setattr(program, cap, value)
-                patch.setattr(program, "_LOWER_MEMO", {})
+                clear_memos()
                 with pytest.raises(LoweringError):
                     lower_schedule(schedule)
 
