@@ -9,7 +9,7 @@ compute-intensive (MBCI) in the paper (Fig. 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 __all__ = ["GPUSpec", "A100", "RTX3080", "GENERIC", "by_name"]
 
@@ -58,6 +58,11 @@ class GPUSpec:
             raise ValueError("peak_flops and mem_bandwidth must be positive")
         if self.shared_mem_per_block > self.shared_mem_per_sm:
             raise ValueError("per-block shared memory cannot exceed per-SM capacity")
+        # Memo keys hold the spec and are hashed per request: hash it once.
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def flops_per_byte(self) -> float:

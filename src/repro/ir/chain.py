@@ -15,12 +15,13 @@ baselines read the same object so all systems see identical workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from repro.ir.tensor import DTYPE_BYTES
-from repro.utils import prod, rng_for
+from repro.utils import HashedTuple, prod, rng_for
 
 __all__ = [
     "TensorRef",
@@ -125,6 +126,9 @@ class ComputeChain:
             (``heads x batch`` for attention); 1 means no batch axis
             materialized but a batch grid loop of extent 1.
         dtype: Storage dtype of all tensors.
+
+    ``loops`` and ``tensors`` are read-only views: a chain never changes
+    after construction, so its memo keys are built (and hashed) once.
     """
 
     def __init__(
@@ -137,12 +141,17 @@ class ComputeChain:
         dtype: str = "float16",
     ) -> None:
         self.name = name
-        self.loops = dict(loops)
+        self.loops = MappingProxyType(dict(loops))
         self.blocks = tuple(blocks)
-        self.tensors = dict(tensors)
+        self.tensors = MappingProxyType(dict(tensors))
         self.batch = batch
         self.dtype = dtype
         self._validate()
+        tensor_items = tuple(self.tensors.items())
+        self._structure_key = HashedTuple(
+            (tuple(self.loops.items()), batch, dtype, self.blocks, tensor_items)
+        )
+        self._size_free_key = HashedTuple((self.loop_names, dtype, self.blocks, tensor_items))
 
     # -- construction-time validation ---------------------------------------
 
@@ -243,16 +252,19 @@ class ComputeChain:
 
         Two chains with equal keys are interchangeable for tuning, lowering
         and signatures, so in-process memos key on this tuple (equality,
-        not a digest, so keys cannot collide). Built per call because
-        ``loops`` and ``tensors`` are plain dicts.
+        not a digest, so keys cannot collide). It is the tuple
+        ``(loops items, batch, dtype, blocks, tensors items)``, built once
+        per chain as a :class:`~repro.utils.HashedTuple` (equal to, and
+        hashing like, the plain tuple), so every call returns the same
+        object and a memo lookup does not rehash the blocks and tensors.
         """
-        return (
-            tuple(self.loops.items()),
-            self.batch,
-            self.dtype,
-            self.blocks,
-            tuple(self.tensors.items()),
-        )
+        return self._structure_key
+
+    def size_free_key(self) -> tuple:
+        """:meth:`structure_key` without the loop sizes and batch:
+        ``(loop names, dtype, blocks, tensors items)``, built once like it.
+        Chains of one structure at any shape share it."""
+        return self._size_free_key
 
     def with_loops(self, overrides: dict[str, int], name: str | None = None) -> "ComputeChain":
         """A structurally identical chain with some loop extents replaced.

@@ -55,15 +55,10 @@ __all__ = ["PricedGrid", "surviving_expressions", "price_grid", "build_space"]
 
 #: ``(structure, rendered expression, extent-1 loops, optimize) -> template``
 #: and ``(structure, deep_only, probe applies) -> (survivors, expression
-#: count, class count)``, where the structure is :func:`_size_free`. Values
-#: are immutable, so concurrent tunes share them.
+#: count, class count)``, where the structure is the chain's stored
+#: ``size_free_key()``. Values are immutable, so concurrent tunes share them.
 _CORES = process_memo(LRUCache(capacity=1024))
 _SURVIVORS = process_memo(LRUCache(capacity=1024))
-
-
-def _size_free(chain: ComputeChain) -> tuple:
-    """``chain.structure_key()`` without the loop sizes and batch."""
-    return (chain.loop_names, chain.dtype, chain.blocks, tuple(chain.tensors.items()))
 
 
 def surviving_expressions(
@@ -77,7 +72,7 @@ def surviving_expressions(
     expressions are memoized per size-free structure; the head is counted
     from ``chain``'s own sizes.
     """
-    key = (_size_free(chain), deep_only, rule2_probe_applies(chain))
+    key = (chain.size_free_key(), deep_only, rule2_probe_applies(chain))
     memo = _SURVIVORS.get(key)
     if memo is None:
         exprs = all_tilings(chain)
@@ -158,7 +153,7 @@ def price_grid(
     used: list[ScheduleTemplate] = []
     works: list[ScheduleWork] = []
     bound = 0
-    structure = _size_free(chain)
+    structure = chain.size_free_key()
     for g, rep in enumerate(first.tolist()):
         rows = np.flatnonzero(group == g)
         unit_loops = frozenset(l for l, u in zip(free, unit[rep]) if u)

@@ -16,7 +16,6 @@ import itertools
 import math
 import os
 import threading
-from collections import OrderedDict
 from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ __all__ = [
     "format_table",
     "pearson",
     "atomic_write",
+    "HashedTuple",
     "LRUCache",
     "process_memo",
     "clear_memos",
@@ -165,6 +165,27 @@ def atomic_write(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+class HashedTuple(tuple):
+    """A tuple that hashes its items once, at construction.
+
+    Equal to (and hashing like) the plain tuple of the same items, so memos
+    keyed either way agree; for keys hashed on every request whose items
+    hash in Python (frozen dataclasses). The idea of ``functools._HashedSeq``.
+    """
+
+    def __new__(cls, items: Iterable) -> "HashedTuple":
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+# The fields of one link in LRUCache's ring.
+_PREV, _NEXT, _KEY, _VALUE = 0, 1, 2, 3
+
+
 class LRUCache:
     """Bounded, locked key -> value map with least-recently-used eviction.
 
@@ -172,42 +193,74 @@ class LRUCache:
     ``capacity`` evicts the least recently used entry; capacity 0 disables
     the map. A memo's miss is computed outside the lock, so concurrent
     misses on one key may both compute it.
+
+    Entries are ``[prev, next, key, value]`` links in a ring around a root
+    link, oldest after the root, indexed by one dict (as in CPython's
+    pure-Python ``lru_cache``): a hit is one dict lookup plus a relink, so
+    it hashes its key once.
     """
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 0:
             raise ValueError(f"LRU capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._links: dict[Hashable, list] = {}
+        self._root: list = []
+        self._root[:] = [self._root, self._root, None, None]
         self._lock = threading.Lock()
+
+    def _relink_newest(self, link: list) -> None:
+        """Move ``link`` from its place in the ring to just before the root."""
+        prev, nxt = link[_PREV], link[_NEXT]
+        prev[_NEXT] = nxt
+        nxt[_PREV] = prev
+        root = self._root
+        last = root[_PREV]
+        last[_NEXT] = root[_PREV] = link
+        link[_PREV] = last
+        link[_NEXT] = root
 
     def get(self, key: Hashable):
         with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
+            link = self._links.get(key)
+            if link is None:
+                return None
+            self._relink_newest(link)
+            return link[_VALUE]
 
     def put(self, key: Hashable, value):
         """Store ``value`` at ``key`` and return it."""
         if self.capacity == 0:
             return value
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            root = self._root
+            last = root[_PREV]
+            new = [last, root, key, value]
+            link = self._links.setdefault(key, new)
+            if link is new:
+                last[_NEXT] = root[_PREV] = link
+                if len(self._links) > self.capacity:
+                    oldest = root[_NEXT]
+                    root[_NEXT] = oldest[_NEXT]
+                    oldest[_NEXT][_PREV] = root
+                    del self._links[oldest[_KEY]]
+            else:
+                link[_VALUE] = value
+                self._relink_newest(link)
         return value
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            for link in self._links.values():
+                link.clear()  # break the ring's cycles: values are freed now, not at GC
+            self._links.clear()
+            self._root[:] = [self._root, self._root, None, None]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._links)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self._links
 
 
 #: Every process-wide memo: an :class:`LRUCache` or an ``lru_cache`` function.

@@ -1,5 +1,7 @@
 """Unit tests for repro.gpu.specs."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.gpu.specs import A100, GENERIC, RTX3080, GPUSpec, by_name
@@ -50,6 +52,16 @@ class TestHelpers:
         assert tweaked.num_sms == 4
         assert tweaked.peak_flops == A100.peak_flops
         assert A100.num_sms == 108  # original untouched
+
+    def test_hash_follows_the_fields(self):
+        """The hash is computed once per spec, from its fields: equal specs
+        hash alike, and an override gets the hash of its own fields."""
+        same = A100.with_overrides()
+        tweaked = A100.with_overrides(num_sms=4)
+        assert same is not A100 and same == A100 and hash(same) == hash(A100)
+        rebuilt = GPUSpec(*astuple(tweaked))
+        assert hash(rebuilt) == hash(tweaked) != hash(A100)
+        assert len({A100: 1, same: 2, tweaked: 3}) == 2
 
     def test_by_name_case_insensitive(self):
         assert by_name("a100") is A100

@@ -38,6 +38,45 @@ class TestGemmChainStructure:
         assert set(small_gemm.input_names()) == {"A", "B", "D"}
 
 
+class TestStoredKeys:
+    """A chain is immutable, so it builds its memo keys once."""
+
+    def test_loops_and_tensors_are_read_only(self, small_gemm):
+        with pytest.raises(TypeError):
+            small_gemm.loops["m"] = 128
+        with pytest.raises(TypeError):
+            small_gemm.tensors["A"] = small_gemm.tensors["B"]
+        assert small_gemm.loops["m"] == 96
+
+    def test_structure_key_is_built_once(self, small_gemm):
+        assert small_gemm.structure_key() is small_gemm.structure_key()
+        assert small_gemm.size_free_key() is small_gemm.size_free_key()
+
+    def test_keys_equal_and_hash_like_plain_tuples(self, small_gemm):
+        chain = small_gemm
+        plain = (
+            tuple(chain.loops.items()),
+            chain.batch,
+            chain.dtype,
+            chain.blocks,
+            tuple(chain.tensors.items()),
+        )
+        size_free = (chain.loop_names, chain.dtype, chain.blocks, tuple(chain.tensors.items()))
+        for key, expected in ((chain.structure_key(), plain), (chain.size_free_key(), size_free)):
+            assert key == expected and hash(key) == hash(expected)
+            # A memo keyed either way finds the entry.
+            assert {key: 1}[expected] == 1 and {expected: 1}[key] == 1
+
+    def test_with_loops_gets_fresh_keys(self, small_gemm):
+        bigger = small_gemm.with_loops({"m": 192})
+        assert bigger.structure_key() != small_gemm.structure_key()
+        assert bigger.structure_key()[0] == (("m", 192), ("n", 80), ("k", 64), ("h", 48))
+        assert bigger.size_free_key() == small_gemm.size_free_key()
+        renamed = small_gemm.with_loops({}, name="twin")
+        assert renamed.structure_key() == small_gemm.structure_key()
+        assert renamed.structure_key() is not small_gemm.structure_key()
+
+
 class TestWorkAccounting:
     def test_block_flops(self, small_gemm):
         c = small_gemm.block("C")

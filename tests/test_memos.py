@@ -3,9 +3,13 @@
 of hashable arguments. One :func:`repro.utils.clear_memos` empties them all.
 """
 
+import gc
+import random
 import sys
 import threading
 import time
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from conftest import QUICK
@@ -35,7 +39,32 @@ class _YieldingKey:
         return self.i
 
 
+class _CountingKey:
+    """A key that counts how often it is hashed."""
+
+    def __init__(self) -> None:
+        self.hashes = 0
+
+    def __hash__(self) -> int:
+        self.hashes += 1
+        return 7
+
+
 class TestLRUCache:
+    def test_hit_hashes_its_key_once(self):
+        """A hit is one lookup plus a relink: the key is hashed once, also
+        when the hit refreshes an entry that is not yet the newest."""
+        lru = LRUCache(capacity=3)
+        key = _CountingKey()
+        lru.put(key, "value")
+        lru.put("other", 1)
+        key.hashes = 0
+        assert lru.get(key) == "value"
+        assert key.hashes == 1
+        assert lru.get(key) == "value"
+        assert key.hashes == 2
+
+
     def test_put_returns_the_value(self):
         value = object()
         assert LRUCache(capacity=1).put("a", value) is value
@@ -48,6 +77,49 @@ class TestLRUCache:
         lru.put("a", 3)  # a is now the newest, b the oldest
         lru.put("c", 4)
         assert (lru.get("a"), lru.get("b"), lru.get("c"), len(lru)) == (3, None, 4, 2)
+
+    def test_matches_an_ordered_dict_model(self):
+        """Random gets and puts keep the same entries, and evict in the same
+        order, as an LRU modelled on an ``OrderedDict``."""
+        rng = random.Random(0)
+        for capacity in (1, 2, 5):
+            lru, model = LRUCache(capacity), OrderedDict()
+            for step in range(2000):
+                key = rng.randrange(8)
+                if rng.random() < 0.5:
+                    expected = model.get(key)
+                    if expected is not None:
+                        model.move_to_end(key)
+                    assert lru.get(key) == expected
+                else:
+                    model[key] = step
+                    model.move_to_end(key)
+                    while len(model) > capacity:
+                        model.popitem(last=False)
+                    assert lru.put(key, step) == step
+                assert len(lru) == len(model) and all(k in lru for k in model)
+
+    def test_clear_and_eviction_free_values_at_once(self):
+        """Cleared and evicted values are released by reference counting,
+        without waiting for the cycle collector (kernel memos hold loaded
+        native modules)."""
+
+        class Value:
+            pass
+
+        lru = LRUCache(capacity=2)
+        values = [Value() for _ in range(3)]
+        refs = [weakref.ref(v) for v in values]
+        gc.disable()
+        try:
+            for i, value in enumerate(values):
+                lru.put(i, value)
+            del values, value
+            assert [r() is None for r in refs] == [True, False, False]
+            lru.clear()
+            assert [r() is None for r in refs] == [True, True, True]
+        finally:
+            gc.enable()
 
     def test_eviction_follows_recency(self):
         """Entries leave in least-recently-used order, whatever mix of gets

@@ -22,7 +22,7 @@ from repro.cache.signature import bucketed_signature, workload_signature
 from repro.codegen import clang_runtime
 from repro.frontend.partition import partition_graph
 from repro.gpu.specs import A100, RTX3080
-from repro.ir.chain import ComputeBlock, ComputeChain, attention_chain, gemm_chain
+from repro.ir.chain import ComputeBlock, ComputeChain, TensorRef, attention_chain, gemm_chain
 from repro.search import tuner as tuner_mod
 from repro.serving import CompileService
 from repro.tiling import expr as expr_mod
@@ -98,6 +98,26 @@ def test_warm_hits_derive_nothing_twice(warm_service, monkeypatch):
     assert parse.calls == 0
     # Schedules are immutable, so the request-shape rebuild is shared too.
     assert build.calls == 0
+
+
+def test_warm_hits_hash_no_chain_parts(warm_service, monkeypatch):
+    """Memo keys hold a chain's stored structure key, which hashed its
+    blocks and tensors when the chain was built: warm hits hash none."""
+    svc, chains = warm_service
+    block_hash = _Counter(ComputeBlock.__hash__)
+    tensor_hash = _Counter(TensorRef.__hash__)
+    monkeypatch.setattr(ComputeBlock, "__hash__", block_hash)
+    monkeypatch.setattr(TensorRef, "__hash__", tensor_hash)
+
+    sources = set()
+    for i in range(N_WARM):
+        sources.add(svc.submit(chains[i % len(chains)]).result().source)
+
+    assert sources == {"hot", "bucket"}
+    assert (block_hash.calls, tensor_hash.calls) == (0, 0)
+    # The counters do count: building a chain hashes its parts.
+    chains[0].with_loops({"m": 64})
+    assert block_hash.calls > 0 and tensor_hash.calls > 0
 
 
 # -- signature memo keys ----------------------------------------------------------

@@ -29,12 +29,7 @@ import pytest
 from repro.frontend.partition import partition_graph
 from repro.gpu.specs import A100, RTX3080
 from repro.ir.chain import ComputeChain, attention_chain, gemm_chain
-from repro.search.engine.pipeline import (
-    _size_free,
-    build_space,
-    price_grid,
-    surviving_expressions,
-)
+from repro.search.engine.pipeline import build_space, price_grid, surviving_expressions
 from repro.search.pruning import rule3_tile_options
 from repro.utils import clear_memos
 from repro.workloads import build_workload, workload_names
@@ -77,8 +72,8 @@ def _sources(chain: ComputeChain) -> list[ComputeChain]:
     """Every other shape of ``chain``'s structure among the cases, and the
     same structure with each loop at least 64, so that Rule 2's probe
     applies to at least one source."""
-    structure = _size_free(chain)
-    others = [c for c in CHAINS if c is not chain and _size_free(c) == structure]
+    structure = chain.size_free_key()
+    others = [c for c in CHAINS if c is not chain and c.size_free_key() == structure]
     large = {loop: max(2 * size, 64) for loop, size in chain.loops.items()}
     return [*others, chain.with_loops(large, name=f"{chain.name}-large")]
 
