@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import ExperimentResult
-from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import A100, GPUSpec
 from repro.ir.chain import ComputeChain
@@ -64,15 +63,8 @@ def _search_time(
     else:  # random ranking: one draw per position, in position order
         objective = rng_for("ablation-random", chain.name, seed).random(len(space))
 
-    def measure(p):
-        try:
-            return sim.run(space.launch_for(p))
-        except SharedMemoryExceeded:
-            return float("inf")
-
-    loop = SearchLoop(
-        space, objective.__getitem__, ParallelEvaluator(measure), top_n=top_n, seed=seed
-    )
+    evaluator = ParallelEvaluator(lambda p: space.measure(p, sim))
+    loop = SearchLoop(space, objective.__getitem__, evaluator, top_n=top_n, seed=seed)
     return loop.run(EvolutionarySearch()).best_time
 
 

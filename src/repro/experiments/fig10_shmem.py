@@ -55,16 +55,16 @@ def collect_points(
     per_chain: int = 400,
 ) -> list[ShmemPoint]:
     """Sample candidates (Rule 4 disabled) and record est/measured pairs
-    from the space's work totals and template launches, building nothing."""
+    from the space's work totals and measured shared memory, building nothing."""
     # A fictitious GPU with unbounded shared memory disables Rule 4 but keeps
-    # rules 1-3; launches on it measure what the real GPU allocates, since
-    # shared-memory measurement reads only the register file.
+    # rules 1-3; its measured shared memory is what the real GPU allocates,
+    # since shared-memory measurement reads only the register file.
     unbounded = gpu.with_overrides(shared_mem_per_block=1 << 30, shared_mem_per_sm=1 << 30)
     points: list[ShmemPoint] = []
     for chain in workloads:
         space = generate_space(chain, unbounded, max_candidates=per_chain)
-        for p, est in enumerate(space.work.shm_estimate.tolist()):
-            meas = space.launch_for(p).shared_mem_bytes
+        measured = space.shared_memory.tolist()
+        for p, (est, meas) in enumerate(zip(space.work.shm_estimate.tolist(), measured)):
             points.append(
                 ShmemPoint(
                     chain=chain.name,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import ExperimentResult
-from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import A100, GPUSpec
 from repro.search.perf_model import AnalyticalModel
@@ -41,13 +40,9 @@ def correlation_for(
     model = AnalyticalModel(gpu)
     sim = GPUSimulator(gpu, seed=seed)
     objective = model.objective(space.prices).tolist()
-    pairs: list[tuple[float, float]] = []
-    for p in range(len(space)):
-        try:
-            meas = sim.run(space.launch_for(p))
-        except SharedMemoryExceeded:
-            continue  # these never reach measurement on hardware either
-        pairs.append((objective[p], meas))
+    times = [space.measure(p, sim) for p in range(len(space))]
+    # Points over the shared-memory limit never reach measurement on hardware either.
+    pairs = [(est, t) for est, t in zip(objective, times) if t != float("inf")]
     corr = pearson([p[0] for p in pairs], [p[1] for p in pairs])
     return ModelCorrelation(
         chain=name, corr=corr, num_points=len(pairs), pairs=tuple(pairs)

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.gpu.specs import GPUSpec
 
 __all__ = [
     "TileBuffer",
     "SharedMemoryReport",
     "measure_shared_memory",
+    "measured_bytes",
     "estimate_shared_memory",
     "STATIC_RESERVE_BYTES",
     "ACCUM_BYTES",
@@ -99,23 +102,24 @@ def estimate_shared_memory(buffers: list[TileBuffer]) -> int:
     return sum(b.rows * b.cols * b.dtype_bytes for b in buffers)
 
 
-def _skew_padding(cols: int, dtype_bytes: int) -> int:
-    """Bank-conflict skew: pad rows whose pitch is a multiple of 128B.
+def _skew_padding(cols, dtype_bytes):
+    """Bank-conflict skew: pad rows whose pitch is a multiple of 128B
+    (ints, or int arrays elementwise).
 
     Shared memory has 32 banks x 4B; a power-of-two row pitch makes column
     accesses hit one bank, so backends add an 8-element skew.
     """
-    return 8 if (cols * dtype_bytes) % 128 == 0 else 0
+    return 8 * ((cols * dtype_bytes) % 128 == 0)
 
 
-def _fits_in_registers(buf: TileBuffer, gpu: GPUSpec) -> bool:
-    """Whether an accumulator tile can live entirely in the register file.
+def _fits_in_registers(elements, gpu: GPUSpec):
+    """Whether an accumulator tile of ``elements`` (an int, or an int array
+    elementwise) can live entirely in the register file.
 
     We budget half the SM register file for accumulators of a single block
     (the other half holds operand fragments and address arithmetic).
     """
-    budget = gpu.register_file_per_sm // 2
-    return buf.elements * ACCUM_BYTES <= budget
+    return elements * ACCUM_BYTES <= gpu.register_file_per_sm // 2
 
 
 def measure_shared_memory(buffers: list[TileBuffer], gpu: GPUSpec) -> SharedMemoryReport:
@@ -134,7 +138,7 @@ def measure_shared_memory(buffers: list[TileBuffer], gpu: GPUSpec) -> SharedMemo
     in_registers: list[str] = []
     total = STATIC_RESERVE_BYTES
     for buf in buffers:
-        if buf.role == "accumulator" and _fits_in_registers(buf, gpu):
+        if buf.role == "accumulator" and _fits_in_registers(buf.elements, gpu):
             in_registers.append(buf.tensor)
             continue
         dtype_bytes = ACCUM_BYTES if buf.role == "accumulator" else buf.dtype_bytes
@@ -149,3 +153,14 @@ def measure_shared_memory(buffers: list[TileBuffer], gpu: GPUSpec) -> SharedMemo
         per_buffer=tuple(per_buffer),
         register_resident=tuple(in_registers),
     )
+
+
+def measured_bytes(rows, cols, copies, accumulator, double_buffered, dtype_bytes: int, gpu: GPUSpec):
+    """:func:`measure_shared_memory`'s ``total_bytes`` of many buffer lists:
+    arguments have one row per buffer, one column per list (int shapes and
+    copies, bool roles; ``double_buffered`` only on operands)."""
+    in_registers = accumulator & _fits_in_registers(rows * cols * copies, gpu)
+    elem = np.where(accumulator, ACCUM_BYTES, dtype_bytes)
+    nbytes = rows * (cols + _skew_padding(cols, elem)) * elem * copies
+    nbytes = nbytes * np.where(double_buffered, 2, 1)
+    return STATIC_RESERVE_BYTES + np.where(in_registers, 0, nbytes).sum(axis=0)

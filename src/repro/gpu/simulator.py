@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.gpu.kernel import CODEGEN_QUALITY, KernelLaunch
 from repro.gpu.occupancy import Occupancy, SharedMemoryExceeded, occupancy_for
 from repro.gpu.specs import GPUSpec
@@ -152,9 +154,7 @@ class GPUSimulator:
         longer, shorter = max(t_compute_q, t_memory_q), min(t_compute_q, t_memory_q)
         busy = longer + _OVERLAP_FRICTION * shorter
         exec_time = busy + occ.waves * gpu.dram_latency
-        jit = 0.0
-        if self.jitter_enabled:
-            jit = _JITTER * unit_jitter("kernel", self.seed, kernel.signature())
+        jit = self.jitter(kernel.signature()) if self.jitter_enabled else 0.0
         total = (gpu.kernel_launch_overhead + exec_time) * (1.0 + jit)
         return KernelTiming(
             total=total,
@@ -165,6 +165,37 @@ class GPUSimulator:
             memory_eff=eff_m,
             jitter=jit,
         )
+
+    def jitter(self, signature: tuple) -> float:
+        """The relative jitter of the launch with this ``signature()``."""
+        return _JITTER * unit_jitter("kernel", self.seed, signature)
+
+    def exact_times(self, grid, flops, read_bytes, write_bytes, shared_mem_bytes, tile_m, tile_n,
+                    tile_k, inner_contig_bytes, compulsory_bytes: float) -> np.ndarray:
+        """:meth:`time_kernel`'s jitter-free ``total``, bit for bit, of one
+        Triton launch at efficiency 1 per array element (``inf`` where it
+        exceeds shared memory): the same operations in the same order, with
+        ``** 0.5`` in Python, whose ``pow`` rounds unlike numpy's."""
+        gpu, quality = self.gpu, CODEGEN_QUALITY["triton"]
+        waves = -(-grid // gpu.num_sms)
+        quantization = waves * gpu.num_sms / grid
+        eff_c = quality * _saturation(tile_m, 16.0) * _saturation(tile_n, 16.0)
+        eff_c = eff_c * _saturation(tile_k, 8.0)
+        accum = tile_m * tile_n
+        spill = np.flatnonzero(accum > 128 * 128)
+        eff_c[spill] *= [(128 * 128 / a) ** 0.5 for a in accum[spill].tolist()]
+        eff_m = _saturation(inner_contig_bytes.astype(np.float64), 64.0) * quality**0.5
+        t_compute = flops / (gpu.peak_flops * eff_c)  # 0.0 at 0 flops, like time_kernel's branch
+        compulsory = np.minimum(max(compulsory_bytes, 0.0), read_bytes)
+        working_set = np.maximum(compulsory + write_bytes, 1.0)
+        hit = 0.9 * np.minimum(1.0, gpu.l2_bytes / working_set)
+        dram = compulsory + (read_bytes - compulsory) * (1.0 - hit) + write_bytes
+        t_compute_q = t_compute * quantization
+        t_memory_q = dram / (gpu.mem_bandwidth * eff_m) * np.maximum(1.0, quantization / 4.0)
+        longer, shorter = np.maximum(t_compute_q, t_memory_q), np.minimum(t_compute_q, t_memory_q)
+        exec_time = longer + _OVERLAP_FRICTION * shorter + waves * gpu.dram_latency
+        total = gpu.kernel_launch_overhead + exec_time
+        return np.where(shared_mem_bytes > gpu.shared_mem_per_block, np.inf, total)
 
     def run(self, kernel: KernelLaunch) -> float:
         """Total time (s) of one launch."""

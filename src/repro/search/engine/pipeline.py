@@ -20,9 +20,9 @@ whole Rule-3 grid with numpy. Neither a template's core nor the surviving
 expressions depend on the chain's sizes, so both are memoized process-wide
 on the chain's size-free structure, shared by all of its shapes (bucket
 tunes, the layers of a model). The space keeps each kept point's work
-totals, which give both its eq. 2-5 estimate and, with the same template,
-its kernel launch when measured
-(:meth:`~repro.search.space.SearchSpace.launch_for`); schedules of
+totals, which give both its eq. 2-5 estimate and, with the same template's
+tables, its simulated time when first measured
+(:meth:`~repro.search.space.SearchSpace.measure`); schedules of
 individual candidates are built only for candidates that are verified,
 featurized or returned (:meth:`~repro.search.space.SearchSpace.schedule_for`).
 """
@@ -201,12 +201,12 @@ def build_space(
     Rule 2, and Rule 4 if its shared-memory estimate fits too. The kept
     points of every grid are concatenated into the space's arrays, in
     expression order, then grid row order, each with its work totals and
-    the template that priced it (which also launches it). No
+    the template that priced it (whose tables also simulate it). No
     :class:`~repro.search.space.Candidate` is built here.
     """
     exprs, head = surviving_expressions(chain, deep_only=deep_only)
     options = {loop: rule3_tile_options(size) for loop, size in chain.loops.items()}
-    launchers: list[ScheduleTemplate] = []
+    templates: list[ScheduleTemplate] = []
     parts: list[tuple[np.ndarray, ...]] = []
     works: list[ScheduleWork] = []
     after_rule3 = bound = 0
@@ -219,10 +219,10 @@ def build_space(
         parts.append((
             np.full(len(kept), eid, dtype=np.int64),
             grid.tiles[kept],
-            grid.group[kept] + len(launchers),
+            grid.group[kept] + len(templates),
         ))
         works.append(grid.work.take(kept))
-        launchers.extend(grid.templates)
+        templates.extend(grid.templates)
     if parts:
         expr_id, tiles, template = map(np.concatenate, zip(*parts))
         work = ScheduleWork.concat(works)
@@ -243,7 +243,7 @@ def build_space(
         tiles=tiles,
         work=work,
         template=template,
-        launchers=tuple(launchers),
+        templates=tuple(templates),
         bound=bound,
     )
     return SearchSpace(

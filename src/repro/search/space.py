@@ -11,27 +11,30 @@ The search works on **positions**, ints into those arrays. A
 featurized or returned (:meth:`SearchSpace.candidate`). Points are
 **priced and measured, not built**: the pipeline evaluates the work
 totals of every point (DRAM bytes, FLOPs, grid size) from per-expression
-schedule templates, ``prices`` holds the eq. 2-5 estimates computed from
-them as arrays, and ``launch_for`` summarizes a position as a kernel
-launch from its totals and the template that priced it.
-``schedule_for`` builds a :class:`~repro.tiling.schedule.Schedule`
-lazily, once per candidate, for the few candidates that are verified,
-featurized or returned.
+schedule templates; ``prices`` holds the eq. 2-5 estimates and, from the
+first ``measure``, the space holds every point's jitter-free simulated
+time, both as arrays. A measurement reads its point's time and adds the
+simulator's jitter from its launch ``signature``. ``schedule_for``
+builds a :class:`~repro.tiling.schedule.Schedule` lazily, once per
+candidate, for the few candidates that are verified, featurized or
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.gpu.kernel import KernelLaunch
+from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeChain
 from repro.search.perf_model import PerfEstimate, combine
 from repro.search.pruning import PruningStats
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import Schedule, ScheduleTemplate, ScheduleWork, build_schedule
+from repro.tiling.schedule import launch_arrays
 
 __all__ = ["Candidate", "SpacePoints", "SearchSpace", "generate_space"]
 
@@ -72,8 +75,8 @@ class SpacePoints:
     Point ``p`` tiles ``exprs[expr_id[p]]`` with ``tiles[p]`` (columns in
     ``chain.loop_names`` order). ``work`` holds its work totals
     (:meth:`~repro.tiling.schedule.ScheduleTemplate.work`), and
-    ``template[p]`` indexes the entry of ``launchers`` that priced the
-    point. ``bound`` of the launchers were bound from the pipeline's memo,
+    ``template[p]`` indexes the entry of ``templates`` that priced the
+    point. ``bound`` of the templates were bound from the pipeline's memo,
     the others built.
     """
 
@@ -82,15 +85,15 @@ class SpacePoints:
     tiles: np.ndarray
     work: ScheduleWork
     template: np.ndarray
-    launchers: tuple[ScheduleTemplate, ...]
+    templates: tuple[ScheduleTemplate, ...]
     bound: int = 0
 
 
 class SearchSpace:
     """The frozen pruned space: its points, the Fig. 7 funnel and the
     Rule-3 tile options, plus the work totals and templates of the
-    pipeline that priced the points. :func:`~repro.search.engine.pipeline.build_space`
-    constructs it.
+    pipeline that priced the points, which also measure them.
+    :func:`~repro.search.engine.pipeline.build_space` constructs it.
 
     **Positions.** A position is an int in ``range(len(space))`` and is a
     point's only identity inside the search: points are listed in
@@ -206,24 +209,50 @@ class SearchSpace:
         positions, bit-identical to ``estimate_time`` of its schedule."""
         return self._prices
 
-    def launch_for(self, position: int) -> KernelLaunch:
-        """The simulator launch of ``position``, from its work totals and
-        the template that priced it.
+    @cached_property
+    def _launches(self) -> tuple[np.ndarray, ...]:
+        points = self._points
+        return launch_arrays(points.templates, points.template, points.tiles, self.gpu)
 
-        Builds nothing. Equal to
-        ``schedule_for(candidate(position)).kernel_launch(gpu)``, types
-        included (the simulator's jitter hashes the launch's ``repr``).
-        """
-        points, work = self._points, self._points.work
-        tiles = dict(zip(self.chain.loop_names, points.tiles[position].tolist()))
-        return points.launchers[points.template[position]].launch(
-            tiles,
-            self.gpu,
-            read_bytes=work.read_bytes.item(position),
-            write_bytes=work.write_bytes.item(position),
-            flops=work.flops.item(position),
-            grid=work.grid.item(position),
+    @property
+    def shared_memory(self) -> np.ndarray:
+        """Every position's measured shared memory per block (Fig. 10's
+        y-axis), equal to its schedule's ``shm_measured(gpu)``."""
+        return self._launches[0]
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        """Every position's jitter-free simulated time, built on the first
+        measurement; ``inf`` where the launch exceeds shared memory."""
+        w, compulsory = self.work, float(self._points.templates[0].compulsory_bytes)
+        return GPUSimulator(self.gpu).exact_times(
+            w.grid, w.flops, w.read_bytes, w.write_bytes, *self._launches, compulsory
         )
+
+    def signature(self, position: int) -> tuple:
+        """The launch signature of ``position``, from Python numbers: equal
+        to ``schedule_for(candidate(position)).kernel_launch(gpu).signature()``,
+        element types included (the simulator's jitter hashes its ``repr``)."""
+        points, w = self._points, self._points.work
+        row = zip(self.chain.loop_names, points.tiles[position].tolist())
+        sizes = ",".join(f"T{loop}={t}" for loop, t in row)
+        return (
+            f"{self.chain.name}:{points.exprs[points.expr_id[position]].render()}[{sizes}]",
+            w.grid.item(position),
+            *(round(a.item(position), 3) for a in (w.flops, w.read_bytes, w.write_bytes)),
+            *(a.item(position) for a in self._launches),
+            "triton", 1.0, round(float(points.templates[0].compulsory_bytes), 3),
+        )
+
+    def measure(self, position: int, sim: GPUSimulator) -> float:
+        """One measurement of ``position`` on ``sim``, a simulator of the
+        space's GPU: ``sim.run`` of its schedule's launch, or ``inf`` where
+        that raises ``SharedMemoryExceeded``. The one reader of the space's
+        simulated times, so a search reads only what it measures."""
+        t = self._times.item(position)
+        if t == float("inf") or not sim.jitter_enabled:
+            return t
+        return t * (1.0 + sim.jitter(self.signature(position)))
 
     def schedule_for(self, cand: Candidate) -> Schedule:
         """The schedule of ``cand`` under the space's own ``optimized``
@@ -238,7 +267,7 @@ class SearchSpace:
     @property
     def templates(self) -> int:
         """Schedule templates that priced the space."""
-        return len(self._points.launchers)
+        return len(self._points.templates)
 
     @property
     def templates_bound(self) -> int:

@@ -36,7 +36,6 @@ from repro.codegen.interpreter import (
     resolve_exec_backend,
 )
 from repro.config import SessionConfig
-from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPUSpec, by_name
 from repro.ir.chain import ComputeChain
@@ -394,17 +393,15 @@ class MCFuserTuner:
         """One hardware measurement of the schedule at ``position``; launch
         failures count as +inf.
 
-        The simulator times the position's template launch
-        (:meth:`SearchSpace.launch_for`), so nothing is built. With
-        ``verify="all"``, the measurement also builds the schedule, executes
-        it numerically (on ``exec.backend``) and reports a numerically wrong
-        program as a launch failure, so it can never win the search.
+        Reads the position's simulated time from the space's arrays and
+        applies this tuner's seeded jitter (:meth:`SearchSpace.measure`),
+        so nothing is built. With ``verify="all"``, the measurement also
+        builds the schedule, executes it numerically (on ``exec.backend``)
+        and reports a numerically wrong program as a launch failure, so it
+        can never win the search.
         """
-        try:
-            t = self.simulator.run(space.launch_for(position))
-        except SharedMemoryExceeded:
-            return float("inf")
-        if self.verify == "all":
+        t = space.measure(position, self.simulator)
+        if self.verify == "all" and t != float("inf"):
             if not self.check_schedule(space.schedule_for(space.candidate(position))):
                 return float("inf")
         return t
@@ -499,8 +496,8 @@ class MCFuserTuner:
         """The search loop of one tune over ``space``, billing ``clock``.
 
         The model reads the space's price arrays and measurements read the
-        space's template launches (every point was priced from its
-        schedule template); schedules are built lazily, only for
+        space's simulated times (every point was priced and is simulated
+        from its schedule template); schedules are built lazily, only for
         candidates that are verified, featurized or returned. Every ranked
         position bills one model estimate, however often the search
         re-ranks it; the objective of every point is computed once per

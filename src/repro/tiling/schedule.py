@@ -27,16 +27,16 @@ expression without building a schedule for each.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.memory import TileBuffer, estimate_shared_memory, measure_shared_memory
+from repro.gpu.memory import measured_bytes
 from repro.gpu.specs import GPUSpec
 from repro.ir.chain import ComputeBlock, ComputeChain
 from repro.tiling.enumeration import bindable_spatial_loops
@@ -51,6 +51,7 @@ __all__ = [
     "InvalidScheduleError",
     "TemplateTerm",
     "TemplateBuffer",
+    "launch_arrays",
     "ScheduleWork",
     "ScheduleTemplate",
 ]
@@ -543,8 +544,8 @@ class Schedule:
     def kernel_launch(self, gpu: GPUSpec, codegen: str = "triton") -> KernelLaunch:
         """Summarize this schedule as a simulator kernel launch.
 
-        The reference for :meth:`ScheduleTemplate.launch`, which the search
-        measures candidates with instead.
+        The reference for :func:`launch_arrays` and the space's launch
+        signatures, which the search measures candidates from instead.
         """
         tm, tn, tk = self.representative_tiles()
         compulsory = _compulsory_bytes(self.chain)
@@ -713,7 +714,7 @@ class ScheduleWork:
 
 @dataclass(frozen=True)
 class ScheduleTemplate:
-    """Everything a :class:`Schedule` needs to be priced and launched,
+    """Everything a :class:`Schedule` needs to be priced and measured,
     minus tile sizes.
 
     All schedules of one expression whose per-block loops (those of its
@@ -726,18 +727,15 @@ class ScheduleTemplate:
     A template records that structure from one real schedule
     (:meth:`from_schedule`), so :func:`build_schedule` stays its only
     source. :meth:`work`, its only term evaluator, totals many tile points
-    at once; :meth:`launch` summarizes one point and its totals as a launch.
+    at once, and :func:`launch_arrays` the rest of their kernel launches.
 
-    Only the chain-level fields (``chain_name``, ``loops``, ``mma_loops``,
+    Only the chain-level fields (``loops``, ``mma_loops``,
     ``compulsory_bytes``, ``batch``, ``dtype_bytes``) depend on the chain's
-    name and sizes; the rest, the *core*, is shared by every chain with
+    sizes; the rest, the *core*, is shared by every chain with
     the same loop names, dtype, blocks and tensors. :meth:`bind` re-derives
     the chain-level fields for another such chain.
     """
 
-    #: Chain name and expression text, which name the kernel.
-    chain_name: str
-    expr: str
     #: ``(loop, size)`` in ``chain.loop_names`` order.
     loops: tuple[tuple[str, int], ...]
     grid_loops: tuple[str, ...]
@@ -746,19 +744,22 @@ class ScheduleTemplate:
     buffers: tuple[TemplateBuffer, ...]
     #: The (m, n, k) loops of the flops-dominant MMA.
     mma_loops: tuple[str, str, str]
-    #: The innermost loop of every loaded, then every stored, tile.
-    contig_loops: tuple[str, ...]
     compulsory_bytes: int
     batch: int
     dtype_bytes: int
     valid: bool
     single_copy: bool
+    #: ``buffers`` for :func:`launch_arrays`: masks ``(rows | cols |
+    #: copies, loop, buffer)`` of the loops whose tiles make a buffer's rows
+    #: and columns and whose extents count its copies, flags ``(accumulator
+    #: | double-buffered operand, buffer)``, and the schedule's
+    #: ``contig_loops()``. Part of the core, so bindings share them.
+    tables: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     @staticmethod
     def _chain_fields(chain: ComputeChain) -> dict:
-        """The fields that depend on the chain's name or sizes."""
+        """The fields that depend on the chain's sizes."""
         return {
-            "chain_name": chain.name,
             "loops": tuple((loop, chain.loops[loop]) for loop in chain.loop_names),
             "mma_loops": _mma_loops(chain),
             "compulsory_bytes": _compulsory_bytes(chain),
@@ -801,68 +802,22 @@ class ScheduleTemplate:
             )
             for buf in schedule.tile_buffers()
         )
+        parts = zip(*((b.dims[:-1], b.dims[-1:], b.copy_loops) for b in buffers))
+        contig = schedule.contig_loops()
+        tables = (
+            np.array([[[loop in s for s in part] for loop in chain.loop_names] for part in parts]),
+            np.array([[b.role == "accumulator" for b in buffers],
+                      [b.double_buffered and b.role == "operand" for b in buffers]]),
+            np.array([loop in contig for loop in chain.loop_names]),
+        )
         return cls(
-            expr=schedule.expr.render(),
             grid_loops=tuple(loop for loop, _ in schedule.grid_dims[1:]),
             terms=tuple(terms),
             buffers=buffers,
-            contig_loops=schedule.contig_loops(),
             valid=schedule.is_valid,
             single_copy=schedule.single_live_copies(),
+            tables=tables,
             **cls._chain_fields(chain),
-        )
-
-    def launch(
-        self,
-        tiles: Mapping[str, int],
-        gpu: GPUSpec,
-        *,
-        read_bytes: float,
-        write_bytes: float,
-        flops: float,
-        grid: int,
-    ) -> KernelLaunch:
-        """The kernel launch of this template's schedule at ``tiles``, given
-        the point's :meth:`work` totals as Python numbers.
-
-        Equal to ``build_schedule(...).kernel_launch(gpu)`` at any
-        tile point the template was keyed for, field for field and type for
-        type: shared memory goes through the same backend
-        (:func:`~repro.gpu.memory.measure_shared_memory`), and the MMA
-        tiles, contiguity and kernel name read the same loops.
-        """
-        dtype_bytes = self.dtype_bytes
-        extents = {loop: ceil_div(size, tiles[loop]) for loop, size in self.loops}
-        tile, extent = tiles.__getitem__, extents.__getitem__
-        buffers = [
-            TileBuffer(
-                tensor=buf.tensor,
-                rows=math.prod(map(tile, buf.dims[:-1])),
-                cols=tile(buf.dims[-1]) if buf.dims else 1,
-                dtype_bytes=dtype_bytes,
-                role=buf.role,
-                double_buffered=buf.double_buffered,
-                copies=math.prod(map(extent, buf.copy_loops)),
-            )
-            for buf in self.buffers
-        ]
-        widths = [tiles[loop] * dtype_bytes for loop in self.contig_loops]
-        tm, tn, tk = (tiles[loop] for loop in self.mma_loops)
-        sizes = ",".join(f"T{loop}={tiles[loop]}" for loop, _ in self.loops)
-        described = f"{self.expr}[{sizes}]"
-        return KernelLaunch(
-            name=f"{self.chain_name}:{described}",
-            grid=grid,
-            flops=flops,
-            dram_read_bytes=read_bytes,
-            dram_write_bytes=write_bytes,
-            dram_compulsory_read_bytes=float(self.compulsory_bytes),
-            shared_mem_bytes=measure_shared_memory(buffers, gpu).total_bytes,
-            tile_m=tm,
-            tile_n=tn,
-            tile_k=tk,
-            inner_contig_bytes=min(widths) if widths else 128,
-            extra={"schedule": described},
         )
 
     def work(
@@ -922,3 +877,27 @@ class ScheduleTemplate:
             grid=grid.astype(np.int64),
             shm_estimate=shm.astype(np.int64),
         )
+
+
+def launch_arrays(
+    templates: Sequence[ScheduleTemplate], template: np.ndarray, tiles: np.ndarray, gpu: GPUSpec
+) -> tuple[np.ndarray, ...]:
+    """``shared_mem_bytes``, ``tile_m``, ``tile_n``, ``tile_k`` and
+    ``inner_contig_bytes`` of ``build_schedule(...).kernel_launch(gpu)`` at
+    every row of ``tiles`` (columns in ``chain.loop_names`` order), where
+    row ``p`` was priced by ``templates[template[p]]``, all of one chain.
+
+    A fixed number of array operations for any number of templates: their
+    ``tables`` stack (a chain's templates have one buffer per tensor) and
+    are gathered per point, with the points on the last, contiguous axis.
+    """
+    first, tiles_t = templates[0], tiles.T
+    extents = -(-np.array([size for _, size in first.loops])[:, None] // tiles_t)
+    stacked = zip(*(t.tables for t in templates))
+    masks, flags, contig = (np.stack(t, axis=-1).take(template, axis=-1) for t in stacked)
+    factors = np.stack([tiles_t, tiles_t, extents])[:, :, None]
+    rows, cols, copies = np.where(masks, factors, 1).prod(axis=1)
+    shm = measured_bytes(rows, cols, copies, flags[0], flags[1], first.dtype_bytes, gpu)
+    widths = np.where(contig, tiles_t * first.dtype_bytes, np.iinfo(np.int64).max).min(axis=0)
+    mma = (tiles[:, [name for name, _ in first.loops].index(loop)] for loop in first.mma_loops)
+    return shm, *mma, np.where(contig.any(axis=0), widths, 128)

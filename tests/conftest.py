@@ -27,7 +27,7 @@ def empty_space(space: SearchSpace) -> SearchSpace:
         tiles=np.zeros((0, len(space.chain.loop_names)), dtype=np.int64),
         work=ScheduleWork(nothing, nothing, nothing, none, none),
         template=none,
-        launchers=(),
+        templates=(),
     )
     return SearchSpace(space.chain, space.gpu, points, space.stats, space.tile_options)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.ablation import _search_time, ablate_chain
+from repro.gpu.occupancy import SharedMemoryExceeded
 from repro.gpu.specs import A100
 from repro.ir.chain import gemm_chain
 from repro.search.space import SearchSpace
@@ -30,26 +31,30 @@ class TestAblation:
 
 
 def test_no_dag_opt_measures_unoptimized_schedules(monkeypatch):
-    """The '-DAG opt' column times the schedules its space ranks: launched
-    as built without the extent-1 optimization."""
-    launched = []
-    real_launch_for = SearchSpace.launch_for
+    """The '-DAG opt' column times the schedules its space ranks: every
+    measurement equals the simulated time of the schedule built without the
+    extent-1 optimization."""
+    measured = []
+    real_measure = SearchSpace.measure
 
-    def spy(self, position):
-        launch = real_launch_for(self, position)
-        launched.append((self.chain, self.candidate(position), launch))
-        return launch
+    def spy(self, position, sim):
+        t = real_measure(self, position, sim)
+        measured.append((self.chain, self.candidate(position), sim, t))
+        return t
 
-    monkeypatch.setattr(SearchSpace, "launch_for", spy)
+    monkeypatch.setattr(SearchSpace, "measure", spy)
     _search_time(gemm_chain(1, 256, 256, 64, 64, name="abl-dag"), A100, optimize=False)
-    assert launched
+    assert measured
     differs = False
-    for chain, cand, launch in launched:
+    for chain, cand, sim, t in measured:
         def built(optimize):
             schedule = build_schedule(chain, cand.expr, cand.tile_dict, optimize=optimize)
-            return schedule.kernel_launch(A100)
+            try:
+                return sim.run(schedule.kernel_launch(A100))
+            except SharedMemoryExceeded:
+                return float("inf")
 
-        assert launch == built(False)
-        differs |= launch != built(True)
-    # The optimization changes some measured launch, so the check bites.
+        assert t == built(False)
+        differs |= t != built(True)
+    # The optimization changes some measured point, so the check bites.
     assert differs

@@ -2,7 +2,7 @@
 
 Each search runs the tuner's path: :class:`SearchLoop` with
 :class:`EvolutionarySearch`, ranking from the space's price arrays and
-measuring template launches (``space.launch_for``). The optimum and the
+measuring from the space's arrays (``space.measure``). The optimum and the
 measurement a result is checked against come from built schedules.
 """
 
@@ -32,7 +32,7 @@ def setup():
             return float("inf")
 
     def measure(p):
-        return timed(space.launch_for(p))
+        return space.measure(p, sim)
 
     def built(p):
         return timed(space.schedule_for(space.candidate(p)).kernel_launch(A100))

@@ -5,9 +5,10 @@ and surviving expressions on a chain's size-free structure, and binds a
 core built at one shape to every other shape of that structure
 (:meth:`~repro.tiling.schedule.ScheduleTemplate.bind`). Each case warms the
 memos with the other shapes of its chain's structure, then prices and
-launches the chain from the warm memos. Every grid point's price, every
-template and every kept point's launch (``signature()`` element types
-included) must equal what the same chain gets from empty memos, where
+measures the chain from the warm memos. Every grid point's price, every
+template (its launch tables too) and every kept point's measurements
+(shared memory, times and launch ``signature`` with its element types)
+must equal what the same chain gets from empty memos, where
 every template is ``ScheduleTemplate.from_schedule(build_schedule(...))``
 at the chain's own shape.
 
@@ -33,7 +34,7 @@ from repro.search.engine.pipeline import build_space, price_grid, surviving_expr
 from repro.search.pruning import rule3_tile_options
 from repro.utils import clear_memos
 from repro.workloads import build_workload, workload_names
-from test_template_launch import assert_same_launch
+from test_template_launch import measurements
 
 FULL = os.environ.get("REPRO_TEST_FULL") == "1"
 
@@ -102,8 +103,7 @@ def assert_same_space(got, want, where: str) -> None:
     assert [c.key for c in got.candidates] == [c.key for c in want.candidates], where
     for field in ("t_mem", "t_comp", "alpha"):
         assert np.array_equal(getattr(got.prices, field), getattr(want.prices, field)), where
-    for p in range(len(want)):
-        assert_same_launch(got.launch_for(p), want.launch_for(p), f"{where} position {p}")
+    assert measurements(got) == measurements(want), where
 
 
 @pytest.mark.parametrize(
@@ -123,6 +123,8 @@ def test_bound_cores_price_and_launch_like_built_templates(index, gpu, variant):
     assert len(grids) == len(cold_grids), where
     for got, want in zip(grids, cold_grids):
         assert got.templates == want.templates, where
+        for a, b in zip(got.templates, want.templates):
+            assert all(np.array_equal(x, y) for x, y in zip(a.tables, b.tables)), where
         for field in ("tiles", "valid", "rule2", "rule4", "group"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (where, field)
         for field in ("t_mem", "t_comp", "alpha"):
