@@ -10,8 +10,8 @@ The search works on **positions**, ints into those arrays. A
 :class:`Candidate` is built only for a point that is measured,
 featurized or returned (:meth:`SearchSpace.candidate`). Points are
 **priced and measured, not built**: the pipeline evaluates the work
-totals of every point (DRAM bytes, FLOPs, grid size) from per-expression
-schedule templates; ``prices`` holds the eq. 2-5 estimates and, from the
+totals of every kept point (DRAM bytes, FLOPs, grid size) in one array
+pass over the chain's schedule templates; ``prices`` holds the eq. 2-5 estimates and, from the
 first ``measure``, the space holds every point's jitter-free simulated
 time, both as arrays. A measurement reads its point's time and adds the
 simulator's jitter from its launch ``signature``. ``schedule_for``
@@ -34,7 +34,7 @@ from repro.search.perf_model import PerfEstimate, combine
 from repro.search.pruning import PruningStats
 from repro.tiling.expr import TilingExpr
 from repro.tiling.schedule import Schedule, ScheduleTemplate, ScheduleWork, build_schedule
-from repro.tiling.schedule import launch_arrays
+from repro.tiling.schedule import compulsory_bytes, launch_arrays
 
 __all__ = ["Candidate", "SpacePoints", "SearchSpace", "generate_space"]
 
@@ -74,9 +74,9 @@ class SpacePoints:
 
     Point ``p`` tiles ``exprs[expr_id[p]]`` with ``tiles[p]`` (columns in
     ``chain.loop_names`` order). ``work`` holds its work totals
-    (:meth:`~repro.tiling.schedule.ScheduleTemplate.work`), and
+    (:meth:`~repro.search.engine.pipeline.PricedGrid.work`), and
     ``template[p]`` indexes the entry of ``templates`` that priced the
-    point. ``bound`` of the templates were bound from the pipeline's memo,
+    point. ``bound`` of the templates were taken from the pipeline's memo,
     the others built.
     """
 
@@ -139,6 +139,7 @@ class SearchSpace:
         self._candidates: tuple[Candidate, ...] | None = None
         self._memo: list[Candidate | None] = [None] * len(points.expr_id)
         self._points = points
+        self._compulsory = float(compulsory_bytes(chain))
         work = points.work
         self._prices = combine(work.read_bytes, work.write_bytes, work.flops, work.grid, gpu)
         self._sorted_columns = sorted((loop, j) for j, loop in enumerate(chain.loop_names))
@@ -212,7 +213,7 @@ class SearchSpace:
     @cached_property
     def _launches(self) -> tuple[np.ndarray, ...]:
         points = self._points
-        return launch_arrays(points.templates, points.template, points.tiles, self.gpu)
+        return launch_arrays(self.chain, points.templates, points.template, points.tiles, self.gpu)
 
     @property
     def shared_memory(self) -> np.ndarray:
@@ -224,9 +225,9 @@ class SearchSpace:
     def _times(self) -> np.ndarray:
         """Every position's jitter-free simulated time, built on the first
         measurement; ``inf`` where the launch exceeds shared memory."""
-        w, compulsory = self.work, float(self._points.templates[0].compulsory_bytes)
+        w = self.work
         return GPUSimulator(self.gpu).exact_times(
-            w.grid, w.flops, w.read_bytes, w.write_bytes, *self._launches, compulsory
+            w.grid, w.flops, w.read_bytes, w.write_bytes, *self._launches, self._compulsory
         )
 
     def signature(self, position: int) -> tuple:
@@ -241,7 +242,7 @@ class SearchSpace:
             w.grid.item(position),
             *(round(a.item(position), 3) for a in (w.flops, w.read_bytes, w.write_bytes)),
             *(a.item(position) for a in self._launches),
-            "triton", 1.0, round(float(points.templates[0].compulsory_bytes), 3),
+            "triton", 1.0, round(self._compulsory, 3),
         )
 
     def measure(self, position: int, sim: GPUSimulator) -> float:
@@ -271,13 +272,13 @@ class SearchSpace:
 
     @property
     def templates_bound(self) -> int:
-        """Templates bound from the pipeline's memo, not built."""
+        """Templates taken from the pipeline's memo, not built."""
         return self._points.bound
 
     @property
     def schedules_built(self) -> int:
         """Every ``build_schedule`` call this space made: one per template
-        not bound from the memo, plus one per ``schedule_for``
+        not taken from the memo, plus one per ``schedule_for``
         construction."""
         return self.templates - self.templates_bound + self._lazy_builds
 

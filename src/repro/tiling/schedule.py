@@ -20,14 +20,14 @@ tile buffers (estimate vs measured), live-copy multiplicities (Rule 2), and
 semantic validity (a consumer must never observe a partially-reduced
 producer tile).
 
-A :class:`ScheduleTemplate` captures the tile-size-independent part of a
-schedule, so the search can price and prune many tile points of one
-expression without building a schedule for each.
+A :class:`ScheduleTemplate` captures the part of a schedule that depends
+on neither tile nor loop sizes, so the search can price and prune many
+tile points of one expression without building a schedule for each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -51,6 +51,7 @@ __all__ = [
     "InvalidScheduleError",
     "TemplateTerm",
     "TemplateBuffer",
+    "compulsory_bytes",
     "launch_arrays",
     "ScheduleWork",
     "ScheduleTemplate",
@@ -442,9 +443,9 @@ class Schedule:
 
     @staticmethod
     def _in_order(terms) -> float:
-        # Plain left-to-right addition in statement order, which
-        # ScheduleTemplate.work reproduces; sum() compensates float rounding
-        # on Python >= 3.12.
+        # Plain left-to-right addition in statement order, which the
+        # pipeline's array pricer reproduces; sum() compensates float
+        # rounding on Python >= 3.12.
         total = 0
         for term in terms:
             total = total + term
@@ -548,7 +549,7 @@ class Schedule:
         signatures, which the search measures candidates from instead.
         """
         tm, tn, tk = self.representative_tiles()
-        compulsory = _compulsory_bytes(self.chain)
+        compulsory = compulsory_bytes(self.chain)
         return KernelLaunch(
             name=f"{self.chain.name}:{self.describe()}",
             grid=self.grid_size,
@@ -608,8 +609,8 @@ def _mma_loops(chain: ComputeChain) -> tuple[str, str, str]:
     return best
 
 
-def _compulsory_bytes(chain: ComputeChain) -> int:
-    """Every input byte read once."""
+def compulsory_bytes(chain: ComputeChain) -> int:
+    """Every input byte read once (a launch's ``dram_compulsory_read_bytes``)."""
     return sum(
         chain.batch * prod(chain.loops[d] for d in ref.dims) * chain.dtype_bytes
         for ref in chain.tensors.values()
@@ -700,22 +701,11 @@ class ScheduleWork:
     grid: np.ndarray
     shm_estimate: np.ndarray
 
-    def take(self, rows: np.ndarray) -> "ScheduleWork":
-        """The totals of the points at ``rows``."""
-        return ScheduleWork(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    @staticmethod
-    def concat(works: "list[ScheduleWork]") -> "ScheduleWork":
-        """The points of ``works`` (at least one), in order."""
-        return ScheduleWork(*(
-            np.concatenate([getattr(w, f.name) for w in works]) for f in fields(ScheduleWork)
-        ))
-
 
 @dataclass(frozen=True)
 class ScheduleTemplate:
     """Everything a :class:`Schedule` needs to be priced and measured,
-    minus tile sizes.
+    minus tile sizes and the chain's sizes.
 
     All schedules of one expression whose per-block loops (those of its
     sub-tiling expression, left once the grid is bound) have the same
@@ -726,53 +716,40 @@ class ScheduleTemplate:
     extents along the same statement list.
     A template records that structure from one real schedule
     (:meth:`from_schedule`), so :func:`build_schedule` stays its only
-    source. :meth:`work`, its only term evaluator, totals many tile points
-    at once, and :func:`launch_arrays` the rest of their kernel launches.
-
-    Only the chain-level fields (``loops``, ``mma_loops``,
-    ``compulsory_bytes``, ``batch``, ``dtype_bytes``) depend on the chain's
-    sizes; the rest, the *core*, is shared by every chain with
-    the same loop names, dtype, blocks and tensors. :meth:`bind` re-derives
-    the chain-level fields for another such chain.
+    source. It holds no loop size, batch or dtype: the template built at
+    one shape is the one of every chain with the same loop names, dtype,
+    blocks and tensors, and whoever evaluates it reads those from the chain.
+    The pricer (:func:`repro.search.engine.pipeline.price_grid`) totals a
+    chain's whole grid from the ``work_masks`` of its templates in one
+    array pass, and :func:`launch_arrays` the rest of their kernel
+    launches from their ``tables``.
     """
 
-    #: ``(loop, size)`` in ``chain.loop_names`` order.
-    loops: tuple[tuple[str, int], ...]
     grid_loops: tuple[str, ...]
     terms: tuple[TemplateTerm, ...]
     #: The on-chip tile buffers, by tensor name (eq. (1) sums their tiles).
     buffers: tuple[TemplateBuffer, ...]
-    #: The (m, n, k) loops of the flops-dominant MMA.
-    mma_loops: tuple[str, str, str]
-    compulsory_bytes: int
-    batch: int
-    dtype_bytes: int
     valid: bool
     single_copy: bool
+    #: ``terms`` and ``buffers`` as loop bitmasks (bit ``j`` is
+    #: ``loop_names[j]``): ``work_masks[c, t, k]`` is column ``c`` (tile dims
+    #: | extent loops, grid, trips and store dims | softmax dims) of the
+    #: ``k``-th term, in statement order, of total ``t`` (DRAM reads: loads
+    #: | DRAM writes: stores | FLOPs: computes | eq. (1): buffers).
+    #: The extent loops of a term are disjoint sets, so their union
+    #: multiplies each extent once. ``1 << len(loop_names)`` stands for a
+    #: product of 0: it pads the shorter totals and marks a compute with no
+    #: softmax. ``grid_mask`` is the grid loops'. Part of the core, like
+    #: ``tables``.
+    work_masks: np.ndarray = field(compare=False, repr=False)
+    grid_mask: int = field(compare=False, repr=False)
     #: ``buffers`` for :func:`launch_arrays`: masks ``(rows | cols |
     #: copies, loop, buffer)`` of the loops whose tiles make a buffer's rows
     #: and columns and whose extents count its copies, flags ``(accumulator
     #: | double-buffered operand, buffer)``, and the schedule's
-    #: ``contig_loops()``. Part of the core, so bindings share them.
+    #: ``contig_loops()``. Part of the core: every chain of its structure
+    #: shares them.
     tables: tuple[np.ndarray, ...] = field(compare=False, repr=False)
-
-    @staticmethod
-    def _chain_fields(chain: ComputeChain) -> dict:
-        """The fields that depend on the chain's sizes."""
-        return {
-            "loops": tuple((loop, chain.loops[loop]) for loop in chain.loop_names),
-            "mma_loops": _mma_loops(chain),
-            "compulsory_bytes": _compulsory_bytes(chain),
-            "batch": chain.batch,
-            "dtype_bytes": chain.dtype_bytes,
-        }
-
-    def bind(self, chain: ComputeChain) -> "ScheduleTemplate":
-        """This template's core bound to ``chain``: equal to
-        :meth:`from_schedule` of ``chain``'s schedule with the same
-        expression, extent-1 set and ``optimize`` flag, provided ``chain``
-        has this template's loop names, dtype, blocks and tensors."""
-        return replace(self, **self._chain_fields(chain))
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "ScheduleTemplate":
@@ -810,94 +787,63 @@ class ScheduleTemplate:
                       [b.double_buffered and b.role == "operand" for b in buffers]]),
             np.array([loop in contig for loop in chain.loop_names]),
         )
+
+        bits = {loop: 1 << j for j, loop in enumerate(chain.loop_names)}
+        zero = 1 << len(bits)
+
+        def mask(loops) -> int:
+            return sum(bits[loop] for loop in loops)
+
+        grid_loops = tuple(loop for loop, _ in schedule.grid_dims[1:])
+        grid = mask(grid_loops)
+        rows = [
+            [
+                (mask(t.tile_dims), grid | mask(t.trip_loops) | mask(t.store_dims),
+                 zero if t.softmax_dims is None else mask(t.softmax_dims))
+                for t in terms if t.kind == kind
+            ]
+            for kind in ("load", "store", "compute")
+        ]
+        rows.append([(mask(b.dims), zero, zero) for b in buffers])
+        work_masks = np.full((3, len(rows), max(map(len, rows))), zero, dtype=np.int64)
+        for t, total in enumerate(rows):
+            for k, columns in enumerate(total):
+                work_masks[:, t, k] = columns
         return cls(
-            grid_loops=tuple(loop for loop, _ in schedule.grid_dims[1:]),
+            grid_loops=grid_loops,
             terms=tuple(terms),
             buffers=buffers,
             valid=schedule.is_valid,
             single_copy=schedule.single_live_copies(),
+            work_masks=work_masks,
+            grid_mask=grid,
             tables=tables,
-            **cls._chain_fields(chain),
-        )
-
-    def work(
-        self, tiles: dict[str, np.ndarray], extents: dict[str, np.ndarray]
-    ) -> ScheduleWork:
-        """Work totals at every point of ``tiles`` (loop -> integer array).
-
-        Bit-identical to the :class:`Schedule` methods at each point: byte
-        and tile counts are exact integer products (int64, or Python ints
-        when a product could overflow), and the float totals add terms in
-        statement order, as the schedule's sums do.
-        """
-        n = len(next(iter(tiles.values())))
-        # Every term multiplies each loop's tile and extent at most once.
-        span = np.ones(n)
-        for loop, tile in tiles.items():
-            span *= tile * extents[loop]
-        bound = 9.0 * self.batch * self.dtype_bytes * float(span.max(initial=1.0))
-        dtype = np.int64 if bound < 2.0**62 else object
-        tiles = {loop: a.astype(dtype) for loop, a in tiles.items()}
-        extents = {loop: a.astype(dtype) for loop, a in extents.items()}
-
-        def product(factors, start):
-            for factor in factors:
-                start = start * factor
-            return start
-
-        one = np.ones(n, dtype=dtype)
-        grid = product((extents[l] for l in self.grid_loops), self.batch * one)
-        read = write = flops = np.zeros(n)
-        for term in self.terms:
-            trips = product((extents[l] for l in term.trip_loops), grid)
-            elements = product((tiles[d] for d in term.tile_dims), one)
-            if term.kind == "compute":
-                per_exec = 2.0 * elements
-                if term.softmax_dims is not None:
-                    per_exec = per_exec + 7.0 * product(
-                        (tiles[d] for d in term.softmax_dims), one
-                    )
-                flops = flops + per_exec * trips
-                continue
-            total = elements * self.dtype_bytes * trips
-            if term.kind == "load":
-                read = read + total.astype(np.float64)
-            else:
-                total = product((extents[d] for d in term.store_dims), total)
-                write = write + total.astype(np.float64)
-        shm = sum(
-            product((tiles[d] for d in buf.dims), one) * self.dtype_bytes
-            for buf in self.buffers
-        )
-        # Grids and tile footprints stay small even where bytes need Python ints.
-        return ScheduleWork(
-            read_bytes=read.astype(np.float64),
-            write_bytes=write.astype(np.float64),
-            flops=flops.astype(np.float64),
-            grid=grid.astype(np.int64),
-            shm_estimate=shm.astype(np.int64),
         )
 
 
 def launch_arrays(
-    templates: Sequence[ScheduleTemplate], template: np.ndarray, tiles: np.ndarray, gpu: GPUSpec
+    chain: ComputeChain,
+    templates: Sequence[ScheduleTemplate],
+    template: np.ndarray,
+    tiles: np.ndarray,
+    gpu: GPUSpec,
 ) -> tuple[np.ndarray, ...]:
     """``shared_mem_bytes``, ``tile_m``, ``tile_n``, ``tile_k`` and
     ``inner_contig_bytes`` of ``build_schedule(...).kernel_launch(gpu)`` at
     every row of ``tiles`` (columns in ``chain.loop_names`` order), where
-    row ``p`` was priced by ``templates[template[p]]``, all of one chain.
+    row ``p`` was priced by ``templates[template[p]]``, all of ``chain``.
 
     A fixed number of array operations for any number of templates: their
     ``tables`` stack (a chain's templates have one buffer per tensor) and
     are gathered per point, with the points on the last, contiguous axis.
     """
-    first, tiles_t = templates[0], tiles.T
-    extents = -(-np.array([size for _, size in first.loops])[:, None] // tiles_t)
+    tiles_t = tiles.T
+    extents = -(-np.array([chain.loops[loop] for loop in chain.loop_names])[:, None] // tiles_t)
     stacked = zip(*(t.tables for t in templates))
     masks, flags, contig = (np.stack(t, axis=-1).take(template, axis=-1) for t in stacked)
     factors = np.stack([tiles_t, tiles_t, extents])[:, :, None]
     rows, cols, copies = np.where(masks, factors, 1).prod(axis=1)
-    shm = measured_bytes(rows, cols, copies, flags[0], flags[1], first.dtype_bytes, gpu)
-    widths = np.where(contig, tiles_t * first.dtype_bytes, np.iinfo(np.int64).max).min(axis=0)
-    mma = (tiles[:, [name for name, _ in first.loops].index(loop)] for loop in first.mma_loops)
+    shm = measured_bytes(rows, cols, copies, flags[0], flags[1], chain.dtype_bytes, gpu)
+    widths = np.where(contig, tiles_t * chain.dtype_bytes, np.iinfo(np.int64).max).min(axis=0)
+    mma = (tiles[:, chain.loop_names.index(loop)] for loop in _mma_loops(chain))
     return shm, *mma, np.where(contig.any(axis=0), widths, 128)

@@ -1,16 +1,19 @@
 """Differential test: template pricing == building every schedule.
 
-The search prices candidates from per-expression schedule templates
-instead of building a :class:`~repro.tiling.schedule.Schedule` for each.
-For every enumerated Rule-3 point, rejected ones included, the priced
-validity, candidate-level Rule 2, Rule 4 and eq. 2-5 estimate must equal
-what the built schedule reports — exactly (``==``), not approximately,
-because ranking order and evolutionary fitness weights depend on the
-exact values.
+The search prices a chain's whole Rule-3 grid, under every surviving
+expression, in one array pass over the term tables of its schedule
+templates (:func:`~repro.search.engine.pipeline.price_grid`) instead of
+building a :class:`~repro.tiling.schedule.Schedule` for each point. With
+every row requested, the priced validity, candidate-level Rule 2, Rule 4,
+work totals and eq. 2-5 estimate of every point, rejected ones included,
+must equal what the built schedule reports — exactly (``==``), not
+approximately, because ranking order and evolutionary fitness weights
+depend on the exact values.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,9 +27,10 @@ from repro.search.perf_model import (
     AnalyticalModel,
     ChimeraModel,
     PerfEstimate,
+    combine,
     estimate_time,
 )
-from repro.search.pruning import rule3_tile_options, rule4_ok
+from repro.search.pruning import rule3_tile_options, rule4_fits, rule4_ok
 from repro.search.space import generate_space
 from repro.tiling.schedule import build_schedule
 from repro.workloads import build_workload, workload_names
@@ -45,34 +49,39 @@ def assert_priced_like_built(
     max_exprs: int | None = None,
 ) -> int:
     """Price every grid point of the pipeline expressions of ``chain`` (the
-    first ``max_exprs``, if given) and compare each against its built
-    schedule; returns the points checked."""
+    first ``max_exprs``, if given) in one pass, every row requested, and
+    compare each against its built schedule; returns the points checked."""
     model = AnalyticalModel(gpu) if optimize else ChimeraModel(gpu)
     options = options or _options(chain)
-    templates = 0
-    checked = 0
     exprs, _ = surviving_expressions(chain, deep_only=deep_only)
-    for expr in exprs[:max_exprs]:
-        grid = price_grid(chain, gpu, expr, options, optimize)
-        templates += len(grid.templates)
-        t_mem = grid.price.t_mem.tolist()
-        t_comp = grid.price.t_comp.tolist()
-        alpha = grid.price.alpha.tolist()
-        for i, row in enumerate(grid.tiles.tolist()):
-            tiles = dict(zip(chain.loop_names, row))
-            sched = build_schedule(chain, expr, tiles, optimize=optimize)
-            where = f"{chain.name} {sched.describe()} optimize={optimize}"
-            assert bool(grid.valid[i]) == sched.is_valid, where
-            assert bool(grid.rule2[i]) == sched.single_live_copies(), where
-            assert bool(grid.rule4[i]) == rule4_ok(sched, gpu), where
-            est = estimate_time(sched, gpu)
-            priced = PerfEstimate(t_mem=t_mem[i], t_comp=t_comp[i], alpha=alpha[i])
-            assert priced == est, where
-            assert model.objective(priced) == model(sched), where
-            checked += 1
+    exprs = exprs[:max_exprs]
+    grid = price_grid(chain, exprs, options, optimize)
+    rows = np.arange(len(grid))
+    work = grid.work(rows)
+    rule4 = rule4_fits(grid.shm_estimate(rows), gpu)
+    price = combine(work.read_bytes, work.write_bytes, work.flops, work.grid, gpu)
+    t_mem, t_comp, alpha = (a.tolist() for a in (price.t_mem, price.t_comp, price.alpha))
+    totals = zip(*(a.tolist() for a in (
+        work.read_bytes, work.write_bytes, work.flops, work.grid, work.shm_estimate
+    )))
+    for r, total in zip(rows.tolist(), totals):
+        tiles = dict(zip(chain.loop_names, grid.tiles[r % len(grid.tiles)].tolist()))
+        sched = build_schedule(chain, exprs[r // len(grid.tiles)], tiles, optimize=optimize)
+        where = f"{chain.name} {sched.describe()} optimize={optimize}"
+        assert bool(grid.valid[r]) == sched.is_valid, where
+        assert bool(grid.rule2[r]) == sched.single_live_copies(), where
+        assert bool(rule4[r]) == rule4_ok(sched, gpu), where
+        assert total == (
+            sched.dram_read_bytes(), sched.dram_write_bytes(), sched.total_flops(),
+            sched.grid_size, sched.shm_estimate(),
+        ), where
+        est = estimate_time(sched, gpu)
+        priced = PerfEstimate(t_mem=t_mem[r], t_comp=t_comp[r], alpha=alpha[r])
+        assert priced == est, where
+        assert model.objective(priced) == model(sched), where
     # One template prices each distinct extent-1 set, far fewer than points.
-    assert 0 < templates <= checked
-    return checked
+    assert 0 < len(grid.templates) <= len(rows)
+    return len(rows)
 
 
 @pytest.mark.parametrize("name", workload_names(level="chain"))
@@ -129,6 +138,24 @@ def test_huge_extents_stay_exact():
     """Products past int64 switch to exact Python integers."""
     chain = gemm_chain(4096, 1 << 16, 1 << 16, 1 << 16, 1 << 16, name="huge")
     options = {loop: [16, 1 << 16] for loop in chain.loop_names}
+    exprs, _ = surviving_expressions(chain)
+    assert price_grid(chain, exprs, options).tile_products.dtype == object
+    assert assert_priced_like_built(chain, options=options) > 0
+
+
+def test_huge_odd_extents_add_in_statement_order():
+    """Past 2**53 float totals round, so the order of their terms shows;
+    the pricer adds them in statement order, as the schedule does."""
+    chain = gemm_chain(
+        3**19, 3 * 7 * 11 * 13 * 17 * 19, 5 * 7 * 11 * 13 * 23, 3 * 5 * 7 * 29 * 31,
+        3 * 11 * 13 * 37, name="huge-odd",
+    )
+    exprs, _ = surviving_expressions(chain)
+    (expr,) = [e for e in exprs if e.render() == "mn(k,h)"]
+    sched = build_schedule(chain, expr, {loop: 176 for loop in chain.loop_names})
+    loads = [sched.statement_bytes(s) for s in sched.statements() if s.kind == "load"]
+    assert sum(loads[::-1], 0.0) != sched.dram_read_bytes()
+    options = {loop: [48, 112, 176] for loop in chain.loop_names}
     assert assert_priced_like_built(chain, options=options) > 0
 
 
